@@ -75,7 +75,7 @@ double guarded_severity(Detector& detector, double value, std::uint64_t key,
       // opprentice-hotpath: allow(throw) fault injection only; gated behind faults_active
       throw util::InjectedFault("injected detector.throw");
     }
-    // opprentice-hotpath: allow(dispatch) virtual dispatch: every OPPRENTICE_HOT feed override is linted as its own root; svd/wavelet stay unannotated until their per-point recompute is fixed (ROADMAP item 2)
+    // opprentice-hotpath: allow(dispatch) virtual dispatch: every detector's feed override is OPPRENTICE_HOT and linted as its own root
     severity = detector.feed(value);
     if (faults_active &&
         // opprentice-hotpath: allow(cold-call) fault check touches registry counters only when a fault actually fires; off in production

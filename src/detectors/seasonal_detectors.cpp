@@ -1,8 +1,11 @@
 #include "detectors/seasonal_detectors.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/stats.hpp"
 
@@ -30,33 +33,53 @@ SeasonalDetectorBase::SeasonalDetectorBase(std::size_t period_points,
       samples_per_slot_(samples_per_slot),
       robust_(robust),
       scale_source_(scale_source),
-      residuals_(scale_window) {
-  slots_.reserve(period_);
-  for (std::size_t i = 0; i < period_; ++i) {
-    slots_.emplace_back(samples_per_slot_);
+      residuals_(scale_window),
+      sorted_residuals_(
+          robust && scale_source == ScaleSource::kRecentResiduals
+              ? scale_window
+              : 0) {
+  if (period_ == 0 || samples_per_slot_ == 0 ||
+      samples_per_slot_ > std::numeric_limits<std::uint32_t>::max() / 2) {
+    throw std::invalid_argument(
+        "SeasonalDetectorBase: period and samples per slot must be positive");
   }
+  slot_values_.resize(period_ * samples_per_slot_);
+  slot_pushes_.resize(period_);
+  slot_scratch_.resize(samples_per_slot_);
 }
 
 double SeasonalDetectorBase::feed(double value) {
   const std::size_t slot = index_ % period_;
   ++index_;
-  RingBuffer<double>& history = slots_[slot];
+  double* ring = &slot_values_[slot * samples_per_slot_];
+  std::uint32_t& pushes = slot_pushes_[slot];
+  const std::size_t held = std::min<std::size_t>(pushes, samples_per_slot_);
 
   double severity = 0.0;
-  if (!util::is_missing(value) && history.size() >= 1) {
-    history.copy_ordered(scratch_);
+  if (!util::is_missing(value) && held >= 1) {
+    // Oldest first: mean and stddev sum in that order.
+    const std::span<double> history{slot_scratch_.data(), held};
+    for (std::size_t i = 0; i < held; ++i) {
+      history[i] = ring[(pushes - held + i) % samples_per_slot_];
+    }
+    // The robust statistics select inside history; the slot MAD below
+    // needs only the same values, not their order.
     const double center =
-        robust_ ? util::median(scratch_) : util::mean(scratch_);
+        robust_ ? util::median_in_place(history) : util::mean(history);
     if (!util::is_missing(center)) {
       const double residual = value - center;
 
       double scale = std::numeric_limits<double>::quiet_NaN();
       if (scale_source_ == ScaleSource::kSlotHistory) {
-        scale = robust_ ? util::mad(scratch_) : util::stddev(scratch_);
+        scale = robust_ ? util::mad_in_place(history) : util::stddev(history);
       } else if (residuals_.size() >= 16) {
-        residuals_.copy_ordered(scratch_);
-        // Scale over |residuals| keeps the estimate one-sided and stable.
-        scale = robust_ ? util::mad(scratch_) : util::stddev(scratch_);
+        // The scale is taken over the signed residuals of the window.
+        if (robust_) {
+          scale = sorted_residuals_.mad();
+        } else {
+          residuals_.copy_ordered(scratch_);
+          scale = util::stddev(scratch_);
+        }
       }
       const double floor_scale =
           std::abs(center) * kScaleEpsilonFraction + 1e-9;
@@ -64,17 +87,31 @@ double SeasonalDetectorBase::feed(double value) {
         severity = std::abs(residual) / std::max(scale, floor_scale);
       }
       if (scale_source_ == ScaleSource::kRecentResiduals) {
+        if (robust_) {
+          // NaN residuals stay out of the sorted copy, so a NaN leaving
+          // (or nothing leaving yet) removes nothing from it.
+          sorted_residuals_.replace(
+              residuals_.full() ? residuals_.back(residuals_.size() - 1)
+                                : std::numeric_limits<double>::quiet_NaN(),
+              residual);
+        }
         residuals_.push(residual);
       }
     }
   }
-  if (!util::is_missing(value)) history.push(value);
+  if (!util::is_missing(value)) {
+    ring[pushes % samples_per_slot_] = value;
+    if (++pushes == 2 * samples_per_slot_) {
+      pushes = static_cast<std::uint32_t>(samples_per_slot_);
+    }
+  }
   return sanitize_severity(severity);
 }
 
 void SeasonalDetectorBase::reset() {
-  for (auto& s : slots_) s.clear();
+  std::fill(slot_pushes_.begin(), slot_pushes_.end(), 0);
   residuals_.clear();
+  sorted_residuals_.clear();
   index_ = 0;
 }
 

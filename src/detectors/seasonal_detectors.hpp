@@ -11,10 +11,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "detectors/detector.hpp"
 #include "detectors/ring_buffer.hpp"
+#include "util/hotpath.hpp"
+#include "util/stats.hpp"
 
 namespace opprentice::detectors {
 
@@ -33,7 +36,7 @@ class SeasonalDetectorBase : public Detector {
                        std::size_t scale_window, bool robust,
                        ScaleSource scale_source);
 
-  double feed(double value) override;
+  OPPRENTICE_HOT double feed(double value) override;
   void reset() override;
 
  private:
@@ -42,10 +45,19 @@ class SeasonalDetectorBase : public Detector {
   bool robust_ = false;  // median/MAD instead of mean/std
   ScaleSource scale_source_;
 
-  std::vector<RingBuffer<double>> slots_;
-  RingBuffer<double> residuals_;  // recent residuals, for the scale
+  // Slot s keeps its last samples_per_slot_ values as a ring at
+  // slot_values_[s * samples_per_slot_]. slot_pushes_[s] counts the values
+  // pushed there, folded into [0, 2 * samples_per_slot_) so it never
+  // overflows. One flat buffer instead of a ring object and an allocation
+  // per slot (a week holds 1008 slots at 10-minute bins).
+  std::vector<double> slot_values_;
+  std::vector<std::uint32_t> slot_pushes_;
+  std::vector<double> slot_scratch_;  // a slot's values, oldest first
+  RingBuffer<double> residuals_;      // recent residuals, for the scale
+  // The robust recent-residual scale's sorted copy of residuals_.
+  util::SortedWindow sorted_residuals_;
   std::size_t index_ = 0;
-  mutable std::vector<double> scratch_;
+  std::vector<double> scratch_;
 };
 
 class TsdDetector final : public SeasonalDetectorBase {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace opprentice::util {
 namespace {
@@ -16,6 +17,44 @@ std::vector<double> present_values(std::span<const double> xs) {
     if (!is_missing(x)) v.push_back(x);
   }
   return v;
+}
+
+// Moves the present values of xs to its front; returns their count.
+std::size_t compact_present(std::span<double> xs) {
+  std::size_t n = 0;
+  for (const double x : xs) {
+    if (!is_missing(x)) xs[n++] = x;
+  }
+  return n;
+}
+
+// The two order statistics quantile q interpolates between over n >= 1
+// values: ranks lo and lo + 1, unless lo is the last one.
+struct QuantileRank {
+  double pos;
+  std::size_t lo;
+  bool single;
+};
+
+QuantileRank quantile_rank(std::size_t n, double q) {
+  const double pos = q * static_cast<double>(n - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  return {pos, lo, std::min(lo + 1, n - 1) == lo};
+}
+
+double interpolate(const QuantileRank& rank, double xlo, double xhi) {
+  return rank.single
+             ? xlo
+             : xlo + (rank.pos - static_cast<double>(rank.lo)) * (xhi - xlo);
+}
+
+// Quantile q of the n >= 1 values in v, which it reorders.
+double select_quantile(std::span<double> v, double q) {
+  const QuantileRank rank = quantile_rank(v.size(), q);
+  const auto lo = v.begin() + static_cast<std::ptrdiff_t>(rank.lo);
+  std::nth_element(v.begin(), lo, v.end());
+  return interpolate(rank, *lo,
+                     rank.single ? *lo : *std::min_element(lo + 1, v.end()));
 }
 
 }  // namespace
@@ -58,18 +97,7 @@ double stddev(std::span<const double> xs) {
 double quantile(std::span<const double> xs, double q) {
   std::vector<double> v = present_values(xs);
   if (v.empty()) return kNaN;
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(lo),
-                   v.end());
-  const double xlo = v[lo];
-  if (hi == lo) return xlo;
-  const double xhi =
-      *std::min_element(v.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
-                        v.end());
-  return xlo + (pos - static_cast<double>(lo)) * (xhi - xlo);
+  return select_quantile(v, std::clamp(q, 0.0, 1.0));
 }
 
 double median(std::span<const double> xs) {
@@ -162,6 +190,140 @@ double RunningStats::variance() const {
 double RunningStats::stddev() const {
   const double v = variance();
   return std::isnan(v) ? v : std::sqrt(v);
+}
+
+double median_in_place(std::span<double> xs) {
+  const std::size_t n = compact_present(xs);
+  return n == 0 ? kNaN : select_quantile(xs.first(n), 0.5);
+}
+
+double mad_in_place(std::span<double> xs) {
+  const std::span<double> present = xs.first(compact_present(xs));
+  const double med = median_in_place(present);
+  if (is_missing(med)) return kNaN;
+  for (double& x : present) x = std::abs(x - med);
+  const double raw = median_in_place(present);
+  return is_missing(raw) ? kNaN : 1.4826 * raw;
+}
+
+SlidingSum::SlidingSum(std::size_t length)
+    : chunk_(length), suffix_(length + 1, 0.0) {
+  if (length == 0) {
+    throw std::invalid_argument("SlidingSum: length must be positive");
+  }
+}
+
+void SlidingSum::push(double x) {
+  if (pos_ == chunk_.size()) {
+    double acc = 0.0;
+    for (std::size_t i = pos_; i-- > 0;) {
+      acc += chunk_[i];
+      suffix_[i] = acc;
+    }
+    pos_ = 0;
+    prefix_ = 0.0;
+  }
+  chunk_[pos_++] = x;
+  prefix_ += x;
+}
+
+void SlidingSum::clear() {
+  std::fill(suffix_.begin(), suffix_.end(), 0.0);
+  pos_ = 0;
+  prefix_ = 0.0;
+}
+
+SortedWindow::SortedWindow(std::size_t capacity) : sorted_(capacity) {}
+
+void SortedWindow::replace(double leaving, double entering) {
+  const auto begin = sorted_.begin();
+  const auto end = begin + static_cast<std::ptrdiff_t>(size_);
+  // The slot freed by `leaving`, or a new one past the end.
+  std::size_t hole = size_;
+  if (!is_missing(leaving)) {
+    hole = static_cast<std::size_t>(std::lower_bound(begin, end, leaving) -
+                                    begin);
+    if (hole < size_ && sorted_[hole] != leaving) hole = size_;
+  }
+  const bool removed = hole < size_;
+  if (is_missing(entering)) {
+    if (!removed) return;
+    for (std::size_t i = hole; i + 1 < size_; ++i) sorted_[i] = sorted_[i + 1];
+    --size_;
+    return;
+  }
+  // Slide the hole to where `entering` belongs.
+  std::size_t at = hole;
+  while (at > 0 && sorted_[at - 1] > entering) {
+    sorted_[at] = sorted_[at - 1];
+    --at;
+  }
+  const std::size_t last = removed ? size_ - 1 : size_;
+  while (at < last && sorted_[at + 1] < entering) {
+    sorted_[at] = sorted_[at + 1];
+    ++at;
+  }
+  sorted_[at] = entering;
+  if (!removed) ++size_;
+}
+
+double SortedWindow::median() const {
+  if (size_ == 0) return kNaN;
+  const QuantileRank rank = quantile_rank(size_, 0.5);
+  return interpolate(rank, sorted_[rank.lo],
+                     sorted_[std::min(rank.lo + 1, size_ - 1)]);
+}
+
+double SortedWindow::mad() const {
+  const double med = median();
+  if (is_missing(med)) return kNaN;
+  // |x - med| rises from the median outwards on both sides, so the
+  // deviations are two ascending runs: the left side walked backwards and
+  // the right side walked forwards. Values equal to an infinite median
+  // deviate by NaN, which mad() skips; they open the right side.
+  const auto begin = sorted_.begin();
+  const auto end = begin + static_cast<std::ptrdiff_t>(size_);
+  const std::size_t left =
+      static_cast<std::size_t>(std::lower_bound(begin, end, med) - begin);
+  const std::size_t right =
+      std::isinf(med)
+          ? static_cast<std::size_t>(std::upper_bound(begin, end, med) - begin)
+          : left;
+  const std::size_t right_size = size_ - right;
+  const std::size_t n = left + right_size;
+  if (n == 0) return kNaN;
+  const auto from_left = [&](std::size_t i) {
+    return std::abs(sorted_[left - 1 - i] - med);
+  };
+  const auto from_right = [&](std::size_t j) {
+    return std::abs(sorted_[right + j] - med);
+  };
+  // The rank.lo + 1 smallest deviations take i from the left run and the
+  // rest from the right; binary search for the i at which every deviation
+  // taken is at most every one left.
+  const QuantileRank rank = quantile_rank(n, 0.5);
+  const std::size_t taken = rank.lo + 1;
+  std::size_t lo = taken > right_size ? taken - right_size : 0;
+  std::size_t hi = std::min(taken, left);
+  while (lo < hi) {
+    const std::size_t i = lo + (hi - lo) / 2;
+    if (from_left(i) < from_right(taken - 1 - i)) {
+      lo = i + 1;
+    } else {
+      hi = i;
+    }
+  }
+  const std::size_t i = lo;
+  const std::size_t j = taken - i;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double dlo = std::max(i > 0 ? from_left(i - 1) : -kInf,
+                              j > 0 ? from_right(j - 1) : -kInf);
+  const double dhi =
+      rank.single ? dlo
+                  : std::min(i < left ? from_left(i) : kInf,
+                             j < right_size ? from_right(j) : kInf);
+  const double raw = interpolate(rank, dlo, dhi);
+  return is_missing(raw) ? kNaN : 1.4826 * raw;
 }
 
 }  // namespace opprentice::util

@@ -61,4 +61,62 @@ class RunningStats {
   double m2_ = 0.0;
 };
 
+// Allocation-free median(): selects inside `xs`, which it reorders and from
+// which it drops NaNs (the tail past the present values is unspecified).
+// Same arithmetic on the same order statistics as median(), so the result
+// is bit-identical.
+double median_in_place(std::span<double> xs);
+
+// Allocation-free mad(): overwrites `xs` with absolute deviations.
+// Bit-identical to mad() on the original contents.
+double mad_in_place(std::span<double> xs);
+
+// Sum of the last `length` pushed values (of all of them before `length`
+// are pushed), amortized O(1) per push and free of drift. Values are
+// grouped into aligned chunks of `length`: the window is a prefix of the
+// current chunk plus a suffix of the previous one, whose suffix sums are
+// recomputed exactly once, when the chunk completes. Nothing is ever
+// subtracted, so the rounding error is that of summing the window's own
+// values, and a non-finite value stops affecting the sum the moment it
+// leaves the window.
+class SlidingSum {
+ public:
+  explicit SlidingSum(std::size_t length);  // length >= 1
+
+  void push(double x);
+  double sum() const { return prefix_ + suffix_[pos_]; }
+  void clear();
+
+ private:
+  std::vector<double> chunk_;   // values of the current chunk
+  std::vector<double> suffix_;  // suffix_[i]: previous chunk's [i, length)
+  std::size_t pos_ = 0;         // values in the current chunk
+  double prefix_ = 0.0;         // sum of chunk_[0, pos_)
+};
+
+// The non-NaN values of a sliding window, kept sorted in a buffer sized
+// once at construction; the caller names the entering and the leaving
+// value. median() is O(1) and mad() O(log n). Both apply the arithmetic
+// of median()/mad() to the same order statistics, so they are
+// bit-identical to them over the window. (Equal values are
+// interchangeable, so a -0.0 may leave in place of a +0.0: that can flip
+// the sign of a zero median, never the MAD.)
+class SortedWindow {
+ public:
+  explicit SortedWindow(std::size_t capacity);
+
+  // Removes one value equal to `leaving` and adds `entering`, moving only
+  // the values between their two positions; a NaN argument is ignored.
+  // A full window must have something leaving.
+  void replace(double leaving, double entering);
+  std::size_t size() const { return size_; }
+  double median() const;
+  double mad() const;
+  void clear() { size_ = 0; }
+
+ private:
+  std::vector<double> sorted_;
+  std::size_t size_ = 0;
+};
+
 }  // namespace opprentice::util

@@ -210,6 +210,13 @@ struct PresetExpectation {
   std::size_t weeks;
 };
 
+// gtest lists a parameter by printing it; without this it dumps the raw
+// bytes, including the address of `name`, so the listed test name would
+// change with every run under address-space randomisation.
+void PrintTo(const PresetExpectation& expect, std::ostream* os) {
+  *os << expect.name;
+}
+
 class PresetTable1 : public ::testing::TestWithParam<PresetExpectation> {};
 
 TEST_P(PresetTable1, StatisticsMatchPaper) {

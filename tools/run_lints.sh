@@ -48,7 +48,7 @@ run "${bin}/opprentice_lint" --verbose
 run "${bin}/opprentice_lint" --self-test
 run "${bin}/opprentice_check" --root "${root}" --verbose
 run "${bin}/opprentice_check" --self-test
-run "${bin}/opprentice_hotpath" --root "${root}" --verbose --min-roots 16
+run "${bin}/opprentice_hotpath" --root "${root}" --verbose --min-roots 19
 run "${bin}/opprentice_hotpath" --self-test
 run "${bin}/opprentice_locks" --root "${root}" --verbose --min-locks 14
 run "${bin}/opprentice_locks" --self-test
