@@ -10,8 +10,6 @@
 
 #include <cstddef>
 
-#include "util/hotpath.hpp"
-
 namespace opprentice::core {
 
 struct DurationFilterOptions {
@@ -28,7 +26,7 @@ class DurationFilter {
 
   // Feeds one point-level decision; returns true exactly when an alarm
   // should fire (the ongoing anomalous run just reached min_run points).
-  OPPRENTICE_HOT bool feed(bool anomalous);
+  bool feed(bool anomalous);
 
   // Length of the current (possibly gap-bridged) anomalous run.
   std::size_t current_run() const { return run_; }

@@ -98,19 +98,23 @@ class FleetSeries {
     }
   }
 
-  // Retrains on the buffered labeled history, behind the forest.train
-  // fault site keyed (series salt, point count). A window with no
-  // positive labels is skipped silently — nothing to learn is not a
-  // failure. Failures count toward quarantine.
-  void retrain(const FleetOptions& options, std::size_t interval)
-      OPPRENTICE_REQUIRES(mutex_) {
+  // A retrain's input: the buffered labeled history and the forest.train
+  // fault key (series salt, point count).
+  struct TrainingSet {
+    ml::Dataset data;
+    std::uint64_t key = 0;
+  };
+
+  // Copies the labeled history past warm-up. A window with no positive
+  // labels yields nothing — nothing to learn is not a failure.
+  std::optional<TrainingSet> training_set() const OPPRENTICE_REQUIRES(mutex_) {
     const std::size_t warmup = extractor_.max_warmup();
     const std::size_t begin_local = warmup > base_ ? warmup - base_ : 0;
     const std::size_t end_global =
         std::min(labeled_until_, base_ + values_.size());
-    if (end_global <= base_) return;
+    if (end_global <= base_) return std::nullopt;
     const std::size_t end_local = end_global - base_;
-    if (begin_local >= end_local) return;
+    if (begin_local >= end_local) return std::nullopt;
 
     std::vector<std::vector<double>> train_columns(columns_.size());
     for (std::size_t f = 0; f < columns_.size(); ++f) {
@@ -121,32 +125,44 @@ class FleetSeries {
     std::vector<std::uint8_t> train_labels(
         labels_.begin() + static_cast<std::ptrdiff_t>(begin_local),
         labels_.begin() + static_cast<std::ptrdiff_t>(end_local));
-    ml::Dataset train(extractor_.feature_names(), std::move(train_columns),
-                      std::move(train_labels));
-    if (train.positives() == 0) return;
+    TrainingSet out{ml::Dataset(extractor_.feature_names(),
+                                std::move(train_columns),
+                                std::move(train_labels)),
+                    util::fault_key(salt_, extractor_.points_seen())};
+    if (out.data.positives() == 0) return std::nullopt;
+    return out;
+  }
 
-    const std::uint64_t key =
-        util::fault_key(salt_, extractor_.points_seen());
+  // Trains on `training` behind the forest.train fault site, then installs
+  // the forest under the lock. Training fans out over the thread pool, so
+  // it runs without the series lock: a pool task feeding this series
+  // would otherwise wait on it forever. Failures count toward quarantine.
+  void retrain(const TrainingSet& training, const FleetOptions& options,
+               std::size_t interval) OPPRENTICE_EXCLUDES(mutex_) {
+    const ml::Dataset& train = training.data;
+    const std::uint64_t key = training.key;
     try {
       if (util::inject_fault(util::faults::kForestTrain, key)) {
         throw util::InjectedFault("injected forest.train");
       }
       ml::RandomForest forest(options.forest);
       forest.train(train);
-      forest_ = std::move(forest);
-      ++retrains_;
-      consecutive_train_failures_ = 0;
-      fleet_counters().retrains->add();
 
       // Best cThld on the most recent labeled window feeds the EWMA
       // predictor (§4.5.2) — the per-series cThld history.
       const std::size_t rows = train.num_rows();
       const std::size_t window = std::min(rows, interval);
       const ml::Dataset recent = train.slice(rows - window, rows);
-      const std::vector<double> scores = forest_->score_all(recent);
+      const std::vector<double> scores = forest.score_all(recent);
       const eval::PrCurve curve(scores, recent.labels());
       const eval::ThresholdChoice best = eval::pick_threshold(
           curve, eval::ThresholdMethod::kPcScore, options.preference);
+
+      util::MutexLock lock(mutex_);
+      forest_ = std::move(forest);
+      ++retrains_;
+      consecutive_train_failures_ = 0;
+      fleet_counters().retrains->add();
       if (cthld_.initialized()) {
         cthld_.observe_best(best.cthld);
       } else {
@@ -156,6 +172,7 @@ class FleetSeries {
       // injected failures in the sorted dump (flight_recorder.hpp).
       obs::flight_record("fleet", "retrain", key, "series=" + id_);
     } catch (const std::exception& e) {
+      util::MutexLock lock(mutex_);
       ++train_failures_;
       ++consecutive_train_failures_;
       fleet_counters().train_failures->add();
@@ -179,8 +196,7 @@ class FleetSeries {
   const std::uint64_t salt_;
   const std::size_t phase_;
 
-  // opprentice-locks: level(series_state)=20
-  mutable util::Mutex mutex_;
+  mutable util::Mutex mutex_{util::LockLevel::series_state};
   detectors::StreamingExtractor extractor_ OPPRENTICE_GUARDED_BY(mutex_);
   // Bounded training history, column-major like ml::Dataset. base_ is the
   // global point index of local row 0 (rows before it were trimmed).
@@ -244,30 +260,34 @@ std::vector<std::string> FleetEngine::series_ids() const {
 
 FleetDetection FleetEngine::feed(const SeriesHandle& series, double value) {
   FleetSeries& state = *series;
-  util::MutexLock lock(state.mutex_);
   FleetDetection out;
   out.value = value;
-  if (state.quarantined_) {
-    out.score = kNaN;
-    out.cthld = kNaN;
-    return out;
-  }
-  const std::vector<double> features = state.extractor_.feed(value);
-  state.append_row(features, value, options_.history_capacity);
-  fleet_counters().points->add();
+  std::optional<FleetSeries::TrainingSet> training;
+  {
+    util::MutexLock lock(state.mutex_);
+    if (state.quarantined_) {
+      out.score = kNaN;
+      out.cthld = kNaN;
+      return out;
+    }
+    const std::vector<double> features = state.extractor_.feed(value);
+    state.append_row(features, value, options_.history_capacity);
+    fleet_counters().points->add();
 
-  if (state.forest_.has_value() && state.extractor_.warmed_up()) {
-    out.score = state.forest_->score(features);
-    out.cthld = state.cthld_.initialized() ? state.cthld_.predict() : 0.5;
-    out.is_anomaly = out.score >= out.cthld;
-    out.classified = true;
-  } else {
-    out.score = kNaN;
-  }
+    if (state.forest_.has_value() && state.extractor_.warmed_up()) {
+      out.score = state.forest_->score(features);
+      out.cthld = state.cthld_.initialized() ? state.cthld_.predict() : 0.5;
+      out.is_anomaly = out.score >= out.cthld;
+      out.classified = true;
+    } else {
+      out.score = kNaN;
+    }
 
-  if (scheduler_.due_at(state.phase_, state.extractor_.points_seen())) {
-    state.retrain(options_, scheduler_.interval());
+    if (scheduler_.due_at(state.phase_, state.extractor_.points_seen())) {
+      training = state.training_set();
+    }
   }
+  if (training) state.retrain(*training, options_, scheduler_.interval());
   return out;
 }
 

@@ -126,8 +126,7 @@ class SeriesRegistry {
 
  private:
   struct Shard {
-    // opprentice-locks: level(registry_shard)=10
-    mutable util::Mutex mutex;
+    mutable util::Mutex mutex{util::LockLevel::registry_shard};
     std::map<std::string, std::shared_ptr<T>, std::less<>> entries
         OPPRENTICE_GUARDED_BY(mutex);
   };

@@ -118,7 +118,8 @@ double ArimaDetector::feed(double value) {
   const bool first_fit =
       params_.order() == 0 && diffs_.size() >= warmup_points();
   if (first_fit || since_refit_ >= refit_interval_) {
-    // opprentice-hotpath: allow(cold-call) refit is amortized: once per refit_interval_ (a day of points), not per point
+    // Amortized: once per refit_interval_ (a day of points). The refit is
+    // the one allocating step of the steady state.
     refit();
   }
 

@@ -14,7 +14,6 @@
 
 #include "detectors/detector.hpp"
 #include "detectors/ring_buffer.hpp"
-#include "util/hotpath.hpp"
 
 namespace opprentice::detectors {
 
@@ -35,7 +34,7 @@ class ArimaDetector final : public Detector {
 
   std::string name() const override;
   std::size_t warmup_points() const override;
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
   // Current AR order (0 until the first fit); for tests/examples.

@@ -6,7 +6,6 @@
 
 #include "detectors/detector.hpp"
 #include "detectors/ring_buffer.hpp"
-#include "util/hotpath.hpp"
 
 namespace opprentice::detectors {
 
@@ -17,7 +16,7 @@ class SimpleThresholdDetector final : public Detector {
   SimpleThresholdDetector() = default;
   std::string name() const override;
   std::size_t warmup_points() const override { return 0; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override {}
 };
 
@@ -30,7 +29,7 @@ class DiffDetector final : public Detector {
   DiffDetector(DiffLag lag, const SeriesContext& ctx);
   std::string name() const override;
   std::size_t warmup_points() const override { return lag_points_; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:
@@ -45,7 +44,7 @@ class SimpleMaDetector final : public Detector {
   explicit SimpleMaDetector(std::size_t window);
   std::string name() const override;
   std::size_t warmup_points() const override { return window_; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:
@@ -60,7 +59,7 @@ class WeightedMaDetector final : public Detector {
   explicit WeightedMaDetector(std::size_t window);
   std::string name() const override;
   std::size_t warmup_points() const override { return window_; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:
@@ -75,7 +74,7 @@ class MaOfDiffDetector final : public Detector {
   explicit MaOfDiffDetector(std::size_t window);
   std::string name() const override;
   std::size_t warmup_points() const override { return window_ + 1; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:
@@ -93,7 +92,7 @@ class EwmaDetector final : public Detector {
   explicit EwmaDetector(double alpha);
   std::string name() const override;
   std::size_t warmup_points() const override { return 8; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:

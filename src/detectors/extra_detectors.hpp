@@ -11,7 +11,6 @@
 #include "detectors/detector.hpp"
 #include "detectors/registry.hpp"
 #include "detectors/ring_buffer.hpp"
-#include "util/hotpath.hpp"
 
 namespace opprentice::detectors {
 
@@ -26,7 +25,7 @@ class CusumDetector final : public Detector {
 
   std::string name() const override;
   std::size_t warmup_points() const override { return window_; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:
@@ -47,7 +46,7 @@ class HoltDetector final : public Detector {
 
   std::string name() const override;
   std::size_t warmup_points() const override { return 8; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:

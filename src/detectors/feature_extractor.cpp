@@ -44,11 +44,8 @@ struct BoundaryCounters {
 
 const BoundaryCounters& boundary_counters() {
   static const BoundaryCounters counters{
-      // opprentice-hotpath: allow(cold-call) magic static: registry lookup runs once per process
       &obs::counter("opprentice.detector.exceptions"),
-      // opprentice-hotpath: allow(cold-call) same one-time registry lookup
       &obs::counter("opprentice.detector.scrubbed"),
-      // opprentice-hotpath: allow(cold-call) same one-time registry lookup
       &obs::counter("opprentice.detector.quarantined")};
   return counters;
 }
@@ -70,15 +67,11 @@ double guarded_severity(Detector& detector, double value, std::uint64_t key,
   double severity = boundary.neutral;
   try {
     if (faults_active &&
-        // opprentice-hotpath: allow(cold-call) fault check touches registry counters only when a fault actually fires; off in production
         util::inject_fault(util::faults::kDetectorThrow, key)) {
-      // opprentice-hotpath: allow(throw) fault injection only; gated behind faults_active
       throw util::InjectedFault("injected detector.throw");
     }
-    // opprentice-hotpath: allow(dispatch) virtual dispatch: every detector's feed override is OPPRENTICE_HOT and linted as its own root
     severity = detector.feed(value);
     if (faults_active &&
-        // opprentice-hotpath: allow(cold-call) fault check touches registry counters only when a fault actually fires; off in production
         util::inject_fault(util::faults::kDetectorNan, key)) {
       severity = std::numeric_limits<double>::quiet_NaN();
     }
@@ -99,16 +92,13 @@ double guarded_severity(Detector& detector, double value, std::uint64_t key,
       consecutive >= boundary.quarantine_after && quarantined == 0) {
     quarantined = 1;
     boundary_counters().quarantined->add();
-    // opprentice-hotpath: allow(cold-call) name() builds a string only on the quarantine transition, at most once per configuration
     const std::string configuration = detector.name();
-    // opprentice-hotpath: allow(cold-call) warn log on the quarantine transition, never on the steady-state path
     obs::log(obs::LogLevel::kWarn, "detector", "quarantine",
              {{"configuration", configuration},
               {"consecutive_failures", consecutive}});
     // The quarantine decision is a pure function of the column's fault
     // stream, so this event is deterministic at any thread count
     // (flight_recorder.hpp).
-    // opprentice-hotpath: allow(cold-call) flight-recorder append on the quarantine transition only
     obs::flight_record("detector", "quarantine",
                        config_index ^ boundary.key_salt,
                        "configuration=" + configuration);
@@ -240,18 +230,13 @@ double StreamingExtractor::guarded_feed(std::size_t f, double value) {
       faults_active_, boundary_, consecutive_failures_[f], quarantined_[f]);
 }
 
-void StreamingExtractor::feed_into(double value,
-                                   std::vector<double>& features) {
-  for (std::size_t f = 0; f < detectors_.size(); ++f) {
-    const double severity = guarded_feed(f, value);
-    features[f] =
-        points_seen_ < detectors_[f]->warmup_points() ? 0.0 : severity;
-  }
+std::vector<double> StreamingExtractor::feed(double value) {
+  std::vector<double> features(detectors_.size());
+  feed_into(value, features);
+  return features;
 }
 
-std::vector<double> StreamingExtractor::feed(double value) {
-  // opprentice-hotpath: allow(alloc) per-point output buffer is this API's contract; feed_into is the allocation-free variant
-  std::vector<double> features(detectors_.size());
+void StreamingExtractor::feed_into(double value, std::span<double> features) {
   if (obs::detailed_timing_enabled()) {
     // Per-family µs/point plus the per-configuration attribution slots:
     // §5.8's extraction budget broken down by where it actually goes,
@@ -275,11 +260,14 @@ std::vector<double> StreamingExtractor::feed(double value) {
     }
     feed_histogram_->record(total.elapsed_us());
   } else {
-    feed_into(value, features);
+    for (std::size_t f = 0; f < detectors_.size(); ++f) {
+      const double severity = guarded_feed(f, value);
+      features[f] =
+          points_seen_ < detectors_[f]->warmup_points() ? 0.0 : severity;
+    }
   }
   points_counter_->add();
   ++points_seen_;
-  return features;
 }
 
 void StreamingExtractor::reset() {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,6 @@
 #include "obs/cost_attribution.hpp"
 #include "obs/metrics.hpp"
 #include "timeseries/time_series.hpp"
-#include "util/hotpath.hpp"
 
 namespace opprentice::detectors {
 
@@ -95,7 +95,11 @@ class StreamingExtractor {
   bool warmed_up() const { return points_seen_ >= max_warmup_; }
 
   // Feeds one point to every detector; returns the feature vector.
-  OPPRENTICE_HOT std::vector<double> feed(double value);
+  std::vector<double> feed(double value);
+
+  // The allocation-free form of feed(): writes the feature vector into
+  // `features`, which must hold num_features() values.
+  void feed_into(double value, std::span<double> features);
 
   void reset();
 
@@ -111,8 +115,6 @@ class StreamingExtractor {
     std::size_t end = 0;
     obs::Histogram* histogram = nullptr;
   };
-
-  OPPRENTICE_HOT void feed_into(double value, std::vector<double>& features);
 
   // Feeds one point to configuration f behind the fault boundary.
   double guarded_feed(std::size_t f, double value);

@@ -30,16 +30,14 @@ double HoltWintersDetector::feed(double value) {
     // Bootstrap: collect one full day, then initialize level to the day
     // mean, trend to zero, and the season to the demeaned day profile.
     if (!util::is_missing(value)) {
-      // opprentice-hotpath: allow(alloc) bootstrap only; capacity reserved in the constructor
+      // Bootstrap only; capacity reserved in the constructor.
       first_day_.push_back(value);
     } else if (!first_day_.empty()) {
-      // opprentice-hotpath: allow(alloc) bootstrap only; capacity reserved in the constructor
       first_day_.push_back(first_day_.back());  // hold last value
     }
     if (first_day_.size() >= season_length_) {
       level_ = util::mean(first_day_);
       trend_ = 0.0;
-      // opprentice-hotpath: allow(alloc) one-time season initialization when the bootstrap day completes
       season_.assign(season_length_, 0.0);
       for (std::size_t i = 0; i < season_length_; ++i) {
         season_[i] = first_day_[i] - level_;

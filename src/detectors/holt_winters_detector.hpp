@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "detectors/detector.hpp"
-#include "util/hotpath.hpp"
 
 namespace opprentice::detectors {
 
@@ -21,7 +20,7 @@ class HoltWintersDetector final : public Detector {
 
   std::string name() const override;
   std::size_t warmup_points() const override { return 2 * season_length_; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:

@@ -30,14 +30,13 @@ class RingBuffer {
 
   // Element pushed `age` steps ago; age 0 = most recent. Requires age < size.
   const T& back(std::size_t age = 0) const {
-    // opprentice-hotpath: allow(throw) bounds guard on a programming error; hot callers always pass age < size()
     if (age >= size_) throw std::out_of_range("RingBuffer::back");
     return data_[(head_ + capacity_ - 1 - age) % capacity_];
   }
 
   // Copies contents oldest-first into `out` (resized to size()).
   void copy_ordered(std::vector<T>& out) const {
-    // opprentice-hotpath: allow(alloc) resize targets the fixed window size; allocates only until the scratch buffer first reaches capacity
+    // Allocates only until `out` first reaches the window size.
     out.resize(size_);
     for (std::size_t i = 0; i < size_; ++i) {
       out[i] = data_[(head_ + capacity_ - size_ + i) % capacity_];

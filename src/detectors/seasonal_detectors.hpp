@@ -16,7 +16,6 @@
 
 #include "detectors/detector.hpp"
 #include "detectors/ring_buffer.hpp"
-#include "util/hotpath.hpp"
 #include "util/stats.hpp"
 
 namespace opprentice::detectors {
@@ -36,7 +35,7 @@ class SeasonalDetectorBase : public Detector {
                        std::size_t scale_window, bool robust,
                        ScaleSource scale_source);
 
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:

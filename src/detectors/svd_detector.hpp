@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "detectors/detector.hpp"
-#include "util/hotpath.hpp"
 
 namespace opprentice::detectors {
 
@@ -25,7 +24,7 @@ class SvdDetector final : public Detector {
 
   std::string name() const override;
   std::size_t warmup_points() const override { return rows_ * cols_; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:

@@ -19,7 +19,6 @@
 
 #include "detectors/detector.hpp"
 #include "detectors/ring_buffer.hpp"
-#include "util/hotpath.hpp"
 #include "util/stats.hpp"
 #include "util/wavelet.hpp"
 
@@ -32,7 +31,7 @@ class WaveletDetector final : public Detector {
 
   std::string name() const override;
   std::size_t warmup_points() const override { return window_points_; }
-  OPPRENTICE_HOT double feed(double value) override;
+  double feed(double value) override;
   void reset() override;
 
  private:

@@ -170,7 +170,6 @@ void DecisionTree::train_binned(const BinnedDataset& data,
 
 double DecisionTree::score(std::span<const double> features) const {
   if (nodes_.empty()) {
-    // opprentice-hotpath: allow(throw) not-trained guard; unreachable once the forest is trained
     throw std::logic_error("DecisionTree::score: not trained");
   }
   std::size_t node = 0;

@@ -79,12 +79,10 @@ void RandomForest::train(const Dataset& data) {
 
 double RandomForest::score(std::span<const double> features) const {
   if (trees_.empty()) {
-    // opprentice-hotpath: allow(throw) not-trained guard; unreachable once the pipeline is set up
     throw std::logic_error("RandomForest::score: not trained");
   }
   // Hot path (§5.8: classification must stay << extraction): one relaxed
   // counter add always; clock reads only under detailed timing.
-  // opprentice-hotpath: allow(cold-call) magic static: registry lookup runs once per process
   static obs::Counter& scores_counter = obs::counter("opprentice.forest.scores");
   const auto count_votes = [&] {
     std::size_t votes = 0;
@@ -95,7 +93,6 @@ double RandomForest::score(std::span<const double> features) const {
   };
   std::size_t votes = 0;
   if (obs::detailed_timing_enabled()) {
-    // opprentice-hotpath: allow(cold-call) magic static: registry lookup runs once per process
     static obs::Histogram& score_histogram = obs::histogram("opprentice.forest.score.us");
     const obs::Stopwatch watch;
     votes = count_votes();

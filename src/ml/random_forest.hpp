@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "ml/decision_tree.hpp"
-#include "util/hotpath.hpp"
 
 namespace opprentice::ml {
 
@@ -37,7 +36,7 @@ class RandomForest final : public BinaryClassifier {
   bool is_trained() const override { return !trees_.empty(); }
 
   // Fraction of trees voting anomaly, in [0, 1].
-  OPPRENTICE_HOT double score(std::span<const double> features) const override;
+  double score(std::span<const double> features) const override;
 
   // Batch scoring, parallel over rows on the global thread pool. Votes
   // reduce per row in fixed tree order; results match serial score()
@@ -45,8 +44,7 @@ class RandomForest final : public BinaryClassifier {
   std::vector<double> score_all(const Dataset& data) const override;
 
   // score >= cthld; 0.5 is the default majority vote.
-  OPPRENTICE_HOT bool classify(std::span<const double> features,
-                               double cthld = 0.5) const;
+  bool classify(std::span<const double> features, double cthld = 0.5) const;
 
   std::size_t tree_count() const { return trees_.size(); }
   const std::vector<DecisionTree>& trees() const { return trees_; }

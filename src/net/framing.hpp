@@ -23,8 +23,8 @@
 // Everything here is a pure function of its input bytes — no clocks, no
 // sockets, no global state — so the session core built on it replays
 // byte-identically in the chaos suite (tests/net_session_test.cpp). The
-// fixed-size header decode is on the per-frame hot path and annotated
-// OPPRENTICE_HOT (no alloc/lock/clock; opprentice_hotpath lints it).
+// fixed-size header decode is on the per-frame hot path: no allocation,
+// no lock (tests/hotpath_runtime_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "timeseries/repair.hpp"
-#include "util/hotpath.hpp"
 
 namespace opprentice::net {
 
@@ -81,7 +80,7 @@ struct FrameHeader {
 
 // Decodes the 10-byte header at `data` (caller guarantees kHeaderBytes
 // readable). Pure and allocation-free: the per-frame fast path.
-OPPRENTICE_HOT FrameHeader decode_frame_header(const std::uint8_t* data);
+FrameHeader decode_frame_header(const std::uint8_t* data);
 
 // Serializes header + payload + CRC onto `out`.
 void append_frame(std::vector<std::uint8_t>& out, const Frame& frame);

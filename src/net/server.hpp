@@ -144,8 +144,7 @@ class IngestServer {
   core::FleetEngine& engine_;
   const ServerOptions options_;
 
-  // opprentice-locks: level(net_server)=5
-  mutable util::Mutex mutex_;
+  mutable util::Mutex mutex_{util::LockLevel::net_server};
   std::uint64_t now_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
   std::uint64_t byes_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
   std::map<std::uint64_t, Connection> connections_
@@ -157,8 +156,7 @@ class IngestServer {
 
   // Engine handles resolved once per series. Guarded by its own mutex so
   // apply_batches (which runs unlocked w.r.t. mutex_) can use it.
-  // opprentice-locks: level(net_series_cache)=7
-  util::Mutex series_cache_mutex_;
+  util::Mutex series_cache_mutex_{util::LockLevel::net_series_cache};
   std::map<std::string, core::SeriesHandle, std::less<>> series_cache_
       OPPRENTICE_GUARDED_BY(series_cache_mutex_);
 };

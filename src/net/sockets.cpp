@@ -18,7 +18,7 @@
 namespace opprentice::net {
 namespace {
 
-// opprentice-locks: allow(annotation-coverage) volatile sig_atomic_t is the one type async-signal-safe to write from a handler; a single flag with no cross-read invariant needs no guard
+// opprentice-check: allow(unguarded-static) volatile sig_atomic_t is the one type async-signal-safe to write from a handler; a single flag with no cross-read invariant needs no guard
 volatile std::sig_atomic_t g_stop = 0;
 
 extern "C" void stop_signal_handler(int) { g_stop = 1; }

@@ -20,13 +20,11 @@
 // repair_series re-sorts), or stale (behind the window; dropped). Time
 // is a caller-supplied logical tick, never a clock — the same frame
 // trace replays to the same transitions in the chaos suite, and
-// `observe` is on the per-frame hot path (OPPRENTICE_HOT: no
-// alloc/lock/clock).
+// `observe` is on the per-frame hot path: no allocation, no lock
+// (tests/hotpath_runtime_test.cpp).
 #pragma once
 
 #include <cstdint>
-
-#include "util/hotpath.hpp"
 
 namespace opprentice::net {
 
@@ -75,7 +73,7 @@ class SourceTracker {
   // verdict says apply. Also refreshes the liveness deadline and promotes
   // kAwaiting/kSuspect to kLive (kLost stays kLost: only revive() returns
   // from the dead). Hot: one branch tree over two u64s, no allocation.
-  OPPRENTICE_HOT SeqVerdict observe(std::uint32_t seq, std::uint64_t now_tick);
+  SeqVerdict observe(std::uint32_t seq, std::uint64_t now_tick);
 
   // Refreshes the liveness deadline without committing a sequence number
   // — for frames the server rejected under backpressure, so the agent's

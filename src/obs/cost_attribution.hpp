@@ -115,8 +115,7 @@ class CostAttribution {
   void reset_values();
 
  private:
-  // opprentice-locks: level(cost_ledger)=85
-  mutable util::Mutex mutex_;
+  mutable util::Mutex mutex_{util::LockLevel::cost_ledger};
   std::map<std::string, std::unique_ptr<CostSlot>, std::less<>> slots_
       OPPRENTICE_GUARDED_BY(mutex_);
 };

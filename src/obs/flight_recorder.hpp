@@ -82,8 +82,7 @@ class FlightRecorder {
 
  private:
   const std::size_t capacity_;
-  // opprentice-locks: level(flight_recorder)=95
-  mutable util::Mutex mutex_;
+  mutable util::Mutex mutex_{util::LockLevel::flight_recorder};
   // Ring storage: next_ is the overwrite position once size reached
   // capacity_ (events_ then holds the newest capacity_ events).
   std::vector<FlightEvent> events_ OPPRENTICE_GUARDED_BY(mutex_);

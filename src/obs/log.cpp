@@ -13,8 +13,7 @@ std::atomic<int> g_level{static_cast<int>(LogLevel::kOff)};
 std::atomic<std::ostream*> g_sink{nullptr};
 // Serializes whole formatted lines into the sink so concurrent log()
 // calls cannot interleave bytes (the sink pointer itself is atomic).
-// opprentice-locks: level(log_write)=99
-util::Mutex g_write_mutex;
+constinit util::Mutex g_write_mutex{util::LockLevel::log_write};
 
 // Reads OPPRENTICE_LOG once at static-initialization time.
 struct EnvLog {
@@ -113,12 +112,12 @@ void log(LogLevel level, std::string_view component, std::string_view event,
   }
   line += '\n';
 
+  // Writing under the lock is its whole job. log_write is the top
+  // LockLevel, so no other lock can be taken inside it.
   util::MutexLock lock(g_write_mutex);
   if (std::ostream* sink = g_sink.load(std::memory_order_relaxed)) {
-    // opprentice-locks: allow(blocking-under-lock) serializing the write is this lock's whole job; log_write is the highest level so nothing is held across it
     (*sink) << line << std::flush;
   } else {
-    // opprentice-locks: allow(blocking-under-lock) same: the fallback sink write is the serialized section itself
     std::fputs(line.c_str(), stderr);
   }
 }

@@ -132,8 +132,7 @@ class Registry {
   void reset_values();
 
  private:
-  // opprentice-locks: level(metrics_registry)=90
-  mutable util::Mutex mutex_;
+  mutable util::Mutex mutex_{util::LockLevel::metrics_registry};
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       OPPRENTICE_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_

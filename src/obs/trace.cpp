@@ -29,8 +29,7 @@ struct TraceEvent {
 // tracing implies a diagnostic run, so a short critical section per span
 // is acceptable (the *disabled* path never touches this).
 struct Collector {
-  // opprentice-locks: level(trace_collector)=80
-  util::Mutex mutex;
+  util::Mutex mutex{util::LockLevel::trace_collector};
   std::vector<TraceEvent> events OPPRENTICE_GUARDED_BY(mutex);
   std::map<std::thread::id, std::uint32_t> thread_ids
       OPPRENTICE_GUARDED_BY(mutex);

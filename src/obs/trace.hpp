@@ -43,7 +43,6 @@ class Stopwatch {
  public:
   Stopwatch() : start_(std::chrono::steady_clock::now()) {}
   double elapsed_us() const {
-    // opprentice-hotpath: allow(clock) timing primitive; hot paths construct stopwatches only behind the detailed-timing gate
     const auto now = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::micro>(now - start_).count();
   }

@@ -34,8 +34,7 @@ std::uint64_t fnv1a(std::string_view s) {
 // loaded the pointer just before a reconfigure still reads valid memory
 // (same lifetime discipline as the metrics registry's instruments).
 struct PlanStore {
-  // opprentice-locks: level(fault_store)=30
-  util::Mutex mutex;
+  util::Mutex mutex{util::LockLevel::fault_store};
   std::vector<std::unique_ptr<FaultPlan>> retired OPPRENTICE_GUARDED_BY(mutex);
   std::atomic<const FaultPlan*> active{nullptr};
 };

@@ -9,7 +9,7 @@
 //
 // Usage pattern (see util/mutex.hpp for the annotated lock types):
 //
-//   util::Mutex mutex_;
+//   util::Mutex mutex_{util::LockLevel::pool_work};
 //   Job* current_ OPPRENTICE_GUARDED_BY(mutex_) = nullptr;
 //
 //   void push(Job* j) {
@@ -41,8 +41,6 @@
   OPPRENTICE_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define OPPRENTICE_RELEASE(...) \
   OPPRENTICE_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define OPPRENTICE_TRY_ACQUIRE(...) \
-  OPPRENTICE_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 // Functions with capability preconditions.
 #define OPPRENTICE_REQUIRES(...) \

@@ -52,8 +52,7 @@ struct ThreadPool::Job {
   // destroy the job (return from parallel_for) until this drops to zero.
   std::atomic<std::size_t> active_workers{0};
 
-  // opprentice-locks: level(pool_error)=70
-  Mutex error_mutex;
+  Mutex error_mutex{LockLevel::pool_error};
   std::size_t error_index OPPRENTICE_GUARDED_BY(error_mutex) = 0;
   std::exception_ptr error OPPRENTICE_GUARDED_BY(error_mutex);
 
@@ -74,8 +73,7 @@ struct ThreadPool::Job {
 };
 
 struct ThreadPool::Impl {
-  // opprentice-locks: level(pool_work)=60
-  Mutex mutex;
+  Mutex mutex{LockLevel::pool_work};
   CondVar work_cv;   // workers wait for a job with work
   CondVar done_cv;   // caller waits for job completion
   Job* current_job OPPRENTICE_GUARDED_BY(mutex) = nullptr;
@@ -83,8 +81,7 @@ struct ThreadPool::Impl {
   // Written only single-threaded in the constructor/destructor.
   std::vector<std::thread> workers;
   // Serializes parallel_for calls from distinct user threads.
-  // opprentice-locks: level(pool_submit)=50
-  Mutex submit_mutex;
+  Mutex submit_mutex{LockLevel::pool_submit};
 
   // Instruments (stable addresses; see obs/metrics.hpp).
   obs::Counter* tasks = nullptr;
@@ -205,6 +202,12 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body,
                               std::size_t grain) {
+  // A caller holding a lock while pool threads run its body deadlocks as
+  // soon as a task needs that lock, so submitting under one aborts at any
+  // thread count. Calls nested in a pool task run inline and never submit;
+  // they are exempt (the submitting thread itself runs its share of the
+  // body under pool_submit).
+  if (!t_in_pool_task) assert_no_locks_held("ThreadPool::parallel_for");
   if (n == 0) return;
   if (grain == 0) grain = 1;
 
@@ -234,7 +237,8 @@ void ThreadPool::parallel_for(std::size_t n,
       while (!(job.done_chunks.load(std::memory_order_acquire) ==
                    job.num_chunks &&
                job.active_workers.load(std::memory_order_acquire) == 0)) {
-        // opprentice-locks: allow(blocking-under-lock) wait releases pool_work while parked; pool_submit stays held by design to serialize whole parallel_for calls, and no submitter path acquires these in the other order
+        // Parks with pool_submit still held, by design: it serializes
+        // whole parallel_for calls. The wait releases only pool_work.
         impl_->done_cv.wait(impl_->mutex);
       }
       impl_->current_job = nullptr;
@@ -250,8 +254,7 @@ void ThreadPool::parallel_for(std::size_t n,
 
 namespace {
 
-// opprentice-locks: level(pool_registry)=40
-Mutex g_pool_mutex;
+constinit Mutex g_pool_mutex{LockLevel::pool_registry};
 std::unique_ptr<ThreadPool> g_pool OPPRENTICE_GUARDED_BY(g_pool_mutex);
 
 // Rebuilds the pool when the degree changes. Callers must hold no

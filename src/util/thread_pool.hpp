@@ -22,6 +22,8 @@
 //    oversubscribes (forest training inside a five-fold fold, say).
 //  - Concurrent parallel_for calls from different user threads are
 //    serialized against each other; each still completes all its indices.
+//  - Calling parallel_for while holding a util::Mutex aborts (outside a
+//    pool task, at any thread count): the workers may need that lock.
 //
 // The pool's internal locking uses the annotated util::Mutex types
 // (util/mutex.hpp); shared fields carry GUARDED_BY and are statically

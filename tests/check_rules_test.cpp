@@ -243,6 +243,33 @@ TEST(CheckRules, FlagsUnguardedFunctionLocalStatic) {
   EXPECT_EQ(vs[0].line, 2u);
 }
 
+TEST(CheckRules, FlagsUnguardedNamespaceScopeGlobal) {
+  const auto vs = scan(
+      "namespace {\n"
+      "int g_count = 0;\n"
+      "}\n"
+      "double g_sum = 0.0;\n");
+  ASSERT_EQ(vs.size(), 2u);
+  EXPECT_EQ(vs[0].rule, "unguarded-static");
+  EXPECT_EQ(vs[0].line, 2u);
+  EXPECT_EQ(vs[1].line, 4u);
+}
+
+TEST(CheckRules, GuardedAtomicConstAndThreadLocalGlobalsAreFine) {
+  EXPECT_TRUE(
+      scan("#include <atomic>\n"
+           "const int kMax = 10;\n"
+           "constexpr double kEps = 1e-9;\n"
+           "std::atomic<int> g_hits = 0;\n"
+           "thread_local int t_depth = 0;\n"
+           "int g_guarded OPPRENTICE_GUARDED_BY(g_mu) = 0;\n"
+           "using Alias = int;\n"
+           "int declared_only;\n"
+           "int answer() { int local = 42; return local; }\n"
+           "struct S { int member = 0; };\n")
+          .empty());
+}
+
 TEST(CheckRules, ConstAndConstexprStaticsAreFine) {
   EXPECT_TRUE(
       scan("int limit() {\n"
@@ -386,7 +413,7 @@ TEST(CheckSuppressions, BareAllowIsAnErrorAndDoesNotSuppress) {
 TEST(CheckSuppressions, UnknownRuleIdIsAnError) {
   const auto vs = scan(
       "// opprentice-check: allow(no-such-thing) reasoned but wrong id\n"
-      "int x = 0;\n");
+      "const int x = 0;\n");
   ASSERT_EQ(vs.size(), 1u);
   EXPECT_EQ(vs[0].rule, "allow-unknown-rule");
   EXPECT_EQ(vs[0].line, 1u);
@@ -395,7 +422,7 @@ TEST(CheckSuppressions, UnknownRuleIdIsAnError) {
 TEST(CheckSuppressions, UnusedSuppressionIsFlagged) {
   const auto vs = scan(
       "// opprentice-check: allow(rand) reasoned, but nothing below draws\n"
-      "int x = 0;\n");
+      "const int x = 0;\n");
   ASSERT_EQ(vs.size(), 1u);
   EXPECT_EQ(vs[0].rule, "unused-suppression");
   EXPECT_EQ(vs[0].line, 1u);
@@ -415,7 +442,7 @@ TEST(CheckSuppressions, DirectiveMentionedInProseIsNotADirective) {
   EXPECT_TRUE(
       scan("// Suppress with:\n"
            "//   // opprentice-check: allow(rand) some reason\n"
-           "int x = 0;\n")
+           "const int x = 0;\n")
           .empty());
 }
 

@@ -451,12 +451,12 @@ TEST(FleetEngine, FeedTickMatchesSequentialFeed) {
   }
 }
 
-// TSan regression for the discipline opprentice_locks enforces
-// statically: feed() takes the registry shard lock and the per-series
-// lock one at a time, never holding one series' lock while touching
-// another. Two threads working the same pair of series in opposite id
-// order therefore cannot deadlock, and TSan's lock-order-inversion
-// detector (enabled in the tsan-parallel CI job) must stay silent.
+// TSan regression for the lock order util::Mutex checks at run time:
+// feed() takes the registry shard lock and the per-series lock one at a
+// time, never holding one series' lock while touching another. Two
+// threads working the same pair of series in opposite id order therefore
+// cannot deadlock, and TSan's lock-order-inversion detector (enabled in
+// the tsan-parallel CI job) must stay silent.
 TEST(FleetEngine, OppositeOrderFeedsAcquireLocksOneAtATime) {
   const auto options = small_fleet_options();
   core::FleetEngine engine(options);

@@ -92,7 +92,7 @@ TEST(FormatReport, VerboseAndNonVerboseAgreeWhenFailing) {
 
 TEST(FormatSarif, FailingReportMatchesGolden) {
   expect_matches_golden(
-      format_sarif(sample_report(), "opprentice_hotpath", "src/"),
+      format_sarif(sample_report(), "opprentice_check", "src/"),
       "report_failing.sarif");
 }
 

@@ -1,22 +1,150 @@
 // Unit tests for the deterministic worker pool (util/thread_pool.hpp):
 // result independence from scheduling, deterministic exception
 // propagation, nested parallel_for safety, stress, and the exact serial
-// fallback that OPPRENTICE_THREADS=1 promises.
+// fallback that OPPRENTICE_THREADS=1 promises. Also the runtime lock-order
+// check in util::Mutex (util/mutex.hpp): every way to break the order
+// aborts, naming both locks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
+using opprentice::util::LockLevel;
+using opprentice::util::Mutex;
+using opprentice::util::MutexLock;
 using opprentice::util::ThreadPool;
+
+// An untagged mutex does not compile: the level is the only constructor
+// argument.
+static_assert(!std::is_default_constructible_v<Mutex>);
+
+// ---- Lock order ----
+
+void lock_in_callee(Mutex& mu) { MutexLock lock(mu); }
+
+// Releases a mutex the caller does not hold. Clang's analysis rejects that
+// at compile time, so it is told to look away: the run-time check is what
+// the case exercises.
+void unlock_unheld(Mutex& mu) OPPRENTICE_NO_THREAD_SAFETY_ANALYSIS {
+  mu.unlock();
+}
+
+TEST(LockOrder, DeclaredOrderAndOutOfOrderReleaseAreFine) {
+  Mutex shard(LockLevel::registry_shard);
+  Mutex series(LockLevel::series_state);
+  Mutex log(LockLevel::log_write);
+  {
+    MutexLock hold_shard(shard);
+    MutexLock hold_series(series);
+    lock_in_callee(log);
+  }
+  // Releasing the outer lock first is legal; the inner one stays held
+  // and still bounds what may be taken next.
+  shard.lock();
+  series.lock();
+  shard.unlock();
+  lock_in_callee(log);
+  series.unlock();
+  // Nothing left held: any level may be taken again.
+  lock_in_callee(shard);
+}
+
+// Death tests fork while pool workers may be alive; the threadsafe style
+// re-executes the binary instead of forking a multi-threaded process.
+class LockOrderDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  }
+};
+
+TEST_F(LockOrderDeathTest, LevelInversionAborts) {
+  Mutex shard(LockLevel::registry_shard);
+  Mutex series(LockLevel::series_state);
+  EXPECT_DEATH(
+      {
+        MutexLock hold_series(series);
+        MutexLock hold_shard(shard);
+      },
+      "acquiring 'registry_shard' \\(level 10\\) while holding "
+      "'series_state' \\(level 20\\)");
+}
+
+TEST_F(LockOrderDeathTest, SameLevelReentryAborts) {
+  // Two registry shards held at once: the cross-shard deadlock hazard.
+  Mutex first_shard(LockLevel::registry_shard);
+  Mutex second_shard(LockLevel::registry_shard);
+  EXPECT_DEATH(
+      {
+        MutexLock hold_first(first_shard);
+        MutexLock hold_second(second_shard);
+      },
+      "acquiring 'registry_shard'.*while holding 'registry_shard'");
+}
+
+TEST_F(LockOrderDeathTest, AcquisitionThroughCalleeAborts) {
+  Mutex trace(LockLevel::trace_collector);
+  Mutex faults(LockLevel::fault_store);
+  EXPECT_DEATH(
+      {
+        MutexLock hold(trace);
+        lock_in_callee(faults);
+      },
+      "acquiring 'fault_store'.*while holding 'trace_collector'");
+}
+
+TEST_F(LockOrderDeathTest, AcquisitionThroughCallableAborts) {
+  // The registry's get_or_create(id, factory) shape: a callable run under
+  // the caller's lock, written far from it.
+  Mutex shard(LockLevel::registry_shard);
+  Mutex cache(LockLevel::net_series_cache);
+  const std::function<void()> factory = [&] { MutexLock lock(cache); };
+  const auto run_under_shard = [&](const std::function<void()>& make) {
+    MutexLock hold(shard);
+    make();
+  };
+  EXPECT_DEATH(run_under_shard(factory),
+               "acquiring 'net_series_cache'.*while holding "
+               "'registry_shard'");
+}
+
+TEST_F(LockOrderDeathTest, UnlockingAMutexNotHeldAborts) {
+  Mutex series(LockLevel::series_state);
+  Mutex work(LockLevel::pool_work);
+  EXPECT_DEATH(
+      {
+        MutexLock hold(series);
+        unlock_unheld(work);
+      },
+      "unlocking 'pool_work'.*does not hold.*innermost held: "
+      "'series_state'");
+}
+
+TEST_F(LockOrderDeathTest, ParallelForUnderALockAbortsAtAnyThreadCount) {
+  Mutex series(LockLevel::series_state);
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_DEATH(
+        {
+          ThreadPool pool(threads);
+          MutexLock hold(series);
+          pool.parallel_for(8, [](std::size_t) {});
+        },
+        "ThreadPool::parallel_for called while holding 'series_state'")
+        << threads << " threads";
+  }
+}
 
 TEST(ResolveThreadCount, SpecGrammar) {
   const std::size_t hw = opprentice::util::resolve_thread_count("");

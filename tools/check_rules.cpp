@@ -167,8 +167,8 @@ void pass_raw_thread(const Lexed& lx, std::string_view path,
 void pass_raw_mutex(const Lexed& lx, std::string_view path, const AddFn& add) {
   // util/mutex.hpp is the one place allowed to touch the raw std
   // synchronization primitives; everything else goes through
-  // util::Mutex/MutexLock/CondVar so the lock-discipline analyzer
-  // (opprentice_locks) sees every acquisition.
+  // util::Mutex/MutexLock/CondVar so the lock-order check sees every
+  // acquisition.
   if (basename_of(path) == "mutex.hpp") return;
   static const std::set<std::string> kPrimitives = {
       "lock_guard",         "unique_lock",
@@ -190,7 +190,7 @@ void pass_raw_mutex(const Lexed& lx, std::string_view path, const AddFn& add) {
       add("raw-mutex", toks[i].line,
           "raw std::" + toks[i].text +
               " outside util/mutex.hpp; use util::Mutex/MutexLock/CondVar "
-              "so opprentice_locks can analyze every acquisition");
+              "so the lock-order check sees every acquisition");
     }
   }
 }
@@ -299,6 +299,38 @@ void pass_unordered_iteration(const Lexed& lx, const AddFn& add) {
   }
 }
 
+// An `=`-initialized namespace-scope variable in toks[begin, end) (one
+// declaration, up to its ';') with no qualifier that makes sharing it
+// safe. Declarations with parens before the '=' are functions or macros
+// and are skipped.
+void check_namespace_declaration(const std::vector<cpp::Token>& toks,
+                                 std::size_t begin, std::size_t end,
+                                 const AddFn& add) {
+  static const std::set<std::string> kExempt = {
+      "const",     "constexpr", "constinit",     "thread_local",
+      "atomic",    "using",     "typedef",       "extern",
+      "template",  "friend",    "operator",      "static_assert",
+      "class",     "struct",    "union",         "enum",
+      "namespace", "GUARDED_BY", "OPPRENTICE_GUARDED_BY"};
+  int depth = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const Token& t = toks[i];
+    if (t.kind == Tok::kIdent && kExempt.count(t.text) > 0) return;
+    if (t.kind != Tok::kPunct) continue;
+    if (t.text == "(") return;
+    if (t.text == "<" || t.text == "[") ++depth;
+    if (t.text == ">" || t.text == "]") --depth;
+    if (t.text != "=" || depth != 0) continue;
+    if (i == begin || toks[i - 1].kind != Tok::kIdent) return;
+    add("unguarded-static", toks[i - 1].line,
+        "mutable namespace-scope '" + toks[i - 1].text +
+            "' is shared across threads with no guard; make it "
+            "const/atomic/thread_local, OPPRENTICE_GUARDED_BY a mutex, or "
+            "justify with an allow()");
+    return;
+  }
+}
+
 void pass_unguarded_static(const Lexed& lx, const AddFn& add) {
   enum class Scope { kNamespace, kType, kBlock };
   const auto& toks = lx.tokens;
@@ -307,6 +339,9 @@ void pass_unguarded_static(const Lexed& lx, const AddFn& add) {
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind == Tok::kPunct) {
       const std::string& t = toks[i].text;
+      if (t == ";" && (stack.empty() || stack.back() == Scope::kNamespace)) {
+        check_namespace_declaration(toks, window_start, i, add);
+      }
       if (t == "{") {
         Scope kind = Scope::kBlock;
         if (!(i > 0 && is_punct(toks, i - 1, ")"))) {
@@ -516,7 +551,8 @@ const std::vector<CheckRule>& check_rules() {
       {"unordered-iteration",
        "iterating an unordered container — hash order is unspecified"},
       {"unguarded-static",
-       "mutable function-local static without a guard"},
+       "mutable function-local static or initialized namespace-scope "
+       "variable without a guard"},
       {"fp-reduction", "compound assignment to a captured variable inside a "
                        "parallel_for body"},
       {"unchecked-stod", "raw std::sto* on external input without a "
@@ -754,6 +790,18 @@ double sum_totals() {
   return ++counter;
 }
 )cpp");
+  // The namespace-scope half: only the plain initialized global fires.
+  tree.plant("src/fixture_unguarded_global.cpp",
+             R"cpp(#include <atomic>
+
+namespace fixture {
+double g_total = 0.0;
+const double kScale = 2.0;
+std::atomic<int> g_hits = 0;
+thread_local int t_depth = 0;
+int g_guarded OPPRENTICE_GUARDED_BY(g_mu) = 0;
+}  // namespace fixture
+)cpp");
   tree.plant("src/fixture_raw_mutex.cpp",
              R"cpp(#include <mutex>
 
@@ -798,16 +846,16 @@ int bump() {
 )cpp");
   tree.plant("src/fixture_bare_allow.cpp",
              R"cpp(// opprentice-check: allow(rand)
-int bare_allow_placeholder = 0;
+const int bare_allow_placeholder = 0;
 )cpp");
   tree.plant("src/fixture_unknown_allow.cpp",
              R"cpp(// opprentice-check: allow(no-such-rule) the rule id is misspelled on purpose
-int unknown_allow_placeholder = 0;
+const int unknown_allow_placeholder = 0;
 )cpp");
   // Reasoned, well-formed, and matching nothing: itself an error.
   tree.plant("src/fixture_unused_allow.cpp",
              R"cpp(// opprentice-check: allow(rand) fixture: nothing on this line draws randomness
-int unused_allow_placeholder = 0;
+const int unused_allow_placeholder = 0;
 )cpp");
   // Layering, upward include: util reaching into ml. The obs include is
   // allowed (observability sits beside util, not above it).
@@ -815,7 +863,7 @@ int unused_allow_placeholder = 0;
              R"cpp(#include "ml/random_forest.hpp"
 #include "obs/metrics.hpp"
 
-int layering_placeholder = 0;
+const int layering_placeholder = 0;
 )cpp");
   // Layering, include cycle: two headers across modules including each
   // other. Exactly one cycle must be reported for the pair.
@@ -838,6 +886,7 @@ int layering_placeholder = 0;
   std::map<std::string, std::size_t> expected;
   for (const auto& rule : check_rules()) expected[rule.id] = 1;
   expected["layering"] = 2;  // upward include + one cycle report
+  expected["unguarded-static"] = 2;  // function-local + namespace scope
   expected["allow-without-reason"] = 1;
   expected["allow-unknown-rule"] = 1;
 
@@ -860,11 +909,11 @@ int layering_placeholder = 0;
       result.fail("self-test", msg.str());
     }
   }
-  ++result.checks_run;  // extension filter: 17 planted sources, notes.txt skipped
-  if (scanned.checks_run != 17) {
+  ++result.checks_run;  // extension filter: 18 planted sources, notes.txt skipped
+  if (scanned.checks_run != 18) {
     std::ostringstream msg;
     msg << "walk scanned " << scanned.checks_run
-        << " files, expected the 17 planted C++ fixtures";
+        << " files, expected the 18 planted C++ fixtures";
     result.fail("self-test", msg.str());
   }
   return result;

@@ -18,7 +18,9 @@
 //                       hash order is unspecified and feeds output
 //   unguarded-static    mutable function-local static without
 //                       const/constexpr/thread_local or the magic-static
-//                       reference idiom
+//                       reference idiom; or an `=`-initialized
+//                       namespace-scope variable that is not
+//                       const/atomic/thread_local/OPPRENTICE_GUARDED_BY
 //   fp-reduction        compound assignment (+=, -=, *=, /=) to a variable
 //                       captured from outside a parallel_for body —
 //                       reductions must go through per-index slots

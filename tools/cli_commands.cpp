@@ -22,8 +22,8 @@
 namespace opprentice::cli {
 namespace {
 
-// Active run report (--report <path>); set once by main before the
-// command runs, so the commands never race on it.
+// Active run report (--report <path>).
+// opprentice-check: allow(unguarded-static) set once by main before the command runs, so the commands never race on it
 obs::RunReport* g_report = nullptr;
 
 // Times one command stage into the active run report; no-op without one.

@@ -20,12 +20,6 @@ void LintReport::fail_at(std::string check, std::string message,
                     line});
 }
 
-void LintReport::merge(LintReport other) {
-  issues.insert(issues.end(), std::make_move_iterator(other.issues.begin()),
-                std::make_move_iterator(other.issues.end()));
-  checks_run += other.checks_run;
-}
-
 std::string format_report(const LintReport& report, bool verbose) {
   std::ostringstream out;
   if (verbose || !report.ok()) {
@@ -217,9 +211,9 @@ bool is_two_char_punct(char a, char b) {
   return false;
 }
 
-}  // namespace
-
 bool is_ident_char(char c) { return is_ident_start(c) || is_digit_char(c); }
+
+}  // namespace
 
 Lexed lex(std::string_view src) {
   Lexed out;
@@ -343,10 +337,14 @@ Lexed lex(std::string_view src) {
   return out;
 }
 
+namespace {
+
 bool tok_is(const std::vector<Token>& toks, std::size_t i, Tok kind,
             std::string_view text) {
   return i < toks.size() && toks[i].kind == kind && toks[i].text == text;
 }
+
+}  // namespace
 
 bool is_punct(const std::vector<Token>& toks, std::size_t i,
               std::string_view text) {

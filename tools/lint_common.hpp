@@ -1,11 +1,10 @@
 // Shared plumbing for the project's source-level linters:
-// `opprentice_lint` (detector-registry invariants, tools/registry_lint.*),
-// `opprentice_check` (determinism/concurrency contract, tools/check_rules.*),
-// and `opprentice_hotpath` (hot-path discipline over the per-point
-// pipeline, tools/hotpath_rules.*). All accumulate the same issue/report
-// shape, render through one formatter (terminal text or SARIF for CI code
-// scanning), share one just-enough-C++ tokenizer, and drive their
-// --self-test modes off the same temp-tree file-planting helper.
+// `opprentice_lint` (detector-registry invariants, tools/registry_lint.*)
+// and `opprentice_check` (determinism/concurrency contract,
+// tools/check_rules.*). Both accumulate the same issue/report shape and
+// render through one formatter (terminal text or SARIF for CI code
+// scanning); opprentice_check also uses the just-enough-C++ tokenizer and
+// the temp-tree file-planting helper for its --self-test.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +37,6 @@ struct LintReport {
   // Like fail(), with a source anchor carried through to SARIF output.
   void fail_at(std::string check, std::string message, std::string file,
                std::size_t line);
-  // Appends another report: issues are concatenated, checks_run summed.
-  void merge(LintReport other);
 };
 
 // Renders a report for terminal output. `verbose` also lists passed checks.
@@ -113,10 +110,6 @@ struct Lexed {
 
 Lexed lex(std::string_view src);
 
-bool is_ident_char(char c);
-
-bool tok_is(const std::vector<Token>& toks, std::size_t i, Tok kind,
-            std::string_view text);
 bool is_punct(const std::vector<Token>& toks, std::size_t i,
               std::string_view text);
 bool is_ident(const std::vector<Token>& toks, std::size_t i,

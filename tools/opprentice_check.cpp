@@ -4,7 +4,8 @@
 // for the contracts the compiler cannot see (DESIGN.md §5e): no ambient
 // entropy or wall-clock seeding, no raw threads outside the pool, no
 // hash-order iteration feeding output, no unguarded function-local
-// statics, no cross-index reductions inside parallel_for bodies.
+// statics or namespace-scope globals, no cross-index reductions inside
+// parallel_for bodies.
 //
 // Usage:
 //   opprentice_check [--root DIR] [--verbose]
