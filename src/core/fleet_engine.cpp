@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -72,7 +73,7 @@ class FleetSeries {
   friend class FleetEngine;
 
   // Appends one extracted row to the bounded training history.
-  void append_row(const std::vector<double>& features, double value,
+  void append_row(std::span<const double> features, double value,
                   std::size_t history_capacity)
       OPPRENTICE_REQUIRES(mutex_) {
     for (std::size_t f = 0; f < features.size(); ++f) {
@@ -104,6 +105,42 @@ class FleetSeries {
     ml::Dataset data;
     std::uint64_t key = 0;
   };
+
+  // Extracts, records and scores one point under the lock, writing the
+  // verdict to `out`. Returns the training set when the series' retrain
+  // comes due on this point; the caller runs retrain() on it before the
+  // series' next point. Allocation-free unless a retrain is due.
+  std::optional<TrainingSet> feed_point(double value,
+                                        const FleetOptions& options,
+                                        const RetrainScheduler& scheduler,
+                                        FleetDetection& out)
+      OPPRENTICE_EXCLUDES(mutex_) {
+    out = FleetDetection{};
+    out.value = value;
+    util::MutexLock lock(mutex_);
+    if (quarantined_) {
+      out.score = kNaN;
+      out.cthld = kNaN;
+      return std::nullopt;
+    }
+    extractor_.feed_into(value, features_);
+    append_row(features_, value, options.history_capacity);
+    fleet_counters().points->add();
+
+    if (forest_.has_value() && extractor_.warmed_up()) {
+      out.score = forest_->score(features_);
+      out.cthld = cthld_.initialized() ? cthld_.predict() : 0.5;
+      out.is_anomaly = out.score >= out.cthld;
+      out.classified = true;
+    } else {
+      out.score = kNaN;
+    }
+
+    if (!scheduler.due_at(phase_, extractor_.points_seen())) {
+      return std::nullopt;
+    }
+    return training_set();
+  }
 
   // Copies the labeled history past warm-up. A window with no positive
   // labels yields nothing — nothing to learn is not a failure.
@@ -198,6 +235,8 @@ class FleetSeries {
 
   mutable util::Mutex mutex_{util::LockLevel::series_state};
   detectors::StreamingExtractor extractor_ OPPRENTICE_GUARDED_BY(mutex_);
+  // The current point's feature vector (feed_into's output).
+  std::vector<double> features_ OPPRENTICE_GUARDED_BY(mutex_);
   // Bounded training history, column-major like ml::Dataset. base_ is the
   // global point index of local row 0 (rows before it were trimmed).
   std::vector<std::vector<double>> columns_ OPPRENTICE_GUARDED_BY(mutex_);
@@ -239,6 +278,7 @@ SeriesHandle FleetEngine::add_series(const std::string& id) {
     {
       util::MutexLock lock(state->mutex_);
       state->columns_.resize(state->extractor_.num_features());
+      state->features_.resize(state->extractor_.num_features());
     }
     return state;
   });
@@ -259,35 +299,10 @@ std::vector<std::string> FleetEngine::series_ids() const {
 }
 
 FleetDetection FleetEngine::feed(const SeriesHandle& series, double value) {
-  FleetSeries& state = *series;
   FleetDetection out;
-  out.value = value;
-  std::optional<FleetSeries::TrainingSet> training;
-  {
-    util::MutexLock lock(state.mutex_);
-    if (state.quarantined_) {
-      out.score = kNaN;
-      out.cthld = kNaN;
-      return out;
-    }
-    const std::vector<double> features = state.extractor_.feed(value);
-    state.append_row(features, value, options_.history_capacity);
-    fleet_counters().points->add();
-
-    if (state.forest_.has_value() && state.extractor_.warmed_up()) {
-      out.score = state.forest_->score(features);
-      out.cthld = state.cthld_.initialized() ? state.cthld_.predict() : 0.5;
-      out.is_anomaly = out.score >= out.cthld;
-      out.classified = true;
-    } else {
-      out.score = kNaN;
-    }
-
-    if (scheduler_.due_at(state.phase_, state.extractor_.points_seen())) {
-      training = state.training_set();
-    }
+  if (auto training = series->feed_point(value, options_, scheduler_, out)) {
+    series->retrain(*training, options_, scheduler_.interval());
   }
-  if (training) state.retrain(*training, options_, scheduler_.interval());
   return out;
 }
 
@@ -295,11 +310,29 @@ void FleetEngine::feed_tick(std::span<const SeriesHandle> series,
                             std::span<const double> values,
                             std::span<FleetDetection> out) {
   const std::size_t n = std::min(series.size(), values.size());
-  // Each slot is one independent series under its own lock writing its
-  // own output element — bit-identical at any thread count. A grain of a
-  // few series keeps pool dispatch off the per-point budget at 10k+.
+  // Phase 1: each slot is one independent series under its own lock
+  // writing its own output element and training slot — bit-identical at
+  // any thread count. A grain of a few series keeps pool dispatch off
+  // the per-point budget at 10k+, as do pointer-sized training slots.
+  std::vector<std::unique_ptr<FleetSeries::TrainingSet>> due(n);
   util::parallel_for(
-      n, [&](std::size_t i) { out[i] = feed(series[i], values[i]); }, 8);
+      n,
+      [&](std::size_t i) {
+        if (auto training =
+                series[i]->feed_point(values[i], options_, scheduler_,
+                                      out[i])) {
+          due[i] = std::make_unique<FleetSeries::TrainingSet>(
+              std::move(*training));
+        }
+      },
+      8);
+  // Phase 2: the due retrains, in index order from this thread, so each
+  // one's binning, trees and scoring fan out over every lane instead of
+  // running inline inside a phase-1 task. Every forest is installed
+  // before its series' next point, so verdicts equal a serial feed loop.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (due[i]) series[i]->retrain(*due[i], options_, scheduler_.interval());
+  }
 }
 
 IngestOutcome FleetEngine::ingest_raw(const SeriesHandle& series,

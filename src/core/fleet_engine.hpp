@@ -133,8 +133,12 @@ class FleetEngine {
   FleetDetection feed(const SeriesHandle& series, double value);
 
   // One synchronized fleet tick: values[i] goes to series[i], verdicts
-  // land in out[i]. Fanned over the global thread pool; handles must be
-  // distinct. Bit-identical at any thread count.
+  // land in out[i]; handles must be distinct. Two phases: the points fan
+  // out over the global thread pool, then the retrains that came due run
+  // in index order from the calling thread, each one's training and
+  // scoring fanned over the pool. The caller must hold no util::Mutex
+  // (parallel_for aborts under one). Verdicts, forests and flight events
+  // equal a serial feed() loop's, bit for bit, at any thread count.
   void feed_tick(std::span<const SeriesHandle> series,
                  std::span<const double> values,
                  std::span<FleetDetection> out);

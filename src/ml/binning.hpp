@@ -4,7 +4,7 @@
 // quantize each column to at most 255 quantile bins once per training run
 // (LightGBM-style). Split search then costs O(rows + bins) per feature per
 // node instead of O(rows log rows), which keeps fully-grown forests cheap
-// on the single-core evaluation host.
+// to retrain every week.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,11 @@ class FeatureBinner {
   static FeatureBinner fit(std::span<const double> column,
                            std::size_t max_bins = kMaxBins);
 
+  // Builds edges from the column's distinct non-NaN values, ascending;
+  // fit() is this after sorting and deduplicating the column.
+  static FeatureBinner from_distinct(std::span<const double> distinct,
+                                     std::size_t max_bins = kMaxBins);
+
   std::uint8_t bin_of(double value) const;
 
   // Real-valued threshold separating bin <= code from bin > code; used to
@@ -32,6 +37,7 @@ class FeatureBinner {
   double upper_edge(std::uint8_t code) const;
 
   std::size_t num_bins() const { return edges_.size() + 1; }
+  const std::vector<double>& edges() const { return edges_; }
 
  private:
   std::vector<double> edges_;  // ascending, distinct
@@ -39,6 +45,13 @@ class FeatureBinner {
 
 // A dataset quantized for tree training. Keeps a reference-free copy of
 // the labels and the code matrix.
+//
+// Each column is sorted once, as (value, row) pairs: the distinct values
+// give the same edges as FeatureBinner::fit, and one forward walk assigns
+// every row its code, the number of edges below its value — exactly
+// bin_of's lower_bound, with NaN in bin 0. Columns are binned in parallel
+// on the global thread pool, each task writing only its own column, so
+// the result is the same at any thread count.
 class BinnedDataset {
  public:
   explicit BinnedDataset(const Dataset& data,

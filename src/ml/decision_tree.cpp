@@ -116,11 +116,14 @@ void DecisionTree::train_binned(const BinnedDataset& data,
         max_code = std::max(max_code, c);
       }
       // Prefix scan over bins: candidate split after each occupied bin.
+      // An empty bin would repeat the previous candidate exactly, and a
+      // repeat never beats the best by more than 1e-15, so skipping it
+      // leaves every chosen split unchanged.
       double left_total = 0.0, left_pos = 0.0;
       for (std::size_t b = 0; b < max_code; ++b) {
+        if (hist_total[b] == 0) continue;
         left_total += hist_total[b];
         left_pos += hist_pos[b];
-        if (left_total == 0.0) continue;
         const double right_total = static_cast<double>(n) - left_total;
         if (right_total == 0.0) break;
         const double right_pos = static_cast<double>(positives) - left_pos;

@@ -1,0 +1,234 @@
+// Oracle for the forest trainer's fast paths (DESIGN.md §5d):
+//  - BinnedDataset sorts each column once and assigns codes in one walk;
+//    its edges and codes must equal FeatureBinner::fit + bin_of column by
+//    column, bit for bit, at any thread count.
+//  - DecisionTree::train_binned scans occupied bins only; its trees must
+//    equal the dense scan's (tests/reference_tree.*) node for node:
+//    feature, threshold bits, children and leaf fraction.
+// Columns carry NaN, ±inf, −0.0/+0.0, ties, constants, all-NaN, a lone
+// value, and more distinct values than there are bins.
+//
+// ctest label: chaos (CI runs it under ASan/UBSan).
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "ml/binning.hpp"
+#include "ml/dataset.hpp"
+#include "ml/decision_tree.hpp"
+#include "reference_tree.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+
+namespace {
+
+using namespace opprentice;
+using namespace opprentice::ml;
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kMax = std::numeric_limits<double>::max();
+constexpr std::size_t kThreadSweep[] = {1, 2, 8};
+
+// A column of `rows` values of a random shape, with random dirt planted.
+std::vector<double> random_column(util::Rng& rng, std::size_t rows) {
+  std::vector<double> col(rows);
+  const std::uint64_t shape = rng.uniform_int(5);
+  const std::uint64_t distinct = 1 + rng.uniform_int(600);
+  for (double& v : col) {
+    switch (shape) {
+      case 0: v = rng.normal(0.0, 1.0); break;  // all distinct
+      case 1:  // ties
+        v = static_cast<double>(rng.uniform_int(distinct)) - 3.0;
+        break;
+      case 2: v = rng.uniform() < 0.9 ? 0.0 : rng.uniform(); break;  // sparse
+      case 3: v = std::exp(rng.normal(0.0, 20.0)); break;  // wide range
+      default: v = 7.5; break;                              // constant
+    }
+  }
+  const double nan_rate = rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.0, 0.3);
+  const bool specials = rng.uniform() < 0.5;
+  for (double& v : col) {
+    if (rng.uniform() < nan_rate) v = kNaN;
+    if (specials && rng.uniform() < 0.02) {
+      const double picks[] = {kInf, -kInf, -0.0, 0.0, kMax, -kMax};
+      v = picks[rng.uniform_int(6)];
+    }
+  }
+  return col;
+}
+
+// Hand-picked columns covering every edge of the binning rules.
+std::vector<std::vector<double>> special_columns(std::size_t rows) {
+  std::vector<std::vector<double>> cols;
+  const auto make = [&](auto value_at) {
+    std::vector<double> col(rows);
+    for (std::size_t r = 0; r < rows; ++r) col[r] = value_at(r);
+    cols.push_back(std::move(col));
+  };
+  const auto real = [](std::size_t r) { return static_cast<double>(r); };
+  make([&](std::size_t r) { return r % 5 == 0 ? kNaN : real(r % 37); });
+  make([](std::size_t r) {
+    const double cycle[] = {-kInf, -1.0, 0.0, 2.0, kInf};
+    return cycle[r % 5];
+  });
+  make([](std::size_t r) { return r % 2 == 0 ? -0.0 : 0.0; });
+  make([](std::size_t r) {
+    const double cycle[] = {-0.0, 0.0, 1.0, -1.0, -0.0};
+    return cycle[r % 5];
+  });
+  make([](std::size_t r) { return r % 3 == 0 ? -kInf : kInf; });
+  make([](std::size_t r) { return r % 2 == 0 ? kMax : -kMax; });
+  make([](std::size_t r) { return r % 2 == 0 ? kMax : kMax / 2.0; });
+  make([](std::size_t) { return 4.0; });                        // constant
+  make([](std::size_t r) { return r == 7 ? 1.5 : kNaN; });      // one value
+  make([](std::size_t) { return kNaN; });                        // all NaN
+  make([&](std::size_t r) { return real(r) * 0.25 - 100.0; });   // > 255
+  make([&](std::size_t r) { return real((r * 7919) % 1000); });  // ties
+  // Subnormals.
+  make([](std::size_t r) { return r % 4 == 0 ? 5e-324 : -5e-324; });
+  return cols;
+}
+
+// Asserts that the sort-once BinnedDataset equals FeatureBinner::fit +
+// bin_of on every column, bit for bit, at every swept thread count.
+void expect_binning_matches_fit(const Dataset& data, std::size_t max_bins) {
+  for (std::size_t threads : kThreadSweep) {
+    util::set_global_threads(threads);
+    const BinnedDataset binned(data, max_bins);
+    ASSERT_EQ(binned.num_features(), data.num_features());
+    ASSERT_EQ(binned.num_rows(), data.num_rows());
+    for (std::size_t f = 0; f < data.num_features(); ++f) {
+      const auto column = data.column(f);
+      const FeatureBinner fit = FeatureBinner::fit(column, max_bins);
+      const std::vector<double>& edges = binned.binner(f).edges();
+      ASSERT_EQ(edges.size(), fit.edges().size()) << "feature " << f;
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(edges[e]),
+                  std::bit_cast<std::uint64_t>(fit.edges()[e]))
+            << "feature " << f << " edge " << e;
+      }
+      for (std::size_t r = 0; r < column.size(); ++r) {
+        ASSERT_EQ(binned.codes(f)[r], fit.bin_of(column[r]))
+            << "feature " << f << " row " << r << " value " << column[r]
+            << " threads " << threads << " max_bins " << max_bins;
+      }
+    }
+  }
+  util::set_global_threads(0);
+}
+
+Dataset dataset_of(std::vector<std::vector<double>> columns, util::Rng& rng) {
+  const std::size_t rows = columns.empty() ? 0 : columns[0].size();
+  std::vector<std::string> names(columns.size(), "f");
+  std::vector<std::uint8_t> labels(rows);
+  for (auto& label : labels) label = rng.uniform() < 0.3 ? 1 : 0;
+  return Dataset(std::move(names), std::move(columns), std::move(labels));
+}
+
+TEST(BinningOracle, SpecialColumnsMatchFitAndBinOf) {
+  util::Rng rng(11);
+  for (std::size_t rows : {1u, 2u, 9u, 400u, 3000u}) {
+    const Dataset data = dataset_of(special_columns(rows), rng);
+    for (std::size_t max_bins : {2u, 3u, 16u, 255u}) {
+      expect_binning_matches_fit(data, max_bins);
+    }
+  }
+}
+
+TEST(BinningOracle, RandomColumnsMatchFitAndBinOf) {
+  util::Rng rng(20261017);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t rows = 1 + rng.uniform_int(2500);
+    const std::size_t features = 1 + rng.uniform_int(12);
+    std::vector<std::vector<double>> columns;
+    for (std::size_t f = 0; f < features; ++f) {
+      columns.push_back(random_column(rng, rows));
+    }
+    const Dataset data = dataset_of(std::move(columns), rng);
+    expect_binning_matches_fit(data, round % 4 == 0 ? 1 + rng.uniform_int(40)
+                                                    : kMaxBins);
+  }
+}
+
+// Labels driven by one feature plus noise, so trees split on real
+// signal as well as on ties and noise.
+std::vector<std::uint8_t> random_labels(
+    util::Rng& rng, const std::vector<std::vector<double>>& columns) {
+  const std::size_t rows = columns[0].size();
+  const double rate = rng.uniform(0.02, 0.6);
+  const std::size_t source = rng.uniform_int(columns.size());
+  std::vector<std::uint8_t> labels(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double v = columns[source][r];
+    const bool signal = !std::isnan(v) && v > 0.5;
+    labels[r] = (signal ? rng.uniform() < 0.8 : rng.uniform() < rate) ? 1 : 0;
+  }
+  return labels;
+}
+
+void expect_same_nodes(const std::vector<TreeNode>& got,
+                       const std::vector<TreeNode>& want,
+                       const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].feature, want[i].feature) << context << " node " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].threshold),
+              std::bit_cast<std::uint64_t>(want[i].threshold))
+        << context << " node " << i;
+    ASSERT_EQ(got[i].left, want[i].left) << context << " node " << i;
+    ASSERT_EQ(got[i].right, want[i].right) << context << " node " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i].anomaly_fraction),
+              std::bit_cast<std::uint32_t>(want[i].anomaly_fraction))
+        << context << " node " << i;
+  }
+}
+
+TEST(TreeOracle, OccupiedBinScanMatchesDenseScanNodeForNode) {
+  util::Rng rng(5150);
+  std::size_t internal_nodes = 0;
+  for (int round = 0; round < 120; ++round) {
+    const std::size_t rows = 2 + rng.uniform_int(2000);
+    const std::size_t features = 1 + rng.uniform_int(24);
+    std::vector<std::vector<double>> columns;
+    for (std::size_t f = 0; f < features; ++f) {
+      columns.push_back(random_column(rng, rows));
+    }
+    std::vector<std::uint8_t> labels = random_labels(rng, columns);
+    const Dataset data(std::vector<std::string>(features, "f"),
+                       std::move(columns), std::move(labels));
+    const BinnedDataset binned(data, round % 5 == 0 ? 1 + rng.uniform_int(30)
+                                                    : kMaxBins);
+
+    TreeOptions options;
+    options.seed = rng.next_u64();
+    options.mtry = rng.uniform_int(3) == 0 ? 0 : 1 + rng.uniform_int(features);
+    options.max_depth = rng.uniform_int(3) == 0 ? 1 + rng.uniform_int(6) : 64;
+    options.min_samples_split = 2 + rng.uniform_int(4);
+
+    // Half the rounds train on a bootstrap sample, as the forest does.
+    std::vector<std::size_t> sample(rows);
+    if (round % 2 == 0) {
+      std::iota(sample.begin(), sample.end(), std::size_t{0});
+    } else {
+      for (auto& r : sample) r = rng.uniform_int(rows);
+    }
+
+    DecisionTree tree(options);
+    tree.train_binned(binned, sample);
+    const std::vector<TreeNode> want =
+        reference::train_binned_dense(binned, sample, options);
+    expect_same_nodes(tree.nodes(), want, "round " + std::to_string(round));
+    internal_nodes += (want.size() - 1) / 2;
+  }
+  // The rounds must actually grow trees, not stop at the root.
+  EXPECT_GT(internal_nodes, 1000u);
+}
+
+}  // namespace

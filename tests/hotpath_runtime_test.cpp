@@ -5,13 +5,15 @@
 //
 // The binary replaces the global operator new/delete to count the calling
 // thread's allocations, which is why it is an executable of its own.
-// Every root runs while the test holds a util::Mutex at
-// LockLevel::log_write, the top of the lock order, so any lock the root
-// takes — obs::log's log_write included — aborts with both lock names
-// (util/mutex.hpp).
+// Every root but FleetEngine::feed runs while the test holds a
+// util::Mutex at LockLevel::log_write, the top of the lock order, so any
+// lock the root takes — obs::log's log_write included — aborts with both
+// lock names (util/mutex.hpp). FleetEngine::feed takes its series' lock
+// by design, so it is checked for allocations only.
 //
 // This file is the list of hot roots:
 //   - StreamingExtractor::feed_into over the full 133-configuration bank;
+//   - FleetEngine::feed over the same bank, between retrains;
 //   - every detector family's feed (kFamilies below, which must match
 //     the registry plus the extension families);
 //   - RandomForest::score and RandomForest::classify;
@@ -26,16 +28,19 @@
 // day.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/duration_filter.hpp"
+#include "core/fleet_engine.hpp"
 #include "detectors/extra_detectors.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "detectors/registry.hpp"
@@ -126,11 +131,10 @@ const char* const kFamilies[] = {
 // Held around every measured call: nothing may be locked inside it.
 constinit util::Mutex g_top_level{util::LockLevel::log_write};
 
-// Runs step(i) for i in [0, n) under g_top_level and returns how many
-// steps allocated on the calling thread.
+// Runs step(i) for i in [0, n) and returns how many steps allocated on
+// the calling thread.
 template <typename Step>
-std::size_t allocating_steps(std::size_t n, Step&& step) {
-  util::MutexLock hold(g_top_level);
+std::size_t count_allocating_steps(std::size_t n, Step&& step) {
   std::size_t allocating = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t before = t_allocations;
@@ -138,6 +142,13 @@ std::size_t allocating_steps(std::size_t n, Step&& step) {
     if (t_allocations != before) ++allocating;
   }
   return allocating;
+}
+
+// The same under g_top_level.
+template <typename Step>
+std::size_t allocating_steps(std::size_t n, Step&& step) {
+  util::MutexLock hold(g_top_level);
+  return count_allocating_steps(n, step);
 }
 
 // A daily-seasonal KPI with noise, occasional spikes and missing points,
@@ -203,15 +214,20 @@ INSTANTIATE_TEST_SUITE_P(Families, DetectorFeed,
                            return std::string(param_info.param);
                          });
 
+// ARIMA configurations in the bank: each may allocate once a day.
+std::size_t arima_configs(const detectors::StreamingExtractor& extractor) {
+  std::size_t count = 0;
+  for (const auto& name : extractor.feature_names()) {
+    if (detectors::family_of(name) == "arima") ++count;
+  }
+  return count;
+}
+
 TEST(HotPath, StreamingExtractorFeedIntoOverTheFullBank) {
   detectors::StreamingExtractor extractor(
       detectors::standard_configurations(kCtx));
   ASSERT_EQ(extractor.num_features(), detectors::kStandardConfigurationCount);
-  std::size_t arima_configs = 0;
-  for (const auto& name : extractor.feature_names()) {
-    if (detectors::family_of(name) == "arima") ++arima_configs;
-  }
-  ASSERT_GT(arima_configs, 0u);
+  ASSERT_GT(arima_configs(extractor), 0u);
 
   const std::size_t warm = extractor.max_warmup() + kPointsPerDay;
   const std::vector<double> stream = kpi_stream(warm + kMeasuredPoints);
@@ -224,7 +240,51 @@ TEST(HotPath, StreamingExtractorFeedIntoOverTheFullBank) {
     extractor.feed_into(stream[warm + i], features);
   };
   EXPECT_LE(allocating_steps(kMeasuredPoints, step),
-            arima_configs * kMeasuredPoints / kPointsPerDay);
+            arima_configs(extractor) * kMeasuredPoints / kPointsPerDay);
+}
+
+TEST(HotPath, FleetEngineFeedBetweenRetrains) {
+  // paper_stream's series: the default bank, a one-week history bound
+  // and weekly retrains.
+  core::FleetOptions options;
+  options.ctx = kCtx;
+  options.history_capacity = kCtx.points_per_week;
+  options.forest.num_trees = 8;
+  core::FleetEngine engine(std::move(options));
+  const core::SeriesHandle series = engine.add_series("pv");
+
+  // Warm past the bank's warm-up and the first history trim at twice
+  // the bound, labelling points as they arrive, then run on to the next
+  // weekly retrain.
+  const detectors::StreamingExtractor bank(
+      detectors::standard_configurations(kCtx));
+  const std::size_t warm =
+      std::max(bank.max_warmup(), 2 * kCtx.points_per_week) + kPointsPerDay;
+  const std::vector<double> stream =
+      kpi_stream(warm + kCtx.points_per_week + kMeasuredPoints);
+  std::size_t fed = 0;
+  const auto feed_labeled = [&] {
+    const std::uint8_t label = fed % 211 == 0 ? 1 : 0;  // kpi_stream spikes
+    engine.feed(series, stream[fed]);
+    engine.ingest_labels(series, std::span(&label, 1), fed);
+    ++fed;
+  };
+  while (fed < warm) feed_labeled();
+  const std::size_t retrains = engine.stats(series).retrains + 1;
+  while (engine.stats(series).retrains < retrains) {
+    ASSERT_LT(fed, warm + kCtx.points_per_week);
+    feed_labeled();
+  }
+
+  // The next retrain is a week away: two days of points never reach it.
+  std::size_t classified = 0;
+  const auto step = [&](std::size_t) {
+    if (engine.feed(series, stream[fed++]).classified) ++classified;
+  };
+  EXPECT_LE(count_allocating_steps(kMeasuredPoints, step),
+            arima_configs(bank) * kMeasuredPoints / kPointsPerDay);
+  EXPECT_EQ(engine.stats(series).retrains, retrains);
+  EXPECT_EQ(classified, kMeasuredPoints);
 }
 
 TEST(HotPath, RandomForestScoreAndClassify) {

@@ -421,4 +421,100 @@ TEST(ParallelEquivalence, FleetSweepSeededChaosBitIdentical) {
   }
 }
 
+// ---- deferred retrains: feed_tick ≡ a serial feed loop --------------------
+
+// A fleet whose first eight series share one retrain phase, so each of
+// their retrains comes due on the same tick and feed_tick runs several
+// deferred retrains back to back; eight more series have other phases.
+// Drives 128 ticks under `threads`, through feed_tick or through a serial
+// feed() loop in index order, with a fresh flight recorder.
+FleetRunOutput shared_phase_run(std::size_t threads, bool use_tick) {
+  util::set_global_threads(threads);
+  obs::FlightRecorder::instance().clear();
+
+  core::FleetOptions options;
+  options.ctx = detectors::SeriesContext{16, 112};
+  options.detector_factory = core::fleet_lite_configurations;
+  options.retrain_interval = 16;
+  options.quarantine_after = 2;
+  options.forest.num_trees = 8;
+  options.forest.seed = 7;
+  options.scheduler_seed = 2026;
+  core::FleetEngine engine(std::move(options));
+
+  constexpr std::size_t kShared = 8;
+  constexpr std::size_t kOthers = 8;
+  std::vector<core::SeriesHandle> handles;
+  std::vector<std::uint64_t> salts;
+  const std::size_t shared_phase = engine.scheduler().phase("due-0");
+  std::size_t shared = 0, others = 0;
+  for (std::size_t c = 0; shared < kShared || others < kOthers; ++c) {
+    const std::string id = "due-" + std::to_string(c);
+    const bool same = engine.scheduler().phase(id) == shared_phase;
+    if (same ? shared == kShared : others == kOthers) continue;
+    ++(same ? shared : others);
+    handles.push_back(engine.add_series(id));
+    salts.push_back(util::stable_id_hash(id));
+  }
+
+  FleetRunOutput out;
+  const std::size_t n = handles.size();
+  std::vector<double> values(n);
+  std::vector<core::FleetDetection> verdicts(n);
+  std::vector<std::uint8_t> chunk(16);
+  for (std::size_t t = 0; t < 128; ++t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = core::synthetic_fleet_value(salts[i], t, 16);
+    }
+    if (use_tick) {
+      engine.feed_tick(handles, values, verdicts);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        verdicts[i] = engine.feed(handles[i], values[i]);
+      }
+    }
+    for (const auto& v : verdicts) out.score_bits.push_back(bits(v.score));
+    if ((t + 1) % 16 == 0) {
+      const std::size_t begin = t + 1 - 16;
+      for (std::size_t j = 0; j < 16; ++j) {
+        chunk[j] = (begin + j) % 7 == 0 ? 1 : 0;
+      }
+      for (const auto& handle : handles) {
+        engine.ingest_labels(handle, chunk, begin);
+      }
+    }
+  }
+  for (const auto& handle : handles) {
+    out.forests += engine.forest_fingerprint(handle);
+    out.forests += '\n';
+  }
+  out.flight = obs::FlightRecorder::instance().dump_json();
+  out.dropped = obs::FlightRecorder::instance().dropped_count();
+  util::set_global_threads(0);
+  return out;
+}
+
+TEST(ParallelEquivalence, FeedTickDeferredRetrainsEqualSerialFeedLoop) {
+  // Half of all retrains fail, so some series fail twice in a row and
+  // are quarantined mid-run while their phase-mates train.
+  util::FaultPlan plan;
+  plan.seed = 20261017;
+  plan.rates["forest.train"] = 0.5;
+  const PlanGuard guard(plan);
+
+  const FleetRunOutput serial = shared_phase_run(1, /*use_tick=*/false);
+  EXPECT_EQ(serial.dropped, 0u);
+  EXPECT_NE(serial.flight.find("\"retrain\""), std::string::npos);
+  EXPECT_NE(serial.flight.find("\"train_failed\""), std::string::npos);
+  EXPECT_NE(serial.flight.find("\"quarantine\""), std::string::npos)
+      << "a series must reach quarantine";
+  for (std::size_t threads : kThreadSweep) {
+    const FleetRunOutput run = shared_phase_run(threads, /*use_tick=*/true);
+    EXPECT_EQ(run.dropped, 0u) << "threads=" << threads;
+    EXPECT_EQ(run.score_bits, serial.score_bits) << "threads=" << threads;
+    EXPECT_EQ(run.forests, serial.forests) << "threads=" << threads;
+    EXPECT_EQ(run.flight, serial.flight) << "threads=" << threads;
+  }
+}
+
 }  // namespace
