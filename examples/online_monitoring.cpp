@@ -7,37 +7,12 @@
 // cThld update. A duration filter (§6 "Anomaly duration") suppresses
 // alerts shorter than a configurable number of points.
 #include <cstdio>
-#include <deque>
 
+#include "core/duration_filter.hpp"
 #include "core/opprentice.hpp"
 #include "datagen/kpi_presets.hpp"
 #include "eval/metrics.hpp"
 #include "labeling/operator_model.hpp"
-
-using namespace opprentice;
-
-namespace {
-
-// §6: "if operators are only interested in continuous anomalies that last
-// for more than 5 minutes, one can solve it through a simple threshold
-// filter" on the point-level decisions.
-class DurationFilter {
- public:
-  explicit DurationFilter(std::size_t min_run) : min_run_(min_run) {}
-
-  // Feeds the point-level decision; returns true when an alert should
-  // fire (the current anomalous run just reached min_run points).
-  bool feed(bool anomalous) {
-    run_ = anomalous ? run_ + 1 : 0;
-    return run_ == min_run_;
-  }
-
- private:
-  std::size_t min_run_;
-  std::size_t run_ = 0;
-};
-
-}  // namespace
 
 int main() {
   using namespace opprentice;
@@ -61,7 +36,10 @@ int main() {
   std::printf("monitoring %s: bootstrap on 8 weeks, cThld=%.3f\n\n",
               kpi.series.name().c_str(), system.current_cthld());
 
-  DurationFilter alert_filter(/*min_run=*/2);
+  // §6: "if operators are only interested in continuous anomalies that
+  // last for more than 5 minutes, one can solve it through a simple
+  // threshold filter" on the point-level decisions.
+  core::DurationFilter alert_filter({.min_run = 2});
   std::size_t alerts = 0, true_alerts = 0;
 
   for (std::size_t i = bootstrap; i < kpi.series.size(); ++i) {

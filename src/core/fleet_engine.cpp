@@ -73,26 +73,23 @@ class FleetSeries {
   friend class FleetEngine;
 
   // Appends one extracted row to the bounded training history.
-  void append_row(std::span<const double> features, double value,
+  void append_row(std::span<const double> features,
                   std::size_t history_capacity)
       OPPRENTICE_REQUIRES(mutex_) {
     for (std::size_t f = 0; f < features.size(); ++f) {
       columns_[f].push_back(features[f]);
     }
-    values_.push_back(value);
     labels_.push_back(0);
     // Amortized trim: let the buffer grow to 2x capacity, then drop the
     // oldest half in one pass. The trim point is a pure function of the
     // point count, so bounded and unbounded histories differ only in
     // which rows a retrain can still see.
-    if (history_capacity > 0 && values_.size() >= 2 * history_capacity) {
-      const std::size_t drop = values_.size() - history_capacity;
+    if (history_capacity > 0 && labels_.size() >= 2 * history_capacity) {
+      const std::size_t drop = labels_.size() - history_capacity;
       for (auto& column : columns_) {
         column.erase(column.begin(),
                      column.begin() + static_cast<std::ptrdiff_t>(drop));
       }
-      values_.erase(values_.begin(),
-                    values_.begin() + static_cast<std::ptrdiff_t>(drop));
       labels_.erase(labels_.begin(),
                     labels_.begin() + static_cast<std::ptrdiff_t>(drop));
       base_ += drop;
@@ -124,7 +121,7 @@ class FleetSeries {
       return std::nullopt;
     }
     extractor_.feed_into(value, features_);
-    append_row(features_, value, options.history_capacity);
+    append_row(features_, options.history_capacity);
     fleet_counters().points->add();
 
     if (forest_.has_value() && extractor_.warmed_up()) {
@@ -148,7 +145,7 @@ class FleetSeries {
     const std::size_t warmup = extractor_.max_warmup();
     const std::size_t begin_local = warmup > base_ ? warmup - base_ : 0;
     const std::size_t end_global =
-        std::min(labeled_until_, base_ + values_.size());
+        std::min(labeled_until_, base_ + labels_.size());
     if (end_global <= base_) return std::nullopt;
     const std::size_t end_local = end_global - base_;
     if (begin_local >= end_local) return std::nullopt;
@@ -240,7 +237,6 @@ class FleetSeries {
   // Bounded training history, column-major like ml::Dataset. base_ is the
   // global point index of local row 0 (rows before it were trimmed).
   std::vector<std::vector<double>> columns_ OPPRENTICE_GUARDED_BY(mutex_);
-  std::vector<double> values_ OPPRENTICE_GUARDED_BY(mutex_);
   std::vector<std::uint8_t> labels_ OPPRENTICE_GUARDED_BY(mutex_);
   std::size_t base_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
   std::size_t labeled_until_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
@@ -371,15 +367,15 @@ void FleetEngine::ingest_labels(const SeriesHandle& series,
                                 std::size_t begin) {
   FleetSeries& state = *series;
   util::MutexLock lock(state.mutex_);
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::size_t global = begin + i;
-    if (global < state.base_) continue;  // row already trimmed
-    const std::size_t local = global - state.base_;
-    if (local >= state.labels_.size()) break;  // not fed yet
-    state.labels_[local] = labels[i];
-  }
+  // Rows [first, end) are both in this chunk and still buffered; the
+  // watermark moves only over rows the chunk actually wrote.
+  const std::size_t first = std::max(begin, state.base_);
   const std::size_t end =
       std::min(begin + labels.size(), state.base_ + state.labels_.size());
+  if (first >= end) return;
+  for (std::size_t global = first; global < end; ++global) {
+    state.labels_[global - state.base_] = labels[global - begin];
+  }
   state.labeled_until_ = std::max(state.labeled_until_, end);
 }
 

@@ -153,8 +153,9 @@ class FleetEngine {
                            ts::RepairPolicy policy);
 
   // Operator labels for rows [begin, begin + labels.size()) in global
-  // point indices. Rows already dropped from the bounded history are
-  // ignored; future rows are clamped.
+  // point indices. Rows already dropped from the bounded history and rows
+  // not fed yet are ignored. stats().labeled_until advances to the end of
+  // the rows the call wrote, and stays put when it wrote none.
   void ingest_labels(const SeriesHandle& series,
                      std::span<const std::uint8_t> labels, std::size_t begin);
 

@@ -14,7 +14,6 @@
 namespace {
 
 using opprentice::tools::check_rules;
-using opprentice::tools::check_self_test;
 using opprentice::tools::check_source;
 using opprentice::tools::check_tree;
 using opprentice::tools::CheckViolation;
@@ -508,11 +507,6 @@ TEST(CheckTree, MissingRootIsReported) {
   const LintReport report = check_tree({"/nonexistent-opprentice-root"});
   ASSERT_EQ(report.issues.size(), 1u);
   EXPECT_EQ(report.issues[0].check, "missing-root");
-}
-
-TEST(CheckSelfTest, EveryPlantedViolationIsCaught) {
-  const LintReport report = check_self_test();
-  EXPECT_TRUE(report.ok()) << format_report(report, true);
 }
 
 }  // namespace

@@ -359,6 +359,26 @@ TEST(FleetEngine, BoundedHistoryStillTrains) {
   EXPECT_TRUE(verdicts.back().classified);
 }
 
+// The label watermark moves only over rows a chunk wrote. A chunk wholly
+// past the fed rows writes none, so rows 100..499 (never labeled) must
+// not become trainable as "normal".
+TEST(FleetEngine, LabelChunkPastFedRowsKeepsWatermark) {
+  core::FleetEngine engine(small_fleet_options());
+  const auto s = engine.add_series("kpi-labels");
+  for (std::size_t t = 0; t < 500; ++t) {
+    engine.feed(s, core::synthetic_fleet_value(99, t, 16));
+  }
+  engine.ingest_labels(s, std::vector<std::uint8_t>(100, 0), 0);
+  EXPECT_EQ(engine.stats(s).labeled_until, 100u);
+
+  engine.ingest_labels(s, std::vector<std::uint8_t>(10, 1), 600);
+  EXPECT_EQ(engine.stats(s).labeled_until, 100u);
+
+  // A chunk that runs past the newest row stops at it.
+  engine.ingest_labels(s, std::vector<std::uint8_t>(20, 0), 490);
+  EXPECT_EQ(engine.stats(s).labeled_until, 500u);
+}
+
 // Cross-series isolation: series y and z must produce byte-identical
 // outputs whether or not series x is being fault-injected, repaired, and
 // quarantined next to them in the same engine.

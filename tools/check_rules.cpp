@@ -739,184 +739,4 @@ LintReport check_tree(const std::vector<std::string>& roots) {
   return report;
 }
 
-LintReport check_self_test() {
-  LintReport result;
-  const TempTree tree("opprentice-check-selftest");
-
-  tree.plant("src/fixture_random_device.cpp",
-             R"cpp(#include <random>
-
-std::uint64_t fresh_entropy() {
-  std::random_device dev;
-  return dev();
-}
-)cpp");
-  tree.plant("src/fixture_rand.cpp",
-             R"cpp(#include <cstdlib>
-
-int jitter() { return std::rand() % 3; }
-)cpp");
-  tree.plant("src/fixture_wall_clock_seed.cpp",
-             R"cpp(#include <ctime>
-
-unsigned make_run_seed() {
-  const unsigned seed = static_cast<unsigned>(std::time(nullptr));
-  return seed;
-}
-)cpp");
-  tree.plant("src/fixture_raw_thread.cpp",
-             R"cpp(#include <thread>
-
-void run_blocking(void (*task)()) {
-  std::thread runner(task);
-  runner.join();
-}
-)cpp");
-  tree.plant("src/fixture_unordered_iteration.cpp",
-             R"cpp(#include <string>
-#include <unordered_map>
-
-std::unordered_map<std::string, double> g_totals;
-
-double sum_totals() {
-  double sum = 0.0;
-  for (const auto& entry : g_totals) sum += entry.second;
-  return sum;
-}
-)cpp");
-  tree.plant("src/fixture_unguarded_static.cpp",
-             R"cpp(int next_ticket() {
-  static int counter = 0;
-  return ++counter;
-}
-)cpp");
-  // The namespace-scope half: only the plain initialized global fires.
-  tree.plant("src/fixture_unguarded_global.cpp",
-             R"cpp(#include <atomic>
-
-namespace fixture {
-double g_total = 0.0;
-const double kScale = 2.0;
-std::atomic<int> g_hits = 0;
-thread_local int t_depth = 0;
-int g_guarded OPPRENTICE_GUARDED_BY(g_mu) = 0;
-}  // namespace fixture
-)cpp");
-  tree.plant("src/fixture_raw_mutex.cpp",
-             R"cpp(#include <mutex>
-
-std::mutex g_serial_mutex;
-)cpp");
-  tree.plant("src/fixture_raw_socket.cpp",
-             R"cpp(#include <sys/socket.h>
-
-int open_listener() { return ::socket(AF_INET, SOCK_STREAM, 0); }
-)cpp");
-  tree.plant("src/fixture_unchecked_stod.cpp",
-             R"cpp(#include <string>
-
-double parse_ratio(const std::string& text) { return std::stod(text); }
-)cpp");
-  tree.plant("src/fixture_fp_reduction.cpp",
-             R"cpp(#include <cstddef>
-#include <vector>
-
-double parallel_sum(const std::vector<double>& values) {
-  double total = 0.0;
-  opprentice::util::parallel_for(values.size(), [&](std::size_t i) {
-    total += values[i];
-  });
-  return total;
-}
-)cpp");
-  // Reasoned suppressions (same line and line above) must stay silent.
-  tree.plant("src/fixture_suppressed.cpp",
-             R"cpp(#include <random>
-
-std::uint32_t demo_entropy() {
-  std::random_device dev;  // opprentice-check: allow(random-device) fixture: exercises a reasoned same-line suppression
-  return dev();
-}
-
-int bump() {
-  // opprentice-check: allow(unguarded-static) fixture: exercises a line-above suppression
-  static int hits = 0;
-  return ++hits;
-}
-)cpp");
-  tree.plant("src/fixture_bare_allow.cpp",
-             R"cpp(// opprentice-check: allow(rand)
-const int bare_allow_placeholder = 0;
-)cpp");
-  tree.plant("src/fixture_unknown_allow.cpp",
-             R"cpp(// opprentice-check: allow(no-such-rule) the rule id is misspelled on purpose
-const int unknown_allow_placeholder = 0;
-)cpp");
-  // Reasoned, well-formed, and matching nothing: itself an error.
-  tree.plant("src/fixture_unused_allow.cpp",
-             R"cpp(// opprentice-check: allow(rand) fixture: nothing on this line draws randomness
-const int unused_allow_placeholder = 0;
-)cpp");
-  // Layering, upward include: util reaching into ml. The obs include is
-  // allowed (observability sits beside util, not above it).
-  tree.plant("src/util/fixture_layering.cpp",
-             R"cpp(#include "ml/random_forest.hpp"
-#include "obs/metrics.hpp"
-
-const int layering_placeholder = 0;
-)cpp");
-  // Layering, include cycle: two headers across modules including each
-  // other. Exactly one cycle must be reported for the pair.
-  tree.plant("src/alpha/widget.hpp",
-             R"cpp(#pragma once
-#include "beta/gadget.hpp"
-)cpp");
-  tree.plant("src/beta/gadget.hpp",
-             R"cpp(#pragma once
-#include "alpha/widget.hpp"
-)cpp");
-  // Not a C++ extension: must be skipped by the walk.
-  tree.plant("src/notes.txt", "std::rand();\n");
-
-  const LintReport scanned = check_tree({tree.root().string()});
-
-  std::map<std::string, std::size_t> tally;
-  for (const auto& issue : scanned.issues) ++tally[issue.check];
-
-  std::map<std::string, std::size_t> expected;
-  for (const auto& rule : check_rules()) expected[rule.id] = 1;
-  expected["layering"] = 2;  // upward include + one cycle report
-  expected["unguarded-static"] = 2;  // function-local + namespace scope
-  expected["allow-without-reason"] = 1;
-  expected["allow-unknown-rule"] = 1;
-
-  for (const auto& [rule, count] : expected) {
-    ++result.checks_run;
-    const std::size_t got = tally.count(rule) > 0 ? tally[rule] : 0;
-    if (got != count) {
-      std::ostringstream msg;
-      msg << "rule '" << rule << "' fired " << got
-          << " times on the planted tree, expected exactly " << count;
-      result.fail("self-test", msg.str());
-    }
-  }
-  ++result.checks_run;  // nothing beyond the expectations fired
-  for (const auto& [rule, count] : tally) {
-    if (expected.count(rule) == 0) {
-      std::ostringstream msg;
-      msg << "unexpected '" << rule << "' fired " << count
-          << " times on the planted tree";
-      result.fail("self-test", msg.str());
-    }
-  }
-  ++result.checks_run;  // extension filter: 18 planted sources, notes.txt skipped
-  if (scanned.checks_run != 18) {
-    std::ostringstream msg;
-    msg << "walk scanned " << scanned.checks_run
-        << " files, expected the 18 planted C++ fixtures";
-    result.fail("self-test", msg.str());
-  }
-  return result;
-}
-
 }  // namespace opprentice::tools

@@ -4,9 +4,8 @@
 // thread counts (DESIGN.md §5e): every RNG flows from an explicit seed,
 // parallel loops write per-index slots, and iteration orders that feed
 // output are defined. These are contracts a compiler never sees, so this
-// tool enforces them the same way `opprentice_lint` enforces the registry
-// invariants: a lightweight tokenizer-based scan over the C++ sources in
-// src/, tools/, and bench/ — no libclang, no build needed.
+// tool enforces them with a lightweight tokenizer-based scan over the C++
+// sources in src/, tools/, and bench/ — no libclang, no build needed.
 //
 // Rules (stable ids, used in suppressions and reports):
 //   random-device       std::random_device — nondeterministic entropy
@@ -76,11 +75,5 @@ std::vector<CheckViolation> check_source(std::string_view path,
 // trees and caches) in sorted path order and folds every violation into a
 // report: one issue per violation, checks_run = files scanned.
 LintReport check_tree(const std::vector<std::string>& roots);
-
-// Plants one violation per rule (plus suppression-misuse fixtures) in a
-// temp tree, runs the directory walk over it, and verifies each rule fires
-// exactly once, a reasoned allow() silences its finding, and misused
-// allows are reported. Returns issues describing any missed expectation.
-LintReport check_self_test();
 
 }  // namespace opprentice::tools

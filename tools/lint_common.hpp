@@ -1,10 +1,8 @@
-// Shared plumbing for the project's source-level linters:
-// `opprentice_lint` (detector-registry invariants, tools/registry_lint.*)
-// and `opprentice_check` (determinism/concurrency contract,
-// tools/check_rules.*). Both accumulate the same issue/report shape and
-// render through one formatter (terminal text or SARIF for CI code
-// scanning); opprentice_check also uses the just-enough-C++ tokenizer and
-// the temp-tree file-planting helper for its --self-test.
+// Plumbing for `opprentice_check`, the determinism/concurrency contract
+// checker (tools/check_rules.*): the issue/report shape and its
+// formatters (terminal text or SARIF for CI code scanning), the source
+// tree walk, a just-enough-C++ tokenizer, and the temp-tree
+// file-planting helper its tests use.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +16,7 @@
 namespace opprentice::tools {
 
 // One violated invariant. `check` is a stable machine-readable id
-// ("config-count", "unguarded-static", ...); `message` is for humans.
+// ("unguarded-static", "layering", ...); `message` is for humans.
 // `file`/`line` optionally anchor the issue to a source location (used by
 // SARIF output); an empty `file` means the issue has no location.
 struct LintIssue {
@@ -51,7 +49,7 @@ std::string format_report(const LintReport& report, bool verbose);
 std::string format_sarif(const LintReport& report, std::string_view tool_name,
                          std::string_view strip_prefix = {});
 
-// RAII temp tree for linter self-tests: a unique directory under the
+// RAII temp tree for linter tests: a unique directory under the
 // system temp path (prefix + pid + instance counter, so parallel ctest
 // processes never collide) that is removed with everything planted in it
 // when the object dies.
@@ -75,19 +73,19 @@ class TempTree {
 
 // Recursively collects .cpp/.cc/.hpp/.h files under `roots`, skipping
 // build trees and caches, in sorted path order (directory enumeration
-// order is filesystem-dependent; the linters hold themselves to the
-// determinism contract they enforce). A root that is not a directory adds
+// order is filesystem-dependent; the checker holds itself to the
+// determinism contract it enforces). A root that is not a directory adds
 // a "missing-root" issue to `report` when it is non-null.
 std::vector<std::filesystem::path> list_cpp_sources(
     const std::vector<std::string>& roots, LintReport* report);
 
 // ---- shared C++ tokenizer ------------------------------------------------
 //
-// Just enough C++ lexing for the contract linters: identifiers, numbers,
+// Just enough C++ lexing for the contract checker: identifiers, numbers,
 // punctuation (longest-match two-char operators), with line numbers.
 // String and char literals become opaque kLiteral tokens, so code quoted
-// inside a string — including the checkers' own rule patterns and
-// self-test fixtures — can never trip a rule. Comments never become
+// inside a string — including the checker's own rule patterns and
+// test fixtures — can never trip a rule. Comments never become
 // tokens; their text is kept per start line for suppression directives.
 // Preprocessor lines are skipped entirely (macro bodies are out of scope
 // for these heuristics); use scan_includes() for #include analysis.
@@ -140,7 +138,7 @@ std::vector<Include> scan_includes(std::string_view src);
 
 // ---- suppression directives ----------------------------------------------
 //
-// All contract linters share one suppression grammar:
+// The contract checker's suppression grammar:
 //   // <marker> allow(<rule>[, <rule>...]) <mandatory reason>
 // on the violation's line or the line above. A reason-less or rule-less
 // allow is `malformed`; rules not in `known_rules` land in `unknown`.

@@ -9,7 +9,6 @@
 //
 // Usage:
 //   opprentice_check [--root DIR] [--verbose]
-//   opprentice_check --self-test
 //   opprentice_check --list-rules
 //
 // Exit status: 0 when the tree is clean, 1 on any violation, 2 on usage
@@ -27,14 +26,11 @@ namespace {
 void print_usage() {
   std::fputs(
       "usage: opprentice_check [--root DIR] [--verbose] [--sarif]\n"
-      "       opprentice_check --self-test\n"
       "       opprentice_check --list-rules\n"
       "\n"
       "Scans the C++ sources under DIR/src, DIR/tools, and DIR/bench\n"
       "(default: the current directory) for determinism/concurrency\n"
-      "contract violations. --sarif emits SARIF 2.1.0 instead of text.\n"
-      "--self-test plants one violation per rule in a temp tree and\n"
-      "verifies each is caught.\n",
+      "contract violations. --sarif emits SARIF 2.1.0 instead of text.\n",
       stderr);
 }
 
@@ -60,18 +56,6 @@ int run_check(const std::string& root, bool verbose, bool sarif) {
   return report.ok() ? 0 : 1;
 }
 
-int run_self_test(bool verbose) {
-  const opprentice::tools::LintReport report =
-      opprentice::tools::check_self_test();
-  std::fputs(opprentice::tools::format_report(report, verbose).c_str(),
-             stdout);
-  if (!report.ok()) {
-    std::fputs("self-test FAILED: the checker missed planted violations\n",
-               stderr);
-  }
-  return report.ok() ? 0 : 1;
-}
-
 int run_list_rules() {
   for (const auto& rule : opprentice::tools::check_rules()) {
     std::printf("%-20s %s\n", rule.id.c_str(), rule.summary.c_str());
@@ -82,7 +66,6 @@ int run_list_rules() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool self_test = false;
   bool list_rules = false;
   bool verbose = false;
   bool sarif = false;
@@ -90,9 +73,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--list-rules") {
+    if (arg == "--list-rules") {
       list_rules = true;
     } else if (arg == "--verbose" || arg == "-v") {
       verbose = true;
@@ -118,8 +99,7 @@ int main(int argc, char** argv) {
 
   try {
     if (list_rules) return run_list_rules();
-    return self_test ? run_self_test(verbose)
-                     : run_check(root, verbose, sarif);
+    return run_check(root, verbose, sarif);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "opprentice_check: uncaught exception: %s\n",
                  e.what());
