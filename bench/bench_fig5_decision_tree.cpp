@@ -31,12 +31,10 @@ int main(int argc, char** argv) {
 
   // Which feature is at the root (the paper: "a feature is more important
   // for classification if it is closer to the root")?
-  const auto& root = tree.nodes().front();
-  if (root.feature >= 0) {
+  const ml::FlatNode& root = tree.nodes().front();
+  if (!root.is_leaf()) {
     std::printf("root split: %s (threshold %.3f)\n",
-                train.feature_names()[static_cast<std::size_t>(root.feature)]
-                    .c_str(),
-                root.threshold);
+                train.feature_names()[root.feature].c_str(), root.value);
   }
   std::printf(
       "\nPaper (Fig 5): rules over TSD, SVD, and diff severities, with TSD\n"

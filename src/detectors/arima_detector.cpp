@@ -10,7 +10,7 @@ namespace opprentice::detectors {
 namespace {
 
 // Sample autocovariances c_0..c_max_lag.
-std::vector<double> autocovariances(const std::vector<double>& xs,
+std::vector<double> autocovariances(std::span<const double> xs,
                                     int max_lag) {
   const double m = util::mean(xs);
   const auto n = static_cast<double>(xs.size());
@@ -27,7 +27,7 @@ std::vector<double> autocovariances(const std::vector<double>& xs,
 
 }  // namespace
 
-ArParameters fit_ar_by_aic(const std::vector<double>& xs, int max_order) {
+ArParameters fit_ar_by_aic(std::span<const double> xs, int max_order) {
   ArParameters best;
   if (xs.size() < static_cast<std::size_t>(4 * (max_order + 1))) return best;
 
@@ -84,9 +84,7 @@ std::size_t ArimaDetector::warmup_points() const {
 }
 
 void ArimaDetector::refit() {
-  std::vector<double> window;
-  diffs_.copy_ordered(window);
-  const ArParameters fitted = fit_ar_by_aic(window, max_order_);
+  const ArParameters fitted = fit_ar_by_aic(diffs_.window(), max_order_);
   if (fitted.order() > 0) params_ = fitted;
   since_refit_ = 0;
 }

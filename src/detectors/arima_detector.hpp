@@ -10,6 +10,7 @@
 // severity is the absolute one-step forecast residual.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "detectors/detector.hpp"
@@ -25,7 +26,7 @@ struct ArParameters {
 
 // Fits AR(p) to `xs` with p in [1, max_order] chosen by AIC.
 // Exposed for testing and for the parameter-estimation example.
-ArParameters fit_ar_by_aic(const std::vector<double>& xs, int max_order);
+ArParameters fit_ar_by_aic(std::span<const double> xs, int max_order);
 
 class ArimaDetector final : public Detector {
  public:

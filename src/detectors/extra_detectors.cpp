@@ -20,9 +20,8 @@ double CusumDetector::feed(double value) {
   if (util::is_missing(value)) return 0.0;
   double severity = 0.0;
   if (history_.full()) {
-    history_.copy_ordered(scratch_);
-    const double mean = util::mean(scratch_);
-    const double sd = util::stddev(scratch_);
+    const double mean = util::mean(history_.window());
+    const double sd = util::stddev(history_.window());
     const double z = (value - mean) / std::max(sd, 1e-9 * std::abs(mean) + 1e-12);
     s_pos_ = std::max(0.0, s_pos_ + z - k_);
     s_neg_ = std::max(0.0, s_neg_ - z - k_);

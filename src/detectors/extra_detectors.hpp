@@ -34,7 +34,6 @@ class CusumDetector final : public Detector {
   RingBuffer<double> history_;
   double s_pos_ = 0.0;
   double s_neg_ = 0.0;
-  mutable std::vector<double> scratch_;
 };
 
 // Holt double exponential smoothing (level + trend, no season):

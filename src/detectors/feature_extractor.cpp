@@ -66,11 +66,14 @@ double guarded_severity(Detector& detector, double value, std::uint64_t key,
   bool failed = false;
   double severity = boundary.neutral;
   try {
+    // Injected faults strike after the detector has seen the point, so a
+    // period-indexed detector (seasonal slot, SVD phase, Holt-Winters
+    // season) stays in step with the stream.
+    severity = detector.feed(value);
     if (faults_active &&
         util::inject_fault(util::faults::kDetectorThrow, key)) {
       throw util::InjectedFault("injected detector.throw");
     }
-    severity = detector.feed(value);
     if (faults_active &&
         util::inject_fault(util::faults::kDetectorNan, key)) {
       severity = std::numeric_limits<double>::quiet_NaN();

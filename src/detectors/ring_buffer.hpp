@@ -3,16 +3,20 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 namespace opprentice::detectors {
 
+// Every value is written twice, at its slot and one capacity further on,
+// so the held values are always one contiguous run, oldest first: a
+// window is read in place, with no copy and no modulo per element.
 template <typename T>
 class RingBuffer {
  public:
   explicit RingBuffer(std::size_t capacity)
-      : capacity_(capacity), data_(capacity) {
+      : capacity_(capacity), data_(2 * capacity) {
     if (capacity == 0) {
       throw std::invalid_argument("RingBuffer: capacity must be positive");
     }
@@ -20,7 +24,8 @@ class RingBuffer {
 
   void push(T value) {
     data_[head_] = value;
-    head_ = (head_ + 1) % capacity_;
+    data_[head_ + capacity_] = value;
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     if (size_ < capacity_) ++size_;
   }
 
@@ -31,16 +36,13 @@ class RingBuffer {
   // Element pushed `age` steps ago; age 0 = most recent. Requires age < size.
   const T& back(std::size_t age = 0) const {
     if (age >= size_) throw std::out_of_range("RingBuffer::back");
-    return data_[(head_ + capacity_ - 1 - age) % capacity_];
+    return data_[head_ + capacity_ - 1 - age];
   }
 
-  // Copies contents oldest-first into `out` (resized to size()).
-  void copy_ordered(std::vector<T>& out) const {
-    // Allocates only until `out` first reaches the window size.
-    out.resize(size_);
-    for (std::size_t i = 0; i < size_; ++i) {
-      out[i] = data_[(head_ + capacity_ - size_ + i) % capacity_];
-    }
+  // The held values, oldest first; valid until the next push or clear.
+  std::span<const T> window() const {
+    return std::span<const T>(data_).subspan(head_ + capacity_ - size_,
+                                             size_);
   }
 
   void clear() {
@@ -51,7 +53,7 @@ class RingBuffer {
  private:
   std::size_t capacity_;
   std::vector<T> data_;
-  std::size_t head_ = 0;
+  std::size_t head_ = 0;  // where the next value goes, in [0, capacity)
   std::size_t size_ = 0;
 };
 

@@ -33,37 +33,40 @@ SeasonalDetectorBase::SeasonalDetectorBase(std::size_t period_points,
       samples_per_slot_(samples_per_slot),
       robust_(robust),
       scale_source_(scale_source),
-      residuals_(scale_window),
+      // The historical families scale by the slot itself and never
+      // read this ring.
+      residuals_(scale_source == ScaleSource::kRecentResiduals ? scale_window
+                                                               : 1),
       sorted_residuals_(
           robust && scale_source == ScaleSource::kRecentResiduals
               ? scale_window
               : 0) {
   if (period_ == 0 || samples_per_slot_ == 0 ||
-      samples_per_slot_ > std::numeric_limits<std::uint32_t>::max() / 2) {
+      samples_per_slot_ > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument(
         "SeasonalDetectorBase: period and samples per slot must be positive");
   }
   slot_values_.resize(period_ * samples_per_slot_);
-  slot_pushes_.resize(period_);
-  slot_scratch_.resize(samples_per_slot_);
+  slot_held_.resize(period_);
+  if (robust_) slot_scratch_.resize(samples_per_slot_);
 }
 
 double SeasonalDetectorBase::feed(double value) {
   const std::size_t slot = index_ % period_;
   ++index_;
-  double* ring = &slot_values_[slot * samples_per_slot_];
-  std::uint32_t& pushes = slot_pushes_[slot];
-  const std::size_t held = std::min<std::size_t>(pushes, samples_per_slot_);
+  double* values = &slot_values_[slot * samples_per_slot_];
+  std::uint32_t& held = slot_held_[slot];
 
   double severity = 0.0;
   if (!util::is_missing(value) && held >= 1) {
-    // Oldest first: mean and stddev sum in that order.
-    const std::span<double> history{slot_scratch_.data(), held};
-    for (std::size_t i = 0; i < held; ++i) {
-      history[i] = ring[(pushes - held + i) % samples_per_slot_];
+    // Oldest first: mean and stddev sum in that order. The robust
+    // statistics select inside a copy; the slot MAD below needs only the
+    // same values, not their order.
+    std::span<double> history{values, held};
+    if (robust_) {
+      history = std::span<double>{slot_scratch_.data(), held};
+      std::copy(values, values + held, history.begin());
     }
-    // The robust statistics select inside history; the slot MAD below
-    // needs only the same values, not their order.
     const double center =
         robust_ ? util::median_in_place(history) : util::mean(history);
     if (!util::is_missing(center)) {
@@ -74,12 +77,8 @@ double SeasonalDetectorBase::feed(double value) {
         scale = robust_ ? util::mad_in_place(history) : util::stddev(history);
       } else if (residuals_.size() >= 16) {
         // The scale is taken over the signed residuals of the window.
-        if (robust_) {
-          scale = sorted_residuals_.mad();
-        } else {
-          residuals_.copy_ordered(scratch_);
-          scale = util::stddev(scratch_);
-        }
+        scale = robust_ ? sorted_residuals_.mad()
+                        : util::stddev(residuals_.window());
       }
       const double floor_scale =
           std::abs(center) * kScaleEpsilonFraction + 1e-9;
@@ -100,16 +99,18 @@ double SeasonalDetectorBase::feed(double value) {
     }
   }
   if (!util::is_missing(value)) {
-    ring[pushes % samples_per_slot_] = value;
-    if (++pushes == 2 * samples_per_slot_) {
-      pushes = static_cast<std::uint32_t>(samples_per_slot_);
+    if (held == samples_per_slot_) {
+      std::copy(values + 1, values + held, values);
+      values[held - 1] = value;
+    } else {
+      values[held++] = value;
     }
   }
   return sanitize_severity(severity);
 }
 
 void SeasonalDetectorBase::reset() {
-  std::fill(slot_pushes_.begin(), slot_pushes_.end(), 0);
+  std::fill(slot_held_.begin(), slot_held_.end(), 0);
   residuals_.clear();
   sorted_residuals_.clear();
   index_ = 0;

@@ -44,19 +44,19 @@ class SeasonalDetectorBase : public Detector {
   bool robust_ = false;  // median/MAD instead of mean/std
   ScaleSource scale_source_;
 
-  // Slot s keeps its last samples_per_slot_ values as a ring at
-  // slot_values_[s * samples_per_slot_]. slot_pushes_[s] counts the values
-  // pushed there, folded into [0, 2 * samples_per_slot_) so it never
-  // overflows. One flat buffer instead of a ring object and an allocation
-  // per slot (a week holds 1008 slots at 10-minute bins).
+  // Slot s keeps its last samples_per_slot_ values oldest first at
+  // slot_values_[s * samples_per_slot_], slot_held_[s] of them; a value
+  // pushed to a full slot shifts the others down by one (at most 35
+  // values in the standard bank). The mean and stddev then read a slot in
+  // place. One flat buffer instead of a ring object and an allocation per
+  // slot (a week holds 1008 slots at 10-minute bins).
   std::vector<double> slot_values_;
-  std::vector<std::uint32_t> slot_pushes_;
-  std::vector<double> slot_scratch_;  // a slot's values, oldest first
+  std::vector<std::uint32_t> slot_held_;
+  std::vector<double> slot_scratch_;  // the robust statistics reorder it
   RingBuffer<double> residuals_;      // recent residuals, for the scale
   // The robust recent-residual scale's sorted copy of residuals_.
   util::SortedWindow sorted_residuals_;
   std::size_t index_ = 0;
-  std::vector<double> scratch_;
 };
 
 class TsdDetector final : public SeasonalDetectorBase {

@@ -46,25 +46,32 @@ void DecisionTree::train_binned(const BinnedDataset& data,
   if (rows.empty()) {
     throw std::invalid_argument("DecisionTree::train_binned: no rows");
   }
-  nodes_.clear();
-  importances_.assign(data.num_features(), 0.0);
-
   const std::size_t num_features = data.num_features();
+  if (num_features > FlatNode::kMaxFeatures) {
+    throw std::invalid_argument(
+        "DecisionTree::train_binned: more features than a node can index");
+  }
+  nodes_.clear();
+  importances_.assign(num_features, 0.0);
+
   const std::size_t mtry =
       options_.mtry == 0 ? num_features
                          : std::min(options_.mtry, num_features);
 
+  // Nodes are grown in pop order: depth first, right child first (it is
+  // pushed last), the order rng_'s draws follow. A node's right child is
+  // then the next grown node, and left_child records its left one.
+  std::vector<FlatNode> grown;
+  std::vector<std::size_t> left_child;
   struct WorkItem {
-    std::int32_t node;
+    std::size_t parent;  // grown index of the parent (unused at the root)
+    bool is_left;
     std::size_t begin;
     std::size_t end;
     std::size_t depth;
   };
-
-  // Root.
-  nodes_.push_back(TreeNode{});
   std::stack<WorkItem> work;
-  work.push({0, 0, rows.size(), 0});
+  work.push({0, false, 0, rows.size(), 0});
 
   std::array<std::uint32_t, kNumBins> hist_total{};
   std::array<std::uint32_t, kNumBins> hist_pos{};
@@ -73,14 +80,20 @@ void DecisionTree::train_binned(const BinnedDataset& data,
     const WorkItem item = work.top();
     work.pop();
     const std::size_t n = item.end - item.begin;
+    const std::size_t at = grown.size();
+    if (item.is_left) left_child[item.parent] = at;
 
     std::size_t positives = 0;
     for (std::size_t i = item.begin; i < item.end; ++i) {
       positives += data.label(rows[i]);
     }
-    TreeNode& node = nodes_[static_cast<std::size_t>(item.node)];
-    node.anomaly_fraction =
-        static_cast<float>(positives) / static_cast<float>(n);
+    // The positive-class fraction, rounded through f32 so leaf scores
+    // keep their bits; it stays the node's value if the node is a leaf.
+    grown.push_back(FlatNode{
+        static_cast<double>(static_cast<float>(positives) /
+                            static_cast<float>(n)),
+        0, FlatNode::kLeaf});
+    left_child.push_back(0);
 
     const bool pure = positives == 0 || positives == n;
     if (pure || n < options_.min_samples_split ||
@@ -155,19 +168,39 @@ void DecisionTree::train_binned(const BinnedDataset& data,
     const std::size_t mid =
         static_cast<std::size_t>(middle - rows.begin());
 
-    const auto left_id = static_cast<std::int32_t>(nodes_.size());
-    nodes_.push_back(TreeNode{});
-    const auto right_id = static_cast<std::int32_t>(nodes_.size());
-    nodes_.push_back(TreeNode{});
+    FlatNode& node = grown[at];
+    node.feature = static_cast<std::uint8_t>(best.feature);
+    node.value = data.binner(best.feature).upper_edge(best.code);
 
-    TreeNode& parent = nodes_[static_cast<std::size_t>(item.node)];
-    parent.feature = static_cast<std::int32_t>(best.feature);
-    parent.threshold = data.binner(best.feature).upper_edge(best.code);
-    parent.left = left_id;
-    parent.right = right_id;
+    work.push({at, true, item.begin, mid, item.depth + 1});
+    work.push({at, false, mid, item.end, item.depth + 1});
+  }
 
-    work.push({left_id, item.begin, mid, item.depth + 1});
-    work.push({right_id, mid, item.end, item.depth + 1});
+  // Lay the tree out in preorder, left child first: a normal point's
+  // severities mostly sit at or below the thresholds, so its walk mostly
+  // steps to the next node, in the same or the next cache line. A right
+  // child patches its parent's offset once the left subtree is in place.
+  nodes_.clear();
+  nodes_.reserve(grown.size());
+  struct Move {
+    std::size_t from;    // grown index
+    std::size_t parent;  // nodes_ index of the parent, for a right child
+    bool is_right;
+  };
+  std::stack<Move> moves;
+  moves.push({0, 0, false});
+  while (!moves.empty()) {
+    const Move move = moves.top();
+    moves.pop();
+    const std::size_t at = nodes_.size();
+    if (move.is_right) {
+      nodes_[move.parent].right = static_cast<std::uint32_t>(at - move.parent);
+    }
+    nodes_.push_back(grown[move.from]);
+    if (!grown[move.from].is_leaf()) {
+      moves.push({move.from + 1, at, true});
+      moves.push({left_child[move.from], at, false});
+    }
   }
 }
 
@@ -175,29 +208,23 @@ double DecisionTree::score(std::span<const double> features) const {
   if (nodes_.empty()) {
     throw std::logic_error("DecisionTree::score: not trained");
   }
-  std::size_t node = 0;
-  for (;;) {
-    const TreeNode& n = nodes_[node];
-    if (n.feature < 0) return n.anomaly_fraction;
-    const double v = features[static_cast<std::size_t>(n.feature)];
-    node = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
-  }
+  const FlatNode* node = nodes_.data();
+  while (!node->is_leaf()) node = descend(node, features);
+  return node->value;
 }
 
 std::size_t DecisionTree::depth() const {
-  if (nodes_.empty()) return 0;
-  // Iterative depth computation over the implicit tree.
   std::size_t max_depth = 0;
   std::stack<std::pair<std::size_t, std::size_t>> work;
-  work.push({0, 1});
+  if (!nodes_.empty()) work.push({0, 1});
   while (!work.empty()) {
     const auto [node, d] = work.top();
     work.pop();
     max_depth = std::max(max_depth, d);
-    const TreeNode& n = nodes_[node];
-    if (n.feature >= 0) {
-      work.push({static_cast<std::size_t>(n.left), d + 1});
-      work.push({static_cast<std::size_t>(n.right), d + 1});
+    const FlatNode& n = nodes_[node];
+    if (!n.is_leaf()) {
+      work.push({node + 1, d + 1});
+      work.push({node + n.right, d + 1});
     }
   }
   return max_depth;
@@ -219,22 +246,25 @@ std::string DecisionTree::print_rules(
   while (!work.empty()) {
     auto [node, depth, prefix] = work.top();
     work.pop();
-    const TreeNode& n = nodes_[node];
+    const FlatNode& n = nodes_[node];
     const std::string indent(2 * depth, ' ');
-    if (n.feature < 0 || depth >= max_print_depth) {
+    if (n.is_leaf()) {
       out << indent << prefix
-          << (n.anomaly_fraction >= 0.5f ? "-> Anomaly" : "-> Normal")
-          << " (p=" << n.anomaly_fraction << ")\n";
+          << (n.value >= 0.5 ? "-> Anomaly" : "-> Normal")
+          << " (p=" << n.value << ")\n";
       continue;
     }
-    const auto f = static_cast<std::size_t>(n.feature);
+    if (depth >= max_print_depth) {
+      out << indent << prefix << "-> (deeper splits not shown)\n";
+      continue;
+    }
     const std::string fname =
-        f < feature_names.size() ? feature_names[f] : "feature";
+        n.feature < feature_names.size() ? feature_names[n.feature] : "feature";
     out << indent << prefix << "severity[" << fname << "]"
-        << " split at " << n.threshold << ":\n";
+        << " split at " << n.value << ":\n";
     // Right pushed first so the "<=" branch prints first.
-    work.push(PrintItem{static_cast<std::size_t>(n.right), depth + 1, ">  : "});
-    work.push(PrintItem{static_cast<std::size_t>(n.left), depth + 1, "<= : "});
+    work.push(PrintItem{node + n.right, depth + 1, ">  : "});
+    work.push(PrintItem{node + 1, depth + 1, "<= : "});
   }
   return out.str();
 }

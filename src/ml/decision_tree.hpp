@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,13 +24,31 @@ struct TreeOptions {
   std::uint64_t seed = 1;
 };
 
-struct TreeNode {
-  std::int32_t feature = -1;  // -1 marks a leaf
-  double threshold = 0.0;     // go left when value <= threshold
-  std::int32_t left = -1;
-  std::int32_t right = -1;
-  float anomaly_fraction = 0.0f;  // positive-class fraction at this node
+// One 16-byte tree node (DESIGN.md §5d). A tree's nodes sit in preorder,
+// left child first: an internal node's left child (value <= threshold)
+// is the next node, and its right child (value > threshold, or NaN) is
+// `right` nodes further on. A forest is its trees' nodes back to back in
+// one array.
+struct FlatNode {
+  static constexpr std::uint8_t kLeaf = 0xFF;
+  // Feature indices fit in the u8 below the leaf mark.
+  static constexpr std::size_t kMaxFeatures = kLeaf;
+
+  double value = 0.0;          // threshold (go left when x <= value), or
+                               // a leaf's positive-class fraction
+  std::uint32_t right = 0;     // offset of the right child; 0 for a leaf
+  std::uint8_t feature = kLeaf;
+
+  bool is_leaf() const { return feature == kLeaf; }
 };
+static_assert(sizeof(FlatNode) == 16);
+
+// One step down a tree; a leaf stays where it is.
+inline const FlatNode* descend(const FlatNode* node,
+                               std::span<const double> features) {
+  if (node->is_leaf()) return node;
+  return node + (features[node->feature] <= node->value ? 1u : node->right);
+}
 
 class DecisionTree final : public BinaryClassifier {
  public:
@@ -42,6 +61,7 @@ class DecisionTree final : public BinaryClassifier {
 
   // Grows the tree on the given rows of an already-binned dataset
   // (the random forest trains its trees through this entry point).
+  // Throws std::invalid_argument past FlatNode::kMaxFeatures features.
   void train_binned(const BinnedDataset& data,
                     std::vector<std::size_t> rows);
 
@@ -50,15 +70,11 @@ class DecisionTree final : public BinaryClassifier {
   // Leaf anomaly fraction of the feature vector.
   double score(std::span<const double> features) const override;
 
-  // Majority-class vote (the forest aggregates these).
-  bool vote(std::span<const double> features) const {
-    return score(features) >= 0.5;
-  }
-
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t depth() const;
 
-  // Total gini gain contributed by each feature (unnormalized).
+  // Total gini gain contributed by each feature (unnormalized), summed
+  // over the splits in the order they were grown.
   const std::vector<double>& feature_importances() const {
     return importances_;
   }
@@ -68,15 +84,11 @@ class DecisionTree final : public BinaryClassifier {
   std::string print_rules(const std::vector<std::string>& feature_names,
                           std::size_t max_print_depth = 3) const;
 
-  const std::vector<TreeNode>& nodes() const { return nodes_; }
-
-  // Installs a deserialized node array (see ml/serialize.hpp). The nodes
-  // must form a valid tree rooted at index 0.
-  void adopt_nodes(std::vector<TreeNode> nodes) { nodes_ = std::move(nodes); }
+  std::span<const FlatNode> nodes() const { return nodes_; }
 
  private:
   TreeOptions options_;
-  std::vector<TreeNode> nodes_;
+  std::vector<FlatNode> nodes_;
   std::vector<double> importances_;
   util::Rng rng_;
 };

@@ -1,6 +1,7 @@
 #include "ml/random_forest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,9 +22,6 @@ void RandomForest::train(const Dataset& data) {
   span.arg("features", data.num_features());
   span.arg("trees", options_.num_trees);
   obs::Stopwatch watch;
-
-  trees_.clear();
-  trained_features_ = data.num_features();
 
   const BinnedDataset binned(data);
   util::Rng rng(options_.seed);
@@ -57,14 +55,31 @@ void RandomForest::train(const Dataset& data) {
 
   // Trees grow in parallel against the shared read-only BinnedDataset;
   // each task owns its pre-seeded options, row sample, and output slot.
-  trees_.resize(options_.num_trees);
+  std::vector<DecisionTree> trees(options_.num_trees);
   util::parallel_for(options_.num_trees, [&](std::size_t t) {
     obs::ScopedSpan tree_span("forest.tree", "ml");
     tree_span.arg("index", t);
     DecisionTree tree(tree_options[t]);
     tree.train_binned(binned, std::move(tree_rows[t]));
-    trees_[t] = std::move(tree);
+    trees[t] = std::move(tree);
   });
+
+  // One array for the whole forest, and one importance vector summed in
+  // tree order; the trees themselves are dropped.
+  std::size_t total_nodes = 0;
+  for (const DecisionTree& tree : trees) total_nodes += tree.node_count();
+  nodes_.clear();
+  nodes_.reserve(total_nodes);
+  roots_.clear();
+  importances_.assign(data.num_features(), 0.0);
+  for (const DecisionTree& tree : trees) {
+    roots_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+    nodes_.insert(nodes_.end(), tree.nodes().begin(), tree.nodes().end());
+    const std::vector<double>& imp = tree.feature_importances();
+    for (std::size_t f = 0; f < importances_.size(); ++f) {
+      importances_[f] += imp[f];
+    }
+  }
 
   obs::counter("opprentice.forest.trains").add();
   obs::histogram("opprentice.forest.train.ms").record(watch.elapsed_ms());
@@ -72,36 +87,75 @@ void RandomForest::train(const Dataset& data) {
     obs::log(obs::LogLevel::kInfo, "forest", "train_done",
              {{"rows", data.num_rows()},
               {"features", data.num_features()},
-              {"trees", trees_.size()},
+              {"trees", roots_.size()},
               {"ms", watch.elapsed_ms()}});
   }
 }
 
+std::span<const FlatNode> RandomForest::tree_nodes(std::size_t t) const {
+  const std::size_t end =
+      t + 1 < roots_.size() ? roots_[t + 1] : nodes_.size();
+  return std::span<const FlatNode>(nodes_).subspan(roots_[t], end - roots_[t]);
+}
+
+void RandomForest::adopt(std::vector<FlatNode> nodes,
+                         std::vector<std::uint32_t> roots,
+                         std::size_t num_features) {
+  nodes_ = std::move(nodes);
+  roots_ = std::move(roots);
+  importances_.assign(num_features, 0.0);
+}
+
+std::size_t RandomForest::count_votes(std::span<const double> features) const {
+  // kLanes trees are walked side by side: their node loads do not depend
+  // on each other, so the cache misses of one walk overlap the others'.
+  // Votes are integers, so their sum does not depend on the order.
+  constexpr std::size_t kLanes = 8;
+  const FlatNode* base = nodes_.data();
+  const std::size_t trees = roots_.size();
+  std::size_t votes = 0;
+  std::size_t t = 0;
+  for (; t + kLanes <= trees; t += kLanes) {
+    std::array<const FlatNode*, kLanes> at{};
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      at[lane] = base + roots_[t + lane];
+    }
+    bool walking = true;
+    while (walking) {
+      walking = false;
+      for (const FlatNode*& node : at) {
+        node = descend(node, features);
+        walking = walking || !node->is_leaf();
+      }
+    }
+    for (const FlatNode* leaf : at) votes += leaf->value >= 0.5 ? 1 : 0;
+  }
+  for (; t < trees; ++t) {
+    const FlatNode* node = base + roots_[t];
+    while (!node->is_leaf()) node = descend(node, features);
+    votes += node->value >= 0.5 ? 1 : 0;
+  }
+  return votes;
+}
+
 double RandomForest::score(std::span<const double> features) const {
-  if (trees_.empty()) {
+  if (roots_.empty()) {
     throw std::logic_error("RandomForest::score: not trained");
   }
   // Hot path (§5.8: classification must stay << extraction): one relaxed
   // counter add always; clock reads only under detailed timing.
   static obs::Counter& scores_counter = obs::counter("opprentice.forest.scores");
-  const auto count_votes = [&] {
-    std::size_t votes = 0;
-    for (const auto& tree : trees_) {
-      votes += tree.vote(features) ? 1 : 0;
-    }
-    return votes;
-  };
   std::size_t votes = 0;
   if (obs::detailed_timing_enabled()) {
     static obs::Histogram& score_histogram = obs::histogram("opprentice.forest.score.us");
     const obs::Stopwatch watch;
-    votes = count_votes();
+    votes = count_votes(features);
     score_histogram.record(watch.elapsed_us());
   } else {
-    votes = count_votes();
+    votes = count_votes(features);
   }
   scores_counter.add();
-  return static_cast<double>(votes) / static_cast<double>(trees_.size());
+  return static_cast<double>(votes) / static_cast<double>(roots_.size());
 }
 
 bool RandomForest::classify(std::span<const double> features,
@@ -110,16 +164,15 @@ bool RandomForest::classify(std::span<const double> features,
 }
 
 std::vector<double> RandomForest::score_all(const Dataset& data) const {
-  if (trees_.empty()) {
+  if (roots_.empty()) {
     throw std::logic_error("RandomForest::score_all: not trained");
   }
   obs::ScopedSpan span("forest.score_all", "ml");
   span.arg("rows", data.num_rows());
   std::vector<double> scores(data.num_rows(), 0.0);
-  // Rows fan out across the pool; within a row the trees are evaluated
-  // in fixed order and votes are an integer sum, so every score is
-  // bit-identical at any thread count. Chunked: one row is ~50 tree
-  // walks, far smaller than a dispatch.
+  // Rows fan out across the pool; a row's votes are an integer sum, so
+  // every score is bit-identical at any thread count. Chunked: one row is
+  // ~50 tree walks, far smaller than a dispatch.
   util::parallel_for(
       data.num_rows(),
       [&](std::size_t i) { scores[i] = score(data.row(i)); },
@@ -128,13 +181,7 @@ std::vector<double> RandomForest::score_all(const Dataset& data) const {
 }
 
 std::vector<double> RandomForest::feature_importances() const {
-  std::vector<double> total(trained_features_, 0.0);
-  for (const auto& tree : trees_) {
-    const auto& imp = tree.feature_importances();
-    for (std::size_t f = 0; f < total.size() && f < imp.size(); ++f) {
-      total[f] += imp[f];
-    }
-  }
+  std::vector<double> total = importances_;
   double sum = 0.0;
   for (double v : total) sum += v;
   if (sum > 0.0) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/decision_tree.hpp"
@@ -33,7 +34,7 @@ class RandomForest final : public BinaryClassifier {
   std::string name() const override { return "random_forest"; }
 
   void train(const Dataset& data) override;
-  bool is_trained() const override { return !trees_.empty(); }
+  bool is_trained() const override { return !roots_.empty(); }
 
   // Fraction of trees voting anomaly, in [0, 1].
   double score(std::span<const double> features) const override;
@@ -46,24 +47,30 @@ class RandomForest final : public BinaryClassifier {
   // score >= cthld; 0.5 is the default majority vote.
   bool classify(std::span<const double> features, double cthld = 0.5) const;
 
-  std::size_t tree_count() const { return trees_.size(); }
-  const std::vector<DecisionTree>& trees() const { return trees_; }
+  std::size_t tree_count() const { return roots_.size(); }
 
-  // Mean per-tree gini importance, normalized to sum to 1. Shows which
-  // detector configurations the forest actually relies on.
+  // Tree t's nodes (see FlatNode), a slice of the forest's one array.
+  std::span<const FlatNode> tree_nodes(std::size_t t) const;
+
+  // Per-feature gini importance summed over the trees at train time,
+  // normalized to sum to 1. Shows which detector configurations the
+  // forest actually relies on. All zero for a loaded forest.
   std::vector<double> feature_importances() const;
 
-  // Installs deserialized trees (see ml/serialize.hpp).
-  void adopt_trees(std::vector<DecisionTree> trees,
-                   std::size_t num_features) {
-    trees_ = std::move(trees);
-    trained_features_ = num_features;
-  }
+  // Installs a deserialized forest (see ml/serialize.hpp): `nodes` holds
+  // the trees back to back, tree t starting at roots[t]. Every internal
+  // node's feature must be below `num_features` and both its children
+  // inside its own tree, after it; load_forest checks this.
+  void adopt(std::vector<FlatNode> nodes, std::vector<std::uint32_t> roots,
+             std::size_t num_features);
 
  private:
+  std::size_t count_votes(std::span<const double> features) const;
+
   ForestOptions options_;
-  std::vector<DecisionTree> trees_;
-  std::size_t trained_features_ = 0;
+  std::vector<FlatNode> nodes_;       // every tree, in tree order
+  std::vector<std::uint32_t> roots_;  // where each tree starts in nodes_
+  std::vector<double> importances_;   // unnormalized, summed in tree order
 };
 
 }  // namespace opprentice::ml

@@ -1,5 +1,7 @@
 #include "ml/serialize.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -8,7 +10,7 @@ namespace opprentice::ml {
 namespace {
 
 constexpr const char* kMagic = "opprentice-forest";
-constexpr const char* kVersion = "v1";
+constexpr const char* kVersion = "v2";
 
 // Feature names may contain spaces in principle; encode them URL-style.
 std::string encode_name(const std::string& name) {
@@ -52,6 +54,15 @@ std::string decode_name(const std::string& encoded) {
   return out;
 }
 
+// Thresholds can be infinite (an edge between -inf and a finite value)
+// or NaN (between -inf and +inf); std::from_chars reads back the "inf",
+// "-inf" and "nan" that operator<< writes, where operator>> would fail.
+bool parse_double(const std::string& token, double& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 void save_forest(std::ostream& out, const RandomForest& forest,
@@ -66,11 +77,16 @@ void save_forest(std::ostream& out, const RandomForest& forest,
   for (const auto& name : feature_names) out << ' ' << encode_name(name);
   out << '\n';
   out.precision(17);
-  for (const auto& tree : forest.trees()) {
-    out << "tree " << tree.node_count() << '\n';
-    for (const auto& node : tree.nodes()) {
-      out << node.feature << ' ' << node.threshold << ' ' << node.left << ' '
-          << node.right << ' ' << node.anomaly_fraction << '\n';
+  for (std::size_t t = 0; t < forest.tree_count(); ++t) {
+    const std::span<const FlatNode> nodes = forest.tree_nodes(t);
+    out << "tree " << nodes.size() << '\n';
+    for (const FlatNode& node : nodes) {
+      if (node.is_leaf()) {
+        out << "-1 " << node.value << " 0\n";
+      } else {
+        out << static_cast<unsigned>(node.feature) << ' ' << node.value << ' '
+            << node.right << '\n';
+      }
     }
   }
 }
@@ -100,29 +116,50 @@ LoadedForest load_forest(std::istream& in) {
     loaded.feature_names.push_back(decode_name(token));
   }
 
-  std::vector<DecisionTree> trees;
-  trees.reserve(num_trees);
+  if (num_trees == 0) {
+    throw std::runtime_error("load_forest: no trees");
+  }
+  // A tree walk must only ever move forward inside its own tree, so that
+  // it ends at a leaf: every internal node's left child (the next node)
+  // and right child (`right` further on) lie after it and inside the
+  // tree.
+  std::vector<FlatNode> nodes;
+  std::vector<std::uint32_t> roots;
   for (std::size_t t = 0; t < num_trees; ++t) {
     std::size_t num_nodes = 0;
     if (!(in >> token >> num_nodes) || token != "tree") {
       throw std::runtime_error("load_forest: malformed tree header");
     }
-    std::vector<TreeNode> nodes(num_nodes);
-    for (auto& node : nodes) {
-      if (!(in >> node.feature >> node.threshold >> node.left >>
-            node.right >> node.anomaly_fraction)) {
+    if (num_nodes == 0) {
+      throw std::runtime_error("load_forest: empty tree");
+    }
+    roots.push_back(static_cast<std::uint32_t>(nodes.size()));
+    for (std::size_t i = 0; i < num_nodes; ++i) {
+      std::int64_t feature = 0;
+      double value = 0.0;
+      std::int64_t right = 0;
+      if (!(in >> feature >> token >> right)) {
         throw std::runtime_error("load_forest: truncated tree nodes");
       }
-      const auto limit = static_cast<std::int32_t>(num_nodes);
-      if (node.feature >= static_cast<std::int32_t>(num_features) ||
-          node.left >= limit || node.right >= limit) {
-        throw std::runtime_error("load_forest: node indices out of range");
+      if (!parse_double(token, value)) {
+        throw std::runtime_error("load_forest: malformed node value");
       }
+      if (feature < 0) {
+        nodes.push_back(FlatNode{value, 0, FlatNode::kLeaf});
+        continue;
+      }
+      if (static_cast<std::uint64_t>(feature) >= num_features ||
+          static_cast<std::uint64_t>(feature) >= FlatNode::kMaxFeatures) {
+        throw std::runtime_error("load_forest: feature index out of range");
+      }
+      if (right < 2 || static_cast<std::uint64_t>(right) >= num_nodes - i) {
+        throw std::runtime_error("load_forest: child offset out of range");
+      }
+      nodes.push_back(FlatNode{value, static_cast<std::uint32_t>(right),
+                               static_cast<std::uint8_t>(feature)});
     }
-    trees.emplace_back();
-    trees.back().adopt_nodes(std::move(nodes));
   }
-  loaded.forest.adopt_trees(std::move(trees), num_features);
+  loaded.forest.adopt(std::move(nodes), std::move(roots), num_features);
   return loaded;
 }
 

@@ -84,9 +84,20 @@ double mean(std::span<const double> xs) {
 }
 
 double variance(std::span<const double> xs) {
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  return rs.count() == 0 ? kNaN : rs.variance();
+  // Two passes in index order over the span itself: the mean, then the
+  // mean squared deviation from it. No division per element, unlike
+  // RunningStats, and as accurate.
+  const double m = mean(xs);
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (double x : xs) {
+    if (!is_missing(x)) {
+      const double d = x - m;
+      sum += d * d;
+      ++n;
+    }
+  }
+  return n == 0 ? kNaN : sum / static_cast<double>(n);
 }
 
 double stddev(std::span<const double> xs) {

@@ -405,6 +405,67 @@ TEST(DetectorBoundary, ZeroFaultExtractionMatchesUnguardedLoop) {
   }
 }
 
+// detector.throw strikes after the configuration has seen the point, so
+// only the struck point is lost: a period-indexed detector (seasonal slot,
+// SVD phase, Holt-Winters season) stays in step with the stream, and with
+// quarantine off every other point equals the clean run's, in all 133
+// columns, streaming and batch alike.
+TEST(DetectorBoundary, InjectedThrowCostsOnlyTheStruckPoint) {
+  util::clear_fault_plan();
+  // Hourly bins keep six weeks of the full bank cheap.
+  const detectors::SeriesContext ctx{24, 168};
+  const std::size_t n = 6 * ctx.points_per_week;
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    values[i] = 100.0 + 20.0 * std::sin(t * 0.2618) +
+                5.0 * std::sin(t * 0.0374) + 3.0 * std::cos(t * 1.7);
+  }
+  const ts::TimeSeries series("throw", 1700000000, 3600, values);
+  detectors::FaultBoundary boundary;
+  boundary.quarantine_after = 0;
+  boundary.key_salt = 0x5eed;
+
+  const auto stream = [&] {
+    detectors::StreamingExtractor extractor(
+        detectors::standard_configurations(ctx), boundary);
+    std::vector<std::vector<double>> rows;
+    for (const double v : values) rows.push_back(extractor.feed(v));
+    return rows;
+  };
+  const detectors::FeatureMatrix clean_batch = detectors::extract_features(
+      series, detectors::standard_configurations(ctx), boundary);
+  const std::vector<std::vector<double>> clean_stream = stream();
+  ASSERT_EQ(clean_batch.num_features(), 133u);
+
+  util::FaultPlan plan;
+  plan.seed = 31;
+  plan.rates["detector.throw"] = 0.05;
+  const PlanGuard guard(plan);
+  const detectors::FeatureMatrix batch = detectors::extract_features(
+      series, detectors::standard_configurations(ctx), boundary);
+  const std::vector<std::vector<double>> streamed = stream();
+  EXPECT_EQ(batch.num_quarantined(), 0u);
+
+  std::size_t struck = 0;
+  for (std::size_t f = 0; f < clean_batch.num_features(); ++f) {
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t key = util::fault_key(f, i) ^ boundary.key_salt;
+      if (util::fault_fires(util::faults::kDetectorThrow, key)) {
+        ++struck;
+        EXPECT_EQ(batch.columns[f][i], boundary.neutral);
+        EXPECT_EQ(streamed[i][f], boundary.neutral);
+        continue;
+      }
+      mismatches += batch.columns[f][i] != clean_batch.columns[f][i] ? 1 : 0;
+      mismatches += streamed[i][f] != clean_stream[i][f] ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << clean_batch.feature_names[f];
+  }
+  EXPECT_GT(struck, n);  // ~5% of 133 columns x n points
+}
+
 // ---- end-to-end: the weekly driver under fire ----------------------------
 
 TEST(ChaosPipeline, WeeklyDriverSurvivesDetectorAndForestFaults) {

@@ -1,11 +1,13 @@
-// Oracle for the incremental SVD, wavelet and MAD detectors (DESIGN.md
-// §6): each configuration runs beside the plain per-point implementation
-// it replaced (tests/reference_detectors.*) over long seeded streams at
-// 10-minute bins with NaN runs, constant and zero stretches, a zero-mean
-// stretch, ±inf and ±1e300 spikes. SVD and wavelet severities must agree
-// within 1e-9·(1 + max|x| over the detector's window); TSD-MAD and
-// historical MAD, bit for bit. The full streaming bank must match the
-// reference bank column by column under the same rule.
+// Oracle for the incremental SVD, wavelet and MAD detectors and the
+// seasonal detectors' two-pass stddev (DESIGN.md §6): each configuration
+// runs beside the plain per-point implementation it replaced
+// (tests/reference_detectors.*) over long seeded streams at 10-minute
+// bins with NaN runs, constant and zero stretches, a zero-mean stretch,
+// ±inf and ±1e300 spikes. SVD, wavelet, TSD and historical-average
+// severities must agree within 1e-9·(1 + max|x| over the detector's
+// window); TSD-MAD and historical MAD, bit for bit. The full streaming
+// bank must match the reference bank column by column under the same
+// rule.
 //
 // ctest label: chaos (CI runs it under ASan/UBSan).
 #include <gtest/gtest.h>
@@ -200,6 +202,14 @@ TEST(DetectorOracle, WaveletWithinToleranceOfBandReconstruction) {
   expect_family_matches_reference("wavelet", /*exact=*/false, 12);
 }
 
+TEST(DetectorOracle, TsdWithinToleranceOfWelford) {
+  expect_family_matches_reference("tsd", /*exact=*/false, 17);
+}
+
+TEST(DetectorOracle, HistoricalAverageWithinToleranceOfWelford) {
+  expect_family_matches_reference("historical_average", /*exact=*/false, 18);
+}
+
 TEST(DetectorOracle, TsdMadBitIdentical) {
   expect_family_matches_reference("tsd_mad", /*exact=*/true, 13);
 }
@@ -219,7 +229,8 @@ TEST(DetectorOracle, StreamingBankMatchesReferenceBank) {
   std::vector<ColumnCheck> columns;
   for (const DetectorPtr& d : standard_configurations(kCtx)) {
     const std::string family = family_of(d->name());
-    const bool tolerant = family == "svd" || family == "wavelet";
+    const bool tolerant = family == "svd" || family == "wavelet" ||
+                          family == "tsd" || family == "historical_average";
     columns.emplace_back(d->name(), !tolerant, d->warmup_points());
   }
   for (std::size_t i = 0; i < xs.size(); ++i) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -97,6 +98,55 @@ TEST(Serialize, TruncatedInputThrows) {
 TEST(Serialize, VersionMismatchThrows) {
   std::stringstream buffer("opprentice-forest v999\ntrees 0 features 0\n");
   EXPECT_THROW(ml::load_forest(buffer), std::runtime_error);
+}
+
+// One tree over features a, b: a <= 1.5 goes to the next node (fraction
+// 0), anything else, NaN included, to the node two on (fraction 1).
+std::string forest_text(const std::string& nodes, std::size_t count = 3,
+                        const std::string& version = "v2") {
+  return "opprentice-forest " + version +
+         "\ntrees 1 features 2\nnames a b\ntree " + std::to_string(count) +
+         "\n" + nodes;
+}
+
+const std::string kValidNodes = "0 1.5 2\n-1 0 0\n-1 1 0\n";
+
+TEST(Serialize, HandWrittenTreeLoadsAndScores) {
+  std::stringstream buffer(forest_text(kValidNodes));
+  const ml::LoadedForest loaded = ml::load_forest(buffer);
+  EXPECT_EQ(loaded.forest.score(std::vector<double>{1.0, 0.0}), 0.0);
+  EXPECT_EQ(loaded.forest.score(std::vector<double>{2.0, 0.0}), 1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(loaded.forest.score(std::vector<double>{nan, 0.0}), 1.0);
+}
+
+TEST(Serialize, VersionOneIsRefused) {
+  std::stringstream buffer(forest_text(kValidNodes, 3, "v1"));
+  EXPECT_THROW(ml::load_forest(buffer), std::runtime_error);
+}
+
+// Trees a walk could leave (reading out of bounds) or never finish.
+TEST(Serialize, MalformedTreesAreRefused) {
+  const struct {
+    const char* what;
+    std::string text;
+  } cases[] = {
+      {"self-loop", forest_text("0 1.5 0\n-1 1 0\n-1 0 0\n")},
+      {"right child is the left child",
+       forest_text("0 1.5 1\n-1 1 0\n-1 0 0\n")},
+      {"backward offset", forest_text("0 1.5 2\n1 0.5 -1\n-1 0 0\n")},
+      {"negative offset", forest_text("0 1.5 -7\n-1 1 0\n-1 0 0\n")},
+      {"offset past the tree", forest_text("0 1.5 3\n-1 1 0\n-1 0 0\n")},
+      {"internal last node", forest_text("-1 1 0\n-1 0 0\n0 1.5 2\n")},
+      {"feature past the count", forest_text("2 1.5 2\n-1 1 0\n-1 0 0\n")},
+      {"truncated tree", forest_text("0 1.5 2\n-1 1 0\n")},
+      {"empty tree", forest_text("", 0)},
+      {"malformed value", forest_text("0 1.5x 2\n-1 1 0\n-1 0 0\n")},
+  };
+  for (const auto& c : cases) {
+    std::stringstream buffer(c.text);
+    EXPECT_THROW(ml::load_forest(buffer), std::runtime_error) << c.what;
+  }
 }
 
 // ---- mRMR ----

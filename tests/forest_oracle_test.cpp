@@ -5,6 +5,9 @@
 //  - DecisionTree::train_binned scans occupied bins only; its trees must
 //    equal the dense scan's (tests/reference_tree.*) node for node:
 //    feature, threshold bits, children and leaf fraction.
+//  - RandomForest scores its one flat node array a few trees at a time;
+//    every score must equal the index walk over the reference trees bit
+//    for bit, also after save_forest → load_forest.
 // Columns carry NaN, ±inf, −0.0/+0.0, ties, constants, all-NaN, a lone
 // value, and more distinct values than there are bins.
 //
@@ -16,12 +19,16 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ml/binning.hpp"
 #include "ml/dataset.hpp"
 #include "ml/decision_tree.hpp"
+#include "ml/random_forest.hpp"
+#include "ml/serialize.hpp"
 #include "reference_tree.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -173,21 +180,21 @@ std::vector<std::uint8_t> random_labels(
   return labels;
 }
 
-void expect_same_nodes(const std::vector<TreeNode>& got,
-                       const std::vector<TreeNode>& want,
+void expect_same_nodes(std::span<const FlatNode> got,
+                       const std::vector<FlatNode>& want,
                        const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].feature, want[i].feature) << context << " node " << i;
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].threshold),
-              std::bit_cast<std::uint64_t>(want[i].threshold))
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
+              std::bit_cast<std::uint64_t>(want[i].value))
         << context << " node " << i;
-    ASSERT_EQ(got[i].left, want[i].left) << context << " node " << i;
     ASSERT_EQ(got[i].right, want[i].right) << context << " node " << i;
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i].anomaly_fraction),
-              std::bit_cast<std::uint32_t>(want[i].anomaly_fraction))
-        << context << " node " << i;
   }
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 TEST(TreeOracle, OccupiedBinScanMatchesDenseScanNodeForNode) {
@@ -222,12 +229,78 @@ TEST(TreeOracle, OccupiedBinScanMatchesDenseScanNodeForNode) {
 
     DecisionTree tree(options);
     tree.train_binned(binned, sample);
-    const std::vector<TreeNode> want =
+    const std::vector<reference::TreeNode> want =
         reference::train_binned_dense(binned, sample, options);
-    expect_same_nodes(tree.nodes(), want, "round " + std::to_string(round));
+    expect_same_nodes(tree.nodes(), reference::flatten(want),
+                      "round " + std::to_string(round));
     internal_nodes += (want.size() - 1) / 2;
   }
   // The rounds must actually grow trees, not stop at the root.
+  EXPECT_GT(internal_nodes, 1000u);
+}
+
+// The flat forest against the index walk over the reference trees: the
+// same nodes tree by tree, and bit-identical scores from score(),
+// score_all() and a save→load round trip, at every swept thread count.
+// Tree counts that are not a multiple of the scoring lanes included.
+TEST(ForestOracle, FlatScoresEqualIndexWalkAndSurviveSaveLoad) {
+  util::Rng rng(8086);
+  std::size_t internal_nodes = 0;
+  for (int round = 0; round < 24; ++round) {
+    const std::size_t rows = 2 + rng.uniform_int(600);
+    const std::size_t features = 1 + rng.uniform_int(24);
+    std::vector<std::vector<double>> columns;
+    std::vector<std::vector<double>> queries;
+    for (std::size_t f = 0; f < features; ++f) {
+      columns.push_back(random_column(rng, rows));
+      queries.push_back(random_column(rng, 200));
+    }
+    std::vector<std::uint8_t> labels = random_labels(rng, columns);
+    const Dataset data(std::vector<std::string>(features, "f"),
+                       std::move(columns), std::move(labels));
+    const Dataset probe(std::vector<std::string>(features, "f"),
+                        std::move(queries), std::vector<std::uint8_t>(200, 0));
+
+    ForestOptions options;
+    options.num_trees = 1 + rng.uniform_int(13);
+    options.seed = rng.next_u64();
+    options.mtry = rng.uniform_int(2) == 0 ? 0 : 1 + rng.uniform_int(features);
+    options.max_depth = rng.uniform_int(3) == 0 ? 1 + rng.uniform_int(6) : 64;
+    const std::vector<std::vector<reference::TreeNode>> want =
+        reference::train_forest_dense(data, options);
+
+    for (std::size_t threads : kThreadSweep) {
+      util::set_global_threads(threads);
+      const std::string context = "round " + std::to_string(round) +
+                                  " threads " + std::to_string(threads);
+      RandomForest forest(options);
+      forest.train(data);
+      ASSERT_EQ(forest.tree_count(), want.size()) << context;
+      for (std::size_t t = 0; t < want.size(); ++t) {
+        expect_same_nodes(forest.tree_nodes(t), reference::flatten(want[t]),
+                          context + " tree " + std::to_string(t));
+        if (threads == 1) internal_nodes += (want[t].size() - 1) / 2;
+      }
+
+      std::stringstream file;
+      save_forest(file, forest, data.feature_names());
+      const LoadedForest loaded = load_forest(file);
+      for (const Dataset* rows_of : {&data, &probe}) {
+        const std::vector<double> all = forest.score_all(*rows_of);
+        const std::vector<double> loaded_all =
+            loaded.forest.score_all(*rows_of);
+        for (std::size_t r = 0; r < rows_of->num_rows(); ++r) {
+          const std::vector<double> row = rows_of->row(r);
+          const double ref = reference::score_forest(want, row);
+          ASSERT_TRUE(same_bits(forest.score(row), ref)) << context;
+          ASSERT_TRUE(same_bits(all[r], ref)) << context << " row " << r;
+          ASSERT_TRUE(same_bits(loaded.forest.score(row), ref)) << context;
+          ASSERT_TRUE(same_bits(loaded_all[r], ref)) << context;
+        }
+      }
+    }
+  }
+  util::set_global_threads(0);
   EXPECT_GT(internal_nodes, 1000u);
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -113,9 +114,8 @@ double WaveletDetector::feed(double value) {
   history_.push(value);
   if (!history_.full()) return 0.0;
 
-  history_.copy_ordered(scratch_);
   const std::vector<double> band_signal =
-      util::band_reconstruction(scratch_, band_);
+      util::band_reconstruction(history_.window(), band_);
   const double severity =
       band_ == util::FrequencyBand::kLow
           ? std::abs(band_signal.back() - util::median(band_signal))
@@ -129,65 +129,87 @@ void WaveletDetector::reset() {
   last_value_ = 0.0;
 }
 
-// ---- TSD-MAD and historical MAD ----
+// ---- Seasonal families ----
 
-SeasonalMadDetector::SeasonalMadDetector(Kind kind, std::size_t win_weeks,
-                                         const SeriesContext& ctx)
+namespace {
+
+// Population stddev by Welford's update, one division per element.
+double welford_stddev(std::span<const double> xs) {
+  util::RunningStats stats;
+  for (const double x : xs) stats.add(x);
+  return stats.stddev();
+}
+
+}  // namespace
+
+SeasonalDetector::SeasonalDetector(Kind kind, std::size_t win_weeks,
+                                   const SeriesContext& ctx)
     : kind_(kind),
       win_weeks_(win_weeks),
       ctx_(ctx),
-      period_(kind == Kind::kTsdMad ? ctx.points_per_week
-                                    : ctx.points_per_day),
+      period_(historical() ? ctx.points_per_day : ctx.points_per_week),
       residuals_(ctx.points_per_day) {
-  const std::size_t samples =
-      kind == Kind::kTsdMad ? win_weeks : 7 * win_weeks;
+  const std::size_t samples = historical() ? 7 * win_weeks : win_weeks;
   slots_.reserve(period_);
   for (std::size_t i = 0; i < period_; ++i) slots_.emplace_back(samples);
 }
 
-std::string SeasonalMadDetector::name() const {
+bool SeasonalDetector::robust() const {
+  return kind_ == Kind::kTsdMad || kind_ == Kind::kHistoricalMad;
+}
+
+bool SeasonalDetector::historical() const {
+  return kind_ == Kind::kHistoricalAverage || kind_ == Kind::kHistoricalMad;
+}
+
+std::string SeasonalDetector::name() const {
+  const char* base = "";
+  switch (kind_) {
+    case Kind::kTsd: base = "tsd"; break;
+    case Kind::kTsdMad: base = "tsd_mad"; break;
+    case Kind::kHistoricalAverage: base = "historical_average"; break;
+    case Kind::kHistoricalMad: base = "historical_mad"; break;
+  }
   std::ostringstream out;
-  out << (kind_ == Kind::kTsdMad ? "tsd_mad" : "historical_mad")
-      << "(win=" << win_weeks_ << "w)";
+  out << base << "(win=" << win_weeks_ << "w)";
   return out.str();
 }
 
-std::size_t SeasonalMadDetector::warmup_points() const {
-  return kind_ == Kind::kTsdMad ? ctx_.points_per_week
-                                : 3 * ctx_.points_per_day;
+std::size_t SeasonalDetector::warmup_points() const {
+  return historical() ? 3 * ctx_.points_per_day : ctx_.points_per_week;
 }
 
-double SeasonalMadDetector::feed(double value) {
+double SeasonalDetector::feed(double value) {
   const std::size_t slot = index_ % period_;
   ++index_;
   RingBuffer<double>& history = slots_[slot];
 
   double severity = 0.0;
   if (!util::is_missing(value) && history.size() >= 1) {
-    history.copy_ordered(scratch_);
-    const double center = util::median(scratch_);
+    const std::span<const double> held = history.window();
+    const double center = robust() ? util::median(held) : util::mean(held);
     if (!util::is_missing(center)) {
       const double residual = value - center;
       double scale = std::numeric_limits<double>::quiet_NaN();
-      if (kind_ == Kind::kHistoricalMad) {
-        scale = util::mad(scratch_);
+      if (historical()) {
+        scale = robust() ? util::mad(held) : welford_stddev(held);
       } else if (residuals_.size() >= 16) {
-        residuals_.copy_ordered(scratch_);
-        scale = util::mad(scratch_);
+        scale = robust() ? util::mad(residuals_.window())
+                         : welford_stddev(residuals_.window());
       }
       const double floor_scale =
           std::abs(center) * kScaleEpsilonFraction + 1e-9;
       if (!util::is_missing(scale)) {
         severity = std::abs(residual) / std::max(scale, floor_scale);
       }
-      if (kind_ == Kind::kTsdMad) residuals_.push(residual);
+      if (!historical()) residuals_.push(residual);
     }
   }
   if (!util::is_missing(value)) history.push(value);
   return sanitize_severity(severity);
 }
 
-void SeasonalMadDetector::reset() {
+void SeasonalDetector::reset() {
   for (auto& s : slots_) s.clear();
   residuals_.clear();
   index_ = 0;
@@ -196,12 +218,14 @@ void SeasonalMadDetector::reset() {
 // ---- Banks ----
 
 bool has_reference(const std::string& family) {
-  return family == "svd" || family == "wavelet" || family == "tsd_mad" ||
+  return family == "svd" || family == "wavelet" || family == "tsd" ||
+         family == "tsd_mad" || family == "historical_average" ||
          family == "historical_mad";
 }
 
 std::vector<DetectorPtr> reference_family(const std::string& family,
                                           const SeriesContext& ctx) {
+  using Kind = SeasonalDetector::Kind;
   std::vector<DetectorPtr> out;
   if (family == "svd") {
     for (std::size_t rows : kSvdRows) {
@@ -215,12 +239,13 @@ std::vector<DetectorPtr> reference_family(const std::string& family,
         out.push_back(std::make_unique<WaveletDetector>(days, band, ctx));
       }
     }
-  } else if (family == "tsd_mad" || family == "historical_mad") {
-    const auto kind = family == "tsd_mad"
-                          ? SeasonalMadDetector::Kind::kTsdMad
-                          : SeasonalMadDetector::Kind::kHistoricalMad;
+  } else if (has_reference(family)) {
+    const Kind kind = family == "tsd"                  ? Kind::kTsd
+                      : family == "tsd_mad"            ? Kind::kTsdMad
+                      : family == "historical_average" ? Kind::kHistoricalAverage
+                                                       : Kind::kHistoricalMad;
     for (std::size_t weeks : kWeekWindows) {
-      out.push_back(std::make_unique<SeasonalMadDetector>(kind, weeks, ctx));
+      out.push_back(std::make_unique<SeasonalDetector>(kind, weeks, ctx));
     }
   } else {
     throw std::invalid_argument("no reference detector for family '" +

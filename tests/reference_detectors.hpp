@@ -1,8 +1,8 @@
 // Test-only reference detectors: the plain per-point implementations of
-// the SVD, wavelet and robust seasonal detectors, which recompute their
+// the SVD, wavelet and seasonal detectors, which recompute their
 // statistic from the whole window on every point (util::svd,
-// util::band_reconstruction, util::median/util::mad). The incremental
-// detectors in src/detectors are checked against them by
+// util::band_reconstruction, util::median/util::mad, Welford's stddev).
+// The detectors in src/detectors are checked against them by
 // tests/detector_oracle_test.cpp.
 #pragma once
 
@@ -53,18 +53,19 @@ class WaveletDetector final : public Detector {
   RingBuffer<double> history_;
   double last_value_ = 0.0;
   bool has_last_ = false;
-  std::vector<double> scratch_;
 };
 
-// TSD-MAD (median of the same slot over past weeks, MAD of a day of
-// recent residuals) or historical MAD (median and MAD of the same slot
-// over past days), each statistic through util::median/util::mad.
-class SeasonalMadDetector final : public Detector {
+// The four seasonal families as they were first written: a ring per
+// slot, and each statistic through util::median/util::mad (TSD-MAD,
+// historical MAD) or util::mean and Welford's stddev (TSD, historical
+// average). TSD and TSD-MAD center on the same slot over past weeks and
+// scale by a day of recent residuals; the historical families center
+// and scale on the same slot over past days.
+class SeasonalDetector final : public Detector {
  public:
-  enum class Kind { kTsdMad, kHistoricalMad };
+  enum class Kind { kTsd, kTsdMad, kHistoricalAverage, kHistoricalMad };
 
-  SeasonalMadDetector(Kind kind, std::size_t win_weeks,
-                      const SeriesContext& ctx);
+  SeasonalDetector(Kind kind, std::size_t win_weeks, const SeriesContext& ctx);
 
   std::string name() const override;
   std::size_t warmup_points() const override;
@@ -72,6 +73,9 @@ class SeasonalMadDetector final : public Detector {
   void reset() override;
 
  private:
+  bool robust() const;
+  bool historical() const;
+
   Kind kind_;
   std::size_t win_weeks_ = 0;
   SeriesContext ctx_;
@@ -79,10 +83,9 @@ class SeasonalMadDetector final : public Detector {
   std::vector<RingBuffer<double>> slots_;
   RingBuffer<double> residuals_;
   std::size_t index_ = 0;
-  std::vector<double> scratch_;
 };
 
-// True for the families above: svd, wavelet, tsd_mad, historical_mad.
+// True for the families above: svd, wavelet and the four seasonal ones.
 bool has_reference(const std::string& family);
 
 // One family's configurations in registry order, as reference detectors.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <stack>
@@ -129,6 +130,80 @@ std::vector<TreeNode> train_binned_dense(const BinnedDataset& data,
     work.push({right_id, mid, item.end, item.depth + 1});
   }
   return nodes;
+}
+
+std::vector<FlatNode> flatten(const std::vector<TreeNode>& nodes) {
+  std::vector<FlatNode> flat;
+  // (node index, position of the parent whose right child it is, or -1).
+  std::vector<std::pair<std::size_t, std::ptrdiff_t>> work{{0, -1}};
+  while (!work.empty()) {
+    const auto [index, right_of] = work.back();
+    work.pop_back();
+    if (right_of >= 0) {
+      flat[static_cast<std::size_t>(right_of)].right =
+          static_cast<std::uint32_t>(flat.size() -
+                                     static_cast<std::size_t>(right_of));
+    }
+    const TreeNode& node = nodes[index];
+    const auto at = static_cast<std::ptrdiff_t>(flat.size());
+    if (node.feature < 0) {
+      flat.push_back(FlatNode{static_cast<double>(node.anomaly_fraction), 0,
+                              FlatNode::kLeaf});
+      continue;
+    }
+    flat.push_back(FlatNode{node.threshold, 0,
+                            static_cast<std::uint8_t>(node.feature)});
+    work.push_back({static_cast<std::size_t>(node.right), at});
+    work.push_back({static_cast<std::size_t>(node.left), -1});
+  }
+  return flat;
+}
+
+double score_tree(const std::vector<TreeNode>& nodes,
+                  std::span<const double> features) {
+  std::size_t node = 0;
+  for (;;) {
+    const TreeNode& n = nodes[node];
+    if (n.feature < 0) return n.anomaly_fraction;
+    const double v = features[static_cast<std::size_t>(n.feature)];
+    node = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
+  }
+}
+
+std::vector<std::vector<TreeNode>> train_forest_dense(
+    const Dataset& data, const ForestOptions& options) {
+  const BinnedDataset binned(data);
+  util::Rng rng(options.seed);
+  const std::size_t sample_size = std::max<std::size_t>(
+      1, static_cast<std::size_t>(options.sample_fraction *
+                                  static_cast<double>(data.num_rows())));
+  const std::size_t mtry =
+      options.mtry != 0
+          ? options.mtry
+          : std::max<std::size_t>(
+                1, static_cast<std::size_t>(
+                       std::sqrt(static_cast<double>(data.num_features()))));
+  std::vector<std::vector<TreeNode>> trees;
+  for (std::size_t t = 0; t < options.num_trees; ++t) {
+    TreeOptions tree_options;
+    tree_options.max_depth = options.max_depth;
+    tree_options.min_samples_split = options.min_samples_split;
+    tree_options.mtry = mtry;
+    tree_options.seed = rng.next_u64();
+    std::vector<std::size_t> rows(sample_size);
+    for (auto& r : rows) r = rng.uniform_int(data.num_rows());
+    trees.push_back(train_binned_dense(binned, std::move(rows), tree_options));
+  }
+  return trees;
+}
+
+double score_forest(const std::vector<std::vector<TreeNode>>& trees,
+                    std::span<const double> features) {
+  std::size_t votes = 0;
+  for (const auto& tree : trees) {
+    votes += score_tree(tree, features) >= 0.5 ? 1 : 0;
+  }
+  return static_cast<double>(votes) / static_cast<double>(trees.size());
 }
 
 }  // namespace opprentice::ml::reference
