@@ -27,25 +27,43 @@ std::string scale_tag() {
                                                              : "small";
 }
 
-// Cheap fingerprint of the experiment data so cache entries become stale
-// the moment the generator or labeling changes.
-std::uint64_t fingerprint(const core::ExperimentData& data) {
+// Fingerprint of everything a cached result depends on: every feature
+// column (strided), the labels and every DriverOptions field. An entry
+// goes stale the moment the generator, the labeling, any detector or any
+// forest option changes.
+std::uint64_t fingerprint(const core::ExperimentData& data,
+                          const core::DriverOptions& options) {
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ULL;
   };
-  mix(data.dataset.num_rows());
-  mix(data.warmup);
-  const auto col = data.dataset.column(0);
-  for (std::size_t i = 0; i < col.size(); i += 97) {
+  auto mix_double = [&mix](double v) {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(double));
-    std::memcpy(&bits, &col[i], sizeof(bits));
+    std::memcpy(&bits, &v, sizeof(bits));
     mix(bits);
+  };
+  mix(data.dataset.num_rows());
+  mix(data.dataset.num_features());
+  mix(data.points_per_week);
+  mix(data.warmup);
+  for (std::size_t f = 0; f < data.dataset.num_features(); ++f) {
+    const auto col = data.dataset.column(f);
+    for (std::size_t i = 0; i < col.size(); i += 97) mix_double(col[i]);
   }
   const auto& labels = data.dataset.labels();
   for (std::size_t i = 0; i < labels.size(); i += 13) mix(labels[i]);
+
+  mix(options.initial_weeks);
+  mix(options.forest.num_trees);
+  mix(options.forest.max_depth);
+  mix(options.forest.min_samples_split);
+  mix(options.forest.mtry);
+  mix_double(options.forest.sample_fraction);
+  mix(options.forest.seed);
+  mix_double(options.preference.min_recall);
+  mix_double(options.preference.min_precision);
   return h;
 }
 
@@ -56,16 +74,25 @@ std::string run_cache_path(const std::string& kpi_name,
   const std::string dir = cache_dir();
   if (dir.empty()) return {};
   std::ostringstream name;
-  name << dir << '/' << kind << '-' << kpi_name << '-' << scale_tag() << "-t"
-       << options.forest.num_trees << "-s" << options.forest.seed << "-w"
-       << options.initial_weeks << "-h" << std::hex << fingerprint(data)
-       << ".txt";
+  name << dir << '/' << kind << '-' << kpi_name << '-' << scale_tag() << "-h"
+       << std::hex << fingerprint(data, options) << ".txt";
   std::string path = name.str();
   // '#SR' is not filesystem-friendly.
   for (char& c : path) {
     if (c == '#') c = 'n';
   }
   return path;
+}
+
+// Reads one whitespace-separated number. Unlike `in >> *out` it accepts
+// the "nan" that `out << NaN` writes: a run's scores before its first test
+// week are NaN.
+bool read_double(std::istream& in, double* out) {
+  std::string token;
+  if (!(in >> token)) return false;
+  char* end = nullptr;
+  *out = std::strtod(token.c_str(), &end);
+  return end == token.c_str() + token.size();
 }
 
 bool load_run(const std::string& path, core::IncrementalRunResult* run) {
@@ -75,12 +102,13 @@ bool load_run(const std::string& path, core::IncrementalRunResult* run) {
   if (!(in >> n >> run->test_start >> weeks)) return false;
   run->scores.resize(n);
   for (auto& s : run->scores) {
-    if (!(in >> s)) return false;
+    if (!read_double(in, &s)) return false;
   }
   run->weeks.resize(weeks);
   for (auto& w : run->weeks) {
-    if (!(in >> w.test_begin >> w.test_end >> w.best.cthld >> w.best.recall >>
-          w.best.precision)) {
+    if (!(in >> w.test_begin >> w.test_end) ||
+        !read_double(in, &w.best.cthld) || !read_double(in, &w.best.recall) ||
+        !read_double(in, &w.best.precision)) {
       return false;
     }
   }
@@ -145,8 +173,14 @@ Session::Session(int& argc, char** argv) : report_("bench", "") {
 
 Session::~Session() {
   if (!json_path_.empty()) {
-    envelope_.set_member("run_report", report_.to_json());
-    if (!envelope_.write(json_path_, binary_)) {
+    std::ofstream out(json_path_);
+    out << "{\n\"schema\": \"opprentice.bench.metrics/1\",\n"
+        << "\"binary\": \"" << binary_ << "\",\n"
+        << "\"scale\": \"" << scale_tag() << "\",\n";
+    if (!extra_json_.empty()) out << extra_json_ << ",\n";
+    out << "\"run_report\": " << report_.to_json() << ",\n"
+        << "\"metrics\": " << obs::Registry::instance().json() << "}\n";
+    if (!out) {
       std::fprintf(stderr, "bench: cannot write --json file %s\n",
                    json_path_.c_str());
     }
@@ -155,55 +189,6 @@ Session::~Session() {
     std::fprintf(stderr, "bench: cannot write --trace file %s\n",
                  trace_path_.c_str());
   }
-}
-
-void JsonEnvelope::set_member(std::string_view key, std::string json) {
-  for (auto& [existing, value] : members_) {
-    if (existing == key) {
-      value = std::move(json);
-      return;
-    }
-  }
-  members_.emplace_back(std::string(key), std::move(json));
-}
-
-bool JsonEnvelope::has_member(std::string_view key) const {
-  for (const auto& [existing, value] : members_) {
-    if (existing == key) return true;
-  }
-  return false;
-}
-
-std::string JsonEnvelope::render(const std::string& binary) const {
-  std::string out = "{\n\"schema\": \"opprentice.bench.metrics/1\",\n";
-  out += "\"binary\": \"" + binary + "\",\n";
-  out += "\"scale\": \"" + scale_tag() + "\",\n";
-  if (!raw_chunk_.empty()) out += raw_chunk_ + ",\n";
-  for (const auto& [key, value] : members_) {
-    if (value.empty()) continue;
-    out += "\"" + key + "\": " + value + ",\n";
-  }
-  out += "\"metrics\": " + obs::Registry::instance().json() + "}\n";
-  return out;
-}
-
-bool JsonEnvelope::write(const std::string& path,
-                         const std::string& binary) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << render(binary);
-  return static_cast<bool>(out);
-}
-
-bool write_bench_json(const std::string& path, const std::string& binary,
-                      const std::string& extra_json,
-                      const std::string& run_report_json) {
-  JsonEnvelope envelope;
-  envelope.set_raw_chunk(extra_json);
-  if (!run_report_json.empty()) {
-    envelope.set_member("run_report", run_report_json);
-  }
-  return envelope.write(path, binary);
 }
 
 ml::ForestOptions standard_forest() {
@@ -264,7 +249,7 @@ std::vector<double> cached_five_fold_cthlds(
       if (in >> n) {
         std::vector<double> cthlds(n);
         bool ok = true;
-        for (auto& c : cthlds) ok = ok && static_cast<bool>(in >> c);
+        for (auto& c : cthlds) ok = ok && read_double(in, &c);
         if (ok) {
           obs::counter("opprentice.bench.cache.hits").add();
           return cthlds;

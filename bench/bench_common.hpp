@@ -18,33 +18,6 @@
 
 namespace opprentice::bench {
 
-// The bench --json envelope (schema "opprentice.bench.metrics/1"),
-// factored out of the one-pipeline-per-process writer so multi-scale
-// benches (bench_fleet) can compose any number of pre-rendered members —
-// per-scale sub-reports included — without duplicating the run_report
-// plumbing. Renders as
-//   {schema, binary, scale, <members in insertion order>, metrics}
-// with the process metrics snapshot always last.
-class JsonEnvelope {
- public:
-  // Adds a pre-rendered top-level member; re-setting a key overwrites
-  // its value in place, keeping first-insertion order.
-  void set_member(std::string_view key, std::string json);
-  bool has_member(std::string_view key) const;
-
-  // Legacy escape hatch: a pre-joined "\"k\": v, \"k2\": v2" chunk
-  // spliced verbatim between the header and the keyed members
-  // (Session::set_extra_json feeds this).
-  void set_raw_chunk(std::string chunk) { raw_chunk_ = std::move(chunk); }
-
-  std::string render(const std::string& binary) const;
-  bool write(const std::string& path, const std::string& binary) const;
-
- private:
-  std::vector<std::pair<std::string, std::string>> members_;
-  std::string raw_chunk_;
-};
-
 // Shared flag harness for the bench binaries: parses and strips
 //   --json <path>    write an obs metrics snapshot (JSON) on exit
 //   --trace <path>   collect trace spans and write Chrome trace JSON
@@ -52,6 +25,11 @@ class JsonEnvelope {
 // from argv (leaving unknown flags alone, so google-benchmark flags pass
 // through) and performs the writes in the destructor. Passing --json also
 // enables detailed timing so latency histograms populate.
+//
+// The --json file (schema "opprentice.bench.metrics/1"; see DESIGN.md
+// "Observability") renders as
+//   {schema, binary, scale, <extra json>, run_report, metrics}
+// with the process metrics snapshot last.
 class Session {
  public:
   Session(int& argc, char** argv);
@@ -70,31 +48,15 @@ class Session {
 
   // Extra top-level JSON members (pre-rendered, comma-joined, no trailing
   // comma) merged into the --json envelope, e.g. a bench-specific summary.
-  void set_extra_json(std::string extra) {
-    envelope_.set_raw_chunk(std::move(extra));
-  }
-
-  // Structured access to the --json envelope: benches add keyed members
-  // (JsonEnvelope::set_member); the destructor appends "run_report" and
-  // writes the file.
-  JsonEnvelope& envelope() { return envelope_; }
+  void set_extra_json(std::string extra) { extra_json_ = std::move(extra); }
 
  private:
   std::string binary_;
   std::string json_path_;
   std::string trace_path_;
-  JsonEnvelope envelope_;
+  std::string extra_json_;
   obs::RunReport report_;
 };
-
-// Writes the process-wide obs metrics snapshot wrapped in the bench JSON
-// envelope (schema "opprentice.bench.metrics/1"; see DESIGN.md
-// "Observability"). `run_report_json` is the pre-rendered run-report
-// manifest embedded as the "run_report" member (omitted when empty).
-// Returns false when the file cannot be written.
-bool write_bench_json(const std::string& path, const std::string& binary,
-                      const std::string& extra_json = {},
-                      const std::string& run_report_json = {});
 
 // The operators' actual preference in the paper (§2.2).
 inline constexpr eval::AccuracyPreference kPaperPreference{0.66, 0.66};
@@ -111,7 +73,8 @@ core::ExperimentData prepare_kpi(const datagen::KpiPreset& preset);
 std::vector<core::ExperimentData> prepare_all_kpis();
 
 // Weekly incremental run (I1) with disk caching keyed by KPI name, scale,
-// and forest options. Cache lives in $OPPRENTICE_CACHE_DIR (default
+// a fingerprint of every feature column and the labels, and every
+// DriverOptions field. Cache lives in $OPPRENTICE_CACHE_DIR (default
 // "bench-cache/"); set OPPRENTICE_NO_CACHE=1 to disable.
 core::IncrementalRunResult cached_weekly_incremental(
     const core::ExperimentData& data, const core::DriverOptions& options,

@@ -417,69 +417,6 @@ std::string FleetEngine::forest_fingerprint(
   return out.str();
 }
 
-IncrementalRunResult FleetEngine::run_incremental(
-    const ml::Dataset& data, std::size_t points_per_week, std::size_t warmup,
-    const DriverOptions& options) const {
-  obs::ScopedSpan run_span("weekly.run", "core");
-  run_span.arg("rows", data.num_rows());
-  const obs::Stopwatch run_watch;
-
-  IncrementalRunResult result;
-  result.test_start = options.initial_weeks * points_per_week;
-  result.scores.assign(data.num_rows(), kNaN);
-
-  // Enumerate the window schedule up front, then fan the weeks out across
-  // the pool. Each week trains on its own (read-only) slice of history
-  // with pre-fixed forest seeds and writes a disjoint [test_begin,
-  // test_end) score range plus its own WeekResult slot, so the run is
-  // bit-identical at any thread count.
-  std::vector<StrategyWindows> schedule;
-  for (std::size_t window = 0;; ++window) {
-    const auto windows =
-        strategy_windows(TrainingStrategy::kI1, window, data.num_rows(),
-                         points_per_week, options.initial_weeks);
-    if (!windows) break;
-    schedule.push_back(*windows);
-  }
-
-  result.weeks.assign(schedule.size(), WeekResult{});
-  util::parallel_for(schedule.size(), [&](std::size_t window) {
-    const StrategyWindows& windows = schedule[window];
-    obs::ScopedSpan week_span("weekly.window", "core");
-    week_span.arg("week", window);
-    week_span.arg("train_rows", windows.train_end - windows.train_begin);
-
-    const std::vector<double> week_scores =
-        run_strategy_window(data, warmup, windows, options.forest);
-    std::copy(week_scores.begin(), week_scores.end(),
-              result.scores.begin() +
-                  static_cast<std::ptrdiff_t>(windows.test_begin));
-
-    WeekResult wr;
-    wr.test_begin = windows.test_begin;
-    wr.test_end = windows.test_end;
-    {
-      obs::ScopedSpan pick_span("weekly.cthld_pick", "core");
-      const ml::Dataset test =
-          data.slice(windows.test_begin, windows.test_end);
-      const eval::PrCurve curve(week_scores, test.labels());
-      wr.best = eval::pick_threshold(curve, eval::ThresholdMethod::kPcScore,
-                                     options.preference);
-    }
-    result.weeks[window] = wr;
-    obs::counter("opprentice.weekly.windows").add();
-    if (obs::log_enabled(obs::LogLevel::kInfo)) {
-      obs::log(obs::LogLevel::kInfo, "weekly", "window_done",
-               {{"week", window},
-                {"best_cthld", wr.best.cthld},
-                {"recall", wr.best.recall},
-                {"precision", wr.best.precision}});
-    }
-  });
-  obs::histogram("opprentice.weekly.run.ms").record(run_watch.elapsed_ms());
-  return result;
-}
-
 std::optional<ml::RandomForest> train_forest_guarded(
     const ml::Dataset& data, std::size_t warmup, std::size_t train_begin,
     std::size_t train_end, const ml::ForestOptions& options,

@@ -169,17 +169,6 @@ class FleetEngine {
   // when untrained — the byte string the determinism sweep compares.
   std::string forest_fingerprint(const SeriesHandle& series) const;
 
-  // ---- Batch protocol client (the weekly driver's loop) ----
-  //
-  // Runs the paper's I1 incremental protocol on a precomputed dataset:
-  // for each test week, train on all prior rows and score the week.
-  // core::run_weekly_incremental delegates here, making the single-series
-  // driver a thin client of the engine.
-  IncrementalRunResult run_incremental(const ml::Dataset& data,
-                                       std::size_t points_per_week,
-                                       std::size_t warmup,
-                                       const DriverOptions& options) const;
-
  private:
   FleetOptions options_;
   RetrainScheduler scheduler_;

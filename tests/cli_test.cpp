@@ -159,14 +159,4 @@ TEST_F(CliWorkflow, MissingFilesReportErrors) {
                std::exception);
 }
 
-TEST_F(CliWorkflow, FleetRunsSyntheticMultiSeriesSweep) {
-  // A tiny fleet must complete cleanly: 8 series, enough points for the
-  // 64-point-day lite set to warm up and retrain once per series.
-  EXPECT_EQ(cmd_fleet(make_args("fleet", {{"series", "8"},
-                                          {"points", "160"},
-                                          {"shards", "4"},
-                                          {"trees", "8"}})),
-            0);
-}
-
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "core/cthld.hpp"
 #include "core/dataset_builder.hpp"
-#include "core/fleet_engine.hpp"
 #include "datagen/kpi_presets.hpp"
 #include "eval/pr_curve.hpp"
 #include "eval/threshold_pickers.hpp"
@@ -224,11 +223,6 @@ int print_usage() {
       "           [--cthld X]   (default: the cThld stored in the model)\n"
       "  evaluate --detections detections.csv --labels labels.csv\n"
       "           [--recall 0.66] [--precision 0.66]\n"
-      "  fleet    [--series 1000] [--points 192] [--shards 64]\n"
-      "           [--retrain-interval 64] [--quarantine-after 3]\n"
-      "           [--trees 16] [--seed 42]   synthetic fleet run: every\n"
-      "           series streams through the lite detector set with\n"
-      "           staggered per-series retrains (DESIGN.md 5i)\n"
       "  serve    --listen tcp:HOST:PORT|uds:PATH [--tick-ms 100]\n"
       "           [--queue-capacity 64] [--suspect-after 5]\n"
       "           [--lost-after 10] [--repair-policy fill-interpolate]\n"
@@ -456,119 +450,6 @@ int cmd_evaluate(const Args& args) {
               pref.min_recall, pref.min_precision,
               pref.satisfied_by(r, p) ? "SATISFIED" : "not satisfied");
   return pref.satisfied_by(r, p) ? 0 : 1;
-}
-
-int cmd_fleet(const Args& args) {
-  const std::size_t series = args.get_size("series", 1000);
-  const std::size_t points = args.get_size("points", 192);
-  constexpr std::size_t kPointsPerDay = 64;
-
-  core::FleetOptions options;
-  options.ctx = detectors::SeriesContext{kPointsPerDay, 7 * kPointsPerDay};
-  options.detector_factory = core::fleet_lite_configurations;
-  options.shard_count = args.get_size("shards", 64);
-  options.retrain_interval = args.get_size("retrain-interval", kPointsPerDay);
-  options.quarantine_after = args.get_size("quarantine-after", 3);
-  options.history_capacity = 4 * kPointsPerDay;
-  options.forest.num_trees = args.get_size("trees", 16);
-  options.forest.seed = args.get_size("seed", 42);
-  core::FleetEngine engine(std::move(options));
-
-  std::vector<core::SeriesHandle> handles;
-  std::vector<std::uint64_t> salts;
-  std::vector<std::string> ids;
-  {
-    ReportStage stage("fleet_setup");
-    for (std::size_t i = 0; i < series; ++i) {
-      ids.push_back("kpi-" + std::to_string(i));
-      handles.push_back(engine.add_series(ids.back()));
-      salts.push_back(util::stable_id_hash(ids.back()));
-    }
-  }
-
-  // Synchronized ticks of the synthetic daily-seasonal fleet; operator
-  // labels (every 37th point anomalous) trail by one 32-point chunk so
-  // staggered retrains always see labeled history.
-  const obs::Stopwatch feed_watch;
-  std::vector<double> values(series);
-  std::vector<core::FleetDetection> verdicts(series);
-  std::vector<std::uint8_t> chunk(32);
-  std::size_t anomalies = 0, classified = 0;
-  {
-    ReportStage stage("fleet_feed");
-    for (std::size_t t = 0; t < points; ++t) {
-      for (std::size_t i = 0; i < series; ++i) {
-        values[i] = core::synthetic_fleet_value(salts[i], t, kPointsPerDay);
-      }
-      engine.feed_tick(handles, values, verdicts);
-      for (const auto& v : verdicts) {
-        if (v.classified) ++classified;
-        if (v.is_anomaly) ++anomalies;
-      }
-      if ((t + 1) % chunk.size() == 0) {
-        const std::size_t begin = t + 1 - chunk.size();
-        for (std::size_t j = 0; j < chunk.size(); ++j) {
-          chunk[j] = (begin + j) % 37 == 0 ? 1 : 0;
-        }
-        for (const auto& handle : handles) {
-          engine.ingest_labels(handle, chunk, begin);
-        }
-      }
-    }
-  }
-  const double feed_ms = feed_watch.elapsed_ms();
-
-  std::size_t retrains = 0, failures = 0, quarantined = 0, trained = 0;
-  {
-    ReportStage stage("fleet_stats");
-    for (const auto& handle : handles) {
-      const core::FleetSeriesStats stats = engine.stats(handle);
-      retrains += stats.retrains;
-      failures += stats.train_failures;
-      if (stats.quarantined) ++quarantined;
-      if (stats.trained) ++trained;
-    }
-  }
-
-  const double total = static_cast<double>(series * points);
-  const double pts_per_sec =
-      feed_ms > 0.0 ? total / (feed_ms / 1000.0) : 0.0;
-  std::printf("fleet: %zu series x %zu points (%zu-point days)\n", series,
-              points, kPointsPerDay);
-  std::printf("%s",
-              util::render_table(
-                  {"metric", "value"},
-                  {{"points/sec", util::format_double(pts_per_sec, 0)},
-                   {"us/point",
-                    util::format_double(feed_ms > 0.0
-                                            ? 1000.0 * feed_ms / total
-                                            : 0.0,
-                                        2)},
-                   {"trained series", std::to_string(trained)},
-                   {"retrains", std::to_string(retrains)},
-                   {"train failures", std::to_string(failures)},
-                   {"quarantined", std::to_string(quarantined)},
-                   {"classified points", std::to_string(classified)},
-                   {"anomalies", std::to_string(anomalies)}})
-                  .c_str());
-
-  // Retrain load stagger across the interval, eight buckets.
-  const auto histogram = engine.scheduler().phase_histogram(ids, 8);
-  std::vector<double> ys;
-  for (const std::size_t bucket : histogram) {
-    ys.push_back(static_cast<double>(bucket));
-  }
-  std::printf("retrain phase spread: %s\n", util::render_sparkline(ys).c_str());
-
-  if (g_report != nullptr) {
-    g_report->set_field("fleet_series", static_cast<std::uint64_t>(series));
-    g_report->set_field("fleet_points_per_sec", pts_per_sec);
-    g_report->set_field("fleet_retrains",
-                        static_cast<std::uint64_t>(retrains));
-    g_report->set_field("fleet_quarantined",
-                        static_cast<std::uint64_t>(quarantined));
-  }
-  return 0;
 }
 
 }  // namespace opprentice::cli

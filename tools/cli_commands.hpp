@@ -5,7 +5,6 @@
 //   train      extract the 133 features, train a forest, pick a cThld
 //   detect     score a KPI CSV with a saved model and write detections
 //   evaluate   recall/precision of detections against labels
-//   fleet      drive a synthetic multi-series fleet through FleetEngine
 //
 // All file formats are the CSVs used by examples/csv_pipeline.cpp:
 //   kpi.csv        timestamp,value
@@ -54,7 +53,6 @@ int cmd_profile(const Args& args);
 int cmd_train(const Args& args);
 int cmd_detect(const Args& args);
 int cmd_evaluate(const Args& args);
-int cmd_fleet(const Args& args);
 // Network ingestion daemon + replayer agent (src/net, cli_net.cpp).
 int cmd_serve(const Args& args);
 int cmd_agent(const Args& args);

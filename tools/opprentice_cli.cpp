@@ -32,7 +32,6 @@ int run_command(const opprentice::cli::Args& args) {
   if (args.command == "train") return cmd_train(args);
   if (args.command == "detect") return cmd_detect(args);
   if (args.command == "evaluate") return cmd_evaluate(args);
-  if (args.command == "fleet") return cmd_fleet(args);
   if (args.command == "serve") return cmd_serve(args);
   if (args.command == "agent") return cmd_agent(args);
   return print_usage();

@@ -6,8 +6,8 @@
 // committed baseline; exits 0 when every gated metric is inside its
 // tolerance and the §5.8 ordering holds, 1 on a regression, 2 on a
 // usage or parse error. CI runs this after every Release build
-// (BENCH_sec58.json is the committed baseline, BENCH_history.jsonl the
-// trend file).
+// (BENCH_sec58.json and BENCH_paper_stream.json are the committed
+// baselines, BENCH_history.jsonl the trend file).
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -33,10 +33,11 @@ int usage() {
       "                       (default keys: extraction_us_per_point,\n"
       "                       classification_us_per_point,\n"
       "                       training_ms_per_round, five_fold_cthld_ms;\n"
-      "                       a dotted key such as fleet.us_per_point is\n"
-      "                       an absolute path into the bench envelope)\n"
+      "                       a dotted key such as\n"
+      "                       metrics.lag_p50_ms.value is an absolute\n"
+      "                       path, e.g. into a perfbench result line)\n"
       "  --only               gate only the --metric keys, dropping the\n"
-      "                       sec58 default set (for non-sec58 benches)\n"
+      "                       sec58 default set (for perfbench results)\n"
       "  --history file.jsonl append the fresh numbers (one JSON object\n"
       "                       per line) and print trend sparklines\n"
       "  --label NAME         history row label (a commit id or CI run\n"

@@ -17,8 +17,8 @@ constexpr std::string_view kSummaryPrefix = "sec58.";
 bool measured(double v) { return v > 0.0; }
 
 // Bare keys live under the historical "sec58" summary object; a key with
-// a dot ("fleet.us_per_point") is an absolute envelope path, so other
-// benches join the gate without schema surgery.
+// a dot ("metrics.lag_p50_ms.value") is an absolute path, so perfbench's
+// result line joins the gate without schema surgery.
 std::string metric_path(const MetricSpec& spec) {
   return spec.key.find('.') == std::string::npos
              ? std::string(kSummaryPrefix) + spec.key
@@ -128,8 +128,8 @@ std::string history_row(std::string_view label,
     out += ": ";
     obs::append_json_double(out, fresh.number_at(metric_path(spec), -1.0));
   }
-  // Only sec5.8 envelopes carry the ordering bit; a fleet row must not
-  // record a misleading `false` for a check that never ran.
+  // Only sec5.8 envelopes carry the ordering bit; a perfbench row must
+  // not record a misleading `false` for a check that never ran.
   if (fresh.find_path("sec58.ordering_ok") != nullptr) {
     out += ", \"ordering_ok\": ";
     out += fresh.bool_at("sec58.ordering_ok", false) ? "true" : "false";
@@ -159,18 +159,24 @@ std::string render_history(const std::string& path,
   std::string out = "history (" + std::to_string(rows.size()) +
                     " runs, oldest first):\n";
   for (const auto& spec : metrics) {
+    // history_row writes each metric under its flat key, dots included,
+    // so look it up as one member, not as a dotted path.
+    auto value_in = [&spec](const util::json::Value& row) {
+      const auto* v = row.find(spec.key);
+      return v != nullptr && v->is_number() ? v->number : -1.0;
+    };
     std::vector<double> ys;
     ys.reserve(rows.size());
     for (const auto& row : rows) {
-      const double v = row.number_at(spec.key, -1.0);
+      const double v = value_in(row);
       ys.push_back(measured(v) ? v
                                : std::numeric_limits<double>::quiet_NaN());
     }
     double last = -1.0;
     std::string last_label = "-";
     for (std::size_t i = rows.size(); i-- > 0;) {
-      if (measured(rows[i].number_at(spec.key, -1.0))) {
-        last = rows[i].number_at(spec.key, -1.0);
+      if (const double v = value_in(rows[i]); measured(v)) {
+        last = v;
         const auto* label = rows[i].find("label");
         if (label != nullptr && label->is_string()) {
           last_label = label->string;
@@ -252,27 +258,29 @@ int self_test() {
              .pass,
          "a newly measured metric must pass");
 
-  // Dotted keys resolve as absolute envelope paths (other benches'
-  // summaries), not under "sec58".
-  const auto fleet_doc = [](double us_per_point) {
+  // Dotted keys resolve as absolute paths, not under "sec58": CI gates
+  // perfbench's paper_stream result line this way.
+  const auto paper_doc = [](double lag_p50_ms) {
     std::ostringstream doc;
-    doc << "{\"schema\": \"opprentice.bench.metrics/1\", \"fleet\": {"
-        << "\"us_per_point\": " << us_per_point << "}}";
+    doc << "{\"correct\": true, \"attempted\": 1, \"failed\": 0, "
+        << "\"metrics\": {\"lag_p50_ms\": {\"value\": " << lag_p50_ms
+        << ", \"unit\": \"ms\"}}}";
     return util::json::parse(doc.str());
   };
-  GateOptions fleet_gate;
-  fleet_gate.metrics = {{"fleet.us_per_point", 0.25}};
-  fleet_gate.require_ordering = false;
-  expect(run_gate(fleet_doc(10.0), fleet_doc(11.0), fleet_gate).pass,
+  GateOptions paper_gate;
+  paper_gate.metrics = {{"metrics.lag_p50_ms.value", 1.0}};
+  paper_gate.require_ordering = false;
+  expect(run_gate(paper_doc(0.3), paper_doc(0.5), paper_gate).pass,
          "dotted-key metric inside tolerance must pass");
-  expect(!run_gate(fleet_doc(10.0), fleet_doc(20.0), fleet_gate).pass,
+  expect(!run_gate(paper_doc(0.3), paper_doc(0.7), paper_gate).pass,
          "dotted-key metric regression must fail");
-  const std::string fleet_row =
-      history_row("r3", fleet_doc(10.0), fleet_gate.metrics);
-  expect(fleet_row.find("\"fleet.us_per_point\": 10") != std::string::npos,
+  const std::string paper_row =
+      history_row("r3", paper_doc(0.25), paper_gate.metrics);
+  expect(paper_row.find("\"metrics.lag_p50_ms.value\": 0.25") !=
+             std::string::npos,
          "dotted-key metric must appear in history rows");
-  expect(fleet_row.find("ordering_ok") == std::string::npos,
-         "rows for envelopes without sec58 must omit ordering_ok");
+  expect(paper_row.find("ordering_ok") == std::string::npos,
+         "rows for documents without sec58 must omit ordering_ok");
 
   // History round-trip: two appended rows render two-run sparklines.
   const std::string path =
@@ -292,6 +300,21 @@ int self_test() {
              rendered.find("extraction_us_per_point") != std::string::npos &&
              rendered.find("(r2)") != std::string::npos,
          "history render must show both runs and the last label");
+  std::filesystem::remove(path, ec);
+
+  // The same round-trip for a dotted key: the rows store it flat, and the
+  // render must still find both values and the last label.
+  expect(append_history(path, history_row("p1", paper_doc(0.25),
+                                          paper_gate.metrics)) &&
+             append_history(path, history_row("p2", paper_doc(0.5),
+                                               paper_gate.metrics)),
+         "dotted-key history append must succeed");
+  const std::string dotted = render_history(path, paper_gate.metrics);
+  expect(dotted.find("2 runs") != std::string::npos &&
+             dotted.find("metrics.lag_p50_ms.value: ▁█ last 0.500 (p2)") !=
+                 std::string::npos,
+         "dotted-key history render must show both values and the last "
+         "label");
   std::filesystem::remove(path, ec);
 
   if (failures == 0) std::printf("perf_gate self-test: all checks passed\n");

@@ -5,10 +5,11 @@
 // metric with relative tolerances, optionally appends the fresh numbers
 // to a history file (BENCH_history.jsonl, one JSON object per line) and
 // renders the history as sparklines. CI runs it after every Release
-// build; a tolerance breach fails the job.
+// build; a tolerance breach fails the job. The same gate reads
+// perfbench's paper_stream result line (BENCH_paper_stream.json) through
+// dotted keys.
 //
-// Semantics per metric (all live under the envelope's "sec58" object,
-// lower is better, unmeasured encoded as -1):
+// Semantics per metric (lower is better, unmeasured encoded as -1):
 //   - both measured:       regression when fresh > baseline * (1 + tol)
 //   - baseline unmeasured: pass ("newly measured" — becomes the baseline
 //                          on the next refresh)
@@ -31,8 +32,8 @@ namespace opprentice::perf {
 // One gated metric and the allowed relative increase (0.25 = fresh may
 // be up to 25% slower than baseline). A bare key ("training_ms_per_round")
 // is looked up under the "sec58" summary object; a dotted key
-// ("fleet.us_per_point") is an absolute path into the envelope, which is
-// how bench_fleet's summary joins the same gate.
+// ("metrics.lag_p50_ms.value") is an absolute path into the document,
+// which is how perfbench's paper_stream result joins the same gate.
 struct MetricSpec {
   std::string key;
   double tolerance = 0.25;
@@ -76,7 +77,7 @@ GateResult run_gate(const util::json::Value& baseline,
                     const GateOptions& options);
 
 // One history line for `fresh`: {"label": ..., "<metric>": ..., ...,
-// "ordering_ok": ...}. Labels come from --label (a commit id, a CI run
+// "ordering_ok": ...}, each metric under its flat key, dots included. Labels come from --label (a commit id, a CI run
 // number) — never a wall clock, so reruns are byte-identical.
 std::string history_row(std::string_view label,
                         const util::json::Value& fresh,
