@@ -1,6 +1,7 @@
 #include "detectors/basic_detectors.hpp"
 
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "util/stats.hpp"
@@ -76,13 +77,14 @@ std::string SimpleMaDetector::name() const {
 
 double SimpleMaDetector::feed(double value) {
   double severity = 0.0;
-  // Sum tracks only present values; count of present values in window is
-  // recomputed cheaply because NaNs are stored as 0 contributions.
+  // The mean of the present values among the previous window_ points,
+  // summed newest first; NaNs (missing points) are skipped.
   if (!util::is_missing(value) && history_.full()) {
+    const std::span<const double> held = history_.window();
     std::size_t present = 0;
     double sum = 0.0;
     for (std::size_t age = 0; age < window_; ++age) {
-      const double h = history_.back(age);
+      const double h = held[window_ - 1 - age];
       if (!util::is_missing(h)) {
         sum += h;
         ++present;
@@ -112,9 +114,10 @@ std::string WeightedMaDetector::name() const {
 double WeightedMaDetector::feed(double value) {
   double severity = 0.0;
   if (!util::is_missing(value) && history_.full()) {
+    const std::span<const double> held = history_.window();
     double sum = 0.0, wsum = 0.0;
     for (std::size_t age = 0; age < window_; ++age) {
-      const double h = history_.back(age);
+      const double h = held[window_ - 1 - age];
       if (util::is_missing(h)) continue;
       const double w = static_cast<double>(window_ - age);  // recent = heavy
       sum += w * h;
@@ -133,7 +136,7 @@ void WeightedMaDetector::reset() {
 // ---- MaOfDiffDetector ----
 
 MaOfDiffDetector::MaOfDiffDetector(std::size_t window)
-    : window_(window), diffs_(window) {}
+    : window_(window), diff_sum_(window) {}
 
 std::string MaOfDiffDetector::name() const {
   return with_param("ma_of_diff", "win", window_);
@@ -142,20 +145,18 @@ std::string MaOfDiffDetector::name() const {
 double MaOfDiffDetector::feed(double value) {
   if (util::is_missing(value)) return 0.0;
   if (has_last_) {
-    const double d = std::abs(value - last_value_);
-    if (diffs_.full()) diff_sum_ -= diffs_.back(window_ - 1);
-    diffs_.push(d);
-    diff_sum_ += d;
+    diff_sum_.push(std::abs(value - last_value_));
+    if (diffs_ < window_) ++diffs_;
   }
   last_value_ = value;
   has_last_ = true;
-  if (!diffs_.full()) return 0.0;
-  return sanitize_severity(diff_sum_ / static_cast<double>(window_));
+  if (diffs_ < window_) return 0.0;
+  return sanitize_severity(diff_sum_.sum() / static_cast<double>(window_));
 }
 
 void MaOfDiffDetector::reset() {
-  diffs_.clear();
-  diff_sum_ = 0.0;
+  diff_sum_.clear();
+  diffs_ = 0;
   has_last_ = false;
 }
 

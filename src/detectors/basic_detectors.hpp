@@ -6,6 +6,7 @@
 
 #include "detectors/detector.hpp"
 #include "detectors/ring_buffer.hpp"
+#include "util/stats.hpp"
 
 namespace opprentice::detectors {
 
@@ -69,6 +70,8 @@ class WeightedMaDetector final : public Detector {
 
 // "MA of diff": moving average of the absolute last-slot differences;
 // designed (by the studied search engine) to surface continuous jitters.
+// The window's sum is a util::SlidingSum: an infinite or huge difference
+// stops counting once it leaves the window.
 class MaOfDiffDetector final : public Detector {
  public:
   explicit MaOfDiffDetector(std::size_t window);
@@ -79,8 +82,8 @@ class MaOfDiffDetector final : public Detector {
 
  private:
   std::size_t window_ = 0;
-  RingBuffer<double> diffs_;
-  double diff_sum_ = 0.0;
+  util::SlidingSum diff_sum_;
+  std::size_t diffs_ = 0;  // differences pushed, up to window_
   double last_value_ = 0.0;
   bool has_last_ = false;
 };

@@ -17,10 +17,16 @@
 
 namespace opprentice::detectors {
 
+class SeasonalSlotStore;
+
 // Calendar shape of the series a detector instance is bound to.
 struct SeriesContext {
   std::size_t points_per_day = 1440;
   std::size_t points_per_week = 10080;
+  // The store the seasonal configurations built with this context share
+  // (seasonal_detectors.hpp); DetectorRegistry sets one per bank. Null:
+  // each seasonal configuration builds its own.
+  std::shared_ptr<SeasonalSlotStore> slot_store = nullptr;
 };
 
 class Detector {
@@ -40,6 +46,11 @@ class Detector {
 
   // Restores the just-constructed state.
   virtual void reset() = 0;
+
+  // The state this configuration shares with others of its bank, or null.
+  // Configurations sharing a store must be fed the same points in step,
+  // on one thread.
+  virtual const SeasonalSlotStore* slot_store() const { return nullptr; }
 };
 
 using DetectorPtr = std::unique_ptr<Detector>;

@@ -152,38 +152,77 @@ FeatureMatrix extract_features(const ts::TimeSeries& series,
   // Each configuration is an independent column: the detector instance,
   // the severity sequence, the fault-boundary state, and the output slot
   // belong to one task only, so the columns and quarantine decisions are
-  // bit-identical at any thread count.
-  util::parallel_for(detectors.size(), [&](std::size_t f) {
-    const auto& detector = detectors[f];
-    detector->reset();
-    obs::Stopwatch watch;
-    std::vector<double> column(series.size(), 0.0);
-    std::size_t consecutive_failures = 0;
+  // bit-identical at any thread count. Configurations that share a slot
+  // store form one task, fed point by point in bank order.
+  std::vector<std::vector<std::size_t>> tasks;
+  std::vector<const SeasonalSlotStore*> task_stores;
+  for (std::size_t f = 0; f < detectors.size(); ++f) {
+    const SeasonalSlotStore* store = detectors[f]->slot_store();
+    const auto shared =
+        store == nullptr
+            ? task_stores.end()
+            : std::find(task_stores.begin(), task_stores.end(), store);
+    if (shared == task_stores.end()) {
+      tasks.push_back({f});
+      task_stores.push_back(store);
+    } else {
+      tasks[static_cast<std::size_t>(shared - task_stores.begin())]
+          .push_back(f);
+    }
+  }
+  util::parallel_for(tasks.size(), [&](std::size_t t) {
+    const std::vector<std::size_t>& members = tasks[t];
+    for (const std::size_t f : members) {
+      detectors[f]->reset();
+      m.columns[f].assign(series.size(), 0.0);
+    }
+    // A task of one configuration is timed as one pass; the members of a
+    // shared task point by point.
+    const bool time_each = timed && members.size() > 1;
+    std::vector<double> elapsed_us(members.size(), 0.0);
+    std::vector<std::size_t> consecutive_failures(members.size(), 0);
+    const auto feed = [&](std::size_t j, std::size_t i) {
+      const std::size_t f = members[j];
+      m.columns[f][i] = guarded_severity(
+          *detectors[f], series[i], util::fault_key(f, i) ^ boundary.key_salt,
+          f, faults_active, boundary, consecutive_failures[j],
+          m.quarantined[f]);
+    };
+    obs::Stopwatch pass;
     for (std::size_t i = 0; i < series.size(); ++i) {
-      column[i] = guarded_severity(*detector, series[i],
-                                   util::fault_key(f, i) ^ boundary.key_salt,
-                                   f, faults_active, boundary,
-                                   consecutive_failures, m.quarantined[f]);
+      for (std::size_t j = 0; j < members.size(); ++j) {
+        if (time_each) {
+          obs::Stopwatch watch;
+          feed(j, i);
+          elapsed_us[j] += watch.elapsed_us();
+        } else {
+          feed(j, i);
+        }
+      }
     }
-    if (timed && series.size() > 0) {
-      // One observation per configuration pass, normalized to µs/point.
-      // Recorded under extract.batch.* (not the streaming family
-      // histograms) so per-point counts stay consistent with
-      // opprentice.extract.points, plus the per-configuration slot that
-      // feeds the cost-attribution table.
-      const double elapsed = watch.elapsed_us();
-      batch_family_histogram(family_of(detector->name()))
-          .record(elapsed / static_cast<double>(series.size()));
-      obs::CostAttribution::instance()
-          .slot(detector->name())
-          .record_pass(elapsed, series.size());
+    if (!time_each) elapsed_us[0] = pass.elapsed_us();
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      const auto& detector = detectors[members[j]];
+      if (timed && series.size() > 0) {
+        // One observation per configuration pass, normalized to µs/point.
+        // Recorded under extract.batch.* (not the streaming family
+        // histograms) so per-point counts stay consistent with
+        // opprentice.extract.points, plus the per-configuration slot that
+        // feeds the cost-attribution table.
+        batch_family_histogram(family_of(detector->name()))
+            .record(elapsed_us[j] / static_cast<double>(series.size()));
+        obs::CostAttribution::instance()
+            .slot(detector->name())
+            .record_pass(elapsed_us[j], series.size());
+      }
+      // Zero out this detector's own warm-up region so warm-up artifacts
+      // cannot leak into training even when other detectors are ready.
+      std::vector<double>& column = m.columns[members[j]];
+      const std::size_t warm =
+          std::min(detector->warmup_points(), series.size());
+      std::fill(column.begin(),
+                column.begin() + static_cast<std::ptrdiff_t>(warm), 0.0);
     }
-    // Zero out this detector's own warm-up region so warm-up artifacts
-    // cannot leak into training even when other detectors are ready.
-    const std::size_t warm = std::min(detector->warmup_points(), series.size());
-    std::fill(column.begin(),
-              column.begin() + static_cast<std::ptrdiff_t>(warm), 0.0);
-    m.columns[f] = std::move(column);
   });
   return m;
 }

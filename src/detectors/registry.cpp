@@ -23,6 +23,14 @@ constexpr util::FrequencyBand kWaveletBands[] = {
     util::FrequencyBand::kLow, util::FrequencyBand::kMid,
     util::FrequencyBand::kHigh};
 
+// The calendar of ctx with a fresh slot store for the seasonal
+// configurations of one bank.
+SeriesContext with_own_store(const SeriesContext& ctx) {
+  SeriesContext bank = ctx;
+  bank.slot_store = std::make_shared<SeasonalSlotStore>(ctx);
+  return bank;
+}
+
 }  // namespace
 
 void DetectorRegistry::register_family(std::string family_name,
@@ -50,9 +58,10 @@ std::vector<std::string> DetectorRegistry::family_names() const {
 
 std::vector<DetectorPtr> DetectorRegistry::instantiate_all(
     const SeriesContext& ctx) const {
+  const SeriesContext bank = with_own_store(ctx);
   std::vector<DetectorPtr> all;
   for (const auto& [name, factory] : families_) {
-    auto configs = factory(ctx);
+    auto configs = factory(bank);
     for (auto& d : configs) all.push_back(std::move(d));
   }
   return all;
@@ -61,7 +70,7 @@ std::vector<DetectorPtr> DetectorRegistry::instantiate_all(
 std::vector<DetectorPtr> DetectorRegistry::instantiate_family(
     const std::string& family_name, const SeriesContext& ctx) const {
   for (const auto& [name, factory] : families_) {
-    if (name == family_name) return factory(ctx);
+    if (name == family_name) return factory(with_own_store(ctx));
   }
   throw std::out_of_range("DetectorRegistry: unknown family '" + family_name +
                           "'");

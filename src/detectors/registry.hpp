@@ -34,9 +34,12 @@ class DetectorRegistry {
 
   // Instantiates every configuration of every family, in registration
   // order. The standard registry yields the paper's 133 configurations.
+  // The seasonal configurations among them share one SeasonalSlotStore
+  // (ctx.slot_store is replaced by a fresh one).
   std::vector<DetectorPtr> instantiate_all(const SeriesContext& ctx) const;
 
-  // Instantiates one family's configurations.
+  // Instantiates one family's configurations, with a slot store of their
+  // own.
   std::vector<DetectorPtr> instantiate_family(const std::string& family_name,
                                               const SeriesContext& ctx) const;
 

@@ -1,6 +1,7 @@
 #include "detectors/svd_detector.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -21,73 +22,284 @@ constexpr int kMaxJacobiSweeps = 60;
 
 // Solves m·z = z in place (k x k, row-major, m overwritten) by Gaussian
 // elimination with partial pivoting; false when m is singular.
-bool solve_in_place(double* m, double* z, std::size_t k) {
-  for (std::size_t c = 0; c < k; ++c) {
+template <std::size_t K>
+bool solve_in_place(double* m, double* z) {
+  for (std::size_t c = 0; c < K; ++c) {
     std::size_t pivot = c;
-    for (std::size_t r = c + 1; r < k; ++r) {
-      if (std::abs(m[r * k + c]) > std::abs(m[pivot * k + c])) pivot = r;
+    for (std::size_t r = c + 1; r < K; ++r) {
+      if (std::abs(m[r * K + c]) > std::abs(m[pivot * K + c])) pivot = r;
     }
-    if (m[pivot * k + c] == 0.0) return false;
+    if (m[pivot * K + c] == 0.0) return false;
     if (pivot != c) {
-      for (std::size_t j = c; j < k; ++j) std::swap(m[pivot * k + j], m[c * k + j]);
+      for (std::size_t j = c; j < K; ++j) std::swap(m[pivot * K + j], m[c * K + j]);
       std::swap(z[pivot], z[c]);
     }
-    for (std::size_t r = c + 1; r < k; ++r) {
-      const double f = m[r * k + c] / m[c * k + c];
-      for (std::size_t j = c + 1; j < k; ++j) m[r * k + j] -= f * m[c * k + j];
+    for (std::size_t r = c + 1; r < K; ++r) {
+      const double f = m[r * K + c] / m[c * K + c];
+      for (std::size_t j = c + 1; j < K; ++j) m[r * K + j] -= f * m[c * K + j];
       z[r] -= f * z[c];
     }
   }
-  for (std::size_t c = k; c-- > 0;) {
+  for (std::size_t c = K; c-- > 0;) {
     double sum = z[c];
-    for (std::size_t j = c + 1; j < k; ++j) sum -= m[c * k + j] * z[j];
-    z[c] = sum / m[c * k + c];
+    for (std::size_t j = c + 1; j < K; ++j) sum -= m[c * K + j] * z[j];
+    z[c] = sum / m[c * K + c];
   }
   return true;
 }
 
 // m·J for the Jacobi rotation J of columns p and r (k x k, row-major).
-void rotate_columns(double* m, std::size_t k, std::size_t p, std::size_t r,
-                    double c, double s) {
-  for (std::size_t i = 0; i < k; ++i) {
-    const double x = m[i * k + p];
-    const double y = m[i * k + r];
-    m[i * k + p] = c * x - s * y;
-    m[i * k + r] = s * x + c * y;
+template <std::size_t K>
+void rotate_columns(double* m, std::size_t p, std::size_t r, double c,
+                    double s) {
+  for (std::size_t i = 0; i < K; ++i) {
+    const double x = m[i * K + p];
+    const double y = m[i * K + r];
+    m[i * K + p] = c * x - s * y;
+    m[i * K + r] = s * x + c * y;
   }
 }
 
 // Jᵀ·m for the same rotation.
-void rotate_rows(double* m, std::size_t k, std::size_t p, std::size_t r,
-                 double c, double s) {
-  for (std::size_t i = 0; i < k; ++i) {
-    const double x = m[p * k + i];
-    const double y = m[r * k + i];
-    m[p * k + i] = c * x - s * y;
-    m[r * k + i] = s * x + c * y;
+template <std::size_t K>
+void rotate_rows(double* m, std::size_t p, std::size_t r, double c,
+                 double s) {
+  for (std::size_t i = 0; i < K; ++i) {
+    const double x = m[p * K + i];
+    const double y = m[r * K + i];
+    m[p * K + i] = c * x - s * y;
+    m[r * K + i] = s * x + c * y;
   }
+}
+
+// The per-point solve for a lag matrix of C columns: the Gram matrix of
+// the C-1 past segments and its dominant direction, in fixed-size arrays.
+template <std::size_t C>
+struct Kernel {
+  static constexpr std::size_t K = C - 1;
+  using Gram = std::array<double, K * K>;
+
+  // Where the lag-l dot products start in a phase block (see by_phase_),
+  // and the block's length.
+  static constexpr std::array<std::size_t, C> kLagOffset = [] {
+    std::array<std::size_t, C> offset{};
+    std::size_t at = C;
+    for (std::size_t lag = 0; lag < C; ++lag) {
+      offset[lag] = at;
+      at += C - lag;
+    }
+    return offset;
+  }();
+  static constexpr std::size_t kStride = kLagOffset[C - 1] + 1;
+
+  // Column-major fill: column c of the lag matrix holds segment c of the
+  // window (oldest segment first), so the newest point lands at
+  // (rows-1, cols-1). The dominant subspace is learned from the *past*
+  // segments A only — otherwise a large anomaly in the newest segment y
+  // would dominate the basis and reconstruct itself with a near-zero
+  // residual. With v the dominant eigenvector of G = AᵀA and σ² = vᵀGv,
+  // the left singular vector is Av/σ, so the rank-1 reconstruction of y's
+  // last entry is (vᵀAᵀy/σ)·(a·v/σ), a being A's last row: the newest
+  // phase's values before the newest one.
+  static double residual(const double* block, double* direction) {
+    // Segments i <= j are j-i segments apart and segment j ends C-1-j
+    // chunks ago, so their dot product is that old value of the
+    // lag-(j-i) sum at this phase.
+    Gram gram;
+    double trace = 0.0;
+    for (std::size_t j = 0; j < K; ++j) {
+      for (std::size_t i = 0; i <= j; ++i) {
+        const double dot = block[kLagOffset[j - i] + (C - 1 - j)];
+        gram[i * K + j] = dot;
+        gram[j * K + i] = dot;
+      }
+      trace += gram[j * K + j];
+    }
+    const double newest = block[0];
+    // util::svd's degenerate branches: no singular value above zero, or a
+    // past segment whose squared norm overflows (an infinite singular
+    // value, whose left singular vector it scales to zero).
+    if (!(trace > 0.0) || std::isinf(trace)) return newest;
+    dominant_direction(gram, trace, direction);
+
+    double sigma2 = 0.0;
+    double projection = 0.0;  // vᵀAᵀy
+    double last_row = 0.0;    // a·v
+    for (std::size_t i = 0; i < K; ++i) {
+      double gv = 0.0;
+      for (std::size_t j = 0; j < K; ++j) gv += gram[i * K + j] * direction[j];
+      sigma2 += direction[i] * gv;
+      projection += direction[i] * block[kLagOffset[C - 1 - i]];
+      last_row += direction[i] * block[C - 1 - i];
+    }
+    const double sigma = std::sqrt(sigma2);
+    if (!(sigma > kZeroSigma)) return newest;
+    return newest - (projection / sigma) * (last_row / sigma);
+  }
+
+  // Rayleigh quotient iteration, warm-started from the previous point's
+  // direction v: λ = vᵀGv, then v <- (G - λI)⁻¹v normalized, which
+  // converges cubically to the eigenvector nearest λ. G is positive
+  // semi-definite, so when λ exceeds half the trace every other
+  // eigenvalue lies below trace - λ, and the residual r = Gv - λv bounds
+  // the angle between v and the dominant eigenvector by |r|/(2λ - trace).
+  // Without that certificate (no dominant direction, or convergence to
+  // another eigenvector) a Jacobi eigen-solve decides.
+  static void dominant_direction(const Gram& gram, double trace, double* v) {
+    std::array<double, K> gv;
+    Gram m;
+    std::array<double, K> z;
+    for (int iteration = 0; iteration < kMaxRayleighIterations; ++iteration) {
+      double lambda = 0.0;
+      for (std::size_t i = 0; i < K; ++i) {
+        double sum = 0.0;
+        for (std::size_t j = 0; j < K; ++j) sum += gram[i * K + j] * v[j];
+        gv[i] = sum;
+        lambda += v[i] * sum;
+      }
+      double residual2 = 0.0;
+      for (std::size_t i = 0; i < K; ++i) {
+        const double r = gv[i] - lambda * v[i];
+        residual2 += r * r;
+      }
+      const double gap = 2.0 * lambda - trace;
+      if (std::sqrt(residual2) <=
+          kDirectionTolerance * (gap > 0.0 ? gap : lambda)) {
+        if (gap > 0.0) return;
+        break;  // an eigenvector, but not the dominant one
+      }
+      for (std::size_t i = 0; i < K; ++i) {
+        for (std::size_t j = 0; j < K; ++j) m[i * K + j] = gram[i * K + j];
+        m[i * K + i] -= lambda;
+        z[i] = v[i];
+      }
+      if (!solve_in_place<K>(m.data(), z.data())) break;
+      double norm2 = 0.0;
+      for (std::size_t i = 0; i < K; ++i) norm2 += z[i] * z[i];
+      if (!(norm2 > 0.0) || std::isinf(norm2)) break;
+      const double inv_norm = 1.0 / std::sqrt(norm2);
+      for (std::size_t i = 0; i < K; ++i) v[i] = z[i] * inv_norm;
+    }
+    jacobi_direction(gram, v);
+  }
+
+  // Cyclic Jacobi eigen-solve of the Gram matrix; the eigenvector of the
+  // largest eigenvalue becomes the direction.
+  static void jacobi_direction(const Gram& gram, double* direction) {
+    Gram a = gram;
+    Gram q;
+    for (std::size_t i = 0; i < K * K; ++i) q[i] = i % (K + 1) == 0 ? 1.0 : 0.0;
+    for (int sweep = 0; sweep < kMaxJacobiSweeps; ++sweep) {
+      double off = 0.0;
+      double diag = 0.0;
+      for (std::size_t p = 0; p < K; ++p) {
+        diag += a[p * K + p] * a[p * K + p];
+        for (std::size_t r = p + 1; r < K; ++r) off += a[p * K + r] * a[p * K + r];
+      }
+      if (off <= 1e-32 * diag) break;
+      for (std::size_t p = 0; p + 1 < K; ++p) {
+        for (std::size_t r = p + 1; r < K; ++r) {
+          const double apr = a[p * K + r];
+          if (apr == 0.0) continue;
+          const double theta = (a[r * K + r] - a[p * K + p]) / (2.0 * apr);
+          const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                           (std::abs(theta) + std::sqrt(1.0 + theta * theta));
+          const double c = 1.0 / std::sqrt(1.0 + t * t);
+          const double s = c * t;
+          rotate_columns<K>(a.data(), p, r, c, s);
+          rotate_rows<K>(a.data(), p, r, c, s);
+          rotate_columns<K>(q.data(), p, r, c, s);
+        }
+      }
+    }
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < K; ++i) {
+      if (a[i * K + i] > a[best * K + best]) best = i;
+    }
+    for (std::size_t i = 0; i < K; ++i) direction[i] = q[i * K + best];
+  }
+};
+
+// The number of doubles in a phase block of `cols` columns.
+std::size_t block_stride(std::size_t cols) {
+  return cols + cols * (cols + 1) / 2;
 }
 
 }  // namespace
 
+template <std::size_t C>
+double SvdDetector::feed_as(double value) {
+  if (util::is_missing(value)) {
+    // Hold the last value so the lag matrix stays well defined.
+    if (has_last_) push<C>(last_value_);
+    return 0.0;
+  }
+  last_value_ = value;
+  has_last_ = true;
+  const double* block = push<C>(value);
+  if (held_ < rows_ * C) return 0.0;
+  return sanitize_severity(
+      std::abs(Kernel<C>::residual(block, direction_.data())));
+}
+
+template <std::size_t C>
+const double* SvdDetector::push(double value) {
+  if (phase_ == 0 && held_ > 0) rebuild_suffixes<C>();
+  double* block = &by_phase_[phase_ * Kernel<C>::kStride];
+  for (std::size_t m = C - 1; m > 0; --m) block[m] = block[m - 1];
+  block[0] = value;
+  const double* suffix = &suffix_[(phase_ + 1) * C];
+  for (std::size_t lag = 0; lag < C; ++lag) {
+    // block[lag] is the value lag·rows points back (0 before the stream).
+    prefix_[lag] += value * block[lag];
+    double* dots = block + Kernel<C>::kLagOffset[lag];
+    for (std::size_t m = C - 1 - lag; m > 0; --m) dots[m] = dots[m - 1];
+    dots[0] = prefix_[lag] + suffix[lag];
+  }
+  if (held_ < rows_ * C) ++held_;
+  phase_ = phase_ + 1 == rows_ ? 0 : phase_ + 1;
+  return block;
+}
+
+// A chunk of `rows` points just completed: every phase block still holds
+// that chunk's point first, so its lagged products are recomputed from
+// the blocks and summed from the back.
+template <std::size_t C>
+void SvdDetector::rebuild_suffixes() {
+  for (std::size_t phase = rows_; phase-- > 0;) {
+    const double* block = &by_phase_[phase * Kernel<C>::kStride];
+    for (std::size_t lag = 0; lag < C; ++lag) {
+      suffix_[phase * C + lag] =
+          suffix_[(phase + 1) * C + lag] + block[0] * block[lag];
+    }
+  }
+  std::fill(prefix_.begin(), prefix_.end(), 0.0);
+}
+
+SvdDetector::Feed SvdDetector::feed_for(std::size_t cols) {
+  switch (cols) {
+    case 2: return &SvdDetector::feed_as<2>;
+    case 3: return &SvdDetector::feed_as<3>;
+    case 4: return &SvdDetector::feed_as<4>;
+    case 5: return &SvdDetector::feed_as<5>;
+    case 6: return &SvdDetector::feed_as<6>;
+    case 7: return &SvdDetector::feed_as<7>;
+    case 8: return &SvdDetector::feed_as<8>;
+    default: return nullptr;
+  }
+}
+
 SvdDetector::SvdDetector(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols) {
-  if (rows == 0 || cols == 0) {
-    throw std::invalid_argument("SvdDetector: rows and cols must be positive");
+  feed_ = feed_for(cols);
+  if (rows == 0 || feed_ == nullptr) {
+    throw std::invalid_argument(
+        "SvdDetector: rows must be positive and cols in [2, 8]");
   }
-  lag_offset_.resize(cols_);
-  stride_ = cols_;
-  for (std::size_t lag = 0; lag < cols_; ++lag) {
-    lag_offset_[lag] = stride_;
-    stride_ += cols_ - lag;
-  }
-  by_phase_.resize(rows_ * stride_);
+  by_phase_.resize(rows_ * block_stride(cols_));
   prefix_.resize(cols_);
   suffix_.resize((rows_ + 1) * cols_);
-  const std::size_t k = cols_ - 1;
-  gram_.resize(k * k);
-  direction_.resize(k);
-  scratch_.resize(2 * k * k + 2 * k);
+  direction_.resize(cols_ - 1);
   reset();
 }
 
@@ -98,181 +310,7 @@ std::string SvdDetector::name() const {
 }
 
 double SvdDetector::feed(double value) {
-  if (util::is_missing(value)) {
-    // Hold the last value so the lag matrix stays well defined.
-    if (has_last_) push(last_value_);
-    return 0.0;
-  }
-  last_value_ = value;
-  has_last_ = true;
-  const double* block = push(value);
-  if (held_ < rows_ * cols_) return 0.0;
-  return sanitize_severity(std::abs(residual(block)));
-}
-
-const double* SvdDetector::push(double value) {
-  if (phase_ == 0 && held_ > 0) rebuild_suffixes();
-  double* block = &by_phase_[phase_ * stride_];
-  for (std::size_t m = cols_ - 1; m > 0; --m) block[m] = block[m - 1];
-  block[0] = value;
-  const double* suffix = &suffix_[(phase_ + 1) * cols_];
-  for (std::size_t lag = 0; lag < cols_; ++lag) {
-    // block[lag] is the value lag·rows points back (0 before the stream).
-    prefix_[lag] += value * block[lag];
-    double* dots = block + lag_offset_[lag];
-    for (std::size_t m = cols_ - 1 - lag; m > 0; --m) dots[m] = dots[m - 1];
-    dots[0] = prefix_[lag] + suffix[lag];
-  }
-  if (held_ < rows_ * cols_) ++held_;
-  phase_ = phase_ + 1 == rows_ ? 0 : phase_ + 1;
-  return block;
-}
-
-// A chunk of `rows` points just completed: every phase block still holds
-// that chunk's point first, so its lagged products are recomputed from
-// the blocks and summed from the back.
-void SvdDetector::rebuild_suffixes() {
-  for (std::size_t phase = rows_; phase-- > 0;) {
-    const double* block = &by_phase_[phase * stride_];
-    for (std::size_t lag = 0; lag < cols_; ++lag) {
-      suffix_[phase * cols_ + lag] =
-          suffix_[(phase + 1) * cols_ + lag] + block[0] * block[lag];
-    }
-  }
-  std::fill(prefix_.begin(), prefix_.end(), 0.0);
-}
-
-// Column-major fill: column c of the lag matrix holds segment c of the
-// window (oldest segment first), so the newest point lands at
-// (rows-1, cols-1). The dominant subspace is learned from the *past*
-// segments A only — otherwise a large anomaly in the newest segment y
-// would dominate the basis and reconstruct itself with a near-zero
-// residual. With v the dominant eigenvector of G = AᵀA and σ² = vᵀGv, the
-// left singular vector is Av/σ, so the rank-1 reconstruction of y's last
-// entry is (vᵀAᵀy/σ)·(a·v/σ), a being A's last row: the newest phase's
-// values before the newest one.
-double SvdDetector::residual(const double* block) {
-  const std::size_t k = cols_ - 1;
-  // Segments i <= j are j-i segments apart and segment j ends cols-1-j
-  // chunks ago, so their dot product is that old value of the lag-(j-i)
-  // sum at this phase.
-  double trace = 0.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i <= j; ++i) {
-      const double dot = block[lag_offset_[j - i] + (cols_ - 1 - j)];
-      gram_[i * k + j] = dot;
-      gram_[j * k + i] = dot;
-    }
-    trace += gram_[j * k + j];
-  }
-  const double newest = block[0];
-  // util::svd's degenerate branches: no singular value above zero, or a
-  // past segment whose squared norm overflows (an infinite singular value,
-  // whose left singular vector it scales to zero).
-  if (!(trace > 0.0) || std::isinf(trace)) return newest;
-  dominant_direction(trace);
-
-  double sigma2 = 0.0;
-  double projection = 0.0;  // vᵀAᵀy
-  double last_row = 0.0;    // a·v
-  for (std::size_t i = 0; i < k; ++i) {
-    double gv = 0.0;
-    for (std::size_t j = 0; j < k; ++j) gv += gram_[i * k + j] * direction_[j];
-    sigma2 += direction_[i] * gv;
-    projection += direction_[i] * block[lag_offset_[cols_ - 1 - i]];
-    last_row += direction_[i] * block[cols_ - 1 - i];
-  }
-  const double sigma = std::sqrt(sigma2);
-  if (!(sigma > kZeroSigma)) return newest;
-  return newest - (projection / sigma) * (last_row / sigma);
-}
-
-// Rayleigh quotient iteration, warm-started from the previous point's
-// direction v: λ = vᵀGv, then v <- (G - λI)⁻¹v normalized, which
-// converges cubically to the eigenvector nearest λ. G is positive
-// semi-definite, so when λ exceeds half the trace every other eigenvalue
-// lies below trace - λ, and the residual r = Gv - λv bounds the angle
-// between v and the dominant eigenvector by |r|/(2λ - trace). Without
-// that certificate (no dominant direction, or convergence to another
-// eigenvector) a Jacobi eigen-solve decides.
-void SvdDetector::dominant_direction(double trace) {
-  const std::size_t k = direction_.size();
-  double* v = direction_.data();
-  double* gv = scratch_.data();
-  double* m = gv + k;
-  double* z = m + k * k;
-  for (int iteration = 0; iteration < kMaxRayleighIterations; ++iteration) {
-    double lambda = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      double sum = 0.0;
-      for (std::size_t j = 0; j < k; ++j) sum += gram_[i * k + j] * v[j];
-      gv[i] = sum;
-      lambda += v[i] * sum;
-    }
-    double residual2 = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double r = gv[i] - lambda * v[i];
-      residual2 += r * r;
-    }
-    const double gap = 2.0 * lambda - trace;
-    if (std::sqrt(residual2) <=
-        kDirectionTolerance * (gap > 0.0 ? gap : lambda)) {
-      if (gap > 0.0) return;
-      break;  // an eigenvector, but not the dominant one
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < k; ++j) m[i * k + j] = gram_[i * k + j];
-      m[i * k + i] -= lambda;
-      z[i] = v[i];
-    }
-    if (!solve_in_place(m, z, k)) break;
-    double norm2 = 0.0;
-    for (std::size_t i = 0; i < k; ++i) norm2 += z[i] * z[i];
-    if (!(norm2 > 0.0) || std::isinf(norm2)) break;
-    const double inv_norm = 1.0 / std::sqrt(norm2);
-    for (std::size_t i = 0; i < k; ++i) v[i] = z[i] * inv_norm;
-  }
-  jacobi_direction();
-}
-
-// Cyclic Jacobi eigen-solve of the Gram matrix; the eigenvector of the
-// largest eigenvalue becomes the direction.
-void SvdDetector::jacobi_direction() {
-  const std::size_t k = direction_.size();
-  double* a = scratch_.data();
-  double* q = a + k * k;
-  for (std::size_t i = 0; i < k * k; ++i) {
-    a[i] = gram_[i];
-    q[i] = i % (k + 1) == 0 ? 1.0 : 0.0;
-  }
-  for (int sweep = 0; sweep < kMaxJacobiSweeps; ++sweep) {
-    double off = 0.0;
-    double diag = 0.0;
-    for (std::size_t p = 0; p < k; ++p) {
-      diag += a[p * k + p] * a[p * k + p];
-      for (std::size_t r = p + 1; r < k; ++r) off += a[p * k + r] * a[p * k + r];
-    }
-    if (off <= 1e-32 * diag) break;
-    for (std::size_t p = 0; p + 1 < k; ++p) {
-      for (std::size_t r = p + 1; r < k; ++r) {
-        const double apr = a[p * k + r];
-        if (apr == 0.0) continue;
-        const double theta = (a[r * k + r] - a[p * k + p]) / (2.0 * apr);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(theta) + std::sqrt(1.0 + theta * theta));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = c * t;
-        rotate_columns(a, k, p, r, c, s);
-        rotate_rows(a, k, p, r, c, s);
-        rotate_columns(q, k, p, r, c, s);
-      }
-    }
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < k; ++i) {
-    if (a[i * k + i] > a[best * k + best]) best = i;
-  }
-  for (std::size_t i = 0; i < k; ++i) direction_[i] = q[i * k + best];
+  return (this->*feed_)(value);
 }
 
 void SvdDetector::reset() {

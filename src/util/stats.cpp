@@ -57,6 +57,46 @@ double select_quantile(std::span<double> v, double q) {
                      rank.single ? *lo : *std::min_element(lo + 1, v.end()));
 }
 
+// The second pass of variance(): the mean squared deviation from m.
+double variance_about(std::span<const double> xs, double m) {
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (double x : xs) {
+    if (!is_missing(x)) {
+      const double d = x - m;
+      sum += d * d;
+      ++n;
+    }
+  }
+  return n == 0 ? kNaN : sum / static_cast<double>(n);
+}
+
+// std::lower_bound over sorted[0, n) as an index, with the comparison
+// folded into a conditional move rather than a branch, which noisy data
+// would mispredict about every other step.
+std::size_t lower_bound_index(const double* sorted, std::size_t n, double x) {
+  if (n == 0) return 0;
+  const double* base = sorted;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] < x ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - sorted) + (*base < x ? 1 : 0);
+}
+
+// std::upper_bound, likewise.
+std::size_t upper_bound_index(const double* sorted, std::size_t n, double x) {
+  if (n == 0) return 0;
+  const double* base = sorted;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] <= x ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - sorted) + (*base <= x ? 1 : 0);
+}
+
 }  // namespace
 
 bool is_missing(double x) {
@@ -87,21 +127,15 @@ double variance(std::span<const double> xs) {
   // Two passes in index order over the span itself: the mean, then the
   // mean squared deviation from it. No division per element, unlike
   // RunningStats, and as accurate.
-  const double m = mean(xs);
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (double x : xs) {
-    if (!is_missing(x)) {
-      const double d = x - m;
-      sum += d * d;
-      ++n;
-    }
-  }
-  return n == 0 ? kNaN : sum / static_cast<double>(n);
+  return variance_about(xs, mean(xs));
 }
 
 double stddev(std::span<const double> xs) {
-  const double v = variance(xs);
+  return stddev(xs, mean(xs));
+}
+
+double stddev(std::span<const double> xs, double mean) {
+  const double v = variance_about(xs, mean);
   return is_missing(v) ? kNaN : std::sqrt(v);
 }
 
@@ -208,15 +242,6 @@ double median_in_place(std::span<double> xs) {
   return n == 0 ? kNaN : select_quantile(xs.first(n), 0.5);
 }
 
-double mad_in_place(std::span<double> xs) {
-  const std::span<double> present = xs.first(compact_present(xs));
-  const double med = median_in_place(present);
-  if (is_missing(med)) return kNaN;
-  for (double& x : present) x = std::abs(x - med);
-  const double raw = median_in_place(present);
-  return is_missing(raw) ? kNaN : 1.4826 * raw;
-}
-
 SlidingSum::SlidingSum(std::size_t length)
     : chunk_(length), suffix_(length + 1, 0.0) {
   if (length == 0) {
@@ -247,67 +272,66 @@ void SlidingSum::clear() {
 SortedWindow::SortedWindow(std::size_t capacity) : sorted_(capacity) {}
 
 void SortedWindow::replace(double leaving, double entering) {
-  const auto begin = sorted_.begin();
-  const auto end = begin + static_cast<std::ptrdiff_t>(size_);
+  double* const values = sorted_.data();
+  const std::size_t size = size_;
   // The slot freed by `leaving`, or a new one past the end.
-  std::size_t hole = size_;
+  std::size_t hole = size;
   if (!is_missing(leaving)) {
-    hole = static_cast<std::size_t>(std::lower_bound(begin, end, leaving) -
-                                    begin);
-    if (hole < size_ && sorted_[hole] != leaving) hole = size_;
+    hole = lower_bound_index(values, size, leaving);
+    if (hole < size && values[hole] != leaving) hole = size;
   }
-  const bool removed = hole < size_;
+  const bool removed = hole < size;
   if (is_missing(entering)) {
     if (!removed) return;
-    for (std::size_t i = hole; i + 1 < size_; ++i) sorted_[i] = sorted_[i + 1];
+    std::copy(values + hole + 1, values + size, values + hole);
     --size_;
     return;
   }
-  // Slide the hole to where `entering` belongs.
-  std::size_t at = hole;
-  while (at > 0 && sorted_[at - 1] > entering) {
-    sorted_[at] = sorted_[at - 1];
-    --at;
+  // Move the hole to where `entering` belongs: past the larger values
+  // before it, or else past the smaller values after it.
+  std::size_t at = upper_bound_index(values, hole, entering);
+  if (at < hole) {
+    std::copy_backward(values + at, values + hole, values + hole + 1);
+  } else if (removed) {
+    at = hole + lower_bound_index(values + hole + 1, size - hole - 1, entering);
+    std::copy(values + hole + 1, values + at + 1, values + hole);
   }
-  const std::size_t last = removed ? size_ - 1 : size_;
-  while (at < last && sorted_[at + 1] < entering) {
-    sorted_[at] = sorted_[at + 1];
-    ++at;
-  }
-  sorted_[at] = entering;
+  values[at] = entering;
   if (!removed) ++size_;
 }
 
-double SortedWindow::median() const {
-  if (size_ == 0) return kNaN;
-  const QuantileRank rank = quantile_rank(size_, 0.5);
-  return interpolate(rank, sorted_[rank.lo],
-                     sorted_[std::min(rank.lo + 1, size_ - 1)]);
+double sorted_median(std::span<const double> sorted) {
+  const std::size_t size = sorted.size();
+  if (size == 0) return kNaN;
+  const QuantileRank rank = quantile_rank(size, 0.5);
+  return interpolate(rank, sorted[rank.lo],
+                     sorted[std::min(rank.lo + 1, size - 1)]);
 }
 
-double SortedWindow::mad() const {
-  const double med = median();
+double sorted_mad(std::span<const double> sorted) {
+  const double med = sorted_median(sorted);
   if (is_missing(med)) return kNaN;
   // |x - med| rises from the median outwards on both sides, so the
   // deviations are two ascending runs: the left side walked backwards and
   // the right side walked forwards. Values equal to an infinite median
   // deviate by NaN, which mad() skips; they open the right side.
-  const auto begin = sorted_.begin();
-  const auto end = begin + static_cast<std::ptrdiff_t>(size_);
-  const std::size_t left =
-      static_cast<std::size_t>(std::lower_bound(begin, end, med) - begin);
+  const std::size_t size = sorted.size();
+  // The first value not below the median, walked to from the median's
+  // rank: only ties (or an interpolation that rounds onto a neighbour)
+  // move it.
+  std::size_t left = std::min(quantile_rank(size, 0.5).lo + 1, size);
+  while (left > 0 && sorted[left - 1] >= med) --left;
+  while (left < size && sorted[left] < med) ++left;
   const std::size_t right =
-      std::isinf(med)
-          ? static_cast<std::size_t>(std::upper_bound(begin, end, med) - begin)
-          : left;
-  const std::size_t right_size = size_ - right;
+      std::isinf(med) ? upper_bound_index(sorted.data(), size, med) : left;
+  const std::size_t right_size = size - right;
   const std::size_t n = left + right_size;
   if (n == 0) return kNaN;
   const auto from_left = [&](std::size_t i) {
-    return std::abs(sorted_[left - 1 - i] - med);
+    return std::abs(sorted[left - 1 - i] - med);
   };
   const auto from_right = [&](std::size_t j) {
-    return std::abs(sorted_[right + j] - med);
+    return std::abs(sorted[right + j] - med);
   };
   // The rank.lo + 1 smallest deviations take i from the left run and the
   // rest from the right; binary search for the i at which every deviation
@@ -318,11 +342,9 @@ double SortedWindow::mad() const {
   std::size_t hi = std::min(taken, left);
   while (lo < hi) {
     const std::size_t i = lo + (hi - lo) / 2;
-    if (from_left(i) < from_right(taken - 1 - i)) {
-      lo = i + 1;
-    } else {
-      hi = i;
-    }
+    const bool more_from_left = from_left(i) < from_right(taken - 1 - i);
+    lo = more_from_left ? i + 1 : lo;
+    hi = more_from_left ? hi : i;
   }
   const std::size_t i = lo;
   const std::size_t j = taken - i;

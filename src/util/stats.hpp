@@ -24,6 +24,10 @@ double variance(std::span<const double> xs);
 
 double stddev(std::span<const double> xs);
 
+// stddev() when `mean` is already mean(xs): skips that pass and returns
+// the same bits.
+double stddev(std::span<const double> xs, double mean);
+
 // q in [0,1]; linear interpolation between order statistics.
 double quantile(std::span<const double> xs, double q);
 
@@ -67,10 +71,6 @@ class RunningStats {
 // is bit-identical.
 double median_in_place(std::span<double> xs);
 
-// Allocation-free mad(): overwrites `xs` with absolute deviations.
-// Bit-identical to mad() on the original contents.
-double mad_in_place(std::span<double> xs);
-
 // Sum of the last `length` pushed values (of all of them before `length`
 // are pushed), amortized O(1) per push and free of drift. Values are
 // grouped into aligned chunks of `length`: the window is a prefix of the
@@ -94,13 +94,18 @@ class SlidingSum {
   double prefix_ = 0.0;         // sum of chunk_[0, pos_)
 };
 
+// median() and mad() of an ascending, NaN-free span: the same
+// arithmetic on the same order statistics, so bit-identical to them;
+// O(1) and O(log n).
+double sorted_median(std::span<const double> sorted);
+double sorted_mad(std::span<const double> sorted);
+
 // The non-NaN values of a sliding window, kept sorted in a buffer sized
 // once at construction; the caller names the entering and the leaving
-// value. median() is O(1) and mad() O(log n). Both apply the arithmetic
-// of median()/mad() to the same order statistics, so they are
-// bit-identical to them over the window. (Equal values are
-// interchangeable, so a -0.0 may leave in place of a +0.0: that can flip
-// the sign of a zero median, never the MAD.)
+// value. median() and mad() are bit-identical to median()/mad() over the
+// window. (Equal values are interchangeable, so a -0.0 may leave in
+// place of a +0.0: that can flip the sign of a zero median, never the
+// MAD.)
 class SortedWindow {
  public:
   explicit SortedWindow(std::size_t capacity);
@@ -110,11 +115,15 @@ class SortedWindow {
   // A full window must have something leaving.
   void replace(double leaving, double entering);
   std::size_t size() const { return size_; }
-  double median() const;
-  double mad() const;
+  double median() const { return sorted_median(values()); }
+  double mad() const { return sorted_mad(values()); }
   void clear() { size_ = 0; }
 
  private:
+  std::span<const double> values() const {
+    return std::span<const double>(sorted_).first(size_);
+  }
+
   std::vector<double> sorted_;
   std::size_t size_ = 0;
 };

@@ -466,6 +466,79 @@ TEST(DetectorBoundary, InjectedThrowCostsOnlyTheStruckPoint) {
   EXPECT_GT(struck, n);  // ~5% of 133 columns x n points
 }
 
+// The 20 seasonal configurations of a bank share one slot store
+// (detectors/seasonal_detectors.hpp). With quarantine after the first
+// failure, a struck column is neutral from its first struck point on, and
+// every column never struck — seasonal ones included, whose store is
+// still fed by its live readers — equals the clean run bit for bit,
+// streaming and batch alike.
+TEST(DetectorBoundary, QuarantineLeavesTheSharedSlotStoreAdvancing) {
+  util::clear_fault_plan();
+  const detectors::SeriesContext ctx{24, 168};
+  const std::size_t n = 6 * ctx.points_per_week;
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    values[i] = 100.0 + 20.0 * std::sin(t * 0.2618) +
+                5.0 * std::sin(t * 0.0374) + 3.0 * std::cos(t * 1.7);
+  }
+  const ts::TimeSeries series("quarantine", 1700000000, 3600, values);
+  detectors::FaultBoundary boundary;
+  boundary.quarantine_after = 1;
+  boundary.key_salt = 0x5eed;
+
+  const auto stream = [&] {
+    detectors::StreamingExtractor extractor(
+        detectors::standard_configurations(ctx), boundary);
+    std::vector<std::vector<double>> rows;
+    for (const double v : values) rows.push_back(extractor.feed(v));
+    return rows;
+  };
+  const detectors::FeatureMatrix clean_batch = detectors::extract_features(
+      series, detectors::standard_configurations(ctx), boundary);
+  const std::vector<std::vector<double>> clean_stream = stream();
+
+  util::FaultPlan plan;
+  plan.seed = 41;
+  plan.rates["detector.throw"] = 2e-4;
+  const PlanGuard guard(plan);
+  const detectors::FeatureMatrix batch = detectors::extract_features(
+      series, detectors::standard_configurations(ctx), boundary);
+  const std::vector<std::vector<double>> streamed = stream();
+
+  std::size_t seasonal_struck = 0;
+  std::size_t seasonal_live = 0;
+  for (std::size_t f = 0; f < clean_batch.num_features(); ++f) {
+    std::size_t first_strike = n;
+    for (std::size_t i = 0; i < n && first_strike == n; ++i) {
+      const std::uint64_t key = util::fault_key(f, i) ^ boundary.key_salt;
+      if (util::fault_fires(util::faults::kDetectorThrow, key)) {
+        first_strike = i;
+      }
+    }
+    const std::string family =
+        detectors::family_of(clean_batch.feature_names[f]);
+    if (family == "tsd" || family == "tsd_mad" ||
+        family == "historical_average" || family == "historical_mad") {
+      ++(first_strike < n ? seasonal_struck : seasonal_live);
+    }
+    EXPECT_EQ(batch.quarantined[f] != 0, first_strike < n);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double batch_want =
+          i < first_strike ? clean_batch.columns[f][i] : boundary.neutral;
+      const double stream_want =
+          i < first_strike ? clean_stream[i][f] : boundary.neutral;
+      mismatches += batch.columns[f][i] != batch_want ? 1 : 0;
+      mismatches += streamed[i][f] != stream_want ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << clean_batch.feature_names[f];
+  }
+  // The plan must strike some seasonal columns and spare others.
+  EXPECT_GT(seasonal_struck, 0u);
+  EXPECT_GT(seasonal_live, 0u);
+}
+
 // ---- end-to-end: the weekly driver under fire ----------------------------
 
 TEST(ChaosPipeline, WeeklyDriverSurvivesDetectorAndForestFaults) {

@@ -16,12 +16,18 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "datagen/kpi_presets.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "detectors/registry.hpp"
+#include "detectors/svd_detector.hpp"
 #include "reference_detectors.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -198,6 +204,21 @@ TEST(DetectorOracle, SvdWithinToleranceOfFullSvd) {
   expect_family_matches_reference("svd", /*exact=*/false, 11);
 }
 
+// The bank samples cols 3, 5 and 7; the solve is compiled for 2 to 8.
+TEST(DetectorOracle, EverySvdKernelWithinToleranceOfFullSvd) {
+  const std::vector<double> xs = dirty_stream(6000, 20);
+  const HeldWindowMax held(xs);
+  for (const std::size_t cols : {2u, 4u, 6u, 8u}) {
+    SvdDetector fast(10, cols);
+    reference::SvdDetector ref(10, cols);
+    ColumnCheck column(fast.name(), /*exact=*/false, fast.warmup_points());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      column.check(i, fast.feed(xs[i]), ref.feed(xs[i]), held);
+    }
+    EXPECT_EQ(column.mismatches(), 0u) << fast.name();
+  }
+}
+
 TEST(DetectorOracle, WaveletWithinToleranceOfBandReconstruction) {
   expect_family_matches_reference("wavelet", /*exact=*/false, 12);
 }
@@ -245,6 +266,84 @@ TEST(DetectorOracle, StreamingBankMatchesReferenceBank) {
   }
 }
 
+// 64-bit FNV-1a over the bits of the severities.
+class Digest {
+ public:
+  void add(double x) {
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ (bits & 0xff)) * 0x100000001b3ull;
+      bits >>= 8;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::vector<double> preset_stream(datagen::KpiPreset preset) {
+  preset.model.weeks = 7;
+  const datagen::GeneratedKpi kpi =
+      datagen::generate_kpi(preset.model, preset.injection);
+  return {kpi.series.values().begin(), kpi.series.values().end()};
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Pins every streaming column of the full bank bit for bit: one digest per
+// configuration over the dirty stream above, then seven weeks of PV and of
+// #SR, each through a fresh extractor. The tolerance oracles above cannot
+// tell a rounding change from none; this test can. A deliberate change of
+// a column's bits re-records its line of tests/golden/bank_digests.txt
+// (the failure prints the whole table) and says why in CHANGES.md.
+TEST(DetectorOracle, GoldenBankDigests) {
+  const std::vector<std::vector<double>> streams = {
+      dirty_stream(kStreamPoints, 19),
+      preset_stream(datagen::pv_preset(datagen::Scale::kSmall, 23)),
+      preset_stream(datagen::sr_preset(datagen::Scale::kSmall, 29))};
+  std::vector<std::string> names;
+  std::vector<Digest> digests;
+  for (const std::vector<double>& xs : streams) {
+    StreamingExtractor bank(standard_configurations(kCtx));
+    if (names.empty()) {
+      names = bank.feature_names();
+      digests.resize(names.size());
+    }
+    std::vector<double> row(bank.num_features());
+    for (const double x : xs) {
+      bank.feed_into(x, row);
+      for (std::size_t f = 0; f < row.size(); ++f) digests[f].add(row[f]);
+    }
+  }
+  std::string actual;
+  for (std::size_t f = 0; f < names.size(); ++f) {
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx ",
+                  static_cast<unsigned long long>(digests[f].value()));
+    actual += hex + names[f] + '\n';
+  }
+  const std::string golden = read_file(
+      std::filesystem::path(OPPRENTICE_GOLDEN_DIR) / "bank_digests.txt");
+  std::istringstream want(golden);
+  std::istringstream got(actual);
+  std::string want_line;
+  std::string got_line;
+  std::size_t lines = 0;
+  while (std::getline(got, got_line)) {
+    ++lines;
+    if (!std::getline(want, want_line)) want_line.clear();
+    EXPECT_EQ(got_line, want_line) << "column " << lines;
+  }
+  EXPECT_EQ(lines, kStandardConfigurationCount);
+  if (actual != golden) ADD_FAILURE() << "digests now:\n" << actual;
+}
+
 // The allocation-free statistics against util::median/util::mad on
 // random windows with NaNs, infinities, ties and signed values.
 TEST(DetectorOracle, InPlaceAndSortedWindowMadBitIdentical) {
@@ -273,8 +372,6 @@ TEST(DetectorOracle, InPlaceAndSortedWindowMadBitIdentical) {
       std::vector<double> scratch = window;
       EXPECT_TRUE(same_bits(util::median_in_place(scratch),
                             util::median(window)));
-      scratch = window;
-      EXPECT_TRUE(same_bits(util::mad_in_place(scratch), util::mad(window)));
       EXPECT_TRUE(same_bits(sorted.median(), util::median(window)))
           << "capacity " << capacity << " step " << step;
       EXPECT_TRUE(same_bits(sorted.mad(), util::mad(window)))

@@ -88,19 +88,29 @@ TEST(Oracle, WeightedMaMatchesBruteForce) {
   }
 }
 
+// Also after an infinity and a ±1e300 pair have passed through the
+// window: a running sum that subtracts what leaves would read 0 (inf -
+// inf) or lose the small differences to rounding for good.
 TEST(Oracle, MaOfDiffMatchesBruteForce) {
   const std::size_t win = 10;
   MaOfDiffDetector d(win);
-  const auto xs = noisy_periodic(150);
+  auto xs = noisy_periodic(150);
+  xs[60] = std::numeric_limits<double>::infinity();
+  xs[100] = 1e300;
+  xs[101] = -1e300;
   const auto sev = run(d, xs);
+  std::size_t after_spikes = 0;
   for (std::size_t i = win + 1; i < xs.size(); ++i) {
     double mean = 0.0;
     for (std::size_t j = i - win + 1; j <= i; ++j) {
       mean += std::abs(xs[j] - xs[j - 1]);
     }
     mean /= static_cast<double>(win);
+    if (!(mean < 1e200)) continue;  // a spike is inside the window
     EXPECT_NEAR(sev[i], mean, 1e-9) << i;
+    if (i > 102) ++after_spikes;
   }
+  EXPECT_GT(after_spikes, 30u);
 }
 
 TEST(Oracle, EwmaMatchesClosedForm) {

@@ -385,6 +385,81 @@ TEST(Svd, SpikeRaisesResidual) {
   EXPECT_GT(spike, 100.0 * (base + 1e-9));
 }
 
+TEST(Svd, ColumnCountsWithoutAKernelAreRejected) {
+  for (const std::size_t cols : {0u, 1u, 9u}) {
+    EXPECT_THROW(SvdDetector(10, cols), std::invalid_argument) << cols;
+  }
+  EXPECT_THROW(SvdDetector(0, 3), std::invalid_argument);
+  for (const std::size_t cols : {2u, 8u}) {
+    SvdDetector d(10, cols);
+    double last = 1.0;
+    for (int i = 0; i < 200; ++i) last = d.feed(10.0 + (i % 10));
+    EXPECT_NEAR(last, 0.0, 1e-9) << cols;
+  }
+}
+
+// ---- the shared seasonal slot store ----
+
+TEST(SeasonalSlotStore, OneStorePerBankAndPerInstantiatedFamily) {
+  const auto registry = DetectorRegistry::with_standard_families();
+  const auto bank = registry.instantiate_all(small_ctx());
+  const SeasonalSlotStore* store = nullptr;
+  std::size_t readers = 0;
+  for (const DetectorPtr& d : bank) {
+    const std::string family = family_of(d->name());
+    const bool seasonal = family == "tsd" || family == "tsd_mad" ||
+                          family == "historical_average" ||
+                          family == "historical_mad";
+    if (!seasonal) {
+      EXPECT_EQ(d->slot_store(), nullptr) << d->name();
+      continue;
+    }
+    ASSERT_NE(d->slot_store(), nullptr) << d->name();
+    if (store == nullptr) store = d->slot_store();
+    EXPECT_EQ(d->slot_store(), store) << d->name();
+    ++readers;
+  }
+  EXPECT_EQ(readers, 20u);
+
+  const auto tsd = registry.instantiate_family("tsd", small_ctx());
+  EXPECT_NE(tsd.front()->slot_store(), store);
+  EXPECT_EQ(tsd.front()->slot_store(), tsd.back()->slot_store());
+  const TsdDetector alone(2, small_ctx());
+  EXPECT_NE(alone.slot_store(), tsd.front()->slot_store());
+}
+
+// Readers of one store move in step. A reader that starts over from
+// point 0 restarts the store (a caller running the readers one after the
+// other), but one left behind mid-stream is a caller's bug and throws.
+TEST(SeasonalSlotStore, ReaderLeftBehindThrows) {
+  auto pair = DetectorRegistry::with_standard_families().instantiate_family(
+      "historical_mad", small_ctx());
+  Detector& a = *pair[0];
+  Detector& b = *pair[1];
+  a.feed(1.0);
+  b.feed(1.0);
+  a.feed(2.0);
+  b.feed(2.0);
+  b.feed(3.0);
+  b.feed(4.0);
+  EXPECT_THROW(a.feed(3.0), std::logic_error);  // two points behind b
+
+  const auto xs = periodic_with_spike(6 * 168, 5 * 168 + 7);
+  a.reset();
+  b.reset();
+  std::vector<double> in_step;
+  for (const double x : xs) {
+    a.feed(x);
+    in_step.push_back(b.feed(x));
+  }
+  a.reset();
+  b.reset();
+  for (const double x : xs) a.feed(x);
+  std::vector<double> after_a;  // b's point 0 restarts the store
+  for (const double x : xs) after_a.push_back(b.feed(x));
+  EXPECT_EQ(after_a, in_step);
+}
+
 TEST(Wavelet, HighBandCatchesSpike) {
   WaveletDetector d(3, util::FrequencyBand::kHigh, small_ctx());
   const std::size_t n = 6 * 24;
