@@ -1,14 +1,28 @@
-// Unit tests for the determinism/concurrency contract rules
+// Unit tests for the determinism/concurrency contract checker
 // (tools/check_rules.*): every rule fires on a planted violation, reasoned
-// suppressions are honored, reason-less suppressions are errors, and the
-// tree walk only visits C++ sources. Violating code lives in string
-// literals here — which is also how the checker itself stays clean when it
-// scans its own sources.
+// suppressions are honored, reason-less suppressions are errors, the tree
+// walk only visits C++ sources below its roots, and the report text is
+// pinned against a golden file. Violating code lives in string literals
+// here — which is also how the checker itself stays clean when it scans
+// its own sources.
+//
+// Golden files live in tests/golden/ (path injected via
+// OPPRENTICE_GOLDEN_DIR). To update after an intentional format change:
+//   OPPRENTICE_REGENERATE_GOLDEN=1 ./check_rules_test
+// then review the diff like any other code change.
 #include "tools/check_rules.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -18,8 +32,54 @@ using opprentice::tools::check_source;
 using opprentice::tools::check_tree;
 using opprentice::tools::CheckViolation;
 using opprentice::tools::format_report;
+using opprentice::tools::list_cpp_sources;
 using opprentice::tools::LintReport;
-using opprentice::tools::TempTree;
+
+// RAII temp tree: a unique directory under the system temp path (prefix +
+// pid + instance counter, so parallel ctest processes never collide) that
+// is removed with everything planted in it when the object dies.
+class TempTree {
+ public:
+  explicit TempTree(std::string_view prefix) {
+    // Unique without entropy: pid separates concurrent ctest processes,
+    // the counter separates instances within one process.
+    static std::atomic<std::uint64_t> instance{0};
+    const std::uint64_t n = instance.fetch_add(1, std::memory_order_relaxed);
+    std::ostringstream name;
+    name << prefix << '-' << ::getpid() << '-' << n;
+    root_ = std::filesystem::temp_directory_path() / name.str();
+    std::filesystem::create_directories(root_);
+  }
+  ~TempTree() {
+    std::error_code ec;  // best-effort cleanup; never throw from a destructor
+    std::filesystem::remove_all(root_, ec);
+  }
+  TempTree(const TempTree&) = delete;
+  TempTree& operator=(const TempTree&) = delete;
+
+  const std::filesystem::path& root() const { return root_; }
+
+  // Writes `content` to root()/rel, creating parent directories; returns
+  // the absolute path of the planted file.
+  std::filesystem::path plant(const std::filesystem::path& rel,
+                              std::string_view content) const {
+    const std::filesystem::path path = root_ / rel;
+    std::filesystem::create_directories(path.parent_path());
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+    return path;
+  }
+
+ private:
+  std::filesystem::path root_;
+};
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
 std::vector<CheckViolation> scan(const std::string& content) {
   return check_source("src/probe.cpp", content);
@@ -490,7 +550,7 @@ TEST(CheckLayering, CppOnlyBackEdgeIsNotACycle) {
              "int a() { return 1; }\n");
   tree.plant("src/beta/b.hpp", "#include \"alpha/a.hpp\"\nint b();\n");
   const LintReport report = check_tree({(tree.root() / "src").string()});
-  EXPECT_TRUE(report.issues.empty()) << format_report(report, true);
+  EXPECT_TRUE(report.issues.empty()) << format_report(report);
 }
 
 TEST(CheckTree, WalksOnlyCppSources) {
@@ -507,6 +567,137 @@ TEST(CheckTree, MissingRootIsReported) {
   const LintReport report = check_tree({"/nonexistent-opprentice-root"});
   ASSERT_EQ(report.issues.size(), 1u);
   EXPECT_EQ(report.issues[0].check, "missing-root");
+}
+
+TEST(CheckTree, BuildNamedAncestorOfTheRootIsScanned) {
+  // Skip names apply below a root only: a checkout under e.g.
+  // /builds/<group>/<repo> must still be scanned.
+  const TempTree tree("build-check-rules-test");
+  tree.plant("src/util/bad.cpp", "std::random_device dev;\n");
+  const LintReport report = check_tree({(tree.root() / "src").string()});
+  EXPECT_EQ(report.checks_run, 1u);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].check, "random-device");
+}
+
+// Compares `actual` against the named golden file, regenerating it when
+// OPPRENTICE_REGENERATE_GOLDEN is set.
+void expect_matches_golden(const std::string& actual, const char* name) {
+  const std::filesystem::path golden =
+      std::filesystem::path(OPPRENTICE_GOLDEN_DIR) / name;
+  if (std::getenv("OPPRENTICE_REGENERATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden);
+    out << actual;
+    return;
+  }
+  ASSERT_TRUE(std::filesystem::exists(golden))
+      << "missing golden file " << golden
+      << " (run with OPPRENTICE_REGENERATE_GOLDEN=1 to create)";
+  EXPECT_EQ(actual, read_file(golden)) << "output diverged from " << name;
+}
+
+// The fixed report every formatting test renders: one anchored issue, one
+// unanchored issue, one repeated rule.
+LintReport sample_report() {
+  LintReport report;
+  report.checks_run = 5;
+  report.fail_at("alloc", "sized construction of 'vector v' on the hot path",
+                 "src/core/pipeline.cpp", 42);
+  report.fail("min-roots", "expected at least 8 hot roots, found 2");
+  report.fail_at("alloc", "call to heap-allocating 'make_unique'",
+                 "src/core/pipeline.cpp", 57);
+  return report;
+}
+
+// ---- format_report ----
+
+TEST(FormatReport, CleanReportIsOneLine) {
+  LintReport report;
+  report.checks_run = 3;
+  EXPECT_EQ(format_report(report), "OK: 3 checks, 0 issues\n");
+}
+
+TEST(FormatReport, SingularIssueCount) {
+  LintReport report;
+  report.checks_run = 1;
+  report.fail("rule", "message");
+  const std::string text = format_report(report);
+  EXPECT_NE(text.find("1 issue\n"), std::string::npos);
+}
+
+TEST(FormatReport, FailingReportMatchesGolden) {
+  expect_matches_golden(format_report(sample_report()),
+                        "report_failing.txt");
+}
+
+// ---- TempTree ----
+
+TEST(TempTree, PlantCreatesNestedDirectories) {
+  const TempTree tree("check-rules-test");
+  const auto planted =
+      tree.plant("a/b/c/deep.cpp", "int deep() { return 1; }\n");
+  EXPECT_TRUE(std::filesystem::exists(planted));
+  EXPECT_EQ(read_file(planted), "int deep() { return 1; }\n");
+}
+
+TEST(TempTree, PlantAcceptsEmptyFiles) {
+  const TempTree tree("check-rules-test");
+  const auto planted = tree.plant("empty.hpp", "");
+  ASSERT_TRUE(std::filesystem::exists(planted));
+  EXPECT_EQ(std::filesystem::file_size(planted), 0u);
+  // Empty sources must also survive the walk + scan path.
+  LintReport walk;
+  const auto files = list_cpp_sources({tree.root().string()}, &walk);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_TRUE(walk.ok());
+}
+
+TEST(TempTree, ConcurrentInstancesGetDistinctRoots) {
+  const TempTree a("check-rules-test");
+  const TempTree b("check-rules-test");
+  EXPECT_NE(a.root(), b.root());
+}
+
+TEST(TempTree, DestructorRemovesEverything) {
+  std::filesystem::path root;
+  {
+    const TempTree tree("check-rules-test");
+    root = tree.root();
+    tree.plant("x/y.cpp", "int y;\n");
+    ASSERT_TRUE(std::filesystem::exists(root));
+  }
+  EXPECT_FALSE(std::filesystem::exists(root));
+}
+
+TEST(TempTree, OverwritingAPlantedFileKeepsLatestContent) {
+  const TempTree tree("check-rules-test");
+  tree.plant("f.cpp", "int old_version;\n");
+  const auto planted = tree.plant("f.cpp", "int new_version;\n");
+  EXPECT_EQ(read_file(planted), "int new_version;\n");
+}
+
+// ---- list_cpp_sources ----
+
+TEST(ListCppSources, SortedAndFilteredWalk) {
+  const TempTree tree("check-rules-test");
+  tree.plant("src/b.cpp", "int b;\n");
+  tree.plant("src/a.hpp", "int a;\n");
+  tree.plant("src/notes.md", "not C++\n");
+  tree.plant("src/build/generated.cpp", "int skip_me;\n");
+  LintReport report;
+  const auto files = list_cpp_sources({(tree.root() / "src").string()},
+                                      &report);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_TRUE(files[0].string().ends_with("a.hpp"));
+  EXPECT_TRUE(files[1].string().ends_with("b.cpp"));
+  EXPECT_TRUE(report.ok());
+}
+
+TEST(ListCppSources, MissingRootIsReportedNotFatal) {
+  LintReport report;
+  const auto files = list_cpp_sources({"/nonexistent/opprentice"}, &report);
+  EXPECT_TRUE(files.empty());
+  EXPECT_FALSE(report.ok());
 }
 
 }  // namespace

@@ -7,13 +7,412 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 
 namespace opprentice::tools {
+
+void LintReport::fail(std::string check, std::string message) {
+  issues.push_back({std::move(check), std::move(message), std::string(), 0});
+}
+
+void LintReport::fail_at(std::string check, std::string message,
+                         std::string file, std::size_t line) {
+  issues.push_back({std::move(check), std::move(message), std::move(file),
+                    line});
+}
+
+std::string format_report(const LintReport& report) {
+  std::ostringstream out;
+  for (const auto& issue : report.issues) {
+    out << "FAIL [" << issue.check << "] ";
+    if (!issue.file.empty()) out << issue.file << ':' << issue.line << ": ";
+    out << issue.message << '\n';
+  }
+  out << (report.ok() ? "OK" : "FAIL") << ": " << report.checks_run
+      << " checks, " << report.issues.size() << " issue"
+      << (report.issues.size() == 1 ? "" : "s") << '\n';
+  return out.str();
+}
+
 namespace {
 
-using namespace cpp;  // shared tokenizer (tools/lint_common.hpp)
+bool is_checked_extension(const std::filesystem::path& p) {
+  const std::string ext = p.extension().string();
+  return ext == ".cpp" || ext == ".cc" || ext == ".hpp" || ext == ".h";
+}
+
+bool is_skipped_directory_name(const std::string& name) {
+  return name == ".git" || name == "bench-cache" ||
+         name.rfind("build", 0) == 0 || name.rfind("cmake-build", 0) == 0;
+}
+
+}  // namespace
+
+std::vector<std::filesystem::path> list_cpp_sources(
+    const std::vector<std::string>& roots, LintReport* report) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& root : roots) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(root, ec)) {
+      if (report != nullptr) {
+        report->fail("missing-root", "'" + root + "' is not a directory");
+      }
+      continue;
+    }
+    // Skip names are matched on the entries below the root only, so a
+    // checkout under e.g. /builds/<group>/<repo> is still scanned.
+    for (auto it = std::filesystem::recursive_directory_iterator(
+             root, std::filesystem::directory_options::skip_permission_denied);
+         it != std::filesystem::recursive_directory_iterator(); ++it) {
+      const std::filesystem::path& p = it->path();
+      if (it->is_directory()) {
+        if (is_skipped_directory_name(p.filename().string())) {
+          it.disable_recursion_pending();
+        }
+      } else if (it->is_regular_file() && is_checked_extension(p)) {
+        files.push_back(p);
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+namespace {
+
+// ---- tokenizer ------------------------------------------------------------
+//
+// Just enough C++ lexing for the rules: identifiers, numbers, punctuation
+// (longest-match two-char operators), with line numbers. String and char
+// literals become opaque kLiteral tokens, so code quoted inside a string
+// — including the checker's own rule patterns and test fixtures — can
+// never trip a rule. Comments never become tokens; their text is kept per
+// start line for suppression directives. Preprocessor lines are skipped
+// entirely (macro bodies are out of scope for these heuristics);
+// scan_includes() reads #include directives from the raw source.
+
+constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+enum class Tok { kIdent, kNumber, kPunct, kLiteral };
+
+struct Token {
+  Tok kind = Tok::kPunct;
+  std::string text;
+  std::size_t line = 0;
+};
+
+struct Lexed {
+  std::vector<Token> tokens;
+  std::map<std::size_t, std::string> comments;  // start line -> text
+};
+
+// One #include directive. `angled` distinguishes <system> from "project"
+// includes; layering rules only reason about the quoted form.
+struct Include {
+  std::string path;
+  std::size_t line = 0;
+  bool angled = false;
+};
+
+// One suppression directive:
+//   // opprentice-check: allow(<rule>[, <rule>...]) <mandatory reason>
+// A reason-less or rule-less allow is `malformed`; rules not in the rule
+// table land in `unknown`.
+struct Directive {
+  std::set<std::string> rules;
+  std::vector<std::string> unknown;
+  bool has_reason = false;
+  bool malformed = false;
+};
+
+bool is_ident_start(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+bool is_digit_char(char c) { return c >= '0' && c <= '9'; }
+
+bool is_two_char_punct(char a, char b) {
+  static const char* const kPairs[] = {"::", "->", "++", "--", "+=", "-=",
+                                       "*=", "/=", "%=", "&=", "|=", "^=",
+                                       "==", "!=", "<=", ">=", "&&", "||",
+                                       "<<", ">>"};
+  for (const char* pair : kPairs) {
+    if (pair[0] == a && pair[1] == b) return true;
+  }
+  return false;
+}
+
+bool is_ident_char(char c) { return is_ident_start(c) || is_digit_char(c); }
+
+Lexed lex(std::string_view src) {
+  Lexed out;
+  const std::size_t n = src.size();
+  std::size_t line = 1;
+  std::size_t i = 0;
+  const auto peek = [&](std::size_t ahead) {
+    return i + ahead < n ? src[i + ahead] : '\0';
+  };
+  while (i < n) {
+    const char c = src[i];
+    if (c == '\n') {
+      ++line;
+      ++i;
+      continue;
+    }
+    if (c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f') {
+      ++i;
+      continue;
+    }
+    if (c == '#') {  // preprocessor directive, honoring line continuations
+      while (i < n && src[i] != '\n') {
+        if (src[i] == '\\' && i + 1 < n && src[i + 1] == '\n') {
+          ++line;
+          ++i;
+        }
+        ++i;
+      }
+      continue;
+    }
+    if (c == '/' && peek(1) == '/') {
+      std::size_t j = i + 2;
+      while (j < n && src[j] != '\n') ++j;
+      out.comments[line] += std::string(src.substr(i + 2, j - i - 2));
+      i = j;
+      continue;
+    }
+    if (c == '/' && peek(1) == '*') {
+      const std::size_t start_line = line;
+      std::size_t j = i + 2;
+      std::string text;
+      while (j + 1 < n && !(src[j] == '*' && src[j + 1] == '/')) {
+        if (src[j] == '\n') ++line;
+        text += src[j];
+        ++j;
+      }
+      out.comments[start_line] += text;
+      i = (j + 1 < n) ? j + 2 : n;
+      continue;
+    }
+    if (is_ident_start(c)) {
+      std::size_t j = i;
+      while (j < n && is_ident_char(src[j])) ++j;
+      std::string ident(src.substr(i, j - i));
+      if (j < n && src[j] == '"' &&
+          (ident == "R" || ident == "u8R" || ident == "uR" || ident == "LR")) {
+        // Raw string literal: R"delim( ... )delim"
+        std::size_t k = j + 1;
+        std::string delim;
+        while (k < n && src[k] != '(') delim += src[k++];
+        const std::string closer = ")" + delim + "\"";
+        std::size_t end = src.find(closer, k);
+        end = (end == std::string_view::npos) ? n : end + closer.size();
+        for (std::size_t p = i; p < end; ++p) {
+          if (src[p] == '\n') ++line;
+        }
+        out.tokens.push_back({Tok::kLiteral, "<raw-string>", line});
+        i = end;
+        continue;
+      }
+      out.tokens.push_back({Tok::kIdent, std::move(ident), line});
+      i = j;
+      continue;
+    }
+    if (is_digit_char(c) || (c == '.' && is_digit_char(peek(1)))) {
+      std::size_t j = i;
+      while (j < n) {
+        const char d = src[j];
+        if (is_ident_char(d) || d == '.' || d == '\'') {
+          ++j;
+          continue;
+        }
+        if ((d == '+' || d == '-') && j > i) {
+          const char e = src[j - 1];
+          if (e == 'e' || e == 'E' || e == 'p' || e == 'P') {
+            ++j;
+            continue;
+          }
+        }
+        break;
+      }
+      out.tokens.push_back({Tok::kNumber, std::string(src.substr(i, j - i)),
+                            line});
+      i = j;
+      continue;
+    }
+    if (c == '"' || c == '\'') {
+      const char quote = c;
+      std::size_t j = i + 1;
+      while (j < n && src[j] != quote) {
+        if (src[j] == '\\' && j + 1 < n) {
+          ++j;
+        } else if (src[j] == '\n') {
+          ++line;  // unterminated literal: stay lenient, keep line counts
+        }
+        ++j;
+      }
+      out.tokens.push_back(
+          {Tok::kLiteral, quote == '"' ? "<string>" : "<char>", line});
+      i = (j < n) ? j + 1 : n;
+      continue;
+    }
+    if (is_two_char_punct(c, peek(1))) {
+      out.tokens.push_back({Tok::kPunct, std::string(src.substr(i, 2)), line});
+      i += 2;
+      continue;
+    }
+    out.tokens.push_back({Tok::kPunct, std::string(1, c), line});
+    ++i;
+  }
+  return out;
+}
+
+bool tok_is(const std::vector<Token>& toks, std::size_t i, Tok kind,
+            std::string_view text) {
+  return i < toks.size() && toks[i].kind == kind && toks[i].text == text;
+}
+
+bool is_punct(const std::vector<Token>& toks, std::size_t i,
+              std::string_view text) {
+  return tok_is(toks, i, Tok::kPunct, text);
+}
+
+bool is_ident(const std::vector<Token>& toks, std::size_t i,
+              std::string_view text) {
+  return tok_is(toks, i, Tok::kIdent, text);
+}
+
+std::size_t match_close(const std::vector<Token>& toks, std::size_t i,
+                        std::string_view open, std::string_view close) {
+  int depth = 0;
+  for (std::size_t j = i; j < toks.size(); ++j) {
+    if (toks[j].kind != Tok::kPunct) continue;
+    if (toks[j].text == open) {
+      ++depth;
+    } else if (toks[j].text == close) {
+      if (--depth == 0) return j;
+    }
+  }
+  return kNpos;
+}
+
+std::size_t match_template_close(const std::vector<Token>& toks,
+                                 std::size_t i) {
+  int depth = 0;
+  for (std::size_t j = i; j < toks.size(); ++j) {
+    if (toks[j].kind != Tok::kPunct) continue;
+    const std::string& t = toks[j].text;
+    if (t == "<") {
+      ++depth;
+    } else if (t == ">") {
+      if (--depth == 0) return j;
+    } else if (t == ">>") {
+      depth -= 2;
+      if (depth <= 0) return j;
+    } else if (t == ";" || t == "{" || t == "}") {
+      return kNpos;
+    }
+  }
+  return kNpos;
+}
+
+bool prev_is_member_access(const std::vector<Token>& toks, std::size_t i) {
+  return i > 0 && toks[i - 1].kind == Tok::kPunct &&
+         (toks[i - 1].text == "." || toks[i - 1].text == "->");
+}
+
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
+                        s.back() == '\r' || s.back() == '\n')) {
+    s.remove_suffix(1);
+  }
+  return s;
+}
+
+std::vector<Include> scan_includes(std::string_view src) {
+  std::vector<Include> out;
+  std::size_t line = 1;
+  std::size_t pos = 0;
+  while (pos <= src.size()) {
+    const std::size_t eol = src.find('\n', pos);
+    std::string_view text = trim(src.substr(
+        pos, eol == std::string_view::npos ? src.size() - pos : eol - pos));
+    if (!text.empty() && text.front() == '#') {
+      text.remove_prefix(1);
+      text = trim(text);
+      if (text.substr(0, 7) == "include") {
+        text = trim(text.substr(7));
+        if (!text.empty() && (text.front() == '"' || text.front() == '<')) {
+          const bool angled = text.front() == '<';
+          const char closer = angled ? '>' : '"';
+          const std::size_t end = text.find(closer, 1);
+          if (end != std::string_view::npos) {
+            out.push_back({std::string(text.substr(1, end - 1)), line,
+                           angled});
+          }
+        }
+      }
+    }
+    if (eol == std::string_view::npos) break;
+    pos = eol + 1;
+    ++line;
+  }
+  return out;
+}
+
+std::map<std::size_t, Directive> parse_directives(
+    const std::map<std::size_t, std::string>& comments,
+    const std::set<std::string>& known_rules) {
+  constexpr std::string_view kMarker = "opprentice-check:";
+  std::map<std::size_t, Directive> out;
+  for (const auto& [line, raw] : comments) {
+    // The marker must open the comment; mentions of the syntax in prose
+    // (like the checker's own documentation) are not directives.
+    const std::string_view text = trim(raw);
+    if (text.substr(0, kMarker.size()) != kMarker) continue;
+    Directive d;
+    std::string_view rest = trim(text.substr(kMarker.size()));
+    const std::string kAllow = "allow(";
+    const std::size_t open = rest.find(kAllow);
+    const std::size_t close = rest.find(')');
+    if (open != 0 || close == std::string_view::npos || close < kAllow.size()) {
+      d.malformed = true;
+      out.emplace(line, std::move(d));
+      continue;
+    }
+    std::string_view inside =
+        rest.substr(kAllow.size(), close - kAllow.size());
+    while (!inside.empty()) {
+      const std::size_t comma = inside.find(',');
+      const std::string_view piece = trim(inside.substr(0, comma));
+      if (!piece.empty()) {
+        const std::string rule(piece);
+        if (known_rules.count(rule) > 0) {
+          d.rules.insert(rule);
+        } else {
+          d.unknown.push_back(rule);
+        }
+      }
+      if (comma == std::string_view::npos) break;
+      inside.remove_prefix(comma + 1);
+    }
+    if (d.rules.empty() && d.unknown.empty()) d.malformed = true;
+    for (const char c : trim(rest.substr(close + 1))) {
+      if (is_ident_char(c)) {
+        d.has_reason = true;
+        break;
+      }
+    }
+    out.emplace(line, std::move(d));
+  }
+  return out;
+}
+
+// ---- rule helpers --------------------------------------------------------
 
 std::string lower(std::string_view s) {
   std::string out(s);
@@ -303,7 +702,7 @@ void pass_unordered_iteration(const Lexed& lx, const AddFn& add) {
 // declaration, up to its ';') with no qualifier that makes sharing it
 // safe. Declarations with parens before the '=' are functions or macros
 // and are skipped.
-void check_namespace_declaration(const std::vector<cpp::Token>& toks,
+void check_namespace_declaration(const std::vector<Token>& toks,
                                  std::size_t begin, std::size_t end,
                                  const AddFn& add) {
   static const std::set<std::string> kExempt = {
@@ -567,7 +966,7 @@ const std::vector<CheckRule>& check_rules() {
 
 std::vector<CheckViolation> check_source(std::string_view path,
                                          std::string_view content) {
-  const cpp::Lexed lx = cpp::lex(content);
+  const Lexed lx = lex(content);
   std::vector<CheckViolation> found;
   const AddFn add = [&](const char* rule, std::size_t line,
                         std::string message) {
@@ -588,8 +987,8 @@ std::vector<CheckViolation> check_source(std::string_view path,
 
   std::set<std::string> known;
   for (const auto& rule : check_rules()) known.insert(rule.id);
-  const std::map<std::size_t, cpp::Directive> directives =
-      cpp::parse_directives(lx.comments, "opprentice-check:", known);
+  const std::map<std::size_t, Directive> directives =
+      parse_directives(lx.comments, known);
 
   // A reasoned allow() on the violation's line or the line above wins.
   std::vector<CheckViolation> out;
@@ -722,7 +1121,7 @@ LintReport check_tree(const std::vector<std::string>& roots) {
     if (is_header(file)) {
       const std::string from = module_of(file);
       if (from.empty()) continue;
-      for (const Include& inc : cpp::scan_includes(content)) {
+      for (const Include& inc : scan_includes(content)) {
         const std::string to = include_module(inc);
         if (to.empty() || to == from) continue;
         auto& example = header_edges[from][to];

@@ -2,13 +2,14 @@
 //
 // Tokenizer-based scan over the C++ sources in src/, tools/, and bench/
 // for the contracts the compiler cannot see (DESIGN.md §5e): no ambient
-// entropy or wall-clock seeding, no raw threads outside the pool, no
-// hash-order iteration feeding output, no unguarded function-local
-// statics or namespace-scope globals, no cross-index reductions inside
-// parallel_for bodies.
+// entropy or wall-clock seeding, no raw threads, locks or sockets outside
+// their one audited home, no hash-order iteration feeding output, no
+// unguarded function-local statics or namespace-scope globals, no
+// cross-index reductions inside parallel_for bodies, no upward or cyclic
+// includes.
 //
 // Usage:
-//   opprentice_check [--root DIR] [--verbose]
+//   opprentice_check [--root DIR]
 //   opprentice_check --list-rules
 //
 // Exit status: 0 when the tree is clean, 1 on any violation, 2 on usage
@@ -25,16 +26,16 @@ namespace {
 
 void print_usage() {
   std::fputs(
-      "usage: opprentice_check [--root DIR] [--verbose] [--sarif]\n"
+      "usage: opprentice_check [--root DIR]\n"
       "       opprentice_check --list-rules\n"
       "\n"
       "Scans the C++ sources under DIR/src, DIR/tools, and DIR/bench\n"
       "(default: the current directory) for determinism/concurrency\n"
-      "contract violations. --sarif emits SARIF 2.1.0 instead of text.\n",
+      "contract violations.\n",
       stderr);
 }
 
-int run_check(const std::string& root, bool verbose, bool sarif) {
+int run_check(const std::string& root) {
   const std::filesystem::path base(root);
   std::vector<std::string> roots;
   for (const char* sub : {"src", "tools", "bench"}) {
@@ -42,17 +43,7 @@ int run_check(const std::string& root, bool verbose, bool sarif) {
   }
   const opprentice::tools::LintReport report =
       opprentice::tools::check_tree(roots);
-  if (sarif) {
-    std::string strip = root;
-    if (!strip.empty() && strip.back() != '/') strip += '/';
-    std::fputs(opprentice::tools::format_sarif(report, "opprentice_check",
-                                               strip)
-                   .c_str(),
-               stdout);
-  } else {
-    std::fputs(opprentice::tools::format_report(report, verbose).c_str(),
-               stdout);
-  }
+  std::fputs(opprentice::tools::format_report(report).c_str(), stdout);
   return report.ok() ? 0 : 1;
 }
 
@@ -67,18 +58,12 @@ int run_list_rules() {
 
 int main(int argc, char** argv) {
   bool list_rules = false;
-  bool verbose = false;
-  bool sarif = false;
   std::string root = ".";
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list-rules") {
       list_rules = true;
-    } else if (arg == "--verbose" || arg == "-v") {
-      verbose = true;
-    } else if (arg == "--sarif") {
-      sarif = true;
     } else if (arg == "--root") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "opprentice_check: --root requires a value\n");
@@ -99,7 +84,7 @@ int main(int argc, char** argv) {
 
   try {
     if (list_rules) return run_list_rules();
-    return run_check(root, verbose, sarif);
+    return run_check(root);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "opprentice_check: uncaught exception: %s\n",
                  e.what());

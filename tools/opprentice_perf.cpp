@@ -2,12 +2,15 @@
 //
 //   opprentice_perf [options] baseline.json fresh.json
 //
-// Compares a fresh `bench_sec58_performance --json` output against the
-// committed baseline; exits 0 when every gated metric is inside its
-// tolerance and the §5.8 ordering holds, 1 on a regression, 2 on a
-// usage or parse error. CI runs this after every Release build
-// (BENCH_sec58.json and BENCH_paper_stream.json are the committed
-// baselines, BENCH_history.jsonl the trend file).
+// Compares a fresh bench JSON against the committed baseline; exits 0
+// when every gated metric is inside its tolerance (and, for a §5.8
+// baseline, the §5.8 ordering holds), 1 on a regression, 2 on a usage or
+// parse error. The baseline decides the gate set: a §5.8 baseline (one
+// with a "sec58" object) gates the four default metrics plus the
+// ordering bits; any other baseline gates only the --metric keys. CI
+// runs this after every Release build (BENCH_sec58.json and
+// BENCH_paper_stream.json are the committed baselines,
+// BENCH_history.jsonl the trend file).
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -29,20 +32,20 @@ int usage() {
       "options:\n"
       "  --tolerance X        default allowed relative increase\n"
       "                       (0.25 = fresh may be 25%% slower; default)\n"
-      "  --metric key=X       per-metric tolerance override, repeatable\n"
-      "                       (default keys: extraction_us_per_point,\n"
+      "  --metric key=X       per-metric tolerance, repeatable. Against a\n"
+      "                       baseline with a sec58 object it overrides\n"
+      "                       the default keys (extraction_us_per_point,\n"
       "                       classification_us_per_point,\n"
-      "                       training_ms_per_round, five_fold_cthld_ms;\n"
-      "                       a dotted key such as\n"
+      "                       training_ms_per_round, five_fold_cthld_ms)\n"
+      "                       or adds one; against any other baseline the\n"
+      "                       --metric keys are the whole gate (at least\n"
+      "                       one required). A dotted key such as\n"
       "                       metrics.lag_p50_ms.value is an absolute\n"
-      "                       path, e.g. into a perfbench result line)\n"
-      "  --only               gate only the --metric keys, dropping the\n"
-      "                       sec58 default set (for perfbench results)\n"
+      "                       path, e.g. into a perfbench result line\n"
       "  --history file.jsonl append the fresh numbers (one JSON object\n"
       "                       per line) and print trend sparklines\n"
       "  --label NAME         history row label (a commit id or CI run\n"
       "                       number; default \"run\")\n"
-      "  --no-ordering        skip the sec58.ordering_ok requirement\n"
       "  --self-test          verify the gate on planted passing and\n"
       "                       regressing bench pairs\n"
       "\n"
@@ -65,8 +68,6 @@ bool parse_tolerance(const std::string& text, double* out) {
 int main(int argc, char** argv) {
   using namespace opprentice;
   perf::GateOptions options;
-  std::vector<perf::MetricSpec> overrides;
-  bool only_overrides = false;
   std::string history_path;
   std::string label = "run";
   std::vector<std::string> files;
@@ -77,11 +78,7 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--self-test") return perf::self_test();
-    if (arg == "--no-ordering") {
-      options.require_ordering = false;
-    } else if (arg == "--only") {
-      only_overrides = true;
-    } else if (arg == "--tolerance") {
+    if (arg == "--tolerance") {
       const char* v = value();
       if (v == nullptr || !parse_tolerance(v, &options.default_tolerance)) {
         std::fprintf(stderr, "--tolerance: expected a non-negative number\n");
@@ -99,7 +96,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       metric.key = spec.substr(0, eq);
-      overrides.push_back(metric);
+      options.metrics.push_back(metric);
     } else if (arg == "--history") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -117,41 +114,29 @@ int main(int argc, char** argv) {
   }
   if (files.size() != 2) return usage();
 
-  if (only_overrides && overrides.empty()) {
-    std::fprintf(stderr, "--only requires at least one --metric\n");
-    return 2;
-  }
-  // Overrides replace the default spec for their key (unknown keys are
-  // added, so future sec58 metrics can be gated without a rebuild).
-  options.metrics =
-      only_overrides ? std::vector<perf::MetricSpec>{}
-                     : perf::default_metrics(options.default_tolerance);
-  for (const auto& o : overrides) {
-    bool found = false;
-    for (auto& m : options.metrics) {
-      if (m.key == o.key) {
-        m.tolerance = o.tolerance;
-        found = true;
-      }
-    }
-    if (!found) options.metrics.push_back(o);
-  }
-
   try {
     const auto baseline = util::json::parse_file(files[0]);
     const auto fresh = util::json::parse_file(files[1]);
+    const auto metrics = perf::gated_metrics(baseline, options);
+    if (metrics.empty()) {
+      std::fprintf(stderr,
+                   "%s has no sec58 object: name the metrics to gate with "
+                   "--metric\n",
+                   files[0].c_str());
+      return 2;
+    }
     const auto result = perf::run_gate(baseline, fresh, options);
     std::printf("baseline: %s\nfresh:    %s\n%s", files[0].c_str(),
                 files[1].c_str(), result.summary.c_str());
     if (!history_path.empty()) {
       if (!perf::append_history(
               history_path,
-              perf::history_row(label, fresh, options.metrics))) {
+              perf::history_row(label, fresh, metrics))) {
         std::fprintf(stderr, "warning: cannot append to %s\n",
                      history_path.c_str());
       }
       const std::string trend =
-          perf::render_history(history_path, options.metrics);
+          perf::render_history(history_path, metrics);
       if (!trend.empty()) std::printf("%s", trend.c_str());
     }
     return result.pass ? 0 : 1;

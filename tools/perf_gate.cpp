@@ -16,6 +16,11 @@ constexpr std::string_view kSummaryPrefix = "sec58.";
 
 bool measured(double v) { return v > 0.0; }
 
+bool has_sec58(const util::json::Value& doc) {
+  const auto* sec58 = doc.find("sec58");
+  return sec58 != nullptr && sec58->is_object();
+}
+
 // Bare keys live under the historical "sec58" summary object; a key with
 // a dot ("metrics.lag_p50_ms.value") is an absolute path, so perfbench's
 // result line joins the gate without schema surgery.
@@ -91,25 +96,44 @@ std::vector<MetricSpec> default_metrics(double tolerance) {
           {"five_fold_cthld_ms", tolerance}};
 }
 
+std::vector<MetricSpec> gated_metrics(const util::json::Value& baseline,
+                                      const GateOptions& options) {
+  if (!has_sec58(baseline)) return options.metrics;
+  std::vector<MetricSpec> metrics =
+      default_metrics(options.default_tolerance);
+  for (const auto& o : options.metrics) {
+    bool found = false;
+    for (auto& m : metrics) {
+      if (m.key == o.key) {
+        m.tolerance = o.tolerance;
+        found = true;
+      }
+    }
+    if (!found) metrics.push_back(o);
+  }
+  return metrics;
+}
+
 GateResult run_gate(const util::json::Value& baseline,
                     const util::json::Value& fresh,
                     const GateOptions& options) {
-  const std::vector<MetricSpec> metrics =
-      options.metrics.empty() ? default_metrics(options.default_tolerance)
-                              : options.metrics;
   GateResult result;
-  for (const auto& spec : metrics) {
+  for (const auto& spec : gated_metrics(baseline, options)) {
     result.metrics.push_back(gate_metric(spec, baseline, fresh));
     result.pass = result.pass && !result.metrics.back().regressed;
   }
-  if (options.require_ordering) {
+  // Decided from the baseline alone: a fresh run that lost its sec58
+  // object must fail the ordering check, not skip it.
+  if (has_sec58(baseline)) {
     result.ordering_checked = true;
     result.ordering_ok = fresh.bool_at("sec58.ordering_ok", false);
-    // weekly_budget_ok appeared after the first baselines; only require
-    // it when the fresh run reports it (additive schema evolution).
+    // weekly_budget_ok appeared after the first baselines; require it
+    // when either side records it (additive schema evolution).
+    constexpr std::string_view kBudget = "sec58.weekly_budget_ok";
     result.weekly_budget_ok =
-        fresh.find_path("sec58.weekly_budget_ok") == nullptr ||
-        fresh.bool_at("sec58.weekly_budget_ok", false);
+        (baseline.find_path(kBudget) == nullptr &&
+         fresh.find_path(kBudget) == nullptr) ||
+        fresh.bool_at(kBudget, false);
     result.pass =
         result.pass && result.ordering_ok && result.weekly_budget_ok;
   }
@@ -269,11 +293,20 @@ int self_test() {
   };
   GateOptions paper_gate;
   paper_gate.metrics = {{"metrics.lag_p50_ms.value", 1.0}};
-  paper_gate.require_ordering = false;
   expect(run_gate(paper_doc(0.3), paper_doc(0.5), paper_gate).pass,
          "dotted-key metric inside tolerance must pass");
   expect(!run_gate(paper_doc(0.3), paper_doc(0.7), paper_gate).pass,
          "dotted-key metric regression must fail");
+  expect(gated_metrics(paper_doc(0.3), GateOptions{}).empty(),
+         "a baseline without sec58 must gate only the named metrics");
+
+  // The baseline decides the gate set: a fresh document without sec58
+  // gated against a sec58 baseline still gets the defaults and the
+  // ordering check, so it fails.
+  const auto lost_sec58 = run_gate(baseline, paper_doc(0.3), paper_gate);
+  expect(!lost_sec58.pass && lost_sec58.ordering_checked &&
+             lost_sec58.metrics.size() == 5,
+         "a fresh run without sec58 must fail against a sec58 baseline");
   const std::string paper_row =
       history_row("r3", paper_doc(0.25), paper_gate.metrics);
   expect(paper_row.find("\"metrics.lag_p50_ms.value\": 0.25") !=

@@ -15,10 +15,13 @@
 //                          on the next refresh)
 //   - fresh unmeasured:    regression (a metric silently disappearing is
 //                          exactly what a gate must catch)
-// On top of the numeric gates, the fresh run's `ordering_ok` (§5.8:
-// classification << extraction << data interval) and, when present,
-// `weekly_budget_ok` must hold — those are correctness claims, not
-// tolerances, so they stay strict even across hardware.
+// The baseline decides what is gated. A baseline with a "sec58" object
+// (a §5.8 bench envelope) gates the four default metrics, and the fresh
+// run's `ordering_ok` (§5.8: classification << extraction << data
+// interval) and `weekly_budget_ok` must hold — those are correctness
+// claims, not tolerances, so they stay strict even across hardware. Any
+// other baseline (a perfbench result line) gates only the metrics the
+// caller names.
 #pragma once
 
 #include <string>
@@ -54,13 +57,17 @@ struct MetricResult {
 };
 
 struct GateOptions {
-  // Empty -> default_metrics(default_tolerance).
+  // Against a sec58 baseline these override the default tolerance of
+  // their key (or add a key); otherwise they are the whole gate set.
   std::vector<MetricSpec> metrics;
   double default_tolerance = 0.25;
-  // Require the fresh run's sec58.ordering_ok (and weekly_budget_ok when
-  // the key exists) to be true.
-  bool require_ordering = true;
 };
+
+// The metrics run_gate checks against `baseline` under `options` (see
+// the header comment). Empty when a baseline without sec58 is given no
+// metrics; the CLI refuses that rather than gate nothing.
+std::vector<MetricSpec> gated_metrics(const util::json::Value& baseline,
+                                      const GateOptions& options);
 
 struct GateResult {
   std::vector<MetricResult> metrics;
