@@ -1,10 +1,11 @@
 #include "core/fleet_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/cthld.hpp"
@@ -36,6 +37,142 @@ const FleetCounters& fleet_counters() {
       &obs::counter("opprentice.fleet.quarantined")};
   return counters;
 }
+
+// First row of the logical training window at point count t, for a
+// history bound of `capacity` (W) rows: (t / W - 1) * W once t reaches
+// 2W, so the window always spans [W, 2W) rows. 0 bounds nothing.
+std::size_t window_base(std::size_t t, std::size_t capacity) {
+  return capacity > 0 && t >= 2 * capacity ? (t / capacity - 1) * capacity
+                                           : 0;
+}
+
+// First row a retrain at point count t reads: past warm-up and inside the
+// logical window. Monotone in t, so once a retrain has copied its rows,
+// every row below the next retrain's floor is dead.
+std::size_t train_floor(std::size_t t, std::size_t warmup,
+                        std::size_t capacity) {
+  return std::max(warmup, window_base(t, capacity));
+}
+
+// Rows a series' history must hold: the most rows any of its retrains
+// reads, t - train_floor(t) over the due points t. Once t >= 2W and the
+// window has passed warm-up this is W + t mod W, and t mod W repeats
+// every W / gcd(interval, W) due points, so the scan stops one such
+// period into that steady state. 0 for an unbounded history, which grows.
+std::size_t history_rows(const RetrainScheduler& scheduler, std::size_t phase,
+                         std::size_t warmup, std::size_t capacity) {
+  if (capacity == 0) return 0;
+  const std::size_t interval = scheduler.interval();
+  const std::size_t period = capacity / std::gcd(interval, capacity);
+  std::size_t rows = 0;
+  std::size_t steady = 0;
+  for (std::size_t t = scheduler.next_due(phase, 0); steady < period;
+       t += interval) {
+    const std::size_t floor = train_floor(t, warmup, capacity);
+    if (t > floor) rows = std::max(rows, t - floor);
+    if (t >= 2 * capacity && window_base(t, capacity) >= warmup) ++steady;
+  }
+  return rows;
+}
+
+// A series' stored feature history: rows [floor, end) with their labels,
+// column-major like ml::Dataset, `capacity` rows per column in one
+// block. Rows below the floor are never stored. The block is sized when
+// the series is added; only an unbounded history, which starts empty,
+// ever grows it. A sized block that fills up is a sizing bug, and throws
+// in every build.
+class FeatureHistory {
+ public:
+  FeatureHistory() = default;
+  FeatureHistory(std::size_t features, std::size_t capacity,
+                 std::size_t floor)
+      : features_(features),
+        capacity_(capacity),
+        grows_(capacity == 0),
+        floor_(floor),
+        values_(std::make_unique_for_overwrite<double[]>(features *
+                                                         capacity)),
+        labels_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity)) {}
+
+  std::size_t floor() const { return floor_; }
+
+  // Stores point `row`, labelled normal, unless it lies below the floor.
+  // Rows arrive in order, so a stored row is always floor + stored rows.
+  void append(std::size_t row, std::span<const double> features) {
+    if (row < floor_) return;
+    if (rows_ == capacity_) {
+      if (!grows_) {
+        throw std::logic_error("FeatureHistory: the sized store is full");
+      }
+      grow();
+    }
+    for (std::size_t f = 0; f < features_; ++f) {
+      values_[f * capacity_ + rows_] = features[f];
+    }
+    labels_[rows_] = 0;
+    ++rows_;
+  }
+
+  // Row must be stored: at or above the floor, and already appended.
+  void set_label(std::size_t row, std::uint8_t label) {
+    labels_[row - floor_] = label;
+  }
+
+  // Drops the rows below `floor`, moving the rest to the front of each
+  // column.
+  void drop_below(std::size_t floor) {
+    if (floor <= floor_) return;
+    const std::size_t drop = std::min(floor - floor_, rows_);
+    const std::size_t keep = rows_ - drop;
+    for (std::size_t f = 0; f < features_; ++f) {
+      double* column = values_.get() + f * capacity_;
+      std::copy(column + drop, column + rows_, column);
+    }
+    std::copy(labels_.get() + drop, labels_.get() + rows_, labels_.get());
+    rows_ = keep;
+    floor_ = floor;
+  }
+
+  // Rows [begin, end), which must be stored, as a training dataset.
+  ml::Dataset copy(std::vector<std::string> names, std::size_t begin,
+                   std::size_t end) const {
+    const std::size_t first = begin - floor_;
+    const std::size_t last = end - floor_;
+    std::vector<std::vector<double>> columns(features_);
+    for (std::size_t f = 0; f < features_; ++f) {
+      const double* column = values_.get() + f * capacity_;
+      columns[f].assign(column + first, column + last);
+    }
+    std::vector<std::uint8_t> labels(labels_.get() + first,
+                                     labels_.get() + last);
+    return ml::Dataset(std::move(names), std::move(columns),
+                       std::move(labels));
+  }
+
+ private:
+  void grow() {
+    const std::size_t capacity = std::max<std::size_t>(2 * capacity_, 64);
+    auto values = std::make_unique_for_overwrite<double[]>(features_ *
+                                                           capacity);
+    for (std::size_t f = 0; f < features_; ++f) {
+      std::copy_n(values_.get() + f * capacity_, rows_,
+                  values.get() + f * capacity);
+    }
+    auto labels = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+    std::copy_n(labels_.get(), rows_, labels.get());
+    values_ = std::move(values);
+    labels_ = std::move(labels);
+    capacity_ = capacity;
+  }
+
+  std::size_t features_ = 0;
+  std::size_t capacity_ = 0;
+  bool grows_ = true;
+  std::size_t floor_ = 0;  // global point index of stored row 0
+  std::size_t rows_ = 0;
+  std::unique_ptr<double[]> values_;  // [feature * capacity_ + row]
+  std::unique_ptr<std::uint8_t[]> labels_;
+};
 
 }  // namespace
 
@@ -72,30 +209,6 @@ class FleetSeries {
  private:
   friend class FleetEngine;
 
-  // Appends one extracted row to the bounded training history.
-  void append_row(std::span<const double> features,
-                  std::size_t history_capacity)
-      OPPRENTICE_REQUIRES(mutex_) {
-    for (std::size_t f = 0; f < features.size(); ++f) {
-      columns_[f].push_back(features[f]);
-    }
-    labels_.push_back(0);
-    // Amortized trim: let the buffer grow to 2x capacity, then drop the
-    // oldest half in one pass. The trim point is a pure function of the
-    // point count, so bounded and unbounded histories differ only in
-    // which rows a retrain can still see.
-    if (history_capacity > 0 && labels_.size() >= 2 * history_capacity) {
-      const std::size_t drop = labels_.size() - history_capacity;
-      for (auto& column : columns_) {
-        column.erase(column.begin(),
-                     column.begin() + static_cast<std::ptrdiff_t>(drop));
-      }
-      labels_.erase(labels_.begin(),
-                    labels_.begin() + static_cast<std::ptrdiff_t>(drop));
-      base_ += drop;
-    }
-  }
-
   // A retrain's input: the buffered labeled history and the forest.train
   // fault key (series salt, point count).
   struct TrainingSet {
@@ -121,7 +234,7 @@ class FleetSeries {
       return std::nullopt;
     }
     extractor_.feed_into(value, features_);
-    append_row(features_, options.history_capacity);
+    history_.append(extractor_.points_seen() - 1, features_);
     fleet_counters().points->add();
 
     if (forest_.has_value() && extractor_.warmed_up()) {
@@ -133,36 +246,34 @@ class FleetSeries {
       out.score = kNaN;
     }
 
-    if (!scheduler.due_at(phase_, extractor_.points_seen())) {
-      return std::nullopt;
-    }
-    return training_set();
+    const std::size_t points = extractor_.points_seen();
+    if (!scheduler.due_at(phase_, points)) return std::nullopt;
+    std::optional<TrainingSet> training =
+        training_set(options.history_capacity);
+    // This retrain has its copy; the next one reads nothing below its
+    // own floor.
+    history_.drop_below(train_floor(scheduler.next_due(phase_, points),
+                                    extractor_.max_warmup(),
+                                    options.history_capacity));
+    return training;
   }
 
-  // Copies the labeled history past warm-up. A window with no positive
-  // labels yields nothing — nothing to learn is not a failure.
-  std::optional<TrainingSet> training_set() const OPPRENTICE_REQUIRES(mutex_) {
-    const std::size_t warmup = extractor_.max_warmup();
-    const std::size_t begin_local = warmup > base_ ? warmup - base_ : 0;
-    const std::size_t end_global =
-        std::min(labeled_until_, base_ + labels_.size());
-    if (end_global <= base_) return std::nullopt;
-    const std::size_t end_local = end_global - base_;
-    if (begin_local >= end_local) return std::nullopt;
-
-    std::vector<std::vector<double>> train_columns(columns_.size());
-    for (std::size_t f = 0; f < columns_.size(); ++f) {
-      train_columns[f].assign(
-          columns_[f].begin() + static_cast<std::ptrdiff_t>(begin_local),
-          columns_[f].begin() + static_cast<std::ptrdiff_t>(end_local));
+  // Copies the labeled rows of the window past warm-up. A window with no
+  // positive labels yields nothing — nothing to learn is not a failure.
+  std::optional<TrainingSet> training_set(std::size_t history_capacity) const
+      OPPRENTICE_REQUIRES(mutex_) {
+    const std::size_t points = extractor_.points_seen();
+    const std::size_t begin =
+        train_floor(points, extractor_.max_warmup(), history_capacity);
+    const std::size_t end = std::min(labeled_until_, points);
+    if (begin >= end) return std::nullopt;
+    if (begin < history_.floor()) {
+      throw std::logic_error(
+          "FleetSeries: training window starts below the stored history");
     }
-    std::vector<std::uint8_t> train_labels(
-        labels_.begin() + static_cast<std::ptrdiff_t>(begin_local),
-        labels_.begin() + static_cast<std::ptrdiff_t>(end_local));
-    TrainingSet out{ml::Dataset(extractor_.feature_names(),
-                                std::move(train_columns),
-                                std::move(train_labels)),
-                    util::fault_key(salt_, extractor_.points_seen())};
+    TrainingSet out{
+        history_.copy(extractor_.feature_names(), begin, end),
+        util::fault_key(salt_, points)};
     if (out.data.positives() == 0) return std::nullopt;
     return out;
   }
@@ -234,11 +345,8 @@ class FleetSeries {
   detectors::StreamingExtractor extractor_ OPPRENTICE_GUARDED_BY(mutex_);
   // The current point's feature vector (feed_into's output).
   std::vector<double> features_ OPPRENTICE_GUARDED_BY(mutex_);
-  // Bounded training history, column-major like ml::Dataset. base_ is the
-  // global point index of local row 0 (rows before it were trimmed).
-  std::vector<std::vector<double>> columns_ OPPRENTICE_GUARDED_BY(mutex_);
-  std::vector<std::uint8_t> labels_ OPPRENTICE_GUARDED_BY(mutex_);
-  std::size_t base_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
+  // The rows from the next due retrain's floor up to the newest point.
+  FeatureHistory history_ OPPRENTICE_GUARDED_BY(mutex_);
   std::size_t labeled_until_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
   std::optional<ml::RandomForest> forest_ OPPRENTICE_GUARDED_BY(mutex_);
   EwmaCthldPredictor cthld_ OPPRENTICE_GUARDED_BY(mutex_);
@@ -273,8 +381,15 @@ SeriesHandle FleetEngine::add_series(const std::string& id) {
         options_.cthld_ewma_alpha);
     {
       util::MutexLock lock(state->mutex_);
-      state->columns_.resize(state->extractor_.num_features());
-      state->features_.resize(state->extractor_.num_features());
+      const std::size_t features = state->extractor_.num_features();
+      const std::size_t warmup = state->extractor_.max_warmup();
+      const std::size_t capacity = options_.history_capacity;
+      state->history_ = FeatureHistory(
+          features,
+          history_rows(scheduler_, state->phase_, warmup, capacity),
+          train_floor(scheduler_.next_due(state->phase_, 0), warmup,
+                      capacity));
+      state->features_.resize(features);
     }
     return state;
   });
@@ -367,14 +482,17 @@ void FleetEngine::ingest_labels(const SeriesHandle& series,
                                 std::size_t begin) {
   FleetSeries& state = *series;
   util::MutexLock lock(state.mutex_);
-  // Rows [first, end) are both in this chunk and still buffered; the
-  // watermark moves only over rows the chunk actually wrote.
-  const std::size_t first = std::max(begin, state.base_);
-  const std::size_t end =
-      std::min(begin + labels.size(), state.base_ + state.labels_.size());
+  // Rows [first, end) are both in this chunk and in the logical window;
+  // the watermark moves only over rows the chunk actually wrote. Rows
+  // below the stored floor count as written, but no retrain reads them.
+  const std::size_t points = state.extractor_.points_seen();
+  const std::size_t first =
+      std::max(begin, window_base(points, options_.history_capacity));
+  const std::size_t end = std::min(begin + labels.size(), points);
   if (first >= end) return;
-  for (std::size_t global = first; global < end; ++global) {
-    state.labels_[global - state.base_] = labels[global - begin];
+  for (std::size_t global = std::max(first, state.history_.floor());
+       global < end; ++global) {
+    state.history_.set_label(global, labels[global - begin]);
   }
   state.labeled_until_ = std::max(state.labeled_until_, end);
 }
@@ -447,21 +565,6 @@ std::optional<ml::RandomForest> train_forest_guarded(
                            " train_end=" + std::to_string(train_end));
     return std::nullopt;
   }
-}
-
-double synthetic_fleet_value(std::uint64_t salt, std::size_t index,
-                             std::size_t points_per_day) {
-  if (points_per_day == 0) points_per_day = 1;
-  const double day_position =
-      static_cast<double>(index % points_per_day) /
-      static_cast<double>(points_per_day);
-  const double seasonal =
-      100.0 + 25.0 * std::sin(6.283185307179586 * day_position);
-  // Hash noise in [-2, 2): a pure function of (salt, index).
-  const std::uint64_t h = util::fault_key(salt, index);
-  const double noise =
-      static_cast<double>(h >> 11) * 0x1.0p-53 * 4.0 - 2.0;
-  return seasonal + noise;
 }
 
 }  // namespace opprentice::core

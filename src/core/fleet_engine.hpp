@@ -58,9 +58,12 @@ struct FleetOptions {
   // Points between retrains of one series; 0 means one week of points
   // (ctx.points_per_week).
   std::size_t retrain_interval = 0;
-  // Per-series feature/label rows kept for training; 0 keeps everything
-  // (single-series semantics). Fleet deployments bound this to a few
-  // retrain intervals.
+  // W, the bound on the rows a retrain trains on: at point count T it
+  // reads the logical window from base(T) = (T / W - 1) * W (0 while
+  // T < 2W), so a window spans [W, 2W) rows. 0 keeps everything
+  // (single-series semantics). The series stores only the rows its next
+  // retrain will read, past warm-up, in one store sized when the series
+  // is added (DESIGN.md §5i).
   std::size_t history_capacity = 0;
   // Consecutive retrain failures before the series is quarantined.
   std::size_t quarantine_after = 3;
@@ -153,9 +156,9 @@ class FleetEngine {
                            ts::RepairPolicy policy);
 
   // Operator labels for rows [begin, begin + labels.size()) in global
-  // point indices. Rows already dropped from the bounded history and rows
-  // not fed yet are ignored. stats().labeled_until advances to the end of
-  // the rows the call wrote, and stays put when it wrote none.
+  // point indices. Rows before the logical window (history_capacity) and
+  // rows not fed yet are ignored. stats().labeled_until advances to the
+  // end of the rows the call wrote, and stays put when it wrote none.
   void ingest_labels(const SeriesHandle& series,
                      std::span<const std::uint8_t> labels, std::size_t begin);
 
@@ -186,11 +189,5 @@ std::optional<ml::RandomForest> train_forest_guarded(
     const ml::Dataset& data, std::size_t warmup, std::size_t train_begin,
     std::size_t train_end, const ml::ForestOptions& options,
     std::uint64_t key_salt = 0);
-
-// Deterministic synthetic KPI value for fleet benches and the CLI fleet
-// command: a daily-seasonal wave plus hash noise, a pure function of
-// (series salt, point index, points_per_day).
-double synthetic_fleet_value(std::uint64_t salt, std::size_t index,
-                             std::size_t points_per_day);
 
 }  // namespace opprentice::core

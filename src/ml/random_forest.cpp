@@ -169,14 +169,21 @@ std::vector<double> RandomForest::score_all(const Dataset& data) const {
   }
   obs::ScopedSpan span("forest.score_all", "ml");
   span.arg("rows", data.num_rows());
-  std::vector<double> scores(data.num_rows(), 0.0);
-  // Rows fan out across the pool; a row's votes are an integer sum, so
-  // every score is bit-identical at any thread count. Chunked: one row is
-  // ~50 tree walks, far smaller than a dispatch.
-  util::parallel_for(
-      data.num_rows(),
-      [&](std::size_t i) { scores[i] = score(data.row(i)); },
-      /*grain=*/64);
+  const std::size_t rows = data.num_rows();
+  std::vector<double> scores(rows, 0.0);
+  // Chunks of rows fan out across the pool; a row's votes are an integer
+  // sum, so every score is bit-identical at any thread count. One row is
+  // ~50 tree walks, far smaller than a dispatch, and each chunk gathers
+  // its rows into one buffer of its own.
+  constexpr std::size_t kChunk = 64;
+  util::parallel_for((rows + kChunk - 1) / kChunk, [&](std::size_t chunk) {
+    std::vector<double> row(data.num_features());
+    const std::size_t end = std::min(rows, (chunk + 1) * kChunk);
+    for (std::size_t i = chunk * kChunk; i < end; ++i) {
+      for (std::size_t f = 0; f < row.size(); ++f) row[f] = data.value(i, f);
+      scores[i] = score(row);
+    }
+  });
   return scores;
 }
 

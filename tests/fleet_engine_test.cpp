@@ -1,12 +1,15 @@
 // Fleet engine suite (DESIGN.md §5i): the sharded series registry keeps
 // its insert/lookup/evict semantics under concurrent hammering, the
 // staggered retrain scheduler reproduces a golden schedule from a fixed
-// seed, and series are isolated — a quarantined or fault-injected series
-// must not perturb any other series' output bytes.
+// seed, series are isolated — a quarantined or fault-injected series
+// must not perturb any other series' output bytes — and the exactly-sized
+// feature history decides everything the growing columns it replaced
+// did (reference_fleet.hpp).
 //
 // ctest label: fleet (CI runs these under TSan alongside `parallel`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +25,10 @@
 #include "obs/metrics.hpp"
 #include "timeseries/repair.hpp"
 #include "util/fault_injection.hpp"
+#include "util/rng.hpp"
+
+#include "reference_fleet.hpp"
+#include "synthetic_fleet.hpp"
 
 namespace {
 
@@ -256,7 +263,7 @@ std::vector<core::FleetDetection> drive_series(core::FleetEngine& engine,
   std::vector<std::uint8_t> chunk(16);
   for (std::size_t t = 0; t < points; ++t) {
     verdicts.push_back(
-        engine.feed(s, core::synthetic_fleet_value(salt, t, 16)));
+        engine.feed(s, test_support::synthetic_fleet_value(salt, t, 16)));
     if ((t + 1) % 16 == 0) {
       const std::size_t begin = t + 1 - 16;
       for (std::size_t j = 0; j < 16; ++j) {
@@ -366,7 +373,7 @@ TEST(FleetEngine, LabelChunkPastFedRowsKeepsWatermark) {
   core::FleetEngine engine(small_fleet_options());
   const auto s = engine.add_series("kpi-labels");
   for (std::size_t t = 0; t < 500; ++t) {
-    engine.feed(s, core::synthetic_fleet_value(99, t, 16));
+    engine.feed(s, test_support::synthetic_fleet_value(99, t, 16));
   }
   engine.ingest_labels(s, std::vector<std::uint8_t>(100, 0), 0);
   EXPECT_EQ(engine.stats(s).labeled_until, 100u);
@@ -399,7 +406,7 @@ TEST(FleetEngine, FaultedSeriesCannotPerturbNeighbors) {
         // quarantined halfway through.
         raw.push_back(
             ts::RawPoint{1700000000 + static_cast<std::int64_t>(t) * 600,
-                         core::synthetic_fleet_value(1, t, 16)});
+                         test_support::synthetic_fleet_value(1, t, 16)});
         if ((t + 1) % 16 == 0) {
           engine.ingest_raw(x, std::move(raw), 600,
                             ts::RepairPolicy::kFillInterpolate);
@@ -408,9 +415,9 @@ TEST(FleetEngine, FaultedSeriesCannotPerturbNeighbors) {
         if (t == 32) engine.set_quarantined(x, true);
       }
       observed.push_back(
-          bits(engine.feed(y, core::synthetic_fleet_value(2, t, 16)).score));
+          bits(engine.feed(y, test_support::synthetic_fleet_value(2, t, 16)).score));
       observed.push_back(
-          bits(engine.feed(z, core::synthetic_fleet_value(3, t, 16)).score));
+          bits(engine.feed(z, test_support::synthetic_fleet_value(3, t, 16)).score));
       if ((t + 1) % 16 == 0) {
         const std::size_t begin = t + 1 - 16;
         for (std::size_t j = 0; j < 16; ++j) {
@@ -460,7 +467,7 @@ TEST(FleetEngine, FeedTickMatchesSequentialFeed) {
   std::vector<core::FleetDetection> tick(series_a.size());
   for (std::size_t t = 0; t < 48; ++t) {
     for (std::size_t i = 0; i < values.size(); ++i) {
-      values[i] = core::synthetic_fleet_value(i, t, 16);
+      values[i] = test_support::synthetic_fleet_value(i, t, 16);
     }
     a.feed_tick(series_a, values, tick);
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -498,20 +505,128 @@ TEST(FleetEngine, OppositeOrderFeedsAcquireLocksOneAtATime) {
   const auto b = engine.add_series(second);
   std::thread forward([&engine, &a, &b] {
     for (std::size_t t = 0; t < 64; ++t) {
-      engine.feed(a, core::synthetic_fleet_value(1, t, 16));
-      engine.feed(b, core::synthetic_fleet_value(2, t, 16));
+      engine.feed(a, test_support::synthetic_fleet_value(1, t, 16));
+      engine.feed(b, test_support::synthetic_fleet_value(2, t, 16));
     }
   });
   std::thread reverse([&engine, &a, &b] {
     for (std::size_t t = 0; t < 64; ++t) {
-      engine.feed(b, core::synthetic_fleet_value(3, t, 16));
-      engine.feed(a, core::synthetic_fleet_value(4, t, 16));
+      engine.feed(b, test_support::synthetic_fleet_value(3, t, 16));
+      engine.feed(a, test_support::synthetic_fleet_value(4, t, 16));
     }
   });
   forward.join();
   reverse.join();
   EXPECT_EQ(engine.stats(a).points_seen, 128u);
   EXPECT_EQ(engine.stats(b).points_seen, 128u);
+}
+
+// ---- feature history oracle ----------------------------------------------
+
+// The first row a series' next retrain reads: past warm-up and inside
+// the logical window, which starts at (t / W - 1) * W once t reaches 2W.
+std::size_t next_retrain_floor(const core::RetrainScheduler& scheduler,
+                               std::size_t phase, std::size_t points,
+                               std::size_t warmup, std::size_t capacity) {
+  const std::size_t t = scheduler.next_due(phase, points);
+  const std::size_t base =
+      capacity > 0 && t >= 2 * capacity ? (t / capacity - 1) * capacity : 0;
+  return std::max(warmup, base);
+}
+
+// The exactly-sized history store against the growing columns with the
+// 2x amortised trim it replaced, over random label traffic: trailing,
+// late and overlapping chunks, chunks that run past the fed rows and
+// chunks wholly below the stored floor, with quarantine toggled
+// mid-stream. Verdict bits must agree on every point, and forests and
+// stats after every chunk.
+TEST(FleetHistoryOracle, StoreMatchesGrowingColumns) {
+  struct Case {
+    std::size_t capacity;
+    std::size_t interval;
+  };
+  // Unbounded; below, equal to and not dividing the retrain interval;
+  // and a retrain far beyond the bound.
+  const Case cases[] = {{0, 16},  {8, 16},  {16, 16},
+                        {24, 16}, {12, 20}, {10, 100}};
+  std::size_t below_floor_chunks = 0;
+  std::size_t quarantine_toggles = 0;
+  for (const Case& c : cases) {
+    auto options = small_fleet_options();
+    options.history_capacity = c.capacity;
+    options.retrain_interval = c.interval;
+    core::FleetEngine engine(options);
+    util::Rng rng(1000 * c.capacity + c.interval);
+    std::size_t retrains = 0;
+    for (std::uint64_t s = 0; s < 4; ++s) {
+      const std::string id = "kpi-oracle-" + std::to_string(s);
+      SCOPED_TRACE("capacity " + std::to_string(c.capacity) + " interval " +
+                   std::to_string(c.interval) + " " + id);
+      const auto series = engine.add_series(id);
+      core::reference::FleetSeriesReference reference(options, id);
+      bool quarantined = false;
+      for (std::size_t t = 0; t < 800; ++t) {
+        if (rng.uniform() < 0.02) {
+          quarantined = !quarantined;
+          engine.set_quarantined(series, quarantined);
+          reference.set_quarantined(quarantined);
+          ++quarantine_toggles;
+        }
+        const double value = test_support::synthetic_fleet_value(s, t, 16);
+        const core::FleetDetection got = engine.feed(series, value);
+        const core::FleetDetection want = reference.feed(value);
+        ASSERT_EQ(bits(got.score), bits(want.score)) << "point " << t;
+        ASSERT_EQ(bits(got.cthld), bits(want.cthld)) << "point " << t;
+        ASSERT_EQ(got.is_anomaly, want.is_anomaly) << "point " << t;
+        ASSERT_EQ(got.classified, want.classified) << "point " << t;
+        if (rng.uniform() >= 0.35) continue;
+
+        const std::size_t points = reference.points_seen();
+        std::size_t length = 1 + rng.uniform_int(24);
+        std::size_t begin = 0;
+        switch (rng.uniform_int(4)) {
+          case 0:  // trailing
+            begin = points - std::min(points, length);
+            break;
+          case 1:  // late, overlapping what came before
+            begin = points - std::min(points, rng.uniform_int(4 * c.interval));
+            break;
+          case 2:  // running past the fed rows
+            begin = points - std::min(points, rng.uniform_int(4));
+            length += 8;
+            break;
+          default: {  // wholly in [base, floor): counted, never stored
+            const std::size_t base = reference.base();
+            const std::size_t floor = next_retrain_floor(
+                engine.scheduler(), reference.phase(), points,
+                reference.max_warmup(), c.capacity);
+            if (base >= std::min(floor, points)) continue;
+            begin = base + rng.uniform_int(std::min(floor, points) - base);
+            length = std::min(length, std::min(floor, points) - begin);
+            ++below_floor_chunks;
+          }
+        }
+        std::vector<std::uint8_t> labels(length);
+        for (auto& label : labels) label = rng.uniform() < 0.15 ? 1 : 0;
+        engine.ingest_labels(series, labels, begin);
+        reference.ingest_labels(labels, begin);
+
+        const core::FleetSeriesStats stats = engine.stats(series);
+        ASSERT_EQ(stats.points_seen, reference.points_seen()) << "point " << t;
+        ASSERT_EQ(stats.labeled_until, reference.labeled_until())
+            << "point " << t;
+        ASSERT_EQ(stats.retrains, reference.retrains()) << "point " << t;
+        ASSERT_EQ(stats.trained, reference.trained()) << "point " << t;
+        ASSERT_EQ(engine.forest_fingerprint(series),
+                  reference.forest_fingerprint())
+            << "point " << t;
+      }
+      retrains += reference.retrains();
+    }
+    EXPECT_GT(retrains, 4u) << "capacity " << c.capacity;
+  }
+  EXPECT_GT(below_floor_chunks, 0u);
+  EXPECT_GT(quarantine_toggles, 0u);
 }
 
 }  // namespace

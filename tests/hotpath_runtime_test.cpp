@@ -214,6 +214,23 @@ INSTANTIATE_TEST_SUITE_P(Families, DetectorFeed,
                            return std::string(param_info.param);
                          });
 
+// A 16-tree forest on four features drawn from `rng`, anomalous when the
+// first two sum past 1.2.
+ml::RandomForest trained_forest(util::Rng& rng) {
+  constexpr std::size_t kRows = 400;
+  std::vector<std::vector<double>> columns(4, std::vector<double>(kRows));
+  std::vector<std::uint8_t> labels(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (auto& column : columns) column[r] = rng.uniform();
+    labels[r] = columns[0][r] + columns[1][r] > 1.2 ? 1 : 0;
+  }
+  ml::ForestOptions options;
+  options.num_trees = 16;
+  ml::RandomForest forest(options);
+  forest.train(ml::Dataset({"a", "b", "c", "d"}, columns, labels));
+  return forest;
+}
+
 // ARIMA configurations in the bank: each may allocate once a day.
 std::size_t arima_configs(const detectors::StreamingExtractor& extractor) {
   std::size_t count = 0;
@@ -251,21 +268,40 @@ TEST(HotPath, FleetEngineFeedBetweenRetrains) {
   options.history_capacity = kCtx.points_per_week;
   options.forest.num_trees = 8;
   core::FleetEngine engine(std::move(options));
+  // The engine's and the forest's instruments register on first use.
+  engine.feed(engine.add_series("warm-instruments"), 1.0);
+  util::Rng rng(7);
+  (void)trained_forest(rng).score(std::vector<double>(4, 0.5));
   const core::SeriesHandle series = engine.add_series("pv");
 
-  // Warm past the bank's warm-up and the first history trim at twice
-  // the bound, labelling points as they arrive, then run on to the next
-  // weekly retrain.
-  const detectors::StreamingExtractor bank(
+  // From the first point, past the bank's warm-up and twice the bound
+  // (where the history was once trimmed), labelling points as they
+  // arrive, then on to the next weekly retrain. A bank fed in lockstep
+  // allocates what the series' own bank does, ARIMA's daily refits
+  // included, so on every point that is not a retrain the engine may
+  // allocate no more than it: the history store is sized once and never
+  // grows.
+  detectors::StreamingExtractor bank(
       detectors::standard_configurations(kCtx));
+  std::vector<double> features(bank.num_features());
   const std::size_t warm =
       std::max(bank.max_warmup(), 2 * kCtx.points_per_week) + kPointsPerDay;
   const std::vector<double> stream =
       kpi_stream(warm + kCtx.points_per_week + kMeasuredPoints);
   std::size_t fed = 0;
+  std::size_t extra_allocations = 0;
   const auto feed_labeled = [&] {
     const std::uint8_t label = fed % 211 == 0 ? 1 : 0;  // kpi_stream spikes
+    const std::size_t before_bank = t_allocations;
+    bank.feed_into(stream[fed], features);
+    const std::size_t bank_allocations = t_allocations - before_bank;
+    const std::size_t before_engine = t_allocations;
     engine.feed(series, stream[fed]);
+    const std::size_t engine_allocations = t_allocations - before_engine;
+    if (!engine.scheduler().due("pv", fed + 1) &&
+        engine_allocations > bank_allocations) {
+      ++extra_allocations;
+    }
     engine.ingest_labels(series, std::span(&label, 1), fed);
     ++fed;
   };
@@ -275,6 +311,8 @@ TEST(HotPath, FleetEngineFeedBetweenRetrains) {
     ASSERT_LT(fed, warm + kCtx.points_per_week);
     feed_labeled();
   }
+  EXPECT_EQ(extra_allocations, 0u);
+  EXPECT_GE(retrains, 2u);
 
   // The next retrain is a week away: two days of points never reach it.
   std::size_t classified = 0;
@@ -288,23 +326,10 @@ TEST(HotPath, FleetEngineFeedBetweenRetrains) {
 }
 
 TEST(HotPath, RandomForestScoreAndClassify) {
-  constexpr std::size_t kRows = 400;
-  constexpr std::size_t kFeatures = 4;
   util::Rng rng(7);
-  std::vector<std::vector<double>> columns(kFeatures,
-                                           std::vector<double>(kRows));
-  std::vector<std::uint8_t> labels(kRows);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    for (auto& column : columns) column[r] = rng.uniform();
-    labels[r] = columns[0][r] + columns[1][r] > 1.2 ? 1 : 0;
-  }
-  ml::ForestOptions options;
-  options.num_trees = 16;
-  ml::RandomForest forest(options);
-  forest.train(ml::Dataset({"a", "b", "c", "d"}, columns, labels));
-
+  const ml::RandomForest forest = trained_forest(rng);
   std::vector<std::vector<double>> rows(kMeasuredPoints,
-                                        std::vector<double>(kFeatures));
+                                        std::vector<double>(4));
   for (auto& row : rows) {
     for (double& v : row) v = rng.uniform();
   }

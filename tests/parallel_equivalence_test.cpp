@@ -24,6 +24,8 @@
 #include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
 
+#include "synthetic_fleet.hpp"
+
 namespace {
 
 using namespace opprentice;
@@ -356,7 +358,7 @@ FleetRunOutput fleet_run(std::size_t threads) {
   std::vector<std::uint8_t> chunk(16);
   for (std::size_t t = 0; t < kPoints; ++t) {
     for (std::size_t i = 0; i < kSeries; ++i) {
-      values[i] = core::synthetic_fleet_value(salts[i], t, 16);
+      values[i] = test_support::synthetic_fleet_value(salts[i], t, 16);
     }
     engine.feed_tick(handles, values, verdicts);
     for (const auto& v : verdicts) out.score_bits.push_back(bits(v.score));
@@ -464,7 +466,7 @@ FleetRunOutput shared_phase_run(std::size_t threads, bool use_tick) {
   std::vector<std::uint8_t> chunk(16);
   for (std::size_t t = 0; t < 128; ++t) {
     for (std::size_t i = 0; i < n; ++i) {
-      values[i] = core::synthetic_fleet_value(salts[i], t, 16);
+      values[i] = test_support::synthetic_fleet_value(salts[i], t, 16);
     }
     if (use_tick) {
       engine.feed_tick(handles, values, verdicts);

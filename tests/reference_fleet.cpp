@@ -1,0 +1,155 @@
+#include "reference_fleet.hpp"
+
+#include <algorithm>
+#include <exception>
+#include <limits>
+#include <sstream>
+#include <utility>
+
+#include "eval/pr_curve.hpp"
+#include "eval/threshold_pickers.hpp"
+#include "ml/serialize.hpp"
+#include "util/fault_injection.hpp"
+
+namespace opprentice::core::reference {
+namespace {
+
+std::vector<detectors::DetectorPtr> configurations(
+    const FleetOptions& options) {
+  return options.detector_factory
+             ? options.detector_factory(options.ctx)
+             : detectors::standard_configurations(options.ctx);
+}
+
+detectors::FaultBoundary salted(detectors::FaultBoundary boundary,
+                                std::uint64_t salt) {
+  boundary.key_salt = salt;
+  return boundary;
+}
+
+}  // namespace
+
+FleetSeriesReference::FleetSeriesReference(const FleetOptions& options,
+                                           const std::string& id)
+    : options_(options),
+      scheduler_(options.scheduler_seed, options.retrain_interval != 0
+                                             ? options.retrain_interval
+                                             : options.ctx.points_per_week),
+      salt_(util::stable_id_hash(id)),
+      phase_(scheduler_.phase(id)),
+      extractor_(configurations(options), salted(options.boundary, salt_)),
+      features_(extractor_.num_features()),
+      columns_(extractor_.num_features()),
+      cthld_(options.cthld_ewma_alpha) {}
+
+void FleetSeriesReference::append_row() {
+  for (std::size_t f = 0; f < features_.size(); ++f) {
+    columns_[f].push_back(features_[f]);
+  }
+  labels_.push_back(0);
+  const std::size_t capacity = options_.history_capacity;
+  if (capacity > 0 && labels_.size() >= 2 * capacity) {
+    const std::size_t drop = labels_.size() - capacity;
+    for (auto& column : columns_) {
+      column.erase(column.begin(),
+                   column.begin() + static_cast<std::ptrdiff_t>(drop));
+    }
+    labels_.erase(labels_.begin(),
+                  labels_.begin() + static_cast<std::ptrdiff_t>(drop));
+    base_ += drop;
+  }
+}
+
+FleetDetection FleetSeriesReference::feed(double value) {
+  FleetDetection out;
+  out.value = value;
+  if (quarantined_) {
+    out.score = std::numeric_limits<double>::quiet_NaN();
+    out.cthld = out.score;
+    return out;
+  }
+  extractor_.feed_into(value, features_);
+  append_row();
+  if (forest_.has_value() && extractor_.warmed_up()) {
+    out.score = forest_->score(features_);
+    out.cthld = cthld_.initialized() ? cthld_.predict() : 0.5;
+    out.is_anomaly = out.score >= out.cthld;
+    out.classified = true;
+  } else {
+    out.score = std::numeric_limits<double>::quiet_NaN();
+  }
+  if (scheduler_.due_at(phase_, extractor_.points_seen())) retrain();
+  return out;
+}
+
+void FleetSeriesReference::retrain() {
+  const std::size_t warmup = extractor_.max_warmup();
+  const std::size_t begin_local = warmup > base_ ? warmup - base_ : 0;
+  const std::size_t end_global =
+      std::min(labeled_until_, base_ + labels_.size());
+  if (end_global <= base_) return;
+  const std::size_t end_local = end_global - base_;
+  if (begin_local >= end_local) return;
+  std::vector<std::vector<double>> columns(columns_.size());
+  for (std::size_t f = 0; f < columns_.size(); ++f) {
+    columns[f].assign(
+        columns_[f].begin() + static_cast<std::ptrdiff_t>(begin_local),
+        columns_[f].begin() + static_cast<std::ptrdiff_t>(end_local));
+  }
+  std::vector<std::uint8_t> labels(
+      labels_.begin() + static_cast<std::ptrdiff_t>(begin_local),
+      labels_.begin() + static_cast<std::ptrdiff_t>(end_local));
+  const ml::Dataset train(extractor_.feature_names(), std::move(columns),
+                          std::move(labels));
+  if (train.positives() == 0) return;
+
+  const std::uint64_t key = util::fault_key(salt_, extractor_.points_seen());
+  try {
+    if (util::inject_fault(util::faults::kForestTrain, key)) {
+      throw util::InjectedFault("injected forest.train");
+    }
+    ml::RandomForest forest(options_.forest);
+    forest.train(train);
+    const std::size_t rows = train.num_rows();
+    const std::size_t window = std::min(rows, scheduler_.interval());
+    const ml::Dataset recent = train.slice(rows - window, rows);
+    const eval::PrCurve curve(forest.score_all(recent), recent.labels());
+    const eval::ThresholdChoice best = eval::pick_threshold(
+        curve, eval::ThresholdMethod::kPcScore, options_.preference);
+    forest_ = std::move(forest);
+    ++retrains_;
+    consecutive_train_failures_ = 0;
+    if (cthld_.initialized()) {
+      cthld_.observe_best(best.cthld);
+    } else {
+      cthld_.initialize(best.cthld);
+    }
+  } catch (const std::exception&) {
+    ++consecutive_train_failures_;
+    if (options_.quarantine_after > 0 &&
+        consecutive_train_failures_ >= options_.quarantine_after) {
+      quarantined_ = true;
+    }
+  }
+}
+
+void FleetSeriesReference::ingest_labels(
+    std::span<const std::uint8_t> labels, std::size_t begin) {
+  const std::size_t first = std::max(begin, base_);
+  const std::size_t end =
+      std::min(begin + labels.size(), base_ + labels_.size());
+  if (first >= end) return;
+  for (std::size_t global = first; global < end; ++global) {
+    labels_[global - base_] = labels[global - begin];
+  }
+  labeled_until_ = std::max(labeled_until_, end);
+}
+
+std::string FleetSeriesReference::forest_fingerprint() const {
+  if (!forest_.has_value()) return "";
+  std::ostringstream out;
+  ml::save_forest(out, *forest_, extractor_.feature_names());
+  return out.str();
+}
+
+}  // namespace opprentice::core::reference

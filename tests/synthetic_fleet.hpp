@@ -1,0 +1,29 @@
+// Deterministic synthetic KPI values for the fleet tests.
+#pragma once
+
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+
+#include "util/fault_injection.hpp"
+
+namespace opprentice::test_support {
+
+// A daily-seasonal wave plus hash noise, a pure function of (series
+// salt, point index, points_per_day).
+inline double synthetic_fleet_value(std::uint64_t salt, std::size_t index,
+                                    std::size_t points_per_day) {
+  if (points_per_day == 0) points_per_day = 1;
+  const double day_position =
+      static_cast<double>(index % points_per_day) /
+      static_cast<double>(points_per_day);
+  const double seasonal =
+      100.0 + 25.0 * std::sin(6.283185307179586 * day_position);
+  // Hash noise in [-2, 2): a pure function of (salt, index).
+  const std::uint64_t h = util::fault_key(salt, index);
+  const double noise =
+      static_cast<double>(h >> 11) * 0x1.0p-53 * 4.0 - 2.0;
+  return seasonal + noise;
+}
+
+}  // namespace opprentice::test_support
