@@ -11,6 +11,7 @@
 // skipped during training/detection.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -47,16 +48,21 @@ class Detector {
   // Restores the just-constructed state.
   virtual void reset() = 0;
 
-  // The state this configuration shares with others of its bank, or null.
-  // Configurations sharing a store must be fed the same points in step,
-  // on one thread.
-  virtual const SeasonalSlotStore* slot_store() const { return nullptr; }
+  // The address of the state this configuration shares with others of
+  // its bank (a SeasonalSlotStore, a HoltWintersBank), or null.
+  // Configurations returning the same address must be fed the same points
+  // in step, on one thread.
+  virtual const void* shared_state() const { return nullptr; }
 };
 
 using DetectorPtr = std::unique_ptr<Detector>;
 
 // Clamps a raw severity: negative and NaN map to 0 (severities are
 // non-negative by the model's definition).
-double sanitize_severity(double severity);
+inline double sanitize_severity(double severity) {
+  if (std::isnan(severity) || severity < 0.0) return 0.0;
+  if (std::isinf(severity)) return 1e30;
+  return severity;
+}
 
 }  // namespace opprentice::detectors

@@ -50,46 +50,11 @@ const BoundaryCounters& boundary_counters() {
   return counters;
 }
 
-// One point through one configuration's fault boundary (DESIGN.md §5f).
-// `consecutive` and `quarantined` are that configuration's private state:
-// in batch extraction they live in the column's task, in streaming in the
-// extractor — either way no other thread touches them, so the boundary
-// adds no synchronization and decisions are bit-identical at any thread
-// count. A quarantined configuration is no longer fed at all (a throwing
-// detector's internal state is suspect after the failures that tripped
-// quarantine).
-double guarded_severity(Detector& detector, double value, std::uint64_t key,
-                        std::size_t config_index, bool faults_active,
-                        const FaultBoundary& boundary,
-                        std::size_t& consecutive, std::uint8_t& quarantined) {
-  if (quarantined != 0) return boundary.neutral;
-  bool failed = false;
-  double severity = boundary.neutral;
-  try {
-    // Injected faults strike after the detector has seen the point, so a
-    // period-indexed detector (seasonal slot, SVD phase, Holt-Winters
-    // season) stays in step with the stream.
-    severity = detector.feed(value);
-    if (faults_active &&
-        util::inject_fault(util::faults::kDetectorThrow, key)) {
-      throw util::InjectedFault("injected detector.throw");
-    }
-    if (faults_active &&
-        util::inject_fault(util::faults::kDetectorNan, key)) {
-      severity = std::numeric_limits<double>::quiet_NaN();
-    }
-  } catch (const std::exception&) {
-    boundary_counters().exceptions->add();
-    failed = true;
-  }
-  if (!failed && !std::isfinite(severity)) {
-    boundary_counters().scrubbed->add();
-    failed = true;
-  }
-  if (!failed) {
-    consecutive = 0;
-    return severity;
-  }
+// The failure path of guarded_severity: counts the failure and
+// quarantines the configuration once `consecutive` reaches the limit.
+double record_failure(const Detector& detector, std::size_t config_index,
+                      const FaultBoundary& boundary, std::size_t& consecutive,
+                      std::uint8_t& quarantined) {
   ++consecutive;
   if (boundary.quarantine_after > 0 &&
       consecutive >= boundary.quarantine_after && quarantined == 0) {
@@ -107,6 +72,50 @@ double guarded_severity(Detector& detector, double value, std::uint64_t key,
                        "configuration=" + configuration);
   }
   return boundary.neutral;
+}
+
+// One point (number `point` of the stream) through one configuration's
+// fault boundary (DESIGN.md §5f). `consecutive` and `quarantined` are
+// that configuration's private state: in batch extraction they live in
+// the column's task, in streaming in the extractor — either way no other
+// thread touches them, so the boundary adds no synchronization and
+// decisions are bit-identical at any thread count. A quarantined
+// configuration is no longer fed at all (a throwing detector's internal
+// state is suspect after the failures that tripped quarantine). The
+// injection key is computed only when a fault plan is armed.
+double guarded_severity(Detector& detector, double value, std::size_t point,
+                        std::size_t config_index, bool faults_active,
+                        const FaultBoundary& boundary,
+                        std::size_t& consecutive, std::uint8_t& quarantined) {
+  if (quarantined != 0) return boundary.neutral;
+  double severity = boundary.neutral;
+  try {
+    // Injected faults strike after the detector has seen the point, so a
+    // period-indexed detector (seasonal slot, SVD phase, Holt-Winters
+    // season) stays in step with the stream.
+    severity = detector.feed(value);
+    if (faults_active) {
+      const std::uint64_t key =
+          util::fault_key(config_index, point) ^ boundary.key_salt;
+      if (util::inject_fault(util::faults::kDetectorThrow, key)) {
+        throw util::InjectedFault("injected detector.throw");
+      }
+      if (util::inject_fault(util::faults::kDetectorNan, key)) {
+        severity = std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+  } catch (const std::exception&) {
+    boundary_counters().exceptions->add();
+    return record_failure(detector, config_index, boundary, consecutive,
+                          quarantined);
+  }
+  if (!std::isfinite(severity)) {
+    boundary_counters().scrubbed->add();
+    return record_failure(detector, config_index, boundary, consecutive,
+                          quarantined);
+  }
+  consecutive = 0;
+  return severity;
 }
 
 }  // namespace
@@ -152,21 +161,21 @@ FeatureMatrix extract_features(const ts::TimeSeries& series,
   // Each configuration is an independent column: the detector instance,
   // the severity sequence, the fault-boundary state, and the output slot
   // belong to one task only, so the columns and quarantine decisions are
-  // bit-identical at any thread count. Configurations that share a slot
-  // store form one task, fed point by point in bank order.
+  // bit-identical at any thread count. Configurations that share state
+  // form one task, fed point by point in bank order.
   std::vector<std::vector<std::size_t>> tasks;
-  std::vector<const SeasonalSlotStore*> task_stores;
+  std::vector<const void*> task_states;
   for (std::size_t f = 0; f < detectors.size(); ++f) {
-    const SeasonalSlotStore* store = detectors[f]->slot_store();
+    const void* state = detectors[f]->shared_state();
     const auto shared =
-        store == nullptr
-            ? task_stores.end()
-            : std::find(task_stores.begin(), task_stores.end(), store);
-    if (shared == task_stores.end()) {
+        state == nullptr
+            ? task_states.end()
+            : std::find(task_states.begin(), task_states.end(), state);
+    if (shared == task_states.end()) {
       tasks.push_back({f});
-      task_stores.push_back(store);
+      task_states.push_back(state);
     } else {
-      tasks[static_cast<std::size_t>(shared - task_stores.begin())]
+      tasks[static_cast<std::size_t>(shared - task_states.begin())]
           .push_back(f);
     }
   }
@@ -184,9 +193,8 @@ FeatureMatrix extract_features(const ts::TimeSeries& series,
     const auto feed = [&](std::size_t j, std::size_t i) {
       const std::size_t f = members[j];
       m.columns[f][i] = guarded_severity(
-          *detectors[f], series[i], util::fault_key(f, i) ^ boundary.key_salt,
-          f, faults_active, boundary, consecutive_failures[j],
-          m.quarantined[f]);
+          *detectors[f], series[i], i, f, faults_active, boundary,
+          consecutive_failures[j], m.quarantined[f]);
     };
     obs::Stopwatch pass;
     for (std::size_t i = 0; i < series.size(); ++i) {
@@ -266,10 +274,9 @@ std::vector<std::string> StreamingExtractor::feature_names() const {
 }
 
 double StreamingExtractor::guarded_feed(std::size_t f, double value) {
-  return guarded_severity(
-      *detectors_[f], value,
-      util::fault_key(f, points_seen_) ^ boundary_.key_salt, f,
-      faults_active_, boundary_, consecutive_failures_[f], quarantined_[f]);
+  return guarded_severity(*detectors_[f], value, points_seen_, f,
+                          faults_active_, boundary_, consecutive_failures_[f],
+                          quarantined_[f]);
 }
 
 std::vector<double> StreamingExtractor::feed(double value) {
@@ -279,6 +286,12 @@ std::vector<double> StreamingExtractor::feed(double value) {
 }
 
 void StreamingExtractor::feed_into(double value, std::span<double> features) {
+  // Past every warm-up no severity is masked.
+  const bool warm = points_seen_ >= max_warmup_;
+  const auto masked = [&](std::size_t f, double severity) {
+    return warm || points_seen_ >= detectors_[f]->warmup_points() ? severity
+                                                                  : 0.0;
+  };
   if (obs::detailed_timing_enabled()) {
     // Per-family µs/point plus the per-configuration attribution slots:
     // §5.8's extraction budget broken down by where it actually goes,
@@ -295,17 +308,14 @@ void StreamingExtractor::feed_into(double value, std::span<double> features) {
         const double config_us = watch.elapsed_us();
         cost_slots_[f]->record(config_us);
         family_us += config_us;
-        features[f] =
-            points_seen_ < detectors_[f]->warmup_points() ? 0.0 : severity;
+        features[f] = masked(f, severity);
       }
       fam.histogram->record(family_us);
     }
     feed_histogram_->record(total.elapsed_us());
   } else {
     for (std::size_t f = 0; f < detectors_.size(); ++f) {
-      const double severity = guarded_feed(f, value);
-      features[f] =
-          points_seen_ < detectors_[f]->warmup_points() ? 0.0 : severity;
+      features[f] = masked(f, guarded_feed(f, value));
     }
   }
   points_counter_->add();

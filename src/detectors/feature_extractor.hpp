@@ -63,8 +63,8 @@ struct FeatureMatrix {
 
 // Runs each detector over the full series (detectors are reset first).
 // Columns are computed in parallel on the global thread pool (one task
-// per configuration, or per slot store for the configurations sharing
-// one) and are bit-identical at any thread count.
+// per configuration, or per shared state for the configurations sharing
+// one, Detector::shared_state) and are bit-identical at any thread count.
 FeatureMatrix extract_features(const ts::TimeSeries& series,
                                const std::vector<DetectorPtr>& detectors,
                                const FaultBoundary& boundary = {});

@@ -158,12 +158,14 @@ DetectorRegistry DetectorRegistry::with_standard_families() {
     return out;
   });
 
+  // The 64 configurations are the lanes of one bank.
   reg.register_family("holt_winters", [](const SeriesContext& ctx) {
+    const auto bank = std::make_shared<HoltWintersBank>(ctx.points_per_day);
     std::vector<DetectorPtr> out;
     for (double a : kHwParams) {
       for (double b : kHwParams) {
         for (double g : kHwParams) {
-          out.push_back(std::make_unique<HoltWintersDetector>(a, b, g, ctx));
+          out.push_back(std::make_unique<HoltWintersDetector>(a, b, g, bank));
         }
       }
     }

@@ -140,7 +140,7 @@ class SeasonalReader : public Detector {
  public:
   std::string name() const override;
   std::size_t warmup_points() const override { return warmup_; }
-  const SeasonalSlotStore* slot_store() const override { return store_.get(); }
+  const void* shared_state() const override { return store_.get(); }
   void reset() override;
 
  protected:

@@ -17,13 +17,19 @@ constexpr double kZeroSigma = 1e-12;
 // The eigen-solve stops once the direction's error bound falls below
 // this; the residual moves by about |window| times that error.
 constexpr double kDirectionTolerance = 1e-12;
+// A gap below this fraction of the trace is rounding in λ (an exact tie
+// computes as a gap of a few ulps), so it certifies nothing.
+constexpr double kMinGap = 1e-12;
 constexpr int kMaxRayleighIterations = 8;
+constexpr int kPowerSteps = 2;
 constexpr int kMaxJacobiSweeps = 60;
 
 // Solves m·z = z in place (k x k, row-major, m overwritten) by Gaussian
-// elimination with partial pivoting; false when m is singular.
+// elimination with partial pivoting; false when m is singular. Each pivot
+// is inverted once and multiplied by.
 template <std::size_t K>
 bool solve_in_place(double* m, double* z) {
+  std::array<double, K> inverse_pivot;
   for (std::size_t c = 0; c < K; ++c) {
     std::size_t pivot = c;
     for (std::size_t r = c + 1; r < K; ++r) {
@@ -34,8 +40,9 @@ bool solve_in_place(double* m, double* z) {
       for (std::size_t j = c; j < K; ++j) std::swap(m[pivot * K + j], m[c * K + j]);
       std::swap(z[pivot], z[c]);
     }
+    inverse_pivot[c] = 1.0 / m[c * K + c];
     for (std::size_t r = c + 1; r < K; ++r) {
-      const double f = m[r * K + c] / m[c * K + c];
+      const double f = m[r * K + c] * inverse_pivot[c];
       for (std::size_t j = c + 1; j < K; ++j) m[r * K + j] -= f * m[c * K + j];
       z[r] -= f * z[c];
     }
@@ -43,7 +50,7 @@ bool solve_in_place(double* m, double* z) {
   for (std::size_t c = K; c-- > 0;) {
     double sum = z[c];
     for (std::size_t j = c + 1; j < K; ++j) sum -= m[c * K + j] * z[j];
-    z[c] = sum / m[c * K + c];
+    z[c] = sum * inverse_pivot[c];
   }
   return true;
 }
@@ -120,15 +127,11 @@ struct Kernel {
     // past segment whose squared norm overflows (an infinite singular
     // value, whose left singular vector it scales to zero).
     if (!(trace > 0.0) || std::isinf(trace)) return newest;
-    dominant_direction(gram, trace, direction);
+    const double sigma2 = dominant_direction(gram, trace, direction);
 
-    double sigma2 = 0.0;
     double projection = 0.0;  // vᵀAᵀy
     double last_row = 0.0;    // a·v
     for (std::size_t i = 0; i < K; ++i) {
-      double gv = 0.0;
-      for (std::size_t j = 0; j < K; ++j) gv += gram[i * K + j] * direction[j];
-      sigma2 += direction[i] * gv;
       projection += direction[i] * block[kLagOffset[C - 1 - i]];
       last_row += direction[i] * block[C - 1 - i];
     }
@@ -137,36 +140,34 @@ struct Kernel {
     return newest - (projection / sigma) * (last_row / sigma);
   }
 
-  // Rayleigh quotient iteration, warm-started from the previous point's
-  // direction v: λ = vᵀGv, then v <- (G - λI)⁻¹v normalized, which
+  // Rayleigh quotient iteration from a start near the dominant
+  // eigenvector: λ = vᵀGv, then v <- (G - λI)⁻¹v normalized, which
   // converges cubically to the eigenvector nearest λ. G is positive
   // semi-definite, so when λ exceeds half the trace every other
   // eigenvalue lies below trace - λ, and the residual r = Gv - λv bounds
   // the angle between v and the dominant eigenvector by |r|/(2λ - trace).
   // Without that certificate (no dominant direction, or convergence to
-  // another eigenvector) a Jacobi eigen-solve decides.
-  static void dominant_direction(const Gram& gram, double trace, double* v) {
+  // another eigenvector) a Jacobi eigen-solve decides. Returns vᵀGv of the
+  // direction left in v.
+  static double dominant_direction(const Gram& gram, double trace,
+                                   double* v) {
     std::array<double, K> gv;
     Gram m;
     std::array<double, K> z;
+    start_direction(gram, v);
     for (int iteration = 0; iteration < kMaxRayleighIterations; ++iteration) {
-      double lambda = 0.0;
-      for (std::size_t i = 0; i < K; ++i) {
-        double sum = 0.0;
-        for (std::size_t j = 0; j < K; ++j) sum += gram[i * K + j] * v[j];
-        gv[i] = sum;
-        lambda += v[i] * sum;
-      }
+      const double lambda = quotient(gram, v, gv.data());
       double residual2 = 0.0;
       for (std::size_t i = 0; i < K; ++i) {
         const double r = gv[i] - lambda * v[i];
         residual2 += r * r;
       }
       const double gap = 2.0 * lambda - trace;
+      const bool dominant = gap > kMinGap * trace;
       if (std::sqrt(residual2) <=
-          kDirectionTolerance * (gap > 0.0 ? gap : lambda)) {
-        if (gap > 0.0) return;
-        break;  // an eigenvector, but not the dominant one
+          kDirectionTolerance * (dominant ? gap : lambda)) {
+        if (dominant) return lambda;
+        break;  // an eigenvector, but not a dominant one
       }
       for (std::size_t i = 0; i < K; ++i) {
         for (std::size_t j = 0; j < K; ++j) m[i * K + j] = gram[i * K + j];
@@ -181,6 +182,56 @@ struct Kernel {
       for (std::size_t i = 0; i < K; ++i) v[i] = z[i] * inv_norm;
     }
     jacobi_direction(gram, v);
+    return quotient(gram, v, gv.data());
+  }
+
+  // The Rayleigh quotient vᵀGv; Gv goes to gv.
+  static double quotient(const Gram& gram, const double* v, double* gv) {
+    double lambda = 0.0;
+    for (std::size_t i = 0; i < K; ++i) {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < K; ++j) sum += gram[i * K + j] * v[j];
+      gv[i] = sum;
+      lambda += v[i] * sum;
+    }
+    return lambda;
+  }
+
+  // The iteration's start. For K = 2 it is the dominant eigenvector in
+  // closed form: with G = [a b; b c], d = (a - c)/2 and h = √(d² + b²),
+  // it is (d + h, b) or, for d < 0, (b, h - d), neither of which cancels.
+  // A tie (h = 0) or an overflow leaves v for the iteration to judge.
+  // Otherwise v is the previous point's direction, whose certificate is
+  // typically 1e-1 to 1e-2; two power steps v <- Gv/|Gv| bring it close
+  // enough that one solve usually certifies it.
+  static void start_direction(const Gram& gram, double* v) {
+    if constexpr (K == 2) {
+      const double d = 0.5 * (gram[0] - gram[3]);
+      const double b = gram[1];
+      const double h = std::sqrt(d * d + b * b);
+      const double x = d >= 0.0 ? d + h : b;
+      const double y = d >= 0.0 ? b : h - d;
+      const double norm2 = x * x + y * y;
+      if (h > 0.0 && norm2 > 0.0 && !std::isinf(norm2)) {
+        const double inv_norm = 1.0 / std::sqrt(norm2);
+        v[0] = x * inv_norm;
+        v[1] = y * inv_norm;
+      }
+    } else {
+      for (int step = 0; step < kPowerSteps; ++step) {
+        std::array<double, K> gv;
+        double norm2 = 0.0;
+        for (std::size_t i = 0; i < K; ++i) {
+          double sum = 0.0;
+          for (std::size_t j = 0; j < K; ++j) sum += gram[i * K + j] * v[j];
+          gv[i] = sum;
+          norm2 += sum * sum;
+        }
+        if (!(norm2 > 0.0) || std::isinf(norm2)) return;
+        const double inv_norm = 1.0 / std::sqrt(norm2);
+        for (std::size_t i = 0; i < K; ++i) v[i] = gv[i] * inv_norm;
+      }
+    }
   }
 
   // Cyclic Jacobi eigen-solve of the Gram matrix; the eigenvector of the

@@ -9,6 +9,7 @@
 // ctest label: chaos (CI runs these under ASan/UBSan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include "datagen/kpi_presets.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "detectors/registry.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "timeseries/repair.hpp"
 #include "util/fault_injection.hpp"
@@ -537,6 +539,193 @@ TEST(DetectorBoundary, QuarantineLeavesTheSharedSlotStoreAdvancing) {
   // The plan must strike some seasonal columns and spare others.
   EXPECT_GT(seasonal_struck, 0u);
   EXPECT_GT(seasonal_live, 0u);
+}
+
+// Three weeks of hourly points with dirt for the full bank: missing
+// runs, a dead stretch, spikes and a level shift.
+std::vector<double> dirty_hourly_values() {
+  const std::size_t n = 3 * 168;
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    values[i] = 100.0 + 20.0 * std::sin(t * 0.2618) +
+                5.0 * std::sin(t * 0.0374) + 3.0 * std::cos(t * 1.7) +
+                (i >= 400 ? 60.0 : 0.0);
+  }
+  for (std::size_t i = 50; i < 58; ++i) values[i] = kNan;
+  for (std::size_t i = 200; i < 230; ++i) values[i] = 0.0;
+  values[260] *= 40.0;
+  values[330] = kNan;
+  values[331] = -1e6;
+  return values;
+}
+
+bool same_bits(double a, double b) {
+  std::uint64_t x = 0;
+  std::uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+// Rows as StreamingExtractor::feed_into writes them.
+std::vector<std::vector<double>> stream_rows(
+    detectors::StreamingExtractor& extractor,
+    const std::vector<double>& values) {
+  std::vector<std::vector<double>> rows;
+  std::vector<double> row(extractor.num_features());
+  for (const double v : values) {
+    extractor.feed_into(v, row);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+std::size_t mismatched_bits(const std::vector<std::vector<double>>& a,
+                            const std::vector<std::vector<double>>& b) {
+  std::size_t mismatches = a.size() == b.size() ? 0 : 1;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    for (std::size_t f = 0; f < a[i].size(); ++f) {
+      mismatches += same_bits(a[i][f], b[i][f]) ? 0 : 1;
+    }
+  }
+  return mismatches;
+}
+
+// feed_into's untimed path skips the warm-up mask once every detector is
+// warm and computes no fault key without a plan; timing every
+// configuration (obs::set_detailed_timing) must not change a bit.
+TEST(DetectorBoundary, TimedAndUntimedFeedAgreeBitForBit) {
+  util::clear_fault_plan();
+  const detectors::SeriesContext ctx{24, 168};
+  const std::vector<double> values = dirty_hourly_values();
+  const bool was_timed = obs::detailed_timing_enabled();
+  const auto run = [&](bool timed) {
+    obs::set_detailed_timing(timed);
+    detectors::StreamingExtractor extractor(
+        detectors::standard_configurations(ctx));
+    auto rows = stream_rows(extractor, values);
+    obs::set_detailed_timing(was_timed);
+    return rows;
+  };
+  const auto untimed = run(false);
+  const auto timed = run(true);
+  ASSERT_EQ(untimed.front().size(), 133u);
+  EXPECT_EQ(mismatched_bits(untimed, timed), 0u);
+}
+
+// The fault boundary as it was before the injection key became lazy: the
+// key of every column and point is computed up front and every warm-up is
+// checked on every point. The oracle for StreamingExtractor's boundary.
+class EagerBoundary {
+ public:
+  EagerBoundary(std::vector<detectors::DetectorPtr> detectors,
+                const detectors::FaultBoundary& boundary)
+      : detectors_(std::move(detectors)),
+        boundary_(boundary),
+        consecutive_(detectors_.size(), 0),
+        quarantined_(detectors_.size(), 0) {}
+
+  std::vector<double> feed(double value) {
+    std::vector<double> row(detectors_.size());
+    for (std::size_t f = 0; f < detectors_.size(); ++f) {
+      const std::uint64_t key =
+          util::fault_key(f, points_) ^ boundary_.key_salt;
+      double severity = boundary_.neutral;
+      if (quarantined_[f] == 0) {
+        bool failed = false;
+        try {
+          severity = detectors_[f]->feed(value);
+          if (util::inject_fault(util::faults::kDetectorThrow, key)) {
+            throw util::InjectedFault("injected detector.throw");
+          }
+          if (util::inject_fault(util::faults::kDetectorNan, key)) {
+            severity = kNan;
+          }
+        } catch (const std::exception&) {
+          failed = true;
+        }
+        if (failed || !std::isfinite(severity)) {
+          severity = boundary_.neutral;
+          if (++consecutive_[f] >= boundary_.quarantine_after &&
+              boundary_.quarantine_after > 0) {
+            quarantined_[f] = 1;
+            obs::flight_record("detector", "quarantine",
+                               f ^ boundary_.key_salt,
+                               "configuration=" + detectors_[f]->name());
+          }
+        } else {
+          consecutive_[f] = 0;
+        }
+      }
+      row[f] = points_ < detectors_[f]->warmup_points() ? 0.0 : severity;
+    }
+    ++points_;
+    return row;
+  }
+
+  const std::vector<std::uint8_t>& quarantined() const {
+    return quarantined_;
+  }
+
+ private:
+  std::vector<detectors::DetectorPtr> detectors_;
+  detectors::FaultBoundary boundary_;
+  std::vector<std::size_t> consecutive_;
+  std::vector<std::uint8_t> quarantined_;
+  std::size_t points_ = 0;
+};
+
+// Under an armed detector.throw/detector.nan plan, the key the extractor
+// computes only when the plan is armed gives the same injections, the
+// same quarantines and the same flight dump as the eager key.
+TEST(DetectorBoundary, LazyFaultKeyMatchesEagerKey) {
+  const detectors::SeriesContext ctx{24, 168};
+  const std::vector<double> values = dirty_hourly_values();
+  detectors::FaultBoundary boundary;
+  boundary.quarantine_after = 2;
+  boundary.key_salt = 0xfeed;
+  util::FaultPlan plan;
+  plan.seed = 53;
+  plan.rates["detector.throw"] = 0.03;
+  plan.rates["detector.nan"] = 0.03;
+  const PlanGuard guard(plan);
+  auto& recorder = obs::FlightRecorder::instance();
+
+  recorder.clear();
+  const std::uint64_t injected_before =
+      counter_value("opprentice.faults.injected");
+  detectors::StreamingExtractor lazy(detectors::standard_configurations(ctx),
+                                     boundary);
+  const auto lazy_rows = stream_rows(lazy, values);
+  const std::uint64_t lazy_injected =
+      counter_value("opprentice.faults.injected") - injected_before;
+  const std::string lazy_dump = recorder.dump_json();
+  EXPECT_EQ(recorder.dropped_count(), 0u);
+
+  recorder.clear();
+  const std::uint64_t eager_before =
+      counter_value("opprentice.faults.injected");
+  EagerBoundary eager(detectors::standard_configurations(ctx), boundary);
+  std::vector<std::vector<double>> eager_rows;
+  for (const double v : values) eager_rows.push_back(eager.feed(v));
+  const std::uint64_t eager_injected =
+      counter_value("opprentice.faults.injected") - eager_before;
+  const std::string eager_dump = recorder.dump_json();
+  recorder.clear();
+
+  EXPECT_EQ(mismatched_bits(lazy_rows, eager_rows), 0u);
+  EXPECT_EQ(lazy.quarantined(), eager.quarantined());
+  EXPECT_EQ(lazy_injected, eager_injected);
+  EXPECT_EQ(lazy_dump, eager_dump);
+  // The plan must inject, and quarantine some columns but not all.
+  const auto& quarantined = lazy.quarantined();
+  const auto tripped = static_cast<std::size_t>(
+      std::count(quarantined.begin(), quarantined.end(), 1));
+  EXPECT_GT(lazy_injected, 0u);
+  EXPECT_GT(tripped, 0u);
+  EXPECT_LT(tripped, quarantined.size());
+  EXPECT_NE(lazy_dump.find("\"quarantine\""), std::string::npos);
 }
 
 // ---- end-to-end: the weekly driver under fire ----------------------------

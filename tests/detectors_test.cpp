@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "detectors/arima_detector.hpp"
@@ -18,6 +22,7 @@
 #include "detectors/svd_detector.hpp"
 #include "detectors/wavelet_detector.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -403,29 +408,40 @@ TEST(Svd, ColumnCountsWithoutAKernelAreRejected) {
 TEST(SeasonalSlotStore, OneStorePerBankAndPerInstantiatedFamily) {
   const auto registry = DetectorRegistry::with_standard_families();
   const auto bank = registry.instantiate_all(small_ctx());
-  const SeasonalSlotStore* store = nullptr;
+  const void* store = nullptr;
+  const void* holt_winters = nullptr;
   std::size_t readers = 0;
+  std::size_t lanes = 0;
   for (const DetectorPtr& d : bank) {
     const std::string family = family_of(d->name());
     const bool seasonal = family == "tsd" || family == "tsd_mad" ||
                           family == "historical_average" ||
                           family == "historical_mad";
-    if (!seasonal) {
-      EXPECT_EQ(d->slot_store(), nullptr) << d->name();
+    if (family == "holt_winters") {
+      ASSERT_NE(d->shared_state(), nullptr) << d->name();
+      if (holt_winters == nullptr) holt_winters = d->shared_state();
+      EXPECT_EQ(d->shared_state(), holt_winters) << d->name();
+      ++lanes;
       continue;
     }
-    ASSERT_NE(d->slot_store(), nullptr) << d->name();
-    if (store == nullptr) store = d->slot_store();
-    EXPECT_EQ(d->slot_store(), store) << d->name();
+    if (!seasonal) {
+      EXPECT_EQ(d->shared_state(), nullptr) << d->name();
+      continue;
+    }
+    ASSERT_NE(d->shared_state(), nullptr) << d->name();
+    if (store == nullptr) store = d->shared_state();
+    EXPECT_EQ(d->shared_state(), store) << d->name();
     ++readers;
   }
   EXPECT_EQ(readers, 20u);
+  EXPECT_EQ(lanes, 64u);
+  EXPECT_NE(store, holt_winters);
 
   const auto tsd = registry.instantiate_family("tsd", small_ctx());
-  EXPECT_NE(tsd.front()->slot_store(), store);
-  EXPECT_EQ(tsd.front()->slot_store(), tsd.back()->slot_store());
+  EXPECT_NE(tsd.front()->shared_state(), store);
+  EXPECT_EQ(tsd.front()->shared_state(), tsd.back()->shared_state());
   const TsdDetector alone(2, small_ctx());
-  EXPECT_NE(alone.slot_store(), tsd.front()->slot_store());
+  EXPECT_NE(alone.shared_state(), tsd.front()->shared_state());
 }
 
 // Readers of one store move in step. A reader that starts over from
@@ -458,6 +474,189 @@ TEST(SeasonalSlotStore, ReaderLeftBehindThrows) {
   std::vector<double> after_a;  // b's point 0 restarts the store
   for (const double x : xs) after_a.push_back(b.feed(x));
   EXPECT_EQ(after_a, in_step);
+}
+
+// ---- the Holt-Winters bank ----
+
+// A daily cycle for the bank with a leading missing run (the bootstrap
+// waits for it), a missing run later, a dead stretch and spikes.
+std::vector<double> holt_winters_stream() {
+  std::vector<double> xs = periodic_with_spike(5 * 168, 300, 8.0, 9);
+  for (std::size_t i = 0; i < 5; ++i) xs[i] = kNaN;
+  for (std::size_t i = 100; i < 130; ++i) xs[i] = kNaN;
+  for (std::size_t i = 400; i < 440; ++i) xs[i] = 0.0;
+  xs[600] = -1e6;
+  return xs;
+}
+
+std::vector<DetectorPtr> holt_winters_family() {
+  return DetectorRegistry::with_standard_families().instantiate_family(
+      "holt_winters", small_ctx());
+}
+
+std::vector<std::vector<double>> stream_rows(StreamingExtractor& extractor,
+                                             const std::vector<double>& xs) {
+  std::vector<std::vector<double>> rows;
+  for (const double x : xs) rows.push_back(extractor.feed(x));
+  return rows;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The 64 configurations are lanes of one bank. Each lane equals a lone
+// configuration with a bank of its own, and batch extraction (the bank's
+// readers form one task) equals streaming, at threads 1 and 4.
+TEST(HoltWintersBank, LanesMatchLoneConfigurationsBatchAndStreaming) {
+  const std::vector<double> xs = holt_winters_stream();
+  const ts::TimeSeries series("hw", 0, 3600, xs);
+  StreamingExtractor bank(holt_winters_family());
+  const auto streamed = stream_rows(bank, xs);
+  ASSERT_EQ(bank.num_features(), 64u);
+
+  const std::vector<DetectorPtr> family = holt_winters_family();
+  std::size_t mismatches = 0;
+  const double params[] = {0.2, 0.4, 0.6, 0.8};
+  std::size_t f = 0;
+  for (const double a : params) {
+    for (const double b : params) {
+      for (const double g : params) {
+        HoltWintersDetector lone(a, b, g, small_ctx());
+        ASSERT_EQ(lone.name(), family[f]->name());
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          const double severity = lone.feed(xs[i]);
+          const double want = i < lone.warmup_points() ? 0.0 : severity;
+          mismatches += same_bits(streamed[i][f], want) ? 0 : 1;
+        }
+        ++f;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    util::set_global_threads(threads);
+    const FeatureMatrix batch = extract_features(series, holt_winters_family());
+    util::set_global_threads(0);
+    ASSERT_EQ(batch.num_features(), 64u);
+    std::size_t batch_mismatches = 0;
+    for (std::size_t c = 0; c < 64; ++c) {
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        batch_mismatches +=
+            same_bits(batch.columns[c][i], streamed[i][c]) ? 0 : 1;
+      }
+    }
+    EXPECT_EQ(batch_mismatches, 0u) << "threads=" << threads;
+  }
+}
+
+// A bank reader that fails from point `from` on, after feeding the point
+// to the bank as an injected fault does.
+class FailingReader final : public Detector {
+ public:
+  FailingReader(DetectorPtr reader, std::size_t from)
+      : reader_(std::move(reader)), from_(from) {}
+  std::string name() const override { return reader_->name(); }
+  std::size_t warmup_points() const override {
+    return reader_->warmup_points();
+  }
+  double feed(double value) override {
+    const double severity = reader_->feed(value);
+    if (seen_++ >= from_) throw std::runtime_error("failing reader");
+    return severity;
+  }
+  void reset() override {
+    seen_ = 0;
+    reader_->reset();
+  }
+  const void* shared_state() const override {
+    return reader_->shared_state();
+  }
+
+ private:
+  DetectorPtr reader_;
+  std::size_t from_;
+  std::size_t seen_ = 0;
+};
+
+// A quarantined reader holds nothing up: whichever lane is quarantined,
+// the first in bank order (the one that advances the bank) included, the
+// other 63 columns equal a clean run bit for bit, streaming and batch.
+TEST(HoltWintersBank, QuarantinedLaneLeavesTheOthersBitIdentical) {
+  const std::vector<double> xs = holt_winters_stream();
+  const ts::TimeSeries series("hw", 0, 3600, xs);
+  StreamingExtractor clean(holt_winters_family());
+  const auto clean_rows = stream_rows(clean, xs);
+  const FeatureMatrix clean_batch =
+      extract_features(series, holt_winters_family());
+  constexpr std::size_t kFailFrom = 200;
+  FaultBoundary boundary;
+  boundary.quarantine_after = 3;
+
+  for (const std::size_t quarantined : {0u, 1u, 37u, 63u}) {
+    const auto with_failing_lane = [&] {
+      std::vector<DetectorPtr> family = holt_winters_family();
+      family[quarantined] = std::make_unique<FailingReader>(
+          std::move(family[quarantined]), kFailFrom);
+      return family;
+    };
+    StreamingExtractor faulted(with_failing_lane(), boundary);
+    const auto rows = stream_rows(faulted, xs);
+    const FeatureMatrix batch =
+        extract_features(series, with_failing_lane(), boundary);
+    EXPECT_EQ(faulted.quarantined()[quarantined], 1);
+    EXPECT_EQ(faulted.quarantined().size() - 1,
+              static_cast<std::size_t>(std::count(
+                  faulted.quarantined().begin(), faulted.quarantined().end(),
+                  0)));
+    EXPECT_EQ(batch.num_quarantined(), 1u);
+    std::size_t mismatches = 0;
+    for (std::size_t f = 0; f < 64; ++f) {
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        const bool neutral = f == quarantined && i >= kFailFrom;
+        const double stream_want = neutral ? 0.0 : clean_rows[i][f];
+        const double batch_want = neutral ? 0.0 : clean_batch.columns[f][i];
+        mismatches += same_bits(rows[i][f], stream_want) ? 0 : 1;
+        mismatches += same_bits(batch.columns[f][i], batch_want) ? 0 : 1;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "quarantined lane " << quarantined;
+  }
+}
+
+// reset() mid-stream restarts the bank: the stream that follows equals a
+// fresh bank's bit for bit.
+TEST(HoltWintersBank, ResetMidStreamRestartsTheBank) {
+  const std::vector<double> xs = holt_winters_stream();
+  StreamingExtractor fresh(holt_winters_family());
+  const auto want = stream_rows(fresh, xs);
+
+  StreamingExtractor reused(holt_winters_family());
+  (void)stream_rows(reused, periodic_with_spike(300, 250, 5.0, 4));
+  reused.reset();
+  const auto got = stream_rows(reused, xs);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (std::size_t f = 0; f < 64; ++f) {
+      mismatches += same_bits(got[i][f], want[i][f]) ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  // One reader reset and fed from point 0 restarts the bank for all.
+  std::vector<DetectorPtr> family = holt_winters_family();
+  for (const double x : periodic_with_spike(300, 250, 5.0, 4)) {
+    for (auto& d : family) d->feed(x);
+  }
+  family[5]->reset();
+  std::size_t lone_mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double severity = family[5]->feed(xs[i]);
+    const double masked = i < family[5]->warmup_points() ? 0.0 : severity;
+    lone_mismatches += same_bits(masked, want[i][5]) ? 0 : 1;
+  }
+  EXPECT_EQ(lone_mismatches, 0u);
 }
 
 TEST(Wavelet, HighBandCatchesSpike) {

@@ -32,7 +32,11 @@ int usage() {
       "options:\n"
       "  --tolerance X        default allowed relative increase\n"
       "                       (0.25 = fresh may be 25%% slower; default)\n"
-      "  --metric key=X       per-metric tolerance, repeatable. Against a\n"
+      "  --metric key=X[:higher|:lower]\n"
+      "                       per-metric tolerance, repeatable; a metric is\n"
+      "                       lower-is-better unless it ends in :higher\n"
+      "                       (then it may fall to baseline / (1 + X),\n"
+      "                       e.g. a throughput). Against a\n"
       "                       baseline with a sec58 object it overrides\n"
       "                       the default keys (extraction_us_per_point,\n"
       "                       classification_us_per_point,\n"
@@ -87,15 +91,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--metric") {
       const char* v = value();
       const std::string spec = v == nullptr ? "" : v;
-      const std::size_t eq = spec.find('=');
       perf::MetricSpec metric;
-      if (eq == std::string::npos ||
-          !parse_tolerance(spec.substr(eq + 1), &metric.tolerance)) {
-        std::fprintf(stderr, "--metric: expected key=tolerance, got '%s'\n",
+      if (!perf::parse_metric_spec(spec, &metric)) {
+        std::fprintf(stderr,
+                     "--metric: expected key=tolerance[:higher|:lower], got "
+                     "'%s'\n",
                      spec.c_str());
         return 2;
       }
-      metric.key = spec.substr(0, eq);
       options.metrics.push_back(metric);
     } else if (arg == "--history") {
       const char* v = value();

@@ -1,6 +1,7 @@
 #include "perf_gate.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -37,6 +38,7 @@ MetricResult gate_metric(const MetricSpec& spec,
   MetricResult r;
   r.key = spec.key;
   r.tolerance = spec.tolerance;
+  r.higher_is_better = spec.higher_is_better;
   r.baseline = baseline.number_at(path, -1.0);
   r.fresh = fresh.number_at(path, -1.0);
   if (!measured(r.baseline) && !measured(r.fresh)) {
@@ -53,12 +55,22 @@ MetricResult gate_metric(const MetricSpec& spec,
     return r;
   }
   r.ratio = r.fresh / r.baseline;
-  if (r.ratio > 1.0 + spec.tolerance) {
+  if (spec.higher_is_better ? r.ratio * (1.0 + spec.tolerance) < 1.0
+                            : r.ratio > 1.0 + spec.tolerance) {
     r.regressed = true;
-    r.note = "exceeds baseline by more than " +
+    r.note = (spec.higher_is_better ? "falls short of baseline by more than "
+                                    : "exceeds baseline by more than ") +
              util::format_double(100.0 * spec.tolerance, 0) + "%";
   }
   return r;
+}
+
+// The ratio a metric may reach: at most 1 + tol lower-is-better, at
+// least 1 / (1 + tol) higher-is-better.
+std::string limit_text(const MetricResult& m) {
+  return m.higher_is_better
+             ? ">=" + util::format_double(1.0 / (1.0 + m.tolerance), 2)
+             : "<=" + util::format_double(1.0 + m.tolerance, 2);
 }
 
 std::string render_summary(const GateResult& result) {
@@ -68,7 +80,7 @@ std::string render_summary(const GateResult& result) {
         {m.key, measured(m.baseline) ? util::format_double(m.baseline, 3) : "-",
          measured(m.fresh) ? util::format_double(m.fresh, 3) : "-",
          m.ratio > 0.0 ? util::format_double(m.ratio, 3) : "-",
-         "<=" + util::format_double(1.0 + m.tolerance, 2),
+         limit_text(m),
          m.regressed ? "REGRESSED" : "ok"});
   }
   std::string out = util::render_table(
@@ -89,6 +101,30 @@ std::string render_summary(const GateResult& result) {
 
 }  // namespace
 
+bool parse_metric_spec(std::string_view text, MetricSpec* out) {
+  const std::size_t eq = text.find('=');
+  if (eq == std::string_view::npos || eq == 0) return false;
+  std::string_view tolerance = text.substr(eq + 1);
+  bool higher_is_better = false;
+  if (const std::size_t colon = tolerance.find(':');
+      colon != std::string_view::npos) {
+    const std::string_view direction = tolerance.substr(colon + 1);
+    if (direction != "higher" && direction != "lower") return false;
+    higher_is_better = direction == "higher";
+    tolerance = tolerance.substr(0, colon);
+  }
+  // Strict non-negative double parse (std::strtod; no partial parses).
+  const std::string number(tolerance);
+  if (number.empty()) return false;
+  char* end = nullptr;
+  const double v = std::strtod(number.c_str(), &end);
+  if (end != number.c_str() + number.size() || !(v >= 0.0)) return false;
+  out->key = std::string(text.substr(0, eq));
+  out->tolerance = v;
+  out->higher_is_better = higher_is_better;
+  return true;
+}
+
 std::vector<MetricSpec> default_metrics(double tolerance) {
   return {{"extraction_us_per_point", tolerance},
           {"classification_us_per_point", tolerance},
@@ -105,7 +141,7 @@ std::vector<MetricSpec> gated_metrics(const util::json::Value& baseline,
     bool found = false;
     for (auto& m : metrics) {
       if (m.key == o.key) {
-        m.tolerance = o.tolerance;
+        m = o;
         found = true;
       }
     }
@@ -299,6 +335,63 @@ int self_test() {
          "dotted-key metric regression must fail");
   expect(gated_metrics(paper_doc(0.3), GateOptions{}).empty(),
          "a baseline without sec58 must gate only the named metrics");
+
+  // A higher-is-better metric (a throughput) regresses when it falls, by
+  // the same ratio a lower-is-better one may rise.
+  const auto throughput_doc = [](double points_per_s) {
+    std::ostringstream doc;
+    doc << "{\"metrics\": {\"points_per_s\": {\"value\": " << points_per_s
+        << ", \"unit\": \"points/s\"}}}";
+    return util::json::parse(doc.str());
+  };
+  MetricSpec throughput;
+  expect(parse_metric_spec("metrics.points_per_s.value=1.0:higher",
+                           &throughput) &&
+             throughput.key == "metrics.points_per_s.value" &&
+             throughput.tolerance == 1.0 && throughput.higher_is_better,
+         "key=tol:higher must parse as a higher-is-better metric");
+  GateOptions throughput_gate;
+  throughput_gate.metrics = {throughput};
+  expect(run_gate(throughput_doc(70000.0), throughput_doc(150000.0),
+                  throughput_gate)
+             .pass,
+         "a throughput more than doubled must pass");
+  expect(run_gate(throughput_doc(70000.0), throughput_doc(40000.0),
+                  throughput_gate)
+             .pass,
+         "a throughput inside the tolerance must pass");
+  const auto slow =
+      run_gate(throughput_doc(70000.0), throughput_doc(30000.0),
+               throughput_gate);
+  expect(!slow.pass && slow.metrics[0].regressed &&
+             slow.summary.find(">=0.50") != std::string::npos,
+         "a throughput below baseline / (1 + tol) must fail");
+  // The default direction is unchanged: the same numbers as a
+  // lower-is-better metric pass the fall and fail the doubling.
+  MetricSpec lower;
+  expect(parse_metric_spec("metrics.points_per_s.value=1.0", &lower) &&
+             !lower.higher_is_better &&
+             parse_metric_spec("metrics.points_per_s.value=1.0:lower",
+                               &lower) &&
+             !lower.higher_is_better,
+         "key=tol and key=tol:lower must parse as lower-is-better");
+  GateOptions lower_gate;
+  lower_gate.metrics = {lower};
+  expect(run_gate(throughput_doc(70000.0), throughput_doc(30000.0),
+                  lower_gate)
+                 .pass &&
+             !run_gate(throughput_doc(70000.0), throughput_doc(150000.0),
+                       lower_gate)
+                  .pass,
+         "a lower-is-better metric must fail on a rise, not a fall");
+  MetricSpec rejected;
+  expect(!parse_metric_spec("metrics.points_per_s.value=1.0:faster",
+                            &rejected) &&
+             !parse_metric_spec("=1.0", &rejected) &&
+             !parse_metric_spec("key=:higher", &rejected) &&
+             !parse_metric_spec("key=-1", &rejected) &&
+             !parse_metric_spec("key", &rejected),
+         "malformed metric specs must be rejected");
 
   // The baseline decides the gate set: a fresh document without sec58
   // gated against a sec58 baseline still gets the defaults and the

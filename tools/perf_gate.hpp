@@ -9,8 +9,11 @@
 // perfbench's paper_stream result line (BENCH_paper_stream.json) through
 // dotted keys.
 //
-// Semantics per metric (lower is better, unmeasured encoded as -1):
-//   - both measured:       regression when fresh > baseline * (1 + tol)
+// Semantics per metric (unmeasured encoded as -1):
+//   - both measured:       a lower-is-better metric (the default)
+//                          regresses when fresh > baseline * (1 + tol),
+//                          a higher-is-better one (a throughput) when
+//                          fresh < baseline / (1 + tol)
 //   - baseline unmeasured: pass ("newly measured" — becomes the baseline
 //                          on the next refresh)
 //   - fresh unmeasured:    regression (a metric silently disappearing is
@@ -32,15 +35,23 @@
 
 namespace opprentice::perf {
 
-// One gated metric and the allowed relative increase (0.25 = fresh may
-// be up to 25% slower than baseline). A bare key ("training_ms_per_round")
-// is looked up under the "sec58" summary object; a dotted key
-// ("metrics.lag_p50_ms.value") is an absolute path into the document,
-// which is how perfbench's paper_stream result joins the same gate.
+// One gated metric, its direction and the allowed relative worsening
+// (0.25 = fresh may be up to 25% slower than baseline). A bare key
+// ("training_ms_per_round") is looked up under the "sec58" summary
+// object; a dotted key ("metrics.lag_p50_ms.value") is an absolute path
+// into the document, which is how perfbench's paper_stream result joins
+// the same gate.
 struct MetricSpec {
   std::string key;
   double tolerance = 0.25;
+  bool higher_is_better = false;
 };
+
+// Parses a --metric argument, "key=tolerance" with an optional
+// ":higher" (or ":lower", the default) direction suffix, e.g.
+// "metrics.points_per_s.value=1.0:higher". False when malformed: no key,
+// or a tolerance that is not a non-negative number.
+bool parse_metric_spec(std::string_view text, MetricSpec* out);
 
 // The default gate set: the four §5.8 cost metrics.
 std::vector<MetricSpec> default_metrics(double tolerance);
@@ -52,6 +63,7 @@ struct MetricResult {
   // fresh / baseline when both were measured, else -1.
   double ratio = -1.0;
   double tolerance = 0.25;
+  bool higher_is_better = false;
   bool regressed = false;
   std::string note;
 };
