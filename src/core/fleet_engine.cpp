@@ -77,12 +77,15 @@ std::size_t history_rows(const RetrainScheduler& scheduler, std::size_t phase,
 
 // A series' stored feature history: rows [floor, end) with their labels,
 // column-major like ml::Dataset, `capacity` rows per column in one
-// block. Rows below the floor are never stored. The block is sized when
-// the series is added; only an unbounded history, which starts empty,
-// ever grows it. A sized block that fills up is a sizing bug, and throws
-// in every build.
+// block. A row's label byte is kUnlabeled until a label chunk covers it,
+// and training skips such rows. Rows below the floor are never stored.
+// The block is sized when the series is added; only an unbounded
+// history, which starts empty, ever grows it. A sized block that fills
+// up is a sizing bug, and throws in every build.
 class FeatureHistory {
  public:
+  static constexpr std::uint8_t kUnlabeled = 0xFF;
+
   FeatureHistory() = default;
   FeatureHistory(std::size_t features, std::size_t capacity,
                  std::size_t floor)
@@ -96,7 +99,7 @@ class FeatureHistory {
 
   std::size_t floor() const { return floor_; }
 
-  // Stores point `row`, labelled normal, unless it lies below the floor.
+  // Stores point `row`, unlabeled, unless it lies below the floor.
   // Rows arrive in order, so a stored row is always floor + stored rows.
   void append(std::size_t row, std::span<const double> features) {
     if (row < floor_) return;
@@ -109,13 +112,14 @@ class FeatureHistory {
     for (std::size_t f = 0; f < features_; ++f) {
       values_[f * capacity_ + rows_] = features[f];
     }
-    labels_[rows_] = 0;
+    labels_[rows_] = kUnlabeled;
     ++rows_;
   }
 
   // Row must be stored: at or above the floor, and already appended.
+  // Any nonzero label is anomalous.
   void set_label(std::size_t row, std::uint8_t label) {
-    labels_[row - floor_] = label;
+    labels_[row - floor_] = label != 0 ? 1 : 0;
   }
 
   // Drops the rows below `floor`, moving the rest to the front of each
@@ -133,18 +137,23 @@ class FeatureHistory {
     floor_ = floor;
   }
 
-  // Rows [begin, end), which must be stored, as a training dataset.
+  // The labeled rows of [begin, end), which must be stored, as a
+  // training dataset.
   ml::Dataset copy(std::vector<std::string> names, std::size_t begin,
                    std::size_t end) const {
-    const std::size_t first = begin - floor_;
-    const std::size_t last = end - floor_;
+    std::vector<std::size_t> rows;
+    std::vector<std::uint8_t> labels;
+    for (std::size_t row = begin - floor_; row < end - floor_; ++row) {
+      if (labels_[row] == kUnlabeled) continue;
+      rows.push_back(row);
+      labels.push_back(labels_[row]);
+    }
     std::vector<std::vector<double>> columns(features_);
     for (std::size_t f = 0; f < features_; ++f) {
       const double* column = values_.get() + f * capacity_;
-      columns[f].assign(column + first, column + last);
+      columns[f].reserve(rows.size());
+      for (const std::size_t row : rows) columns[f].push_back(column[row]);
     }
-    std::vector<std::uint8_t> labels(labels_.get() + first,
-                                     labels_.get() + last);
     return ml::Dataset(std::move(names), std::move(columns),
                        std::move(labels));
   }
@@ -175,22 +184,6 @@ class FeatureHistory {
 };
 
 }  // namespace
-
-std::vector<detectors::DetectorPtr> fleet_lite_configurations(
-    const detectors::SeriesContext& ctx) {
-  const auto& registry = detectors::DetectorRegistry::with_standard_families();
-  std::vector<detectors::DetectorPtr> out;
-  for (const char* family : {"diff", "simple_ma", "ewma"}) {
-    auto configs = registry.instantiate_family(family, ctx);
-    for (auto& config : configs) {
-      // Cap warm-up at one day (drops the week-lag diff): a fleet series
-      // should classify within its first day, not sit dark for a week.
-      if (config->warmup_points() > ctx.points_per_day) continue;
-      out.push_back(std::move(config));
-    }
-  }
-  return out;
-}
 
 // All per-series streaming state, guarded by one mutex per series. The
 // engine is the only code that touches it; every method requiring the

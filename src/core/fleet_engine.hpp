@@ -39,18 +39,12 @@
 namespace opprentice::core {
 
 // Builds a series' detector set. The default (nullptr factory) is the
-// paper's standard 133 configurations; fleet-scale deployments install a
-// cheaper set (fleet_lite_configurations) to hit netdata-like per-metric
-// budgets.
+// paper's standard 133 configurations, which every production path runs
+// (`opprentice_cli serve` included). A factory is for callers that must
+// train within a few hundred points, where the full bank is still
+// warming up: short-window benches and tests.
 using DetectorFactory = std::function<std::vector<detectors::DetectorPtr>(
     const detectors::SeriesContext&)>;
-
-// The cheap short-window families only (diff, simple_ma, ewma — nothing
-// warming up longer than one day): ~12 configurations instead of 133,
-// for 10k+-series fleets where per-point cost and RSS per series
-// dominate.
-std::vector<detectors::DetectorPtr> fleet_lite_configurations(
-    const detectors::SeriesContext& ctx);
 
 struct FleetOptions {
   std::size_t shard_count = 64;
@@ -156,9 +150,11 @@ class FleetEngine {
                            ts::RepairPolicy policy);
 
   // Operator labels for rows [begin, begin + labels.size()) in global
-  // point indices. Rows before the logical window (history_capacity) and
-  // rows not fed yet are ignored. stats().labeled_until advances to the
-  // end of the rows the call wrote, and stays put when it wrote none.
+  // point indices; any nonzero label is anomalous. Rows before the
+  // logical window (history_capacity) and rows not fed yet are ignored.
+  // stats().labeled_until advances to the end of the rows the call
+  // wrote, and stays put when it wrote none. Retrains read only rows some
+  // call has labeled: a row between two chunks is not trained as normal.
   void ingest_labels(const SeriesHandle& series,
                      std::span<const std::uint8_t> labels, std::size_t begin);
 

@@ -196,6 +196,15 @@ bool IngestServer::handle_frame(Connection& conn, const Frame& frame,
         append_response(responses, make_error("malformed DATA"));
         return false;
       }
+      // The engine's SeriesContext is fleet-wide: a series on another
+      // grid would be read with the wrong day and week.
+      if (data.interval_seconds != 0 &&
+          options_.default_interval_seconds != 0 &&
+          data.interval_seconds != options_.default_interval_seconds) {
+        append_response(responses,
+                        make_error("DATA interval differs from the fleet's"));
+        return false;
+      }
       QueuedBatch batch;
       batch.type = FrameType::kData;
       batch.series_id = std::move(data.series_id);

@@ -51,7 +51,9 @@ struct ServerOptions {
   std::size_t apply_budget = 0;
   // The RETRY frame's back-off hint.
   std::uint32_t retry_after_ticks = 1;
-  // Fallback grid interval for DATA frames that declare 0 (infer).
+  // The fleet's grid interval: DATA frames that declare 0 use it, and a
+  // frame that declares another is an ERROR. 0 infers each batch's grid
+  // and accepts any.
   std::int64_t default_interval_seconds = 0;
   ts::RepairPolicy repair_policy = ts::RepairPolicy::kFillInterpolate;
 };

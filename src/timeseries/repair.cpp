@@ -128,7 +128,7 @@ RepairResult repair_series(std::string name, std::vector<RawPoint> points,
           "': cannot infer sampling interval (all timestamps identical)");
     }
   }
-  if (interval_seconds <= 0 || kSecondsPerDay % interval_seconds != 0) {
+  if (!valid_interval(interval_seconds)) {
     throw std::runtime_error(
         "ingest of series '" + name + "': sampling interval " +
         std::to_string(interval_seconds) +

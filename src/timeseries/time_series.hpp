@@ -19,6 +19,12 @@ inline constexpr std::int64_t kSecondsPerHour = 3600;
 inline constexpr std::int64_t kSecondsPerDay = 86400;
 inline constexpr std::int64_t kSecondsPerWeek = 7 * kSecondsPerDay;
 
+// The grid rule every ingest path applies: a sampling interval is
+// positive and divides one day evenly.
+inline constexpr bool valid_interval(std::int64_t seconds) {
+  return seconds > 0 && kSecondsPerDay % seconds == 0;
+}
+
 class TimeSeries {
  public:
   TimeSeries() = default;

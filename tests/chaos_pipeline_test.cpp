@@ -870,7 +870,6 @@ TEST(ChaosFleet, InterleavedIngestAttributesRepairsPerSeries) {
 
   core::FleetOptions options;
   options.ctx = detectors::SeriesContext{16, 112};
-  options.detector_factory = core::fleet_lite_configurations;
   core::FleetEngine engine(options);
   const auto a = engine.add_series("fleet-gappy");
   const auto b = engine.add_series("fleet-doubled");
@@ -916,7 +915,6 @@ TEST(ChaosFleet, IngestReportIsPerCallAndTotalsAccumulate) {
   constexpr std::int64_t kInterval = 600;
   core::FleetOptions options;
   options.ctx = detectors::SeriesContext{16, 112};
-  options.detector_factory = core::fleet_lite_configurations;
   core::FleetEngine engine(options);
   const auto s = engine.add_series("fleet-mixed");
 

@@ -7,10 +7,12 @@
 #include <fstream>
 
 #include "../tools/cli_commands.hpp"
+#include "core/fleet_engine.hpp"
 
 namespace {
 
 using namespace opprentice::cli;
+namespace core = opprentice::core;
 
 Args make_args(const std::string& command,
                std::map<std::string, std::string> options) {
@@ -70,6 +72,37 @@ TEST_F(CliWorkflow, GenerateProducesBothFiles) {
             0);
   EXPECT_TRUE(std::filesystem::exists(path("kpi.csv")));
   EXPECT_TRUE(std::filesystem::exists(path("labels.csv")));
+}
+
+// serve runs the engine perfbench's paper_stream measures: the standard
+// bank on the fleet's grid, one week of history, library defaults.
+TEST(Serve, EngineOptionsAreThePaperStreamConfiguration) {
+  const core::FleetOptions options = serve_fleet_options(600);
+  const core::FleetOptions defaults;
+  EXPECT_EQ(options.ctx.points_per_day, 144u);
+  EXPECT_EQ(options.ctx.points_per_week, 1008u);
+  EXPECT_EQ(options.history_capacity, 1008u);
+  EXPECT_FALSE(options.detector_factory);
+  EXPECT_EQ(options.retrain_interval, 0u);  // one week of points
+  EXPECT_EQ(options.shard_count, defaults.shard_count);
+  EXPECT_EQ(options.quarantine_after, defaults.quarantine_after);
+  EXPECT_EQ(options.scheduler_seed, defaults.scheduler_seed);
+  EXPECT_EQ(options.forest.num_trees, 48u);
+  EXPECT_EQ(options.forest.seed, 42u);
+  EXPECT_EQ(serve_fleet_options(3600).ctx.points_per_week, 168u);
+}
+
+// The interval is the fleet's grid, so serve refuses one repair_series
+// would refuse, before it binds anything: the endpoint is unbindable, so
+// a serve that got that far would throw instead of returning 2.
+TEST(Serve, RejectsAnIntervalThatDoesNotDivideADay) {
+  for (const char* interval : {"0", "7", "86401", "172800"}) {
+    EXPECT_EQ(cmd_serve(make_args(
+                  "serve", {{"interval", interval},
+                            {"listen", "uds:/nonexistent-dir/serve.sock"}})),
+              2)
+        << interval;
+  }
 }
 
 TEST_F(CliWorkflow, GenerateRejectsUnknownKpi) {

@@ -239,12 +239,12 @@ TEST(RetrainScheduler, GoldenScheduleForSeed2026) {
 
 // ---- fleet engine --------------------------------------------------------
 
-// Small context so the lite set (8 configurations here) warms up in 16
+// Small context so the short-window set (8 configurations) warms up in 16
 // points and a full train-classify cycle fits in 64.
 core::FleetOptions small_fleet_options() {
   core::FleetOptions options;
   options.ctx = detectors::SeriesContext{16, 112};
-  options.detector_factory = core::fleet_lite_configurations;
+  options.detector_factory = test_support::short_window_configurations;
   options.retrain_interval = 16;
   options.forest.num_trees = 8;
   options.forest.seed = 7;
@@ -384,6 +384,32 @@ TEST(FleetEngine, LabelChunkPastFedRowsKeepsWatermark) {
   // A chunk that runs past the newest row stops at it.
   engine.ingest_labels(s, std::vector<std::uint8_t>(20, 0), 490);
   EXPECT_EQ(engine.stats(s).labeled_until, 500u);
+
+  // With 700 points fed, [600, 610) is written and the watermark jumps
+  // to 610, but rows 100-599, which no chunk covered, must stay out of
+  // the next retrain: labeling them 0 explicitly trains another forest.
+  const auto forest_after_700 = [](bool label_the_gap) {
+    core::FleetEngine fleet(small_fleet_options());
+    const auto series = fleet.add_series("kpi-labels");
+    std::size_t t = 0;
+    for (; t < 700; ++t) {
+      fleet.feed(series, test_support::synthetic_fleet_value(99, t, 16));
+    }
+    fleet.ingest_labels(series, std::vector<std::uint8_t>(100, 0), 0);
+    if (label_the_gap) {
+      fleet.ingest_labels(series, std::vector<std::uint8_t>(500, 0), 100);
+    }
+    fleet.ingest_labels(series, std::vector<std::uint8_t>(10, 1), 600);
+    EXPECT_EQ(fleet.stats(series).labeled_until, 610u);
+    // One retrain interval later the series has trained on its labels.
+    for (; t < 716; ++t) {
+      fleet.feed(series, test_support::synthetic_fleet_value(99, t, 16));
+    }
+    EXPECT_EQ(fleet.stats(series).retrains, 1u);
+    return fleet.forest_fingerprint(series);
+  };
+  EXPECT_NE(forest_after_700(false), forest_after_700(true))
+      << "rows between label chunks were trained as normal";
 }
 
 // Cross-series isolation: series y and z must produce byte-identical

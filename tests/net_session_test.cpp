@@ -10,14 +10,18 @@
 // ctest labels: net, chaos (ASan job), parallel (TSan job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/fleet_engine.hpp"
+#include "datagen/kpi_presets.hpp"
 #include "net/agent.hpp"
 #include "net/framing.hpp"
 #include "net/server.hpp"
@@ -325,6 +329,41 @@ TEST(IngestServer, HelloWelcomeCarriesTheResumeSequence) {
   ASSERT_TRUE(parser.next(&frame));
   ASSERT_TRUE(net::decode_welcome(frame, &welcome));
   EXPECT_EQ(welcome.resume_seq, 2u);
+}
+
+// The engine's SeriesContext is fleet-wide: a DATA frame may declare the
+// fleet's grid or none, and one that declares another grid is refused
+// like a malformed frame.
+TEST(IngestServer, DataOnAnotherGridThanTheFleetsIsAnError) {
+  core::FleetEngine engine(small_fleet());
+  net::ServerOptions options;
+  options.default_interval_seconds = 3600;
+  net::IngestServer server(engine, options);
+  ASSERT_TRUE(server.on_connect(1));
+  send_frame(server, 1, net::make_hello(0, net::HelloPayload{"src-a", 0}));
+
+  const auto points = clean_points(12, 3600);
+  const auto batch = [&](std::uint32_t seq, std::int64_t interval,
+                         bool* keep) {
+    net::DataPayload data;
+    data.series_id = "pv";
+    data.interval_seconds = interval;
+    data.points.assign(points.begin() + (seq - 1) * 4,
+                       points.begin() + seq * 4);
+    return first_response_type(
+        send_frame(server, 1, net::make_data(seq, data), keep));
+  };
+  bool keep = false;
+  EXPECT_EQ(batch(1, 0, &keep), net::FrameType::kAck);
+  EXPECT_TRUE(keep);
+  EXPECT_EQ(batch(2, 3600, &keep), net::FrameType::kAck);
+  EXPECT_TRUE(keep);
+  EXPECT_EQ(batch(3, 600, &keep), net::FrameType::kError);
+  EXPECT_FALSE(keep);
+  server.drain();
+  const auto handle = engine.find_series("pv");
+  ASSERT_NE(handle, nullptr);
+  EXPECT_EQ(engine.stats(handle).points_seen, 8u);
 }
 
 TEST(IngestServer, BackpressureRetryThenDrainAcceptsTheRetransmit) {
@@ -799,6 +838,93 @@ TEST(NetChaos, ConcurrentDistinctConnectionsAreSafeAndComplete) {
     ASSERT_NE(handle, nullptr);
     EXPECT_EQ(engine.stats(handle).points_seen, 32u);
   }
+}
+
+// ---- wire = engine -------------------------------------------------------
+
+// The daemon's ingestion path changes nothing the pipeline decides. A
+// 3-week, 10-minute PV series goes once through AgentCore -> IngestServer
+// -> engine, each day's labels in a LABEL frame after that day's data,
+// and once straight into ingest_raw/ingest_labels day by day; both
+// engines run serve's configuration (the full bank, one week of history,
+// weekly retrains). A third engine fed point by point finds the first
+// classified verdict.
+TEST(WireEqualsEngine, ThreeWeekPvReplayTrainsTheSameForest) {
+  datagen::KpiPreset preset = datagen::pv_preset(datagen::Scale::kSmall);
+  preset.model.weeks = 3;
+  const datagen::GeneratedKpi kpi =
+      datagen::generate_kpi(preset.model, preset.injection);
+  const std::int64_t interval = kpi.series.interval_seconds();
+  const std::size_t per_day = kpi.series.points_per_day();
+  ASSERT_EQ(interval, 600);
+  std::vector<ts::RawPoint> points;
+  for (std::size_t i = 0; i < kpi.series.size(); ++i) {
+    points.push_back({kpi.series.timestamp(i), kpi.series[i]});
+  }
+  const std::vector<std::uint8_t> labels =
+      kpi.ground_truth.to_point_labels(points.size());
+
+  core::FleetOptions options;
+  options.ctx = detectors::SeriesContext{per_day, 7 * per_day};
+  options.history_capacity = options.ctx.points_per_week;
+
+  core::FleetEngine wired(options);
+  net::ServerOptions server_options;
+  server_options.default_interval_seconds = interval;
+  net::IngestServer server(wired, server_options);
+  net::AgentCore agent("pv-agent");
+  core::FleetEngine direct(options);
+  const auto direct_pv = direct.add_series("pv");
+  for (std::size_t at = 0; at < points.size(); at += per_day) {
+    const std::size_t n = std::min(per_day, points.size() - at);
+    const auto day = std::span<const ts::RawPoint>(points).subspan(at, n);
+    const auto day_labels =
+        std::span<const std::uint8_t>(labels).subspan(at, n);
+    agent.queue_data("pv", interval, day, 36);
+    agent.queue_labels("pv", at, {day_labels.begin(), day_labels.end()});
+    direct.ingest_raw(direct_pv, {day.begin(), day.end()}, interval,
+                      server_options.repair_policy);
+    direct.ingest_labels(direct_pv, day_labels, at);
+  }
+  agent.finish();
+  ASSERT_TRUE(drive(server, agent, "pv-agent").done);
+
+  const auto wired_pv = wired.find_series("pv");
+  ASSERT_NE(wired_pv, nullptr);
+  const auto a = wired.stats(wired_pv);
+  const auto b = direct.stats(direct_pv);
+  EXPECT_EQ(a.phase, b.phase);
+  EXPECT_EQ(a.points_seen, points.size());
+  EXPECT_EQ(a.points_seen, b.points_seen);
+  EXPECT_EQ(a.labeled_until, b.labeled_until);
+  EXPECT_EQ(a.retrains, b.retrains);
+  EXPECT_EQ(a.train_failures, b.train_failures);
+  EXPECT_EQ(a.trained, b.trained);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_TRUE(a.repairs.clean()) << a.repairs.summary();
+  EXPECT_TRUE(b.repairs.clean()) << b.repairs.summary();
+  EXPECT_GE(a.retrains, 1u);
+  EXPECT_EQ(wired.forest_fingerprint(wired_pv),
+            direct.forest_fingerprint(direct_pv));
+
+  core::FleetEngine fed(options);
+  const auto fed_pv = fed.add_series("pv");
+  std::size_t first_verdict = points.size();
+  for (std::size_t i = 0; i < points.size() && first_verdict == points.size();
+       ++i) {
+    if (fed.feed(fed_pv, points[i].value).classified) first_verdict = i;
+    if ((i + 1) % per_day == 0) {
+      const std::size_t at = i + 1 - per_day;
+      fed.ingest_labels(
+          fed_pv, std::span<const std::uint8_t>(labels).subspan(at, per_day),
+          at);
+    }
+  }
+  ASSERT_LT(first_verdict, points.size());
+  std::printf("first classified verdict: point %zu, %.2f days in\n",
+              first_verdict,
+              static_cast<double>(first_verdict) /
+                  static_cast<double>(per_day));
 }
 
 }  // namespace

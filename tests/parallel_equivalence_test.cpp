@@ -325,17 +325,17 @@ struct FleetRunOutput {
 };
 
 // Drives a 200-series fleet for 64 synchronized ticks under `threads`
-// with a fresh flight recorder: small 16-point "days" so the lite set
-// warms up, labels (every 7th point anomalous) trail in 16-point chunks,
-// and the 16-point retrain interval gives every series a staggered
-// mid-run retrain.
+// with a fresh flight recorder: small 16-point "days" so the short-window
+// set warms up, labels (every 7th point anomalous) trail in 16-point
+// chunks, and the 16-point retrain interval gives every series a
+// staggered mid-run retrain.
 FleetRunOutput fleet_run(std::size_t threads) {
   util::set_global_threads(threads);
   obs::FlightRecorder::instance().clear();
 
   core::FleetOptions options;
   options.ctx = detectors::SeriesContext{16, 112};
-  options.detector_factory = core::fleet_lite_configurations;
+  options.detector_factory = test_support::short_window_configurations;
   options.retrain_interval = 16;
   options.forest.num_trees = 8;
   options.forest.seed = 7;
@@ -436,7 +436,7 @@ FleetRunOutput shared_phase_run(std::size_t threads, bool use_tick) {
 
   core::FleetOptions options;
   options.ctx = detectors::SeriesContext{16, 112};
-  options.detector_factory = core::fleet_lite_configurations;
+  options.detector_factory = test_support::short_window_configurations;
   options.retrain_interval = 16;
   options.quarantine_after = 2;
   options.forest.num_trees = 8;

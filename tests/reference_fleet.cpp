@@ -14,6 +14,9 @@
 namespace opprentice::core::reference {
 namespace {
 
+// A buffered row's label until ingest_labels covers it; retrains skip it.
+constexpr std::uint8_t kUnlabeled = 0xFF;
+
 std::vector<detectors::DetectorPtr> configurations(
     const FleetOptions& options) {
   return options.detector_factory
@@ -46,7 +49,7 @@ void FleetSeriesReference::append_row() {
   for (std::size_t f = 0; f < features_.size(); ++f) {
     columns_[f].push_back(features_[f]);
   }
-  labels_.push_back(0);
+  labels_.push_back(kUnlabeled);
   const std::size_t capacity = options_.history_capacity;
   if (capacity > 0 && labels_.size() >= 2 * capacity) {
     const std::size_t drop = labels_.size() - capacity;
@@ -91,14 +94,14 @@ void FleetSeriesReference::retrain() {
   const std::size_t end_local = end_global - base_;
   if (begin_local >= end_local) return;
   std::vector<std::vector<double>> columns(columns_.size());
-  for (std::size_t f = 0; f < columns_.size(); ++f) {
-    columns[f].assign(
-        columns_[f].begin() + static_cast<std::ptrdiff_t>(begin_local),
-        columns_[f].begin() + static_cast<std::ptrdiff_t>(end_local));
+  std::vector<std::uint8_t> labels;
+  for (std::size_t row = begin_local; row < end_local; ++row) {
+    if (labels_[row] == kUnlabeled) continue;
+    for (std::size_t f = 0; f < columns_.size(); ++f) {
+      columns[f].push_back(columns_[f][row]);
+    }
+    labels.push_back(labels_[row]);
   }
-  std::vector<std::uint8_t> labels(
-      labels_.begin() + static_cast<std::ptrdiff_t>(begin_local),
-      labels_.begin() + static_cast<std::ptrdiff_t>(end_local));
   const ml::Dataset train(extractor_.feature_names(), std::move(columns),
                           std::move(labels));
   if (train.positives() == 0) return;
@@ -140,7 +143,7 @@ void FleetSeriesReference::ingest_labels(
       std::min(begin + labels.size(), base_ + labels_.size());
   if (first >= end) return;
   for (std::size_t global = first; global < end; ++global) {
-    labels_[global - base_] = labels[global - begin];
+    labels_[global - base_] = labels[global - begin] != 0 ? 1 : 0;
   }
   labeled_until_ = std::max(labeled_until_, end);
 }

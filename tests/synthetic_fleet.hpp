@@ -1,10 +1,13 @@
-// Deterministic synthetic KPI values for the fleet tests.
+// Deterministic synthetic KPI values and a short-window detector bank
+// for the fleet tests.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "detectors/registry.hpp"
 #include "util/fault_injection.hpp"
 
 namespace opprentice::test_support {
@@ -24,6 +27,24 @@ inline double synthetic_fleet_value(std::uint64_t salt, std::size_t index,
   const double noise =
       static_cast<double>(h >> 11) * 0x1.0p-53 * 4.0 - 2.0;
   return seasonal + noise;
+}
+
+// The diff, simple_ma and ewma configurations that warm up within one
+// day (8 at a 16-point day), for core::FleetOptions::detector_factory.
+// Fleet tests that must train within 64 or 128 ticks install it: the
+// standard bank is still warming up there (SVD alone takes 350 points).
+inline std::vector<detectors::DetectorPtr> short_window_configurations(
+    const detectors::SeriesContext& ctx) {
+  const auto& registry = detectors::DetectorRegistry::with_standard_families();
+  std::vector<detectors::DetectorPtr> out;
+  for (const char* family : {"diff", "simple_ma", "ewma"}) {
+    for (auto& config : registry.instantiate_family(family, ctx)) {
+      if (config->warmup_points() <= ctx.points_per_day) {
+        out.push_back(std::move(config));
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace opprentice::test_support

@@ -223,11 +223,12 @@ int print_usage() {
       "           [--cthld X]   (default: the cThld stored in the model)\n"
       "  evaluate --detections detections.csv --labels labels.csv\n"
       "           [--recall 0.66] [--precision 0.66]\n"
-      "  serve    --listen tcp:HOST:PORT|uds:PATH [--tick-ms 100]\n"
-      "           [--queue-capacity 64] [--suspect-after 5]\n"
+      "  serve    --listen tcp:HOST:PORT|uds:PATH [--interval 600]\n"
+      "           [--tick-ms 100] [--queue-capacity 64] [--suspect-after 5]\n"
       "           [--lost-after 10] [--repair-policy fill-interpolate]\n"
       "           [--exit-after-byes N]   network ingestion daemon: framed\n"
-      "           agent traffic drives the fleet engine with per-source\n"
+      "           agent traffic drives the paper's 133-configuration\n"
+      "           fleet engine on one --interval grid, with per-source\n"
       "           liveness and backpressure; SIGTERM drains (DESIGN.md 5k)\n"
       "  agent    --connect tcp:HOST:PORT|uds:PATH --kpi kpi.csv\n"
       "           [--series id] [--source id] [--batch 16]\n"

@@ -13,10 +13,14 @@
 //   model file     ml/serialize.hpp format, plus a "cthld <x>" trailer
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+namespace opprentice::core {
+struct FleetOptions;
+}
 namespace opprentice::obs {
 class RunReport;
 }
@@ -54,6 +58,8 @@ int cmd_train(const Args& args);
 int cmd_detect(const Args& args);
 int cmd_evaluate(const Args& args);
 // Network ingestion daemon + replayer agent (src/net, cli_net.cpp).
+// serve's engine: paper_stream's configuration on an interval_seconds grid.
+core::FleetOptions serve_fleet_options(std::int64_t interval_seconds);
 int cmd_serve(const Args& args);
 int cmd_agent(const Args& args);
 int print_usage();

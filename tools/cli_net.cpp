@@ -5,12 +5,13 @@
 //          framed agent traffic, drains gracefully on SIGTERM/SIGINT
 //          (or after --exit-after-byes sessions for CI smoke runs), and
 //          prints a per-source liveness/sequencing summary.
-//   agent  replays a KPI CSV (and optional label windows) as one
-//          lockstep source with seeded exponential backoff + jitter on
-//          timeouts, backpressure RETRYs, and reconnects.
+//   agent  replays a KPI CSV (and, batch by batch, its label windows)
+//          as one lockstep source with seeded exponential backoff +
+//          jitter on timeouts, backpressure RETRYs, and reconnects.
 #include "cli_commands.hpp"
 
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "net/session.hpp"
 #include "net/sockets.hpp"
 #include "obs/obs.hpp"
+#include "timeseries/time_series.hpp"
 #include "util/csv.hpp"
 #include "util/fault_injection.hpp"
 
@@ -34,19 +36,27 @@ void stage_time(const char* name, const obs::Stopwatch& watch) {
 
 }  // namespace
 
+core::FleetOptions serve_fleet_options(std::int64_t interval_seconds) {
+  const auto per_day =
+      static_cast<std::size_t>(ts::kSecondsPerDay / interval_seconds);
+  core::FleetOptions fleet;
+  fleet.ctx = detectors::SeriesContext{per_day, 7 * per_day};
+  fleet.history_capacity = fleet.ctx.points_per_week;
+  return fleet;
+}
+
 int cmd_serve(const Args& args) {
   const obs::Stopwatch watch;
-  constexpr std::size_t kPointsPerDay = 64;
-  core::FleetOptions fleet;
-  fleet.ctx = detectors::SeriesContext{kPointsPerDay, 7 * kPointsPerDay};
-  fleet.detector_factory = core::fleet_lite_configurations;
-  fleet.shard_count = args.get_size("shards", 64);
-  fleet.retrain_interval = args.get_size("retrain-interval", kPointsPerDay);
-  fleet.quarantine_after = args.get_size("quarantine-after", 3);
-  fleet.history_capacity = 4 * kPointsPerDay;
-  fleet.forest.num_trees = args.get_size("trees", 16);
-  fleet.forest.seed = args.get_size("seed", 42);
-  core::FleetEngine engine(std::move(fleet));
+  const auto interval =
+      static_cast<std::int64_t>(args.get_size("interval", 600));
+  if (!ts::valid_interval(interval)) {
+    std::fprintf(stderr,
+                 "serve: --interval %lld must be positive and divide one "
+                 "day (86400 s) evenly\n",
+                 static_cast<long long>(interval));
+    return 2;
+  }
+  core::FleetEngine engine(serve_fleet_options(interval));
 
   net::ServerOptions options;
   options.liveness.suspect_after_ticks = args.get_size("suspect-after", 5);
@@ -55,8 +65,7 @@ int cmd_serve(const Args& args) {
   options.apply_budget = args.get_size("apply-budget", 0);
   options.retry_after_ticks =
       static_cast<std::uint32_t>(args.get_size("retry-after", 1));
-  options.default_interval_seconds =
-      static_cast<std::int64_t>(args.get_size("interval", 0));
+  options.default_interval_seconds = interval;
   options.repair_policy = ts::parse_repair_policy(
       args.get("repair-policy", "fill-interpolate"));
   net::IngestServer core(engine, options);
@@ -128,6 +137,24 @@ int cmd_agent(const Args& args) {
     points.push_back({static_cast<std::int64_t>(timestamps[i]), values[i]});
   }
 
+  // Labels travel with the data: each DATA batch is followed by its own
+  // label slice, so the daemon's retrains see labels as they come due.
+  std::vector<std::uint8_t> labels;
+  if (args.has("labels")) {
+    const auto labels_csv = util::read_csv_file(args.get("labels"));
+    const std::size_t begin_col = labels_csv.column_index("window_begin");
+    const std::size_t end_col = labels_csv.column_index("window_end");
+    labels.assign(points.size(), 0);
+    for (const auto& row : labels_csv.rows) {
+      const auto hi = std::min(static_cast<std::size_t>(row[end_col]),
+                               labels.size());
+      for (std::size_t i = static_cast<std::size_t>(row[begin_col]); i < hi;
+           ++i) {
+        labels[i] = 1;
+      }
+    }
+  }
+
   net::AgentCore agent(source_id);
   // Interleave a heartbeat every N DATA batches so the server's liveness
   // deadline keeps refreshing on slow links.
@@ -138,25 +165,14 @@ int cmd_agent(const Args& args) {
     agent.queue_data(series_id, interval,
                      std::span<const ts::RawPoint>(points).subspan(at, n),
                      per_batch);
+    if (!labels.empty()) {
+      const auto slice = std::span<const std::uint8_t>(labels).subspan(at, n);
+      agent.queue_labels(series_id, at, {slice.begin(), slice.end()});
+    }
     if (heartbeat_every > 0 && ++since_heartbeat >= heartbeat_every) {
       agent.queue_heartbeat();
       since_heartbeat = 0;
     }
-  }
-  if (args.has("labels")) {
-    const auto labels_csv = util::read_csv_file(args.get("labels"));
-    const std::size_t begin_col = labels_csv.column_index("window_begin");
-    const std::size_t end_col = labels_csv.column_index("window_end");
-    std::vector<std::uint8_t> dense(points.size(), 0);
-    for (const auto& row : labels_csv.rows) {
-      const auto hi = std::min(static_cast<std::size_t>(row[end_col]),
-                               dense.size());
-      for (std::size_t i = static_cast<std::size_t>(row[begin_col]); i < hi;
-           ++i) {
-        dense[i] = 1;
-      }
-    }
-    agent.queue_labels(series_id, 0, std::move(dense));
   }
   agent.finish();
 
