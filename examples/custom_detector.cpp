@@ -4,11 +4,17 @@
 // incorporate emerging detectors, as long as they meet our detector
 // requirements" — i.e. they emit a non-negative severity per point and
 // run online. This example adds a toy "rate of change" detector family to
-// the standard registry and trains Opprentice with 133 + 3 configurations.
+// the standard registry and installs all 133 + 3 configurations in a
+// FleetEngine through its detector factory.
+//
+// Exits 1 if the series never retrained or a point after week 8 went
+// unclassified: an online loop that stopped learning is a failure.
 #include <cmath>
 #include <cstdio>
+#include <span>
+#include <vector>
 
-#include "core/opprentice.hpp"
+#include "core/fleet_engine.hpp"
 #include "datagen/kpi_presets.hpp"
 #include "detectors/registry.hpp"
 #include "eval/metrics.hpp"
@@ -81,40 +87,53 @@ int main() {
   const auto labels = labeling::simulate_labeling(
       kpi.ground_truth, kpi.series.size(), labeling::OperatorModel{});
 
-  const detectors::SeriesContext ctx{kpi.series.points_per_day(),
-                                     kpi.series.points_per_week()};
-  core::OpprenticeConfig config;
-  config.preference = {0.66, 0.66};
+  const std::size_t week = kpi.series.points_per_week();
+  const std::size_t split = 8 * week;
+  const auto truth = labels.to_point_labels(kpi.series.size());
 
-  core::Opprentice system(registry.instantiate_all(ctx), ctx, config);
-  const std::size_t split = 8 * kpi.series.points_per_week();
-  system.bootstrap(kpi.series.slice(0, split), labels.slice(0, split));
-  std::printf("features: %zu (133 standard + 3 custom)\n",
-              system.num_features());
+  core::FleetOptions options;
+  options.ctx = {kpi.series.points_per_day(), week};
+  options.detector_factory = [&registry](const detectors::SeriesContext& c) {
+    return registry.instantiate_all(c);
+  };
+  core::FleetEngine engine(options);
+  const core::SeriesHandle series = engine.add_series(kpi.series.name());
 
-  // Detect the rest and measure against the operator labels.
+  // Stream every point, label weekly, and measure from week 8 on against
+  // the operator labels.
   std::vector<std::uint8_t> decisions(kpi.series.size(), 0);
-  for (std::size_t i = split; i < kpi.series.size(); ++i) {
-    decisions[i] = system.observe(kpi.series[i]).is_anomaly ? 1 : 0;
-    if ((i + 1) % kpi.series.points_per_week() == 0) {
-      system.ingest_labels(labels, i + 1);
+  bool unclassified = false;
+  for (std::size_t i = 0; i < kpi.series.size(); ++i) {
+    const auto detection = engine.feed(series, kpi.series[i]);
+    decisions[i] = detection.is_anomaly ? 1 : 0;
+    if (i >= split && !detection.classified) unclassified = true;
+    if ((i + 1) % week == 0) {
+      const std::size_t begin = i + 1 - week;
+      engine.ingest_labels(series, std::span(truth).subspan(begin, week),
+                           begin);
     }
   }
-  const auto truth = labels.to_point_labels(kpi.series.size());
   const auto counts =
       eval::confusion(std::span(decisions).subspan(split),
                       std::span(truth).subspan(split));
-  std::printf("online accuracy: recall=%.3f precision=%.3f\n",
+  std::printf("online accuracy from week 8: recall=%.3f precision=%.3f\n",
               eval::recall(counts), eval::precision(counts));
+  const std::size_t retrains = engine.stats(series).retrains;
+  if (retrains == 0 || unclassified) {
+    std::fprintf(stderr, "FAIL: the series %s\n",
+                 retrains == 0 ? "never retrained"
+                               : "left points after week 8 unclassified");
+    return 1;
+  }
 
   // Did the forest pick up the custom configurations?
-  const auto names = system.feature_names();
-  const auto importances = system.feature_importances();
+  const auto importances = engine.feature_importances(series);
+  std::printf("features: %zu (133 standard + 3 custom)\n",
+              importances.size());
   std::printf("custom configuration importances:\n");
-  for (std::size_t f = 0; f < names.size(); ++f) {
-    if (names[f].rfind("rate_of_change", 0) == 0) {
-      std::printf("  %-24s %.2f%%\n", names[f].c_str(),
-                  100.0 * importances[f]);
+  for (const auto& [name, importance] : importances) {
+    if (name.rfind("rate_of_change", 0) == 0) {
+      std::printf("  %-24s %.2f%%\n", name.c_str(), 100.0 * importance);
     }
   }
   std::printf(

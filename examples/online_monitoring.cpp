@@ -1,17 +1,23 @@
 // Online monitoring scenario: Opprentice watching a live KPI feed.
 //
 // Simulates the deployment of Fig 3: a monitoring agent feeds one point
-// per interval, alerts fire when the classifier's anomaly probability
-// crosses the predicted cThld, and once a week the operator labels the
-// new data (seconds of work), triggering incremental retraining and a
-// cThld update. A duration filter (§6 "Anomaly duration") suppresses
-// alerts shorter than a configurable number of points.
+// per interval into a FleetEngine, alerts fire when the forest's anomaly
+// probability crosses the predicted cThld, and once a week the operator
+// labels the new data (seconds of work). The engine retrains on its own
+// weekly schedule and updates the cThld. A duration filter (§6 "Anomaly
+// duration") suppresses alerts shorter than a configurable number of
+// points. Alerts are reported from week 8 on, once the forest has had
+// weeks of labels to learn from.
+//
+// Exits 1 if the series never retrained or a point after week 8 went
+// unclassified: an online loop that stopped learning is a failure.
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "core/duration_filter.hpp"
-#include "core/opprentice.hpp"
+#include "core/fleet_engine.hpp"
 #include "datagen/kpi_presets.hpp"
-#include "eval/metrics.hpp"
 #include "labeling/operator_model.hpp"
 
 int main() {
@@ -22,46 +28,49 @@ int main() {
   const auto kpi = datagen::generate_kpi(preset.model, preset.injection);
   const auto labels = labeling::simulate_labeling(
       kpi.ground_truth, kpi.series.size(), labeling::OperatorModel{});
+  const auto point_labels = labels.to_point_labels(kpi.series.size());
 
   const std::size_t week = kpi.series.points_per_week();
-  const detectors::SeriesContext ctx{kpi.series.points_per_day(), week};
+  const std::size_t alerts_from = 8 * week;
 
-  core::OpprenticeConfig config;
-  config.preference = {0.66, 0.66};
-  core::Opprentice system(ctx, config);
-
-  const std::size_t bootstrap = 8 * week;
-  system.bootstrap(kpi.series.slice(0, bootstrap),
-                   labels.slice(0, bootstrap));
-  std::printf("monitoring %s: bootstrap on 8 weeks, cThld=%.3f\n\n",
-              kpi.series.name().c_str(), system.current_cthld());
+  core::FleetOptions options;
+  options.ctx = {kpi.series.points_per_day(), week};
+  core::FleetEngine engine(options);
+  const core::SeriesHandle series = engine.add_series(kpi.series.name());
+  std::printf("monitoring %s: alerts from week 8 on\n\n",
+              kpi.series.name().c_str());
 
   // §6: "if operators are only interested in continuous anomalies that
   // last for more than 5 minutes, one can solve it through a simple
   // threshold filter" on the point-level decisions.
   core::DurationFilter alert_filter({.min_run = 2});
   std::size_t alerts = 0, true_alerts = 0;
+  bool unclassified = false;
+  double cthld = 0.5;
 
-  for (std::size_t i = bootstrap; i < kpi.series.size(); ++i) {
-    const auto detection = system.observe(kpi.series[i]);
-    if (alert_filter.feed(detection.is_anomaly)) {
-      ++alerts;
-      const bool genuine = kpi.ground_truth.is_anomalous(i);
-      true_alerts += genuine;
-      if (alerts <= 12) {
-        std::printf(
-            "ALERT t=%-6zu value=%-10.0f p(anomaly)=%.2f cThld=%.2f  %s\n",
-            i, detection.value, detection.score, detection.cthld,
-            genuine ? "[genuine incident]" : "[false alarm]");
+  for (std::size_t i = 0; i < kpi.series.size(); ++i) {
+    const auto detection = engine.feed(series, kpi.series[i]);
+    if (detection.classified) cthld = detection.cthld;
+    if (i >= alerts_from) {
+      if (!detection.classified) unclassified = true;
+      if (alert_filter.feed(detection.is_anomaly)) {
+        ++alerts;
+        const bool genuine = kpi.ground_truth.is_anomalous(i);
+        true_alerts += genuine;
+        if (alerts <= 12) {
+          std::printf(
+              "ALERT t=%-6zu value=%-10.0f p(anomaly)=%.2f cThld=%.2f  %s\n",
+              i, detection.value, detection.score, detection.cthld,
+              genuine ? "[genuine incident]" : "[false alarm]");
+        }
       }
     }
     if ((i + 1) % week == 0) {
-      const double before = system.current_cthld();
-      system.ingest_labels(labels, i + 1);
-      std::printf(
-          "-- week %zu labeled; retrained on %zu points; cThld %.3f -> %.3f\n",
-          (i + 1) / week, system.labeled_until(), before,
-          system.current_cthld());
+      const std::size_t begin = i + 1 - week;
+      engine.ingest_labels(
+          series, std::span(point_labels).subspan(begin, week), begin);
+      std::printf("-- week %zu labeled; %zu retrains so far; cThld %.3f\n",
+                  (i + 1) / week, engine.stats(series).retrains, cthld);
     }
   }
 
@@ -73,5 +82,12 @@ int main() {
   std::printf(
       "(point-level accuracy is evaluated in the bench suite; alert-level\n"
       "precision here also reflects the duration filter)\n");
+  const std::size_t retrains = engine.stats(series).retrains;
+  if (retrains == 0 || unclassified) {
+    std::fprintf(stderr, "FAIL: the series %s\n",
+                 retrains == 0 ? "never retrained"
+                               : "left points after week 8 unclassified");
+    return 1;
+  }
   return 0;
 }

@@ -21,7 +21,10 @@ class EwmaCthldPredictor {
  public:
   explicit EwmaCthldPredictor(double alpha = 0.8) : alpha_(alpha) {}
 
-  // Initializes the first prediction (the paper uses 5-fold CV for it).
+  // Initializes the first prediction. The paper uses 5-fold CV for it,
+  // as the offline drivers do (five_fold_cthld); the fleet engine seeds
+  // it with its first retrain's best cThld on the newest labeled window,
+  // and predicts 0.5 until then.
   void initialize(double first_prediction);
   bool initialized() const { return initialized_; }
 

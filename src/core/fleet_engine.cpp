@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -528,36 +529,20 @@ std::string FleetEngine::forest_fingerprint(
   return out.str();
 }
 
-std::optional<ml::RandomForest> train_forest_guarded(
-    const ml::Dataset& data, std::size_t warmup, std::size_t train_begin,
-    std::size_t train_end, const ml::ForestOptions& options,
-    std::uint64_t key_salt) {
-  const std::size_t begin = std::max(train_begin, warmup);
-  if (begin >= train_end) return std::nullopt;
-  const ml::Dataset train = data.slice(begin, train_end);
-  if (train.positives() == 0) return std::nullopt;
-  const std::uint64_t key = util::fault_key(begin, train_end) ^ key_salt;
-  try {
-    if (util::inject_fault(util::faults::kForestTrain, key)) {
-      throw util::InjectedFault("injected forest.train");
-    }
-    ml::RandomForest forest(options);
-    forest.train(train);
-    return forest;
-  } catch (const std::exception& e) {
-    obs::counter("opprentice.forest.train_failures").add();
-    obs::log(obs::LogLevel::kWarn, "weekly", "train_failed",
-             {{"train_begin", begin},
-              {"train_end", train_end},
-              {"error", e.what()}});
-    // Keyed by the training window, so the event stream is a pure
-    // function of the schedule + fault plan regardless of which worker
-    // hit the failure (flight_recorder.hpp).
-    obs::flight_record("weekly", "train_failed", key,
-                       "train_begin=" + std::to_string(begin) +
-                           " train_end=" + std::to_string(train_end));
-    return std::nullopt;
+std::vector<std::pair<std::string, double>> FleetEngine::feature_importances(
+    const SeriesHandle& series) const {
+  const FleetSeries& state = *series;
+  util::MutexLock lock(state.mutex_);
+  if (!state.forest_.has_value()) return {};
+  const std::vector<std::string> names = state.extractor_.feature_names();
+  const std::vector<double> importances =
+      state.forest_->feature_importances();
+  std::vector<std::pair<std::string, double>> out;
+  out.reserve(names.size());
+  for (std::size_t f = 0; f < names.size(); ++f) {
+    out.emplace_back(names[f], importances[f]);
   }
+  return out;
 }
 
 }  // namespace opprentice::core

@@ -21,15 +21,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/retrain_scheduler.hpp"
 #include "core/series_registry.hpp"
-#include "core/weekly_driver.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "detectors/registry.hpp"
 #include "eval/metrics.hpp"
@@ -39,10 +38,11 @@
 namespace opprentice::core {
 
 // Builds a series' detector set. The default (nullptr factory) is the
-// paper's standard 133 configurations, which every production path runs
-// (`opprentice_cli serve` included). A factory is for callers that must
-// train within a few hundred points, where the full bank is still
-// warming up: short-window benches and tests.
+// paper's standard 133 configurations (`opprentice_cli serve` runs it). A
+// factory plugs in any other set: the standard families plus custom ones
+// (§4.3.2, examples/custom_detector.cpp), or a short-window set for
+// benches and tests that must train within a few hundred points, where
+// the full bank is still warming up.
 using DetectorFactory = std::function<std::vector<detectors::DetectorPtr>(
     const detectors::SeriesContext&)>;
 
@@ -168,22 +168,16 @@ class FleetEngine {
   // when untrained — the byte string the determinism sweep compares.
   std::string forest_fingerprint(const SeriesHandle& series) const;
 
+  // Which configurations the current forest relies on: its normalised
+  // feature importances (summing to 1), each paired with its
+  // configuration's name, in extractor order. Empty while untrained.
+  std::vector<std::pair<std::string, double>> feature_importances(
+      const SeriesHandle& series) const;
+
  private:
   FleetOptions options_;
   RetrainScheduler scheduler_;
   SeriesRegistry<FleetSeries> registry_;
 };
-
-// Fault-contained forest training shared by the fleet engine and the
-// strategy drivers (DESIGN.md §5f): trains on rows
-// [max(train_begin, warmup), train_end), returns nullopt when the window
-// has no positive labels or training fails (injected or genuine) — the
-// caller degrades instead of aborting. The injection key is the training
-// window (XORed with `key_salt` for per-series streams), so the
-// fired-event set is a pure function of schedule + plan.
-std::optional<ml::RandomForest> train_forest_guarded(
-    const ml::Dataset& data, std::size_t warmup, std::size_t train_begin,
-    std::size_t train_end, const ml::ForestOptions& options,
-    std::uint64_t key_salt = 0);
 
 }  // namespace opprentice::core

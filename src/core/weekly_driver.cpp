@@ -4,15 +4,52 @@
 #include <cmath>
 #include <limits>
 
-#include "core/fleet_engine.hpp"
 #include "eval/pr_curve.hpp"
 #include "obs/obs.hpp"
+#include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
 
 namespace opprentice::core {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// Fault-contained forest training for the strategy drivers (DESIGN.md
+// §5f): trains on rows [max(train_begin, warmup), train_end), returns
+// nullopt when the window has no positive labels or training fails
+// (injected or genuine) — the caller degrades instead of aborting. The
+// injection key is the training window, so the fired-event set is a pure
+// function of schedule + plan.
+std::optional<ml::RandomForest> train_forest_guarded(
+    const ml::Dataset& data, std::size_t warmup, std::size_t train_begin,
+    std::size_t train_end, const ml::ForestOptions& options) {
+  const std::size_t begin = std::max(train_begin, warmup);
+  if (begin >= train_end) return std::nullopt;
+  const ml::Dataset train = data.slice(begin, train_end);
+  if (train.positives() == 0) return std::nullopt;
+  const std::uint64_t key = util::fault_key(begin, train_end);
+  try {
+    if (util::inject_fault(util::faults::kForestTrain, key)) {
+      throw util::InjectedFault("injected forest.train");
+    }
+    ml::RandomForest forest(options);
+    forest.train(train);
+    return forest;
+  } catch (const std::exception& e) {
+    obs::counter("opprentice.forest.train_failures").add();
+    obs::log(obs::LogLevel::kWarn, "weekly", "train_failed",
+             {{"train_begin", begin},
+              {"train_end", train_end},
+              {"error", e.what()}});
+    // Keyed by the training window, so the event stream is a pure
+    // function of the schedule + fault plan regardless of which worker
+    // hit the failure (flight_recorder.hpp).
+    obs::flight_record("weekly", "train_failed", key,
+                       "train_begin=" + std::to_string(begin) +
+                           " train_end=" + std::to_string(train_end));
+    return std::nullopt;
+  }
+}
 
 }  // namespace
 

@@ -40,6 +40,16 @@ class CliWorkflow : public ::testing::Test {
     return (dir_ / name).string();
   }
 
+  // Writes a two-point KPI and a labels file whose second data row is
+  // `row`; returns the labels path.
+  std::string write_bad_labels(const std::string& row) const {
+    std::ofstream kpi(path("kpi.csv"));
+    kpi << "timestamp,value\n0,1\n600,2\n";
+    std::ofstream labels(path("labels.csv"));
+    labels << "window_begin,window_end\n0,2\n" << row << "\n";
+    return path("labels.csv");
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -181,6 +191,43 @@ TEST_F(CliWorkflow, TrainFailsWithoutAnomalies) {
                                  {"labels", path("empty.csv")},
                                  {"model", path("m.rf")}})),
             1);
+}
+
+// Runs `command`, which must throw naming `labels` and its second data row.
+template <typename Command>
+void expect_label_rejection(const std::string& labels, Command command) {
+  try {
+    command();
+    ADD_FAILURE() << "accepted " << labels;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(labels + ": row 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CliWorkflow, TrainRejectsMalformedLabelRows) {
+  for (const char* row : {"-1,5", "nan,3", "2.5,4", "9,3"}) {
+    SCOPED_TRACE(row);
+    const std::string labels = write_bad_labels(row);
+    expect_label_rejection(labels, [&] {
+      cmd_train(make_args("train", {{"kpi", path("kpi.csv")},
+                                    {"labels", labels},
+                                    {"model", path("m.rf")}}));
+    });
+  }
+}
+
+TEST_F(CliWorkflow, AgentRejectsMalformedLabelRows) {
+  const std::string labels = write_bad_labels("2.5,4");
+  // The endpoint cannot be reached; the labels must be rejected first.
+  expect_label_rejection(labels, [&] {
+    cmd_agent(make_args("agent", {{"kpi", path("kpi.csv")},
+                                  {"labels", labels},
+                                  {"connect", "uds:" + path("none/x.sock")},
+                                  {"max-attempts", "0"},
+                                  {"backoff-base", "1"}}));
+  });
 }
 
 TEST_F(CliWorkflow, MissingFilesReportErrors) {

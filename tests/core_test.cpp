@@ -1,12 +1,11 @@
 // Unit tests for src/core: training-set strategies, cThld prediction,
-// weekly drivers, and the user-facing Opprentice class.
+// and weekly drivers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/cthld.hpp"
 #include "core/dataset_builder.hpp"
-#include "core/opprentice.hpp"
 #include "core/weekly_driver.hpp"
 #include "datagen/anomaly_injector.hpp"
 #include "util/rng.hpp"
@@ -278,103 +277,6 @@ TEST(DatasetBuilder, ExperimentShape) {
       static_cast<double>(experiment.operator_labels.window_count()),
       static_cast<double>(kpi.ground_truth.window_count()),
       0.15 * static_cast<double>(kpi.ground_truth.window_count()) + 2.0);
-}
-
-// ---- Opprentice class ----
-
-detectors::SeriesContext hourly_ctx() {
-  return {24, 168};
-}
-
-ts::TimeSeries hourly_kpi(std::size_t weeks, datagen::GeneratedKpi* out_kpi) {
-  datagen::KpiModel model;
-  model.interval_seconds = 3600;
-  model.weeks = weeks;
-  model.daily_amplitude = 0.4;
-  model.base_level = 200.0;
-  model.noise_level = 0.02;
-  datagen::InjectionSpec spec;
-  spec.anomaly_fraction = 0.08;
-  spec.min_magnitude = 0.3;
-  // Many short windows so labeled anomalies exist beyond every detector's
-  // warm-up region even in short bootstrap histories.
-  spec.long_min_points = 4;
-  spec.long_max_points = 10;
-  *out_kpi = datagen::generate_kpi(model, spec);
-  return out_kpi->series;
-}
-
-TEST(OpprenticeSystem, BootstrapTrainsClassifier) {
-  datagen::GeneratedKpi kpi;
-  const auto series = hourly_kpi(4, &kpi);
-  OpprenticeConfig config;
-  config.forest = tiny_forest();
-  Opprentice system(hourly_ctx(), config);
-  EXPECT_FALSE(system.is_trained());
-  system.bootstrap(series, kpi.ground_truth);
-  EXPECT_TRUE(system.is_trained());
-  EXPECT_EQ(system.num_features(), 133u);
-  EXPECT_GE(system.current_cthld(), 0.0);
-  EXPECT_LE(system.current_cthld(), 1.0);
-}
-
-TEST(OpprenticeSystem, ObserveClassifiesAfterBootstrap) {
-  datagen::GeneratedKpi kpi;
-  const auto series = hourly_kpi(5, &kpi);
-  OpprenticeConfig config;
-  config.forest = tiny_forest();
-  Opprentice system(hourly_ctx(), config);
-  system.bootstrap(series.slice(0, 4 * 168), kpi.ground_truth);
-
-  const auto detection = system.observe(series[4 * 168]);
-  EXPECT_TRUE(detection.classified);
-  EXPECT_GE(detection.score, 0.0);
-  EXPECT_LE(detection.score, 1.0);
-}
-
-TEST(OpprenticeSystem, ObserveBeforeTrainingIsUnclassified) {
-  OpprenticeConfig config;
-  config.forest = tiny_forest();
-  Opprentice system(hourly_ctx(), config);
-  const auto detection = system.observe(100.0);
-  EXPECT_FALSE(detection.classified);
-  EXPECT_FALSE(detection.is_anomaly);
-}
-
-TEST(OpprenticeSystem, IngestLabelsRetrains) {
-  datagen::GeneratedKpi kpi;
-  const auto series = hourly_kpi(6, &kpi);
-  OpprenticeConfig config;
-  config.forest = tiny_forest();
-  Opprentice system(hourly_ctx(), config);
-  system.bootstrap(series.slice(0, 4 * 168), kpi.ground_truth);
-
-  for (std::size_t i = 4 * 168; i < 5 * 168; ++i) system.observe(series[i]);
-  EXPECT_EQ(system.labeled_until(), 4u * 168u);
-  system.ingest_labels(kpi.ground_truth, 5 * 168);
-  EXPECT_EQ(system.labeled_until(), 5u * 168u);
-  EXPECT_TRUE(system.is_trained());
-}
-
-TEST(OpprenticeSystem, DoubleBootstrapThrows) {
-  datagen::GeneratedKpi kpi;
-  const auto series = hourly_kpi(4, &kpi);
-  OpprenticeConfig config;
-  config.forest = tiny_forest();
-  Opprentice system(hourly_ctx(), config);
-  system.bootstrap(series, kpi.ground_truth);
-  EXPECT_THROW(system.bootstrap(series, kpi.ground_truth), std::logic_error);
-}
-
-TEST(OpprenticeSystem, ImportancesMatchFeatureCount) {
-  datagen::GeneratedKpi kpi;
-  const auto series = hourly_kpi(4, &kpi);
-  OpprenticeConfig config;
-  config.forest = tiny_forest();
-  Opprentice system(hourly_ctx(), config);
-  system.bootstrap(series, kpi.ground_truth);
-  EXPECT_EQ(system.feature_importances().size(), 133u);
-  EXPECT_EQ(system.feature_names().size(), 133u);
 }
 
 }  // namespace

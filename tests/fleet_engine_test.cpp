@@ -303,6 +303,78 @@ TEST(FleetEngine, WarmupTrainClassifyCycle) {
   }
 }
 
+// A custom detector family (§4.3.2): the step |v_t - v_{t-1}| over k.
+class ScaledStepDetector final : public detectors::Detector {
+ public:
+  explicit ScaledStepDetector(int k) : k_(k) {}
+  std::string name() const override {
+    return "scaled_step(k=" + std::to_string(k_) + ")";
+  }
+  std::size_t warmup_points() const override { return 1; }
+  double feed(double value) override {
+    const double severity =
+        has_last_ ? std::abs(value - last_) / static_cast<double>(k_) : 0.0;
+    last_ = value;
+    has_last_ = true;
+    return detectors::sanitize_severity(severity);
+  }
+  void reset() override { has_last_ = false; }
+
+ private:
+  int k_;
+  double last_ = 0.0;
+  bool has_last_ = false;
+};
+
+TEST(FleetEngine, FeatureImportancesNameTheFactoryConfigurations) {
+  auto registry = detectors::DetectorRegistry::with_standard_families();
+  registry.register_family("scaled_step", [](const detectors::SeriesContext&) {
+    std::vector<detectors::DetectorPtr> out;
+    for (const int k : {1, 2, 3}) {
+      out.push_back(std::make_unique<ScaledStepDetector>(k));
+    }
+    return out;
+  });
+  core::FleetOptions options;
+  options.ctx = detectors::SeriesContext{24, 168};  // hourly
+  options.detector_factory = [&registry](const detectors::SeriesContext& c) {
+    return registry.instantiate_all(c);
+  };
+  options.forest.num_trees = 8;
+  core::FleetEngine engine(options);
+  const auto s = engine.add_series("kpi-importances");
+  EXPECT_TRUE(engine.feature_importances(s).empty());
+
+  // Daily label chunks, every 7th point anomalous, until the first
+  // retrain; nothing is reported before it.
+  std::vector<std::uint8_t> chunk(24);
+  for (std::size_t t = 0; t < 20 * 168 && engine.stats(s).retrains == 0;
+       ++t) {
+    EXPECT_TRUE(engine.feature_importances(s).empty()) << "point " << t;
+    engine.feed(s, test_support::synthetic_fleet_value(5, t, 24));
+    if ((t + 1) % 24 == 0) {
+      const std::size_t begin = t + 1 - 24;
+      for (std::size_t j = 0; j < 24; ++j) {
+        chunk[j] = (begin + j) % 7 == 0 ? 1 : 0;
+      }
+      engine.ingest_labels(s, chunk, begin);
+    }
+  }
+  ASSERT_EQ(engine.stats(s).retrains, 1u);
+
+  const auto importances = engine.feature_importances(s);
+  const auto configs = options.detector_factory(options.ctx);
+  ASSERT_EQ(configs.size(), 136u);
+  ASSERT_EQ(importances.size(), configs.size());
+  double sum = 0.0;
+  for (std::size_t f = 0; f < configs.size(); ++f) {
+    EXPECT_EQ(importances[f].first, configs[f]->name()) << "column " << f;
+    EXPECT_GE(importances[f].second, 0.0) << importances[f].first;
+    sum += importances[f].second;
+  }
+  EXPECT_NEAR(sum, 1.0, 1e-12);
+}
+
 TEST(FleetEngine, AddSeriesIsIdempotentAndRemovable) {
   core::FleetEngine engine(small_fleet_options());
   const auto a = engine.add_series("kpi-a");

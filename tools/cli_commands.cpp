@@ -1,5 +1,6 @@
 #include "cli_commands.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -70,18 +71,6 @@ ts::TimeSeries load_series(const std::string& path, const Args& args) {
   return std::move(repaired.series);
 }
 
-ts::LabelSet load_labels(const std::string& path) {
-  const auto csv = util::read_csv_file(path);
-  ts::LabelSet labels;
-  const std::size_t begin_col = csv.column_index("window_begin");
-  const std::size_t end_col = csv.column_index("window_end");
-  for (const auto& row : csv.rows) {
-    labels.add_window({static_cast<std::size_t>(row[begin_col]),
-                       static_cast<std::size_t>(row[end_col])});
-  }
-  return labels;
-}
-
 void write_series(const std::string& path, const ts::TimeSeries& series) {
   util::CsvTable csv;
   csv.columns = {"timestamp", "value"};
@@ -127,6 +116,35 @@ LoadedModel load_model(const std::string& path) {
 }
 
 }  // namespace
+
+ts::LabelSet load_labels(const std::string& path) {
+  const auto csv = util::read_csv_file(path);
+  const std::size_t begin_col = csv.column_index("window_begin");
+  const std::size_t end_col = csv.column_index("window_end");
+  std::vector<ts::LabelWindow> windows;
+  windows.reserve(csv.rows.size());
+  for (std::size_t r = 0; r < csv.rows.size(); ++r) {
+    const auto reject = [&](const std::string& why) {
+      return std::runtime_error(path + ": row " + std::to_string(r + 1) +
+                                ": " + why);
+    };
+    const auto index = [&](std::size_t col) {
+      const double v = csv.rows[r][col];
+      // Every integral double in [0, 2^64) converts to size_t exactly.
+      if (!(v >= 0.0 && v < 0x1p64 && v == std::floor(v))) {
+        throw reject(csv.columns[col] + " is not a non-negative integer");
+      }
+      return static_cast<std::size_t>(v);
+    };
+    const ts::LabelWindow window{index(begin_col), index(end_col)};
+    if (window.begin > window.end) {
+      throw reject("window_begin is past window_end");
+    }
+    windows.push_back(window);
+  }
+  return ts::LabelSet(std::move(windows));
+}
+
 
 void set_run_report(obs::RunReport* report) { g_report = report; }
 obs::RunReport* run_report() { return g_report; }

@@ -24,6 +24,9 @@ struct FleetOptions;
 namespace opprentice::obs {
 class RunReport;
 }
+namespace opprentice::ts {
+class LabelSet;
+}
 
 namespace opprentice::cli {
 
@@ -51,6 +54,11 @@ obs::RunReport* run_report();
 // snapshot (cost_attribution.hpp) as an aligned text table; empty string
 // when nothing was recorded (detailed timing off).
 std::string render_top_configs(std::size_t k);
+
+// Reads a labels CSV (window_begin,window_end point indices). Throws,
+// naming the file and the 1-based data row, unless every row holds two
+// finite non-negative integers with window_begin <= window_end.
+ts::LabelSet load_labels(const std::string& path);
 
 int cmd_generate(const Args& args);
 int cmd_profile(const Args& args);

@@ -21,6 +21,7 @@
 #include "net/session.hpp"
 #include "net/sockets.hpp"
 #include "obs/obs.hpp"
+#include "timeseries/labels.hpp"
 #include "timeseries/time_series.hpp"
 #include "util/csv.hpp"
 #include "util/fault_injection.hpp"
@@ -141,18 +142,7 @@ int cmd_agent(const Args& args) {
   // label slice, so the daemon's retrains see labels as they come due.
   std::vector<std::uint8_t> labels;
   if (args.has("labels")) {
-    const auto labels_csv = util::read_csv_file(args.get("labels"));
-    const std::size_t begin_col = labels_csv.column_index("window_begin");
-    const std::size_t end_col = labels_csv.column_index("window_end");
-    labels.assign(points.size(), 0);
-    for (const auto& row : labels_csv.rows) {
-      const auto hi = std::min(static_cast<std::size_t>(row[end_col]),
-                               labels.size());
-      for (std::size_t i = static_cast<std::size_t>(row[begin_col]); i < hi;
-           ++i) {
-        labels[i] = 1;
-      }
-    }
+    labels = load_labels(args.get("labels")).to_point_labels(points.size());
   }
 
   net::AgentCore agent(source_id);
