@@ -4,17 +4,17 @@
 // configurations, classification < 0.0001 s/point, offline training < 5
 // minutes per round. Absolute numbers differ on this host; the claims to
 // preserve are classification << extraction << data interval, and training
-// far below the weekly retraining budget.
+// far below the weekly retraining budget. After the benchmarks run, main
+// checks each claim whose both sides this run measured and exits 1 if one
+// fails (ctest `bench_sec58_ordering` runs the three benchmarks they need).
 //
-// `--json <file>` writes a machine-readable report (schema
-// "opprentice.bench.metrics/1" with a "sec58" summary object; see
-// DESIGN.md "Observability") whose `sec58.ordering_ok` asserts exactly
-// that ordering, so CI can track the perf trajectory.
+// `--json <file>` writes the bench envelope (schema
+// "opprentice.bench.metrics/1"; see DESIGN.md "Observability") with a
+// "benchmarks" array of per-iteration timings.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -208,8 +208,7 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   std::vector<Run> runs_;
 };
 
-// Renders the "benchmarks" array and the "sec58" summary object with the
-// §5.8 ordering claims evaluated on this host's numbers.
+// Renders the "benchmarks" array of the --json envelope.
 std::string render_report(const CaptureReporter& reporter) {
   std::string out = "\"benchmarks\": [";
   bool first = true;
@@ -233,105 +232,47 @@ std::string render_report(const CaptureReporter& reporter) {
     }
     out += '}';
   }
-  out += "\n],\n";
+  out += "\n]";
+  return out;
+}
 
+// The §5.8 claims, each checked when this run measured both its sides (a
+// --benchmark_filter may leave some out). Prints one line per claim;
+// returns 1 if any checked claim fails, else 0.
+int check_claims(const CaptureReporter& reporter) {
   const double extraction_s =
       reporter.seconds_per_iter("BM_FeatureExtractionPerPoint");
   const double classification_s =
       reporter.seconds_per_iter("BM_ClassificationPerPoint");
-  // Serial baseline (threads:1) carries the canonical §5.8 numbers; the
-  // other sweep points feed speedup_vs_serial below.
+  // The serial round carries the canonical §5.8 training number.
   const double training_s =
       reporter.seconds_per_iter("BM_TrainingPerRound/threads:1");
-  const double five_fold_s = reporter.seconds_per_iter("BM_FiveFoldCthld");
   const double interval_s =
-      static_cast<double>(experiment().series.interval_seconds());
-
-  // §5.8 claims, evaluated when both sides were measured (a filtered run
-  // leaves some fields at null and ordering_ok at false).
-  const bool measured = extraction_s > 0.0 && classification_s > 0.0;
-  const bool classification_lt_extraction =
-      measured && classification_s < extraction_s;
-  const bool extraction_lt_interval =
-      extraction_s > 0.0 && extraction_s < interval_s;
-  const bool training_lt_5min = training_s > 0.0 && training_s < 300.0;
-  // cThld selection (5-fold cross-validation, §4.3.3) runs once per week
-  // alongside training; both must fit the same offline budget.
-  const bool five_fold_lt_5min = five_fold_s > 0.0 && five_fold_s < 300.0;
-
-  auto us_or_null = [](std::string& doc, double seconds) {
-    obs::append_json_double(doc, seconds > 0.0 ? seconds * 1e6 : -1.0);
+      extraction_s > 0.0
+          ? static_cast<double>(experiment().series.interval_seconds())
+          : -1.0;
+  struct Claim {
+    const char* text;
+    double lhs_s;
+    double rhs_s;
   };
-  out += "\"sec58\": {\n";
-  out += "  \"data_interval_s\": ";
-  obs::append_json_double(out, interval_s);
-  out += ",\n  \"extraction_us_per_point\": ";
-  us_or_null(out, extraction_s);
-  out += ",\n  \"classification_us_per_point\": ";
-  us_or_null(out, classification_s);
-  out += ",\n  \"training_ms_per_round\": ";
-  obs::append_json_double(out, training_s > 0.0 ? training_s * 1e3 : -1.0);
-  out += ",\n  \"five_fold_cthld_ms\": ";
-  obs::append_json_double(out, five_fold_s > 0.0 ? five_fold_s * 1e3 : -1.0);
-  out += ",\n  \"classification_lt_extraction\": ";
-  out += classification_lt_extraction ? "true" : "false";
-  out += ",\n  \"extraction_lt_interval\": ";
-  out += extraction_lt_interval ? "true" : "false";
-  out += ",\n  \"training_lt_5min\": ";
-  out += training_lt_5min ? "true" : "false";
-  out += ",\n  \"five_fold_lt_5min\": ";
-  out += five_fold_lt_5min ? "true" : "false";
-  out += ",\n  \"ordering_ok\": ";
-  out += (classification_lt_extraction && extraction_lt_interval) ? "true"
-                                                                  : "false";
-  // The weekly offline budget (§5.8: "less than 5 minutes"): one training
-  // round plus one 5-fold cThld selection.
-  out += ",\n  \"weekly_budget_ok\": ";
-  out += (training_lt_5min && five_fold_lt_5min) ? "true" : "false";
-
-  // Thread-count sweep: wall-clock speedup of the pooled paths over their
-  // own threads:1 run. `cpu_starved` is true when the host has fewer
-  // cores than the widest sweep point — there the t2/t4 rows contend for
-  // the same cores and speedup_vs_serial < 1 is expected, not a
-  // regression. The determinism contract guarantees the outputs are
-  // identical either way.
-  const unsigned hw = std::thread::hardware_concurrency();
-  out += ",\n  \"threads\": {\"hardware_concurrency\": " +
-         std::to_string(hw) +
-         ", \"effective_threads\": " +
-         std::to_string(util::global_thread_count()) +
-         ", \"sweep\": [1, 2, 4], \"cpu_starved\": ";
-  out += hw < 4 ? "true" : "false";
-  out += "}";
-  out += ",\n  \"speedup_vs_serial\": {";
-  bool first_path = true;
-  for (const auto& [key, base_name] :
-       {std::pair<const char*, const char*>{"extraction",
-                                            "BM_BatchExtraction"},
-        std::pair<const char*, const char*>{"training",
-                                            "BM_TrainingPerRound"}}) {
-    const double serial_s = reporter.seconds_per_iter(
-        std::string(base_name) + "/threads:1");
-    if (!first_path) out += ", ";
-    first_path = false;
-    out += '"';
-    out += key;
-    out += "\": {";
-    bool first_count = true;
-    for (int t : {2, 4}) {
-      const double t_s = reporter.seconds_per_iter(
-          std::string(base_name) + "/threads:" + std::to_string(t));
-      if (!first_count) out += ", ";
-      first_count = false;
-      out += "\"t" + std::to_string(t) + "\": ";
-      obs::append_json_double(
-          out, serial_s > 0.0 && t_s > 0.0 ? serial_s / t_s : -1.0);
+  const Claim claims[] = {
+      {"classification < extraction", classification_s, extraction_s},
+      {"extraction < data interval", extraction_s, interval_s},
+      {"training round < 5 min", training_s, 300.0},
+  };
+  int status = 0;
+  for (const Claim& claim : claims) {
+    if (!(claim.lhs_s > 0.0 && claim.rhs_s > 0.0)) {
+      std::printf("sec5.8 %-28s not measured\n", claim.text);
+      continue;
     }
-    out += '}';
+    const bool holds = claim.lhs_s < claim.rhs_s;
+    std::printf("sec5.8 %-28s %s (%.3g s vs %.3g s)\n", claim.text,
+                holds ? "holds" : "FAILS", claim.lhs_s, claim.rhs_s);
+    if (!holds) status = 1;
   }
-  out += "}";
-  out += "\n}";
-  return out;
+  return status;
 }
 
 }  // namespace
@@ -365,11 +306,6 @@ int main(int argc, char** argv) {
 
   if (!session.json_path().empty()) {
     session.set_extra_json(render_report(reporter));
-    if (!reporter.runs().empty() &&
-        reporter.seconds_per_iter("BM_FeatureExtractionPerPoint") > 0.0 &&
-        reporter.seconds_per_iter("BM_ClassificationPerPoint") > 0.0) {
-      std::printf("sec58 --json: ordering summary written\n");
-    }
   }
-  return 0;
+  return check_claims(reporter);
 }

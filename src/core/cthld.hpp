@@ -24,14 +24,16 @@ class EwmaCthldPredictor {
   // Initializes the first prediction. The paper uses 5-fold CV for it,
   // as the offline drivers do (five_fold_cthld); the fleet engine seeds
   // it with its first retrain's best cThld on the newest labeled window,
-  // and predicts 0.5 until then.
+  // scored in sample by the forest just trained on it (no earlier forest
+  // exists), and predicts 0.5 until then.
   void initialize(double first_prediction);
   bool initialized() const { return initialized_; }
 
   // Prediction for the upcoming week.
   double predict() const { return prediction_; }
 
-  // Feeds the best cThld measured on the week that just ended.
+  // Feeds the best cThld measured on the week that just ended, scored by
+  // a forest that had not trained on it (the fleet engine's live forest).
   void observe_best(double best_cthld);
 
  private:

@@ -203,11 +203,13 @@ class FleetSeries {
  private:
   friend class FleetEngine;
 
-  // A retrain's input: the buffered labeled history and the forest.train
-  // fault key (series salt, point count).
+  // A retrain's input: the buffered labeled history, the forest.train
+  // fault key (series salt, point count) and the live forest, the one
+  // that produced the history's verdicts (null before the first retrain).
   struct TrainingSet {
     ml::Dataset data;
     std::uint64_t key = 0;
+    std::shared_ptr<const ml::RandomForest> live;
   };
 
   // Extracts, records and scores one point under the lock, writing the
@@ -231,7 +233,7 @@ class FleetSeries {
     history_.append(extractor_.points_seen() - 1, features_);
     fleet_counters().points->add();
 
-    if (forest_.has_value() && extractor_.warmed_up()) {
+    if (forest_ != nullptr && extractor_.warmed_up()) {
       out.score = forest_->score(features_);
       out.cthld = cthld_.initialized() ? cthld_.predict() : 0.5;
       out.is_anomaly = out.score >= out.cthld;
@@ -267,7 +269,7 @@ class FleetSeries {
     }
     TrainingSet out{
         history_.copy(extractor_.feature_names(), begin, end),
-        util::fault_key(salt_, points)};
+        util::fault_key(salt_, points), forest_};
     if (out.data.positives() == 0) return std::nullopt;
     return out;
   }
@@ -288,17 +290,22 @@ class FleetSeries {
       forest.train(train);
 
       // Best cThld on the most recent labeled window feeds the EWMA
-      // predictor (§4.5.2) — the per-series cThld history.
+      // predictor (§4.5.2) — the per-series cThld history. As §4.5.2
+      // does, the window is scored by a forest that has not trained on
+      // it: the live one. Only the first retrain, which has none, scores
+      // it with the forest it just trained.
       const std::size_t rows = train.num_rows();
       const std::size_t window = std::min(rows, interval);
       const ml::Dataset recent = train.slice(rows - window, rows);
-      const std::vector<double> scores = forest.score_all(recent);
+      const ml::RandomForest& scorer =
+          training.live != nullptr ? *training.live : forest;
+      const std::vector<double> scores = scorer.score_all(recent);
       const eval::PrCurve curve(scores, recent.labels());
       const eval::ThresholdChoice best = eval::pick_threshold(
           curve, eval::ThresholdMethod::kPcScore, options.preference);
 
       util::MutexLock lock(mutex_);
-      forest_ = std::move(forest);
+      forest_ = std::make_shared<const ml::RandomForest>(std::move(forest));
       ++retrains_;
       consecutive_train_failures_ = 0;
       fleet_counters().retrains->add();
@@ -342,7 +349,10 @@ class FleetSeries {
   // The rows from the next due retrain's floor up to the newest point.
   FeatureHistory history_ OPPRENTICE_GUARDED_BY(mutex_);
   std::size_t labeled_until_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
-  std::optional<ml::RandomForest> forest_ OPPRENTICE_GUARDED_BY(mutex_);
+  // Shared with a due TrainingSet, which scores its window outside the
+  // lock.
+  std::shared_ptr<const ml::RandomForest> forest_
+      OPPRENTICE_GUARDED_BY(mutex_);
   EwmaCthldPredictor cthld_ OPPRENTICE_GUARDED_BY(mutex_);
   bool quarantined_ OPPRENTICE_GUARDED_BY(mutex_) = false;
   std::size_t retrains_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
@@ -513,7 +523,7 @@ FleetSeriesStats FleetEngine::stats(const SeriesHandle& series) const {
   out.labeled_until = state.labeled_until_;
   out.retrains = state.retrains_;
   out.train_failures = state.train_failures_;
-  out.trained = state.forest_.has_value();
+  out.trained = state.forest_ != nullptr;
   out.quarantined = state.quarantined_;
   out.repairs = state.repair_totals_;
   return out;
@@ -523,7 +533,7 @@ std::string FleetEngine::forest_fingerprint(
     const SeriesHandle& series) const {
   const FleetSeries& state = *series;
   util::MutexLock lock(state.mutex_);
-  if (!state.forest_.has_value()) return "";
+  if (state.forest_ == nullptr) return "";
   std::ostringstream out;
   ml::save_forest(out, *state.forest_, state.extractor_.feature_names());
   return out.str();
@@ -533,7 +543,7 @@ std::vector<std::pair<std::string, double>> FleetEngine::feature_importances(
     const SeriesHandle& series) const {
   const FleetSeries& state = *series;
   util::MutexLock lock(state.mutex_);
-  if (!state.forest_.has_value()) return {};
+  if (state.forest_ == nullptr) return {};
   const std::vector<std::string> names = state.extractor_.feature_names();
   const std::vector<double> importances =
       state.forest_->feature_importances();

@@ -16,8 +16,8 @@ namespace {
 
 // Streaming (per-point) family histograms. Exactly one observation per
 // family per fed point, so every family's count matches
-// `opprentice.extract.points` — the consistency contract the bench
-// snapshot (BENCH_sec58.json) documents.
+// `opprentice.extract.points` — a consistency contract every bench
+// --json metrics snapshot shows.
 obs::Histogram& family_histogram(std::string_view family) {
   std::string name = "opprentice.extract.family.";
   name += family;

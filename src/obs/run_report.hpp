@@ -1,6 +1,6 @@
 // Run reports (DESIGN.md §5h): one schema-versioned JSON manifest per
-// run, emitted by the CLI (--report <path>), the weekly-driver benches,
-// and bench_sec58_performance --json.
+// run, emitted by the CLI (--report <path>) and embedded in every bench
+// --json envelope.
 //
 // A run report is the self-describing record of what a run was and what
 // it cost: build/compiler info, thread configuration, the seeds that make

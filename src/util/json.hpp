@@ -38,7 +38,7 @@ class Value {
   // Member lookup on an object; nullptr when absent or not an object.
   const Value* find(std::string_view key) const;
 
-  // Dotted-path lookup ("sec58.extraction_us_per_point"); nullptr when
+  // Dotted-path lookup ("metrics.lag_p50_ms.value"); nullptr when
   // any hop is absent. Keys themselves must not contain '.'.
   const Value* find_path(std::string_view path) const;
 

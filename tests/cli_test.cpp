@@ -50,6 +50,14 @@ class CliWorkflow : public ::testing::Test {
     return path("labels.csv");
   }
 
+  // Writes a KPI whose second data row has timestamp `t`; returns its
+  // path.
+  std::string write_bad_kpi(const std::string& t) const {
+    std::ofstream kpi(path("kpi.csv"));
+    kpi << "timestamp,value\n0,1\n" << t << ",2\n1200,3\n";
+    return path("kpi.csv");
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -193,15 +201,14 @@ TEST_F(CliWorkflow, TrainFailsWithoutAnomalies) {
             1);
 }
 
-// Runs `command`, which must throw naming `labels` and its second data row.
+// Runs `command`, which must throw naming `file` and its second data row.
 template <typename Command>
-void expect_label_rejection(const std::string& labels, Command command) {
+void expect_row_rejection(const std::string& file, Command command) {
   try {
     command();
-    ADD_FAILURE() << "accepted " << labels;
+    ADD_FAILURE() << "accepted " << file;
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(labels + ": row 2"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(file + ": row 2"), std::string::npos)
         << e.what();
   }
 }
@@ -210,7 +217,7 @@ TEST_F(CliWorkflow, TrainRejectsMalformedLabelRows) {
   for (const char* row : {"-1,5", "nan,3", "2.5,4", "9,3"}) {
     SCOPED_TRACE(row);
     const std::string labels = write_bad_labels(row);
-    expect_label_rejection(labels, [&] {
+    expect_row_rejection(labels, [&] {
       cmd_train(make_args("train", {{"kpi", path("kpi.csv")},
                                     {"labels", labels},
                                     {"model", path("m.rf")}}));
@@ -221,13 +228,37 @@ TEST_F(CliWorkflow, TrainRejectsMalformedLabelRows) {
 TEST_F(CliWorkflow, AgentRejectsMalformedLabelRows) {
   const std::string labels = write_bad_labels("2.5,4");
   // The endpoint cannot be reached; the labels must be rejected first.
-  expect_label_rejection(labels, [&] {
+  expect_row_rejection(labels, [&] {
     cmd_agent(make_args("agent", {{"kpi", path("kpi.csv")},
                                   {"labels", labels},
                                   {"connect", "uds:" + path("none/x.sock")},
                                   {"max-attempts", "0"},
                                   {"backoff-base", "1"}}));
   });
+}
+
+TEST_F(CliWorkflow, ProfileRejectsUncheckedTimestamps) {
+  for (const char* t : {"nan", "1e30", "600.5"}) {
+    SCOPED_TRACE(t);
+    const std::string kpi = write_bad_kpi(t);
+    expect_row_rejection(
+        kpi, [&] { cmd_profile(make_args("profile", {{"kpi", kpi}})); });
+  }
+}
+
+TEST_F(CliWorkflow, AgentRejectsUncheckedTimestamps) {
+  for (const char* t : {"nan", "1e30"}) {
+    SCOPED_TRACE(t);
+    const std::string kpi = write_bad_kpi(t);
+    // The endpoint cannot be reached; the timestamps must be rejected
+    // first.
+    expect_row_rejection(kpi, [&] {
+      cmd_agent(make_args("agent", {{"kpi", kpi},
+                                    {"connect", "uds:" + path("none/x.sock")},
+                                    {"max-attempts", "0"},
+                                    {"backoff-base", "1"}}));
+    });
+  }
 }
 
 TEST_F(CliWorkflow, MissingFilesReportErrors) {

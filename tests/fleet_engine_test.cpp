@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,10 @@
 #include "core/fleet_engine.hpp"
 #include "core/retrain_scheduler.hpp"
 #include "core/series_registry.hpp"
+#include "detectors/feature_extractor.hpp"
+#include "eval/pr_curve.hpp"
+#include "eval/threshold_pickers.hpp"
+#include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "timeseries/repair.hpp"
 #include "util/fault_injection.hpp"
@@ -301,6 +306,83 @@ TEST(FleetEngine, WarmupTrainClassifyCycle) {
     EXPECT_LE(v.score, 1.0);
     EXPECT_EQ(v.is_anomaly, v.score >= v.cthld);
   }
+}
+
+// §4.5.2 feeds the EWMA the best cThld of a week the forest had not
+// trained on. A retrain therefore scores its newest labeled window with
+// the live forest, the one that produced those verdicts, not the forest it
+// just trained on those rows; only the first retrain, which has no live
+// forest, picks in sample.
+TEST(FleetEngine, WeeklyBestCthldIsScoredByTheLiveForest) {
+  const core::FleetOptions options = small_fleet_options();
+  core::FleetEngine engine(options);
+  const auto s = engine.add_series("kpi-cthld");
+  // The engine's features, recomputed point by point.
+  detectors::StreamingExtractor extractor(
+      options.detector_factory(options.ctx));
+  const std::size_t interval = engine.scheduler().interval();
+  std::vector<std::vector<double>> rows;
+  std::vector<std::uint8_t> labels;
+  std::vector<std::uint8_t> chunk(16);
+  const auto load = [](const std::string& fingerprint) {
+    std::istringstream in(fingerprint);
+    return ml::load_forest(in).forest;
+  };
+  // The best cThld of rows [end - interval, end) under `forest`.
+  const auto best_cthld = [&](const ml::RandomForest& forest,
+                              std::size_t end) {
+    std::vector<double> scores;
+    std::vector<std::uint8_t> window_labels;
+    for (std::size_t i = end - interval; i < end; ++i) {
+      scores.push_back(forest.score(rows[i]));
+      window_labels.push_back(labels[i]);
+    }
+    return eval::pick_threshold(eval::PrCurve(scores, window_labels),
+                                eval::ThresholdMethod::kPcScore,
+                                options.preference)
+        .cthld;
+  };
+
+  std::size_t labeled_until = 0;
+  std::size_t retrains = 0;
+  std::string live;        // the forest installed by the last retrain
+  double prediction = -1;  // the EWMA after it
+  std::size_t checked = 0;
+  for (std::size_t t = 0; t < 128; ++t) {
+    const double value = test_support::synthetic_fleet_value(5, t, 16);
+    rows.push_back(extractor.feed(value));
+    labels.push_back(t % 7 == 0 ? 1 : 0);
+    const std::size_t before = labeled_until;
+    const core::FleetDetection got = engine.feed(s, value);
+    if (!live.empty()) {
+      ASSERT_TRUE(got.classified) << "point " << t;
+      ASSERT_EQ(bits(got.cthld), bits(prediction)) << "point " << t;
+    }
+    if ((t + 1) % 16 == 0) {
+      std::copy(labels.end() - 16, labels.end(), chunk.begin());
+      engine.ingest_labels(s, chunk, t + 1 - 16);
+      labeled_until = t + 1;
+    }
+    if (engine.stats(s).retrains == retrains) continue;
+    ++retrains;
+    const std::string trained = engine.forest_fingerprint(s);
+    // Every retrain here has a full window of labeled rows past warm-up.
+    ASSERT_GE(before, extractor.max_warmup() + interval) << "point " << t;
+    const double in_sample = best_cthld(load(trained), before);
+    if (live.empty()) {
+      prediction = in_sample;
+    } else {
+      const double best = best_cthld(load(live), before);
+      // The two picks differ on this stream, so the check below can tell
+      // them apart.
+      EXPECT_NE(bits(best), bits(in_sample)) << "point " << t;
+      prediction = options.cthld_ewma_alpha * best +
+                   (1.0 - options.cthld_ewma_alpha) * prediction;
+      ++checked;
+    }
+    live = trained;
+  }
+  EXPECT_GE(checked, 2u);
 }
 
 // A custom detector family (§4.3.2): the step |v_t - v_{t-1}| over k.

@@ -116,7 +116,10 @@ void FleetSeriesReference::retrain() {
     const std::size_t rows = train.num_rows();
     const std::size_t window = std::min(rows, scheduler_.interval());
     const ml::Dataset recent = train.slice(rows - window, rows);
-    const eval::PrCurve curve(forest.score_all(recent), recent.labels());
+    // Scored by the live forest, which has not trained on the window; the
+    // first retrain has none and scores it with the new one.
+    const ml::RandomForest& scorer = forest_.has_value() ? *forest_ : forest;
+    const eval::PrCurve curve(scorer.score_all(recent), recent.labels());
     const eval::ThresholdChoice best = eval::pick_threshold(
         curve, eval::ThresholdMethod::kPcScore, options_.preference);
     forest_ = std::move(forest);

@@ -47,17 +47,9 @@ class ReportStage {
 // repaired under --repair-policy. On a clean stream with the default
 // "drop" policy this is byte-identical to reading the CSV directly.
 ts::TimeSeries load_series(const std::string& path, const Args& args) {
-  const auto csv = util::read_csv_file(path);
-  const auto timestamps = csv.column("timestamp");
-  const auto values = csv.column("value");
-  if (timestamps.size() < 2) {
+  std::vector<ts::RawPoint> points = load_raw_points(path);
+  if (points.size() < 2) {
     throw std::runtime_error("KPI CSV needs at least two rows: " + path);
-  }
-  std::vector<ts::RawPoint> points;
-  points.reserve(timestamps.size());
-  for (std::size_t i = 0; i < timestamps.size(); ++i) {
-    points.push_back(
-        {static_cast<std::int64_t>(timestamps[i]), values[i]});
   }
   ts::inject_ingest_faults(points);
   const auto policy =
@@ -116,6 +108,25 @@ LoadedModel load_model(const std::string& path) {
 }
 
 }  // namespace
+
+std::vector<ts::RawPoint> load_raw_points(const std::string& path) {
+  const auto csv = util::read_csv_file(path);
+  const auto timestamps = csv.column("timestamp");
+  const auto values = csv.column("value");
+  std::vector<ts::RawPoint> points;
+  points.reserve(timestamps.size());
+  for (std::size_t r = 0; r < timestamps.size(); ++r) {
+    const double t = timestamps[r];
+    // Every integral double in [-2^63, 2^63) converts to int64_t exactly.
+    if (!(t >= -0x1p63 && t < 0x1p63 && t == std::floor(t))) {
+      throw std::runtime_error(path + ": row " + std::to_string(r + 1) +
+                               ": timestamp is not an integer number of "
+                               "seconds");
+    }
+    points.push_back({static_cast<std::int64_t>(t), values[r]});
+  }
+  return points;
+}
 
 ts::LabelSet load_labels(const std::string& path) {
   const auto csv = util::read_csv_file(path);

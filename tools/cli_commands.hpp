@@ -26,6 +26,7 @@ class RunReport;
 }
 namespace opprentice::ts {
 class LabelSet;
+struct RawPoint;
 }
 
 namespace opprentice::cli {
@@ -54,6 +55,11 @@ obs::RunReport* run_report();
 // snapshot (cost_attribution.hpp) as an aligned text table; empty string
 // when nothing was recorded (detailed timing off).
 std::string render_top_configs(std::size_t k);
+
+// Reads a KPI CSV's (timestamp, value) rows as raw points, before any
+// repair. Throws, naming the file and the 1-based data row, unless every
+// timestamp is a finite integer that fits std::int64_t.
+std::vector<ts::RawPoint> load_raw_points(const std::string& path);
 
 // Reads a labels CSV (window_begin,window_end point indices). Throws,
 // naming the file and the 1-based data row, unless every row holds two

@@ -23,7 +23,6 @@
 #include "obs/obs.hpp"
 #include "timeseries/labels.hpp"
 #include "timeseries/time_series.hpp"
-#include "util/csv.hpp"
 #include "util/fault_injection.hpp"
 
 namespace opprentice::cli {
@@ -126,16 +125,9 @@ int cmd_agent(const Args& args) {
   const std::int64_t interval =
       static_cast<std::int64_t>(args.get_size("interval", 0));
 
-  const auto csv = util::read_csv_file(kpi_path);
-  const auto timestamps = csv.column("timestamp");
-  const auto values = csv.column("value");
-  if (timestamps.empty()) {
+  const std::vector<ts::RawPoint> points = load_raw_points(kpi_path);
+  if (points.empty()) {
     throw std::runtime_error("KPI CSV has no rows: " + kpi_path);
-  }
-  std::vector<ts::RawPoint> points;
-  points.reserve(timestamps.size());
-  for (std::size_t i = 0; i < timestamps.size(); ++i) {
-    points.push_back({static_cast<std::int64_t>(timestamps[i]), values[i]});
   }
 
   // Labels travel with the data: each DATA batch is followed by its own

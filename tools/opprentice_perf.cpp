@@ -2,17 +2,13 @@
 //
 //   opprentice_perf [options] baseline.json fresh.json
 //
-// Compares a fresh bench JSON against the committed baseline; exits 0
-// when every gated metric is inside its tolerance (and, for a §5.8
-// baseline, the §5.8 ordering holds), 1 on a regression, 2 on a usage or
-// parse error. The baseline decides the gate set: a §5.8 baseline (one
-// with a "sec58" object) gates the four default metrics plus the
-// ordering bits; any other baseline gates only the --metric keys. CI
-// runs this after every Release build (BENCH_sec58.json and
-// BENCH_paper_stream.json are the committed baselines,
+// Compares a fresh perfbench result line against the committed baseline
+// on the --metric keys, the whole gate; exits 0 when every gated metric is
+// inside its tolerance, 1 on a regression, 2 on a usage or parse error or
+// a key neither document measures. CI runs this on the paper_stream
+// workload (BENCH_paper_stream.json is the committed baseline,
 // BENCH_history.jsonl the trend file).
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <vector>
@@ -30,22 +26,16 @@ int usage() {
       "       opprentice_perf --self-test\n"
       "\n"
       "options:\n"
-      "  --tolerance X        default allowed relative increase\n"
-      "                       (0.25 = fresh may be 25%% slower; default)\n"
       "  --metric key=X[:higher|:lower]\n"
-      "                       per-metric tolerance, repeatable; a metric is\n"
-      "                       lower-is-better unless it ends in :higher\n"
-      "                       (then it may fall to baseline / (1 + X),\n"
-      "                       e.g. a throughput). Against a\n"
-      "                       baseline with a sec58 object it overrides\n"
-      "                       the default keys (extraction_us_per_point,\n"
-      "                       classification_us_per_point,\n"
-      "                       training_ms_per_round, five_fold_cthld_ms)\n"
-      "                       or adds one; against any other baseline the\n"
-      "                       --metric keys are the whole gate (at least\n"
-      "                       one required). A dotted key such as\n"
-      "                       metrics.lag_p50_ms.value is an absolute\n"
-      "                       path, e.g. into a perfbench result line\n"
+      "                       one gated metric, repeatable, at least one\n"
+      "                       required; the keys are the whole gate. The\n"
+      "                       key is a dotted path into both documents\n"
+      "                       (e.g. metrics.lag_p50_ms.value) that at\n"
+      "                       least one of them must hold. X is the\n"
+      "                       allowed relative worsening (0.25 = fresh may\n"
+      "                       be 25%% slower); a metric is lower-is-better\n"
+      "                       unless it ends in :higher (then it may fall\n"
+      "                       to baseline / (1 + X), e.g. a throughput)\n"
       "  --history file.jsonl append the fresh numbers (one JSON object\n"
       "                       per line) and print trend sparklines\n"
       "  --label NAME         history row label (a commit id or CI run\n"
@@ -53,25 +43,16 @@ int usage() {
       "  --self-test          verify the gate on planted passing and\n"
       "                       regressing bench pairs\n"
       "\n"
-      "exit: 0 pass, 1 regression, 2 usage/parse error\n");
+      "exit: 0 pass, 1 regression, 2 usage/parse error or a key\n"
+      "      measured in neither document\n");
   return 2;
-}
-
-// Strict non-negative double parse (std::strtod; no partial parses).
-bool parse_tolerance(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || !(v >= 0.0)) return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace opprentice;
-  perf::GateOptions options;
+  std::vector<perf::MetricSpec> metrics;
   std::string history_path;
   std::string label = "run";
   std::vector<std::string> files;
@@ -82,13 +63,7 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--self-test") return perf::self_test();
-    if (arg == "--tolerance") {
-      const char* v = value();
-      if (v == nullptr || !parse_tolerance(v, &options.default_tolerance)) {
-        std::fprintf(stderr, "--tolerance: expected a non-negative number\n");
-        return 2;
-      }
-    } else if (arg == "--metric") {
+    if (arg == "--metric") {
       const char* v = value();
       const std::string spec = v == nullptr ? "" : v;
       perf::MetricSpec metric;
@@ -99,7 +74,7 @@ int main(int argc, char** argv) {
                      spec.c_str());
         return 2;
       }
-      options.metrics.push_back(metric);
+      metrics.push_back(metric);
     } else if (arg == "--history") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -116,21 +91,26 @@ int main(int argc, char** argv) {
     }
   }
   if (files.size() != 2) return usage();
+  if (metrics.empty()) {
+    std::fprintf(stderr, "name the metrics to gate with --metric\n");
+    return 2;
+  }
 
   try {
     const auto baseline = util::json::parse_file(files[0]);
     const auto fresh = util::json::parse_file(files[1]);
-    const auto metrics = perf::gated_metrics(baseline, options);
-    if (metrics.empty()) {
-      std::fprintf(stderr,
-                   "%s has no sec58 object: name the metrics to gate with "
-                   "--metric\n",
-                   files[0].c_str());
-      return 2;
-    }
-    const auto result = perf::run_gate(baseline, fresh, options);
+    const auto result = perf::run_gate(baseline, fresh, metrics);
     std::printf("baseline: %s\nfresh:    %s\n%s", files[0].c_str(),
                 files[1].c_str(), result.summary.c_str());
+    if (!result.unreadable.empty()) {
+      std::fflush(stdout);  // the table first, then the error naming keys
+      for (const auto& key : result.unreadable) {
+        std::fprintf(stderr, "error: --metric %s is measured in neither %s "
+                     "nor %s\n", key.c_str(), files[0].c_str(),
+                     files[1].c_str());
+      }
+      return 2;
+    }
     if (!history_path.empty()) {
       if (!perf::append_history(
               history_path,

@@ -13,36 +13,25 @@
 namespace opprentice::perf {
 namespace {
 
-constexpr std::string_view kSummaryPrefix = "sec58.";
-
 bool measured(double v) { return v > 0.0; }
 
-bool has_sec58(const util::json::Value& doc) {
-  const auto* sec58 = doc.find("sec58");
-  return sec58 != nullptr && sec58->is_object();
-}
-
-// Bare keys live under the historical "sec58" summary object; a key with
-// a dot ("metrics.lag_p50_ms.value") is an absolute path, so perfbench's
-// result line joins the gate without schema surgery.
-std::string metric_path(const MetricSpec& spec) {
-  return spec.key.find('.') == std::string::npos
-             ? std::string(kSummaryPrefix) + spec.key
-             : spec.key;
+// A key that names nothing either document holds.
+bool unreadable(const MetricResult& m) {
+  return !measured(m.baseline) && !measured(m.fresh);
 }
 
 MetricResult gate_metric(const MetricSpec& spec,
                          const util::json::Value& baseline,
                          const util::json::Value& fresh) {
-  const std::string path = metric_path(spec);
   MetricResult r;
   r.key = spec.key;
   r.tolerance = spec.tolerance;
   r.higher_is_better = spec.higher_is_better;
-  r.baseline = baseline.number_at(path, -1.0);
-  r.fresh = fresh.number_at(path, -1.0);
-  if (!measured(r.baseline) && !measured(r.fresh)) {
-    r.note = "unmeasured on both sides";
+  r.baseline = baseline.number_at(spec.key, -1.0);
+  r.fresh = fresh.number_at(spec.key, -1.0);
+  if (unreadable(r)) {
+    r.regressed = true;
+    r.note = "measured in neither document (misspelled key?)";
     return r;
   }
   if (!measured(r.baseline)) {
@@ -81,19 +70,12 @@ std::string render_summary(const GateResult& result) {
          measured(m.fresh) ? util::format_double(m.fresh, 3) : "-",
          m.ratio > 0.0 ? util::format_double(m.ratio, 3) : "-",
          limit_text(m),
-         m.regressed ? "REGRESSED" : "ok"});
+         unreadable(m) ? "UNREADABLE" : m.regressed ? "REGRESSED" : "ok"});
   }
   std::string out = util::render_table(
       {"metric", "baseline", "fresh", "ratio", "limit", "status"}, rows);
   for (const auto& m : result.metrics) {
     if (!m.note.empty()) out += "  " + m.key + ": " + m.note + "\n";
-  }
-  if (result.ordering_checked) {
-    out += "  ordering_ok: ";
-    out += result.ordering_ok ? "true" : "FALSE (sec5.8 ordering violated)";
-    out += "\n  weekly_budget_ok: ";
-    out += result.weekly_budget_ok ? "true" : "FALSE (over the 5-min budget)";
-    out += "\n";
   }
   out += result.pass ? "PASS\n" : "FAIL\n";
   return out;
@@ -125,53 +107,15 @@ bool parse_metric_spec(std::string_view text, MetricSpec* out) {
   return true;
 }
 
-std::vector<MetricSpec> default_metrics(double tolerance) {
-  return {{"extraction_us_per_point", tolerance},
-          {"classification_us_per_point", tolerance},
-          {"training_ms_per_round", tolerance},
-          {"five_fold_cthld_ms", tolerance}};
-}
-
-std::vector<MetricSpec> gated_metrics(const util::json::Value& baseline,
-                                      const GateOptions& options) {
-  if (!has_sec58(baseline)) return options.metrics;
-  std::vector<MetricSpec> metrics =
-      default_metrics(options.default_tolerance);
-  for (const auto& o : options.metrics) {
-    bool found = false;
-    for (auto& m : metrics) {
-      if (m.key == o.key) {
-        m = o;
-        found = true;
-      }
-    }
-    if (!found) metrics.push_back(o);
-  }
-  return metrics;
-}
-
 GateResult run_gate(const util::json::Value& baseline,
                     const util::json::Value& fresh,
-                    const GateOptions& options) {
+                    const std::vector<MetricSpec>& metrics) {
   GateResult result;
-  for (const auto& spec : gated_metrics(baseline, options)) {
+  for (const auto& spec : metrics) {
     result.metrics.push_back(gate_metric(spec, baseline, fresh));
-    result.pass = result.pass && !result.metrics.back().regressed;
-  }
-  // Decided from the baseline alone: a fresh run that lost its sec58
-  // object must fail the ordering check, not skip it.
-  if (has_sec58(baseline)) {
-    result.ordering_checked = true;
-    result.ordering_ok = fresh.bool_at("sec58.ordering_ok", false);
-    // weekly_budget_ok appeared after the first baselines; require it
-    // when either side records it (additive schema evolution).
-    constexpr std::string_view kBudget = "sec58.weekly_budget_ok";
-    result.weekly_budget_ok =
-        (baseline.find_path(kBudget) == nullptr &&
-         fresh.find_path(kBudget) == nullptr) ||
-        fresh.bool_at(kBudget, false);
-    result.pass =
-        result.pass && result.ordering_ok && result.weekly_budget_ok;
+    const MetricResult& m = result.metrics.back();
+    if (unreadable(m)) result.unreadable.push_back(m.key);
+    result.pass = result.pass && !m.regressed;
   }
   result.summary = render_summary(result);
   return result;
@@ -186,13 +130,7 @@ std::string history_row(std::string_view label,
     out += ", ";
     obs::append_json_string(out, spec.key);
     out += ": ";
-    obs::append_json_double(out, fresh.number_at(metric_path(spec), -1.0));
-  }
-  // Only sec5.8 envelopes carry the ordering bit; a perfbench row must
-  // not record a misleading `false` for a check that never ran.
-  if (fresh.find_path("sec58.ordering_ok") != nullptr) {
-    out += ", \"ordering_ok\": ";
-    out += fresh.bool_at("sec58.ordering_ok", false) ? "true" : "false";
+    obs::append_json_double(out, fresh.number_at(spec.key, -1.0));
   }
   out += "}";
   return out;
@@ -252,16 +190,17 @@ std::string render_history(const std::string& path,
 }
 
 int self_test() {
-  auto bench_json = [](double extraction, double classification,
-                       double training, double five_fold, bool ordering) {
+  // A perfbench result line: one lower-is-better lag (-1 leaves it out)
+  // and one higher-is-better throughput.
+  const auto result_line = [](double lag_p50_ms, double points_per_s) {
     std::ostringstream doc;
-    doc << "{\"schema\": \"opprentice.bench.metrics/1\", \"sec58\": {"
-        << "\"extraction_us_per_point\": " << extraction
-        << ", \"classification_us_per_point\": " << classification
-        << ", \"training_ms_per_round\": " << training
-        << ", \"five_fold_cthld_ms\": " << five_fold
-        << ", \"ordering_ok\": " << (ordering ? "true" : "false")
-        << ", \"weekly_budget_ok\": true}}";
+    doc << "{\"correct\": true, \"metrics\": {";
+    if (lag_p50_ms > 0.0) {
+      doc << "\"lag_p50_ms\": {\"value\": " << lag_p50_ms
+          << ", \"unit\": \"ms\"}, ";
+    }
+    doc << "\"points_per_s\": {\"value\": " << points_per_s
+        << ", \"unit\": \"points/s\"}}}";
     return util::json::parse(doc.str());
   };
   int failures = 0;
@@ -272,97 +211,60 @@ int self_test() {
     }
   };
 
-  const auto baseline = bench_json(100.0, 1.0, 500.0, 900.0, true);
-  GateOptions options;
+  const auto baseline = result_line(0.3, 70000.0);
+  const std::vector<MetricSpec> lag = {{"metrics.lag_p50_ms.value", 0.25}};
 
-  // Identical runs pass.
-  expect(run_gate(baseline, baseline, options).pass,
+  // Identical runs pass; small drift inside the tolerance passes.
+  expect(run_gate(baseline, baseline, lag).pass,
          "identical baseline/fresh must pass");
-
-  // Small drift inside the tolerance passes.
-  expect(run_gate(baseline, bench_json(110.0, 1.1, 520.0, 910.0, true),
-                  options)
-             .pass,
+  expect(run_gate(baseline, result_line(0.33, 70000.0), lag).pass,
          "10% drift must pass the 25% tolerance");
 
-  // A 2x extraction regression fails, and names the metric.
-  const auto regressed =
-      run_gate(baseline, bench_json(200.0, 1.0, 500.0, 900.0, true), options);
-  expect(!regressed.pass, "2x extraction must fail");
-  expect(!regressed.metrics.empty() && regressed.metrics[0].regressed &&
-             regressed.metrics[0].key == "extraction_us_per_point",
-         "the regressed metric must be flagged");
-
-  // A generous per-metric override lets the same pair pass.
-  GateOptions loose;
-  loose.metrics = default_metrics(0.25);
-  loose.metrics[0].tolerance = 1.5;
-  expect(run_gate(baseline, bench_json(200.0, 1.0, 500.0, 900.0, true), loose)
+  // A 2x lag regression fails, and names the metric.
+  const auto regressed = run_gate(baseline, result_line(0.6, 70000.0), lag);
+  expect(!regressed.pass && regressed.metrics.size() == 1 &&
+             regressed.metrics[0].regressed &&
+             regressed.metrics[0].key == "metrics.lag_p50_ms.value" &&
+             regressed.unreadable.empty(),
+         "a 2x lag must fail and be flagged");
+  // A generous tolerance lets the same pair pass.
+  expect(run_gate(baseline, result_line(0.6, 70000.0),
+                  {{"metrics.lag_p50_ms.value", 1.5}})
              .pass,
-         "tolerance override must admit the 2x run");
-
-  // ordering_ok=false fails even with perfect numbers.
-  expect(!run_gate(baseline, bench_json(100.0, 1.0, 500.0, 900.0, false),
-                   options)
-              .pass,
-         "ordering_ok=false must fail");
+         "a 150% tolerance must admit the 2x run");
 
   // A metric disappearing (-1) from the fresh run fails ...
-  expect(!run_gate(baseline, bench_json(100.0, 1.0, 500.0, -1.0, true),
-                   options)
-              .pass,
+  expect(!run_gate(baseline, result_line(-1.0, 70000.0), lag).pass,
          "a disappeared metric must fail");
   // ... while a metric the baseline never had passes.
-  expect(run_gate(bench_json(100.0, 1.0, 500.0, -1.0, true),
-                  bench_json(100.0, 1.0, 500.0, 900.0, true), options)
-             .pass,
+  expect(run_gate(result_line(-1.0, 70000.0), baseline, lag).pass,
          "a newly measured metric must pass");
 
-  // Dotted keys resolve as absolute paths, not under "sec58": CI gates
-  // perfbench's paper_stream result line this way.
-  const auto paper_doc = [](double lag_p50_ms) {
-    std::ostringstream doc;
-    doc << "{\"correct\": true, \"attempted\": 1, \"failed\": 0, "
-        << "\"metrics\": {\"lag_p50_ms\": {\"value\": " << lag_p50_ms
-        << ", \"unit\": \"ms\"}}}";
-    return util::json::parse(doc.str());
-  };
-  GateOptions paper_gate;
-  paper_gate.metrics = {{"metrics.lag_p50_ms.value", 1.0}};
-  expect(run_gate(paper_doc(0.3), paper_doc(0.5), paper_gate).pass,
-         "dotted-key metric inside tolerance must pass");
-  expect(!run_gate(paper_doc(0.3), paper_doc(0.7), paper_gate).pass,
-         "dotted-key metric regression must fail");
-  expect(gated_metrics(paper_doc(0.3), GateOptions{}).empty(),
-         "a baseline without sec58 must gate only the named metrics");
+  // A key neither document holds (a typo in CI's gate step) is
+  // unreadable, not "unmeasured, so fine": the gate fails and names it.
+  const auto typo = run_gate(
+      baseline, baseline,
+      {{"metrics.lag_p50_ms.value", 1.0}, {"metrics.lag_p05_ms.value", 1.0}});
+  expect(!typo.pass && typo.unreadable.size() == 1 &&
+             typo.unreadable[0] == "metrics.lag_p05_ms.value" &&
+             typo.summary.find("metrics.lag_p05_ms.value: measured in "
+                               "neither document") != std::string::npos,
+         "a misspelled key must be unreadable and fail the gate");
 
   // A higher-is-better metric (a throughput) regresses when it falls, by
   // the same ratio a lower-is-better one may rise.
-  const auto throughput_doc = [](double points_per_s) {
-    std::ostringstream doc;
-    doc << "{\"metrics\": {\"points_per_s\": {\"value\": " << points_per_s
-        << ", \"unit\": \"points/s\"}}}";
-    return util::json::parse(doc.str());
-  };
   MetricSpec throughput;
   expect(parse_metric_spec("metrics.points_per_s.value=1.0:higher",
                            &throughput) &&
              throughput.key == "metrics.points_per_s.value" &&
              throughput.tolerance == 1.0 && throughput.higher_is_better,
          "key=tol:higher must parse as a higher-is-better metric");
-  GateOptions throughput_gate;
-  throughput_gate.metrics = {throughput};
-  expect(run_gate(throughput_doc(70000.0), throughput_doc(150000.0),
-                  throughput_gate)
-             .pass,
+  expect(run_gate(baseline, result_line(0.3, 150000.0), {throughput}).pass,
          "a throughput more than doubled must pass");
-  expect(run_gate(throughput_doc(70000.0), throughput_doc(40000.0),
-                  throughput_gate)
-             .pass,
+  expect(run_gate(baseline, result_line(0.3, 40000.0), {throughput}).pass,
          "a throughput inside the tolerance must pass");
   const auto slow =
-      run_gate(throughput_doc(70000.0), throughput_doc(30000.0),
-               throughput_gate);
+      run_gate(baseline, result_line(0.3, 30000.0), {throughput});
   expect(!slow.pass && slow.metrics[0].regressed &&
              slow.summary.find(">=0.50") != std::string::npos,
          "a throughput below baseline / (1 + tol) must fail");
@@ -375,14 +277,8 @@ int self_test() {
                                &lower) &&
              !lower.higher_is_better,
          "key=tol and key=tol:lower must parse as lower-is-better");
-  GateOptions lower_gate;
-  lower_gate.metrics = {lower};
-  expect(run_gate(throughput_doc(70000.0), throughput_doc(30000.0),
-                  lower_gate)
-                 .pass &&
-             !run_gate(throughput_doc(70000.0), throughput_doc(150000.0),
-                       lower_gate)
-                  .pass,
+  expect(run_gate(baseline, result_line(0.3, 30000.0), {lower}).pass &&
+             !run_gate(baseline, result_line(0.3, 150000.0), {lower}).pass,
          "a lower-is-better metric must fail on a rise, not a fall");
   MetricSpec rejected;
   expect(!parse_metric_spec("metrics.points_per_s.value=1.0:faster",
@@ -393,53 +289,28 @@ int self_test() {
              !parse_metric_spec("key", &rejected),
          "malformed metric specs must be rejected");
 
-  // The baseline decides the gate set: a fresh document without sec58
-  // gated against a sec58 baseline still gets the defaults and the
-  // ordering check, so it fails.
-  const auto lost_sec58 = run_gate(baseline, paper_doc(0.3), paper_gate);
-  expect(!lost_sec58.pass && lost_sec58.ordering_checked &&
-             lost_sec58.metrics.size() == 5,
-         "a fresh run without sec58 must fail against a sec58 baseline");
-  const std::string paper_row =
-      history_row("r3", paper_doc(0.25), paper_gate.metrics);
-  expect(paper_row.find("\"metrics.lag_p50_ms.value\": 0.25") !=
-             std::string::npos,
-         "dotted-key metric must appear in history rows");
-  expect(paper_row.find("ordering_ok") == std::string::npos,
-         "rows for documents without sec58 must omit ordering_ok");
-
-  // History round-trip: two appended rows render two-run sparklines.
+  // History round-trip: rows store each dotted key flat, and the render
+  // finds both values and the last label. A row from before the key
+  // existed (bare keys, as the committed history's oldest rows) is a gap.
+  const std::string row = history_row("p1", result_line(0.25, 1.0), lag);
+  expect(row == "{\"label\": \"p1\", \"metrics.lag_p50_ms.value\": 0.25}",
+         "a history row must hold the label and each metric's flat key");
   const std::string path =
       (std::filesystem::temp_directory_path() / "opprentice_perf_selftest.jsonl")
           .string();
   std::error_code ec;
   std::filesystem::remove(path, ec);
-  const auto metrics = default_metrics(0.25);
-  expect(append_history(path, history_row("r1", baseline, metrics)) &&
-             append_history(
-                 path, history_row("r2", bench_json(110.0, 1.0, 500.0, 900.0,
-                                                    true),
-                                   metrics)),
+  expect(append_history(path, row) &&
+             append_history(path, "{\"label\": \"old\", "
+                                  "\"extraction_us_per_point\": 30.0}") &&
+             append_history(path,
+                            history_row("p2", result_line(0.5, 1.0), lag)),
          "history append must succeed");
-  const std::string rendered = render_history(path, metrics);
-  expect(rendered.find("2 runs") != std::string::npos &&
-             rendered.find("extraction_us_per_point") != std::string::npos &&
-             rendered.find("(r2)") != std::string::npos,
-         "history render must show both runs and the last label");
-  std::filesystem::remove(path, ec);
-
-  // The same round-trip for a dotted key: the rows store it flat, and the
-  // render must still find both values and the last label.
-  expect(append_history(path, history_row("p1", paper_doc(0.25),
-                                          paper_gate.metrics)) &&
-             append_history(path, history_row("p2", paper_doc(0.5),
-                                               paper_gate.metrics)),
-         "dotted-key history append must succeed");
-  const std::string dotted = render_history(path, paper_gate.metrics);
-  expect(dotted.find("2 runs") != std::string::npos &&
-             dotted.find("metrics.lag_p50_ms.value: ▁█ last 0.500 (p2)") !=
+  const std::string rendered = render_history(path, lag);
+  expect(rendered.find("3 runs") != std::string::npos &&
+             rendered.find("metrics.lag_p50_ms.value: ▁ █ last 0.500 (p2)") !=
                  std::string::npos,
-         "dotted-key history render must show both values and the last "
+         "history render must show both values, the gap and the last "
          "label");
   std::filesystem::remove(path, ec);
 
