@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/cthld.hpp"
@@ -366,51 +367,55 @@ FleetEngine::FleetEngine(FleetOptions options)
       scheduler_(options_.scheduler_seed,
                  options_.retrain_interval != 0
                      ? options_.retrain_interval
-                     : options_.ctx.points_per_week),
-      registry_(options_.shard_count, options_.scheduler_seed) {}
+                     : options_.ctx.points_per_week) {}
 
 FleetEngine::~FleetEngine() = default;
 
 SeriesHandle FleetEngine::add_series(const std::string& id) {
-  return registry_.get_or_create(id, [&] {
-    detectors::FaultBoundary boundary = options_.boundary;
-    boundary.key_salt = util::stable_id_hash(id);
-    std::vector<detectors::DetectorPtr> configs =
-        options_.detector_factory
-            ? options_.detector_factory(options_.ctx)
-            : detectors::standard_configurations(options_.ctx);
-    auto state = std::make_shared<FleetSeries>(
-        id, scheduler_.phase(id),
-        detectors::StreamingExtractor(std::move(configs), boundary),
-        options_.cthld_ewma_alpha);
-    {
-      util::MutexLock lock(state->mutex_);
-      const std::size_t features = state->extractor_.num_features();
-      const std::size_t warmup = state->extractor_.max_warmup();
-      const std::size_t capacity = options_.history_capacity;
-      state->history_ = FeatureHistory(
-          features,
-          history_rows(scheduler_, state->phase_, warmup, capacity),
-          train_floor(scheduler_.next_due(state->phase_, 0), warmup,
-                      capacity));
-      state->features_.resize(features);
-    }
-    return state;
-  });
+  util::MutexLock map_lock(series_mutex_);
+  const auto it = series_.find(id);
+  if (it != series_.end()) return it->second;
+  detectors::FaultBoundary boundary = options_.boundary;
+  boundary.key_salt = util::stable_id_hash(id);
+  std::vector<detectors::DetectorPtr> configs =
+      options_.detector_factory
+          ? options_.detector_factory(options_.ctx)
+          : detectors::standard_configurations(options_.ctx);
+  auto state = std::make_shared<FleetSeries>(
+      id, scheduler_.phase(id),
+      detectors::StreamingExtractor(std::move(configs), boundary),
+      options_.cthld_ewma_alpha);
+  {
+    util::MutexLock lock(state->mutex_);
+    const std::size_t features = state->extractor_.num_features();
+    const std::size_t warmup = state->extractor_.max_warmup();
+    const std::size_t capacity = options_.history_capacity;
+    state->history_ = FeatureHistory(
+        features, history_rows(scheduler_, state->phase_, warmup, capacity),
+        train_floor(scheduler_.next_due(state->phase_, 0), warmup, capacity));
+    state->features_.resize(features);
+  }
+  series_.emplace(id, state);
+  return state;
 }
 
 SeriesHandle FleetEngine::find_series(std::string_view id) const {
-  return registry_.find(id);
+  util::MutexLock lock(series_mutex_);
+  const auto it = series_.find(id);
+  return it == series_.end() ? nullptr : it->second;
 }
 
-bool FleetEngine::remove_series(std::string_view id) {
-  return registry_.erase(id);
+std::size_t FleetEngine::series_count() const {
+  util::MutexLock lock(series_mutex_);
+  return series_.size();
 }
-
-std::size_t FleetEngine::series_count() const { return registry_.entry_count(); }
 
 std::vector<std::string> FleetEngine::series_ids() const {
-  return registry_.ids_sorted();
+  util::MutexLock lock(series_mutex_);
+  std::vector<std::string> ids;
+  ids.reserve(series_.size());
+  for (const auto& [id, series] : series_) ids.push_back(id);
+  return ids;
 }
 
 FleetDetection FleetEngine::feed(const SeriesHandle& series, double value) {
@@ -424,7 +429,13 @@ FleetDetection FleetEngine::feed(const SeriesHandle& series, double value) {
 void FleetEngine::feed_tick(std::span<const SeriesHandle> series,
                             std::span<const double> values,
                             std::span<FleetDetection> out) {
-  const std::size_t n = std::min(series.size(), values.size());
+  if (values.size() != series.size() || out.size() != series.size()) {
+    throw std::invalid_argument(
+        "FleetEngine::feed_tick: " + std::to_string(series.size()) +
+        " series, " + std::to_string(values.size()) + " values, " +
+        std::to_string(out.size()) + " outputs");
+  }
+  const std::size_t n = series.size();
   // Phase 1: each slot is one independent series under its own lock
   // writing its own output element and training slot — bit-identical at
   // any thread count. A grain of a few series keeps pool dispatch off

@@ -4,10 +4,11 @@
 // The paper's pipeline detects anomalies on one KPI; operators watch
 // fleets. This engine multiplexes the whole per-series pipeline —
 // StreamingExtractor, random forest, cThld history, quarantine flags —
-// over any number of series, keyed by series id in a sharded concurrent
-// registry (series_registry.hpp), with retrains staggered by a
-// deterministic per-series phase (retrain_scheduler.hpp) so training
-// load spreads across week boundaries instead of spiking.
+// over any number of series, keyed by series id in one sorted map under
+// one mutex, with retrains staggered by a deterministic per-series phase
+// (retrain_scheduler.hpp) so training load spreads across week
+// boundaries instead of spiking. The map is touched only to resolve an id
+// to its handle; feeds take handles and never lock it.
 //
 // Determinism contract: every output — scores, trained forests, flight
 // events, repair counts — is a pure function of (series ids, input
@@ -20,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,12 +30,13 @@
 #include <vector>
 
 #include "core/retrain_scheduler.hpp"
-#include "core/series_registry.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "detectors/registry.hpp"
 #include "eval/metrics.hpp"
 #include "ml/random_forest.hpp"
 #include "timeseries/repair.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace opprentice::core {
 
@@ -47,7 +50,6 @@ using DetectorFactory = std::function<std::vector<detectors::DetectorPtr>(
     const detectors::SeriesContext&)>;
 
 struct FleetOptions {
-  std::size_t shard_count = 64;
   std::uint64_t scheduler_seed = 0x0FF1CE;
   // Points between retrains of one series; 0 means one week of points
   // (ctx.points_per_week).
@@ -117,12 +119,12 @@ class FleetEngine {
   const RetrainScheduler& scheduler() const { return scheduler_; }
 
   // Returns the series, creating its streaming state on first sight
-  // (idempotent; concurrent callers get the same state).
+  // (idempotent; the state is built under the map lock, so concurrent
+  // callers get the same state and it is constructed once).
   SeriesHandle add_series(const std::string& id);
-  SeriesHandle find_series(std::string_view id) const;
-  bool remove_series(std::string_view id);
+  SeriesHandle find_series(std::string_view id) const;  // nullptr if absent
   std::size_t series_count() const;
-  std::vector<std::string> series_ids() const;  // globally sorted
+  std::vector<std::string> series_ids() const;  // sorted
 
   // Feeds one point to one series: extraction, scoring against the
   // current forest and predicted cThld, and — when the series' staggered
@@ -130,12 +132,14 @@ class FleetEngine {
   FleetDetection feed(const SeriesHandle& series, double value);
 
   // One synchronized fleet tick: values[i] goes to series[i], verdicts
-  // land in out[i]; handles must be distinct. Two phases: the points fan
-  // out over the global thread pool, then the retrains that came due run
-  // in index order from the calling thread, each one's training and
-  // scoring fanned over the pool. The caller must hold no util::Mutex
-  // (parallel_for aborts under one). Verdicts, forests and flight events
-  // equal a serial feed() loop's, bit for bit, at any thread count.
+  // land in out[i]; handles must be distinct, and the three spans of one
+  // length (std::invalid_argument before any point is fed). Two phases:
+  // the points fan out over the global thread pool, then the retrains
+  // that came due run in index order from the calling thread, each one's
+  // training and scoring fanned over the pool. The caller must hold no
+  // util::Mutex (parallel_for aborts under one). Verdicts, forests and
+  // flight events equal a serial feed() loop's, bit for bit, at any
+  // thread count.
   void feed_tick(std::span<const SeriesHandle> series,
                  std::span<const double> values,
                  std::span<FleetDetection> out);
@@ -177,7 +181,9 @@ class FleetEngine {
  private:
   FleetOptions options_;
   RetrainScheduler scheduler_;
-  SeriesRegistry<FleetSeries> registry_;
+  mutable util::Mutex series_mutex_{util::LockLevel::series_map};
+  std::map<std::string, SeriesHandle, std::less<>> series_
+      OPPRENTICE_GUARDED_BY(series_mutex_);
 };
 
 }  // namespace opprentice::core

@@ -71,7 +71,7 @@ double record_failure(const Detector& detector, std::size_t config_index,
                        config_index ^ boundary.key_salt,
                        "configuration=" + configuration);
   }
-  return boundary.neutral;
+  return kNeutralSeverity;
 }
 
 // One point (number `point` of the stream) through one configuration's
@@ -87,8 +87,8 @@ double guarded_severity(Detector& detector, double value, std::size_t point,
                         std::size_t config_index, bool faults_active,
                         const FaultBoundary& boundary,
                         std::size_t& consecutive, std::uint8_t& quarantined) {
-  if (quarantined != 0) return boundary.neutral;
-  double severity = boundary.neutral;
+  if (quarantined != 0) return kNeutralSeverity;
+  double severity = kNeutralSeverity;
   try {
     // Injected faults strike after the detector has seen the point, so a
     // period-indexed detector (seasonal slot, SVD phase, Holt-Winters

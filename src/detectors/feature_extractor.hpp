@@ -21,17 +21,21 @@ namespace opprentice::detectors {
 // own family.
 std::string family_of(std::string_view configuration_name);
 
+// The severity a failed or quarantined configuration reports: 0, no
+// evidence of an anomaly.
+constexpr double kNeutralSeverity = 0.0;
+
 // Fault boundary around every detector configuration (DESIGN.md §5f).
 // A configuration that throws or returns a non-finite severity degrades
-// to `neutral` for that point; after `quarantine_after` *consecutive*
-// failures the configuration is quarantined — its column stays neutral
-// for the rest of the run and `opprentice.detector.quarantined` is
-// incremented — while the remaining live columns keep extracting.
+// to kNeutralSeverity for that point; after `quarantine_after`
+// *consecutive* failures the configuration is quarantined — its column
+// stays neutral for the rest of the run and
+// `opprentice.detector.quarantined` is incremented — while the remaining
+// live columns keep extracting.
 // Failure accounting is per-column state touched only by that column's
 // task, so quarantine decisions are bit-identical at any thread count.
 struct FaultBoundary {
   std::size_t quarantine_after = 3;
-  double neutral = 0.0;
   // XORed into every injection key (and quarantine flight-event key) so
   // multi-tenant deployments give each series its own fault stream: the
   // fleet engine sets this to util::stable_id_hash(series_id). Zero (the

@@ -242,33 +242,21 @@ bool IngestServer::handle_frame(Connection& conn, const Frame& frame,
   return true;
 }
 
-core::SeriesHandle IngestServer::series_handle(const std::string& series_id) {
-  {
-    util::MutexLock lock(series_cache_mutex_);
-    const auto it = series_cache_.find(series_id);
-    if (it != series_cache_.end()) return it->second;
-  }
-  // Resolve outside the cache lock: add_series takes registry shard
-  // locks; add_series is idempotent so a concurrent double-resolve is
-  // harmless.
-  core::SeriesHandle handle = engine_.add_series(series_id);
-  util::MutexLock lock(series_cache_mutex_);
-  series_cache_.emplace(series_id, handle);
-  return handle;
-}
-
 void IngestServer::apply_batches(
     std::vector<std::pair<std::string, QueuedBatch>> work) {
   NetCounters& counters = net_counters();
   // Coalesce runs of DATA batches for the same series into one
   // ingest_raw call: a wire gap inside the run becomes missing grid
   // slots, a reorder becomes out-of-order points — exactly the defect
-  // classes repair_series already repairs and reports.
+  // classes repair_series already repairs and reports. Each applied run
+  // resolves its series id with add_series, which creates the series on
+  // first sight.
   std::size_t i = 0;
   while (i < work.size()) {
     QueuedBatch& batch = work[i].second;
     if (batch.type == FrameType::kLabel) {
-      engine_.ingest_labels(series_handle(batch.series_id), batch.labels,
+      engine_.ingest_labels(engine_.add_series(batch.series_id),
+                            batch.labels,
                             static_cast<std::size_t>(batch.label_begin));
       counters.batches_applied->add();
       ++i;
@@ -290,7 +278,7 @@ void IngestServer::apply_batches(
     }
     const std::size_t submitted = points.size();
     const core::IngestOutcome outcome =
-        engine_.ingest_raw(series_handle(series_id), std::move(points),
+        engine_.ingest_raw(engine_.add_series(series_id), std::move(points),
                            interval, options_.repair_policy);
     counters.batches_applied->add(coalesced);
     counters.points_applied->add(outcome.points_fed);
@@ -356,13 +344,9 @@ void IngestServer::tick() {
       }
     }
     for (auto& [id, source] : sources_) {
-      std::size_t applied = 0;
-      while (!source->queue.empty() &&
-             (options_.apply_budget == 0 ||
-              applied < options_.apply_budget)) {
+      while (!source->queue.empty()) {
         work.emplace_back(id, std::move(source->queue.front()));
         source->queue.pop_front();
-        ++applied;
       }
     }
     refresh_gauges();

@@ -47,8 +47,6 @@ struct ServerOptions {
   LivenessOptions liveness;
   // Frames queued per source before DATA/LABEL is rejected with RETRY.
   std::size_t queue_capacity = 64;
-  // Queued batches applied per source per tick(); 0 = unbounded.
-  std::size_t apply_budget = 0;
   // The RETRY frame's back-off hint.
   std::uint32_t retry_after_ticks = 1;
   // The fleet's grid interval: DATA frames that declare 0 use it, and a
@@ -94,8 +92,8 @@ class IngestServer {
   // One logical tick: advance every source's liveness (flight events on
   // kSuspect/kLost transitions; a source going kLost has its queue
   // flushed to the engine first — deterministic teardown, no data loss),
-  // then apply up to apply_budget queued batches per source in sorted
-  // source order, refreshing the liveness gauges.
+  // then apply every queued batch in sorted source order, refreshing the
+  // liveness gauges.
   void tick();
 
   // Applies everything still queued (SIGTERM drain path).
@@ -141,7 +139,6 @@ class IngestServer {
 
   void apply_batches(std::vector<std::pair<std::string, QueuedBatch>> work);
   void refresh_gauges() OPPRENTICE_REQUIRES(mutex_);
-  core::SeriesHandle series_handle(const std::string& series_id);
 
   core::FleetEngine& engine_;
   const ServerOptions options_;
@@ -155,12 +152,6 @@ class IngestServer {
   // every sweep is in deterministic id order.
   std::map<std::string, std::unique_ptr<Source>, std::less<>> sources_
       OPPRENTICE_GUARDED_BY(mutex_);
-
-  // Engine handles resolved once per series. Guarded by its own mutex so
-  // apply_batches (which runs unlocked w.r.t. mutex_) can use it.
-  util::Mutex series_cache_mutex_{util::LockLevel::net_series_cache};
-  std::map<std::string, core::SeriesHandle, std::less<>> series_cache_
-      OPPRENTICE_GUARDED_BY(series_cache_mutex_);
 };
 
 }  // namespace opprentice::net

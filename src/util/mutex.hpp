@@ -10,7 +10,7 @@
 // Every Mutex also has a `LockLevel`, its place in the one process-wide
 // lock order, and checks that order at run time in every build. Taking a
 // lock at or below the innermost level the thread holds (an inversion, or
-// a second lock of one level such as two registry shards), or unlocking a
+// a second lock of one level such as two series' states), or unlocking a
 // mutex the thread does not hold, writes the lock names to stderr and
 // aborts before the thread can block. So a deadlock that needs a rare
 // interleaving fails on the first run that takes the locks in the wrong
@@ -46,8 +46,7 @@ enum class LockLevel : std::uint8_t {
   // keeps it while the submitting thread runs its share of the body.
   pool_submit = 1,
   net_server = 5,         // IngestServer connections and sources (§5k)
-  net_series_cache = 7,   // IngestServer series-handle cache
-  registry_shard = 10,    // one SeriesRegistry shard (§5i)
+  series_map = 10,        // FleetEngine's id -> series map (§5i)
   series_state = 20,      // one FleetEngine series
   fault_store = 30,       // fault-injection plan store (§5f)
   pool_registry = 40,     // the global thread pool slot (§5d)
@@ -64,8 +63,7 @@ constexpr const char* lock_level_name(LockLevel level) {
   switch (level) {
     case LockLevel::pool_submit: return "pool_submit";
     case LockLevel::net_server: return "net_server";
-    case LockLevel::net_series_cache: return "net_series_cache";
-    case LockLevel::registry_shard: return "registry_shard";
+    case LockLevel::series_map: return "series_map";
     case LockLevel::series_state: return "series_state";
     case LockLevel::fault_store: return "fault_store";
     case LockLevel::pool_registry: return "pool_registry";

@@ -456,8 +456,8 @@ TEST(DetectorBoundary, InjectedThrowCostsOnlyTheStruckPoint) {
       const std::uint64_t key = util::fault_key(f, i) ^ boundary.key_salt;
       if (util::fault_fires(util::faults::kDetectorThrow, key)) {
         ++struck;
-        EXPECT_EQ(batch.columns[f][i], boundary.neutral);
-        EXPECT_EQ(streamed[i][f], boundary.neutral);
+        EXPECT_EQ(batch.columns[f][i], 0.0);
+        EXPECT_EQ(streamed[i][f], 0.0);
         continue;
       }
       mismatches += batch.columns[f][i] != clean_batch.columns[f][i] ? 1 : 0;
@@ -528,9 +528,9 @@ TEST(DetectorBoundary, QuarantineLeavesTheSharedSlotStoreAdvancing) {
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const double batch_want =
-          i < first_strike ? clean_batch.columns[f][i] : boundary.neutral;
+          i < first_strike ? clean_batch.columns[f][i] : 0.0;
       const double stream_want =
-          i < first_strike ? clean_stream[i][f] : boundary.neutral;
+          i < first_strike ? clean_stream[i][f] : 0.0;
       mismatches += batch.columns[f][i] != batch_want ? 1 : 0;
       mismatches += streamed[i][f] != stream_want ? 1 : 0;
     }
@@ -631,7 +631,7 @@ class EagerBoundary {
     for (std::size_t f = 0; f < detectors_.size(); ++f) {
       const std::uint64_t key =
           util::fault_key(f, points_) ^ boundary_.key_salt;
-      double severity = boundary_.neutral;
+      double severity = 0.0;
       if (quarantined_[f] == 0) {
         bool failed = false;
         try {
@@ -646,7 +646,7 @@ class EagerBoundary {
           failed = true;
         }
         if (failed || !std::isfinite(severity)) {
-          severity = boundary_.neutral;
+          severity = 0.0;
           if (++consecutive_[f] >= boundary_.quarantine_after &&
               boundary_.quarantine_after > 0) {
             quarantined_[f] = 1;

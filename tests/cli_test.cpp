@@ -102,7 +102,6 @@ TEST(Serve, EngineOptionsAreThePaperStreamConfiguration) {
   EXPECT_EQ(options.history_capacity, 1008u);
   EXPECT_FALSE(options.detector_factory);
   EXPECT_EQ(options.retrain_interval, 0u);  // one week of points
-  EXPECT_EQ(options.shard_count, defaults.shard_count);
   EXPECT_EQ(options.quarantine_after, defaults.quarantine_after);
   EXPECT_EQ(options.scheduler_seed, defaults.scheduler_seed);
   EXPECT_EQ(options.forest.num_trees, 48u);

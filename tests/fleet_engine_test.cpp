@@ -1,6 +1,6 @@
-// Fleet engine suite (DESIGN.md §5i): the sharded series registry keeps
-// its insert/lookup/evict semantics under concurrent hammering, the
-// staggered retrain scheduler reproduces a golden schedule from a fixed
+// Fleet engine suite (DESIGN.md §5i): concurrent add_series calls build
+// each series once and the series map stays sorted, the staggered
+// retrain scheduler reproduces a golden schedule from a fixed
 // seed, series are isolated — a quarantined or fault-injected series
 // must not perturb any other series' output bytes — and the exactly-sized
 // feature history decides everything the growing columns it replaced
@@ -15,14 +15,15 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fleet_engine.hpp"
 #include "core/retrain_scheduler.hpp"
-#include "core/series_registry.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "eval/pr_curve.hpp"
 #include "eval/threshold_pickers.hpp"
@@ -55,122 +56,6 @@ struct PlanGuard {
 
 std::uint64_t counter_value(const std::string& name) {
   return obs::counter(name).value();
-}
-
-// ---- series registry -----------------------------------------------------
-
-TEST(SeriesRegistry, ShardIndexIsDeterministicAndInRange) {
-  for (std::size_t shards : {1u, 7u, 64u}) {
-    for (int i = 0; i < 200; ++i) {
-      const std::string id = "kpi-" + std::to_string(i);
-      const std::size_t a = core::registry_shard_index(id, shards, 42);
-      const std::size_t b = core::registry_shard_index(id, shards, 42);
-      EXPECT_EQ(a, b);
-      EXPECT_LT(a, shards);
-    }
-  }
-  // Different seeds give different layouts (else the seed is dead code).
-  std::size_t moved = 0;
-  for (int i = 0; i < 200; ++i) {
-    const std::string id = "kpi-" + std::to_string(i);
-    if (core::registry_shard_index(id, 64, 1) !=
-        core::registry_shard_index(id, 64, 2)) {
-      ++moved;
-    }
-  }
-  EXPECT_GT(moved, 0u);
-}
-
-TEST(SeriesRegistry, InsertLookupEvict) {
-  core::SeriesRegistry<int> registry(8, 0);
-  EXPECT_EQ(registry.entry_count(), 0u);
-  EXPECT_EQ(registry.find("a"), nullptr);
-  EXPECT_FALSE(registry.erase("a"));
-
-  auto a = registry.get_or_create("a", [] { return std::make_shared<int>(1); });
-  auto a2 =
-      registry.get_or_create("a", [] { return std::make_shared<int>(2); });
-  EXPECT_EQ(a.get(), a2.get()) << "second factory must not run";
-  EXPECT_EQ(*a, 1);
-  EXPECT_TRUE(registry.contains("a"));
-  EXPECT_EQ(registry.entry_count(), 1u);
-
-  registry.get_or_create("b", [] { return std::make_shared<int>(3); });
-  EXPECT_EQ(registry.ids_sorted(), (std::vector<std::string>{"a", "b"}));
-
-  // Evicted entries stay alive for existing holders.
-  EXPECT_TRUE(registry.erase("a"));
-  EXPECT_FALSE(registry.contains("a"));
-  EXPECT_EQ(*a, 1);
-  EXPECT_EQ(registry.entry_count(), 1u);
-}
-
-TEST(SeriesRegistry, ConcurrentGetOrCreateConstructsOnce) {
-  core::SeriesRegistry<int> registry(4, 0);
-  constexpr int kThreads = 8;
-  constexpr int kIds = 64;
-  std::atomic<int> constructions{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&registry, &constructions] {
-      for (int i = 0; i < kIds; ++i) {
-        const std::string id = "kpi-" + std::to_string(i);
-        auto entry = registry.get_or_create(id, [&constructions, i] {
-          constructions.fetch_add(1);
-          return std::make_shared<int>(i);
-        });
-        ASSERT_EQ(*entry, i);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(constructions.load(), kIds) << "one construction per id";
-  EXPECT_EQ(registry.entry_count(), static_cast<std::size_t>(kIds));
-}
-
-TEST(SeriesRegistry, ConcurrentInsertLookupEvict) {
-  core::SeriesRegistry<int> registry(8, 7);
-  constexpr int kIds = 128;
-  // Writers churn (insert + evict) even ids; readers look up everything;
-  // odd ids are inserted once and must survive the churn untouched.
-  for (int i = 1; i < kIds; i += 2) {
-    registry.get_or_create("kpi-" + std::to_string(i),
-                           [i] { return std::make_shared<int>(i); });
-  }
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&registry, w] {
-      for (int round = 0; round < 50; ++round) {
-        for (int i = w; i < kIds; i += 8) {
-          const int even = 2 * ((i + round) % (kIds / 2));
-          const std::string id = "kpi-" + std::to_string(even);
-          auto entry = registry.get_or_create(
-              id, [even] { return std::make_shared<int>(even); });
-          ASSERT_EQ(*entry, even);
-          registry.erase(id);
-        }
-      }
-    });
-    workers.emplace_back([&registry] {
-      for (int round = 0; round < 50; ++round) {
-        for (int i = 0; i < kIds; ++i) {
-          auto entry = registry.find("kpi-" + std::to_string(i));
-          if (entry != nullptr) {
-            ASSERT_EQ(*entry, i);
-          }
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  // Every odd id survived; ids_sorted is globally sorted.
-  for (int i = 1; i < kIds; i += 2) {
-    EXPECT_TRUE(registry.contains("kpi-" + std::to_string(i)));
-  }
-  const auto ids = registry.ids_sorted();
-  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-  EXPECT_GE(ids.size(), static_cast<std::size_t>(kIds / 2));
 }
 
 // ---- retrain scheduler ---------------------------------------------------
@@ -457,19 +342,62 @@ TEST(FleetEngine, FeatureImportancesNameTheFactoryConfigurations) {
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
-TEST(FleetEngine, AddSeriesIsIdempotentAndRemovable) {
+TEST(FleetEngine, AddSeriesIsIdempotent) {
   core::FleetEngine engine(small_fleet_options());
+  EXPECT_EQ(engine.find_series("kpi-a"), nullptr);
   const auto a = engine.add_series("kpi-a");
   EXPECT_EQ(engine.add_series("kpi-a").get(), a.get());
+  EXPECT_EQ(engine.find_series("kpi-a").get(), a.get());
   engine.add_series("kpi-b");
   EXPECT_EQ(engine.series_count(), 2u);
   EXPECT_EQ(engine.series_ids(),
             (std::vector<std::string>{"kpi-a", "kpi-b"}));
-  EXPECT_TRUE(engine.remove_series("kpi-a"));
-  EXPECT_FALSE(engine.remove_series("kpi-a"));
-  EXPECT_EQ(engine.find_series("kpi-a"), nullptr);
-  // The evicted handle still answers stats() for its holder.
   EXPECT_EQ(engine.stats(a).id, "kpi-a");
+}
+
+// add_series builds a series under the map lock: racing callers get one
+// construction per id and the same handle, and series_ids() is the
+// map's sorted order ("kpi-10" before "kpi-2"), not insertion order.
+TEST(FleetEngine, ConcurrentAddSeriesConstructsOnce) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kIds = 64;
+  std::atomic<std::size_t> constructions{0};
+  auto options = small_fleet_options();
+  options.detector_factory = [&constructions](
+                                 const detectors::SeriesContext& ctx) {
+    constructions.fetch_add(1);
+    return test_support::short_window_configurations(ctx);
+  };
+  core::FleetEngine engine(options);
+  std::vector<std::vector<core::SeriesHandle>> seen(
+      kThreads, std::vector<core::SeriesHandle>(kIds));
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&engine, &seen, w] {
+      // Each thread walks the ids from its own offset so first sights
+      // are spread over the threads.
+      for (std::size_t k = 0; k < kIds; ++k) {
+        const std::size_t i = (k + w * kIds / kThreads) % kIds;
+        seen[w][i] = engine.add_series("kpi-" + std::to_string(i));
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  EXPECT_EQ(constructions.load(), kIds) << "one construction per id";
+  EXPECT_EQ(engine.series_count(), kIds);
+  for (std::size_t i = 0; i < kIds; ++i) {
+    const auto handle = engine.find_series("kpi-" + std::to_string(i));
+    ASSERT_NE(handle, nullptr);
+    for (std::size_t w = 0; w < kThreads; ++w) {
+      EXPECT_EQ(seen[w][i].get(), handle.get()) << "thread " << w;
+    }
+  }
+  const std::vector<std::string> ids = engine.series_ids();
+  ASSERT_EQ(ids.size(), kIds);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  EXPECT_EQ(ids[1], "kpi-1");
+  EXPECT_EQ(ids[2], "kpi-10");
 }
 
 TEST(FleetEngine, QuarantineStopsConsumptionUntilReleased) {
@@ -658,31 +586,45 @@ TEST(FleetEngine, FeedTickMatchesSequentialFeed) {
   }
 }
 
-// TSan regression for the lock order util::Mutex checks at run time:
-// feed() takes the registry shard lock and the per-series lock one at a
-// time, never holding one series' lock while touching another. Two
-// threads working the same pair of series in opposite id order therefore
-// cannot deadlock, and TSan's lock-order-inversion detector (enabled in
-// the tsan-parallel CI job) must stay silent.
-TEST(FleetEngine, OppositeOrderFeedsAcquireLocksOneAtATime) {
-  const auto options = small_fleet_options();
-  core::FleetEngine engine(options);
-  // Pick two ids that land in different registry shards so the threads
-  // genuinely cross two shard mutexes, not just one.
-  const std::string first = "kpi-order-0";
-  std::string second;
-  for (int i = 1; i < 256 && second.empty(); ++i) {
-    std::string candidate = "kpi-order-" + std::to_string(i);
-    if (core::registry_shard_index(candidate, options.shard_count,
-                                   options.scheduler_seed) !=
-        core::registry_shard_index(first, options.shard_count,
-                                   options.scheduler_seed)) {
-      second = std::move(candidate);
-    }
+// A short `out` span would be written past its end, and a short
+// `values` span would feed some series and skip the rest: any length
+// mismatch throws before a single point is fed.
+TEST(FleetEngine, FeedTickRejectsMismatchedSpans) {
+  core::FleetEngine engine(small_fleet_options());
+  std::vector<core::SeriesHandle> series;
+  for (int i = 0; i < 3; ++i) {
+    series.push_back(engine.add_series("kpi-" + std::to_string(i)));
   }
-  ASSERT_FALSE(second.empty());
-  const auto a = engine.add_series(first);
-  const auto b = engine.add_series(second);
+  // Backing storage one slot longer than every span, so a tick that
+  // ignores the lengths writes into the vector, not past it.
+  std::vector<double> values(4, 1.0);
+  std::vector<core::FleetDetection> out(4);
+  const std::span<const core::SeriesHandle> all(series);
+  const std::span<const double> three_values(values.data(), 3);
+  const std::span<core::FleetDetection> three_out(out.data(), 3);
+  EXPECT_THROW(engine.feed_tick(all, three_values, {out.data(), 2}),
+               std::invalid_argument);
+  EXPECT_THROW(engine.feed_tick(all, {values.data(), 2}, three_out),
+               std::invalid_argument);
+  EXPECT_THROW(engine.feed_tick(all, {values.data(), 4}, three_out),
+               std::invalid_argument);
+  EXPECT_THROW(engine.feed_tick(all.first(2), three_values, three_out),
+               std::invalid_argument);
+  for (const auto& s : series) EXPECT_EQ(engine.stats(s).points_seen, 0u);
+  engine.feed_tick(all, three_values, three_out);
+  for (const auto& s : series) EXPECT_EQ(engine.stats(s).points_seen, 1u);
+}
+
+// TSan regression for the lock order util::Mutex checks at run time:
+// feed() takes only its own series' lock, never holding one series' lock
+// while touching another. Two threads working the same pair of series in
+// opposite order therefore cannot deadlock, and TSan's
+// lock-order-inversion detector (enabled in the tsan-parallel CI job)
+// must stay silent.
+TEST(FleetEngine, OppositeOrderFeedsAcquireLocksOneAtATime) {
+  core::FleetEngine engine(small_fleet_options());
+  const auto a = engine.add_series("kpi-order-0");
+  const auto b = engine.add_series("kpi-order-1");
   std::thread forward([&engine, &a, &b] {
     for (std::size_t t = 0; t < 64; ++t) {
       engine.feed(a, test_support::synthetic_fleet_value(1, t, 16));

@@ -51,7 +51,6 @@ std::uint64_t counter_value(const std::string& name) {
 core::FleetOptions small_fleet() {
   core::FleetOptions options;
   options.ctx = detectors::SeriesContext{24, 7 * 24};
-  options.shard_count = 4;
   options.retrain_interval = 1 << 20;
   options.history_capacity = 256;
   options.forest.num_trees = 2;

@@ -42,23 +42,23 @@ void unlock_unheld(Mutex& mu) OPPRENTICE_NO_THREAD_SAFETY_ANALYSIS {
 }
 
 TEST(LockOrder, DeclaredOrderAndOutOfOrderReleaseAreFine) {
-  Mutex shard(LockLevel::registry_shard);
+  Mutex map(LockLevel::series_map);
   Mutex series(LockLevel::series_state);
   Mutex log(LockLevel::log_write);
   {
-    MutexLock hold_shard(shard);
+    MutexLock hold_map(map);
     MutexLock hold_series(series);
     lock_in_callee(log);
   }
   // Releasing the outer lock first is legal; the inner one stays held
   // and still bounds what may be taken next.
-  shard.lock();
+  map.lock();
   series.lock();
-  shard.unlock();
+  map.unlock();
   lock_in_callee(log);
   series.unlock();
   // Nothing left held: any level may be taken again.
-  lock_in_callee(shard);
+  lock_in_callee(map);
 }
 
 // Death tests fork while pool workers may be alive; the threadsafe style
@@ -71,27 +71,28 @@ class LockOrderDeathTest : public ::testing::Test {
 };
 
 TEST_F(LockOrderDeathTest, LevelInversionAborts) {
-  Mutex shard(LockLevel::registry_shard);
+  Mutex map(LockLevel::series_map);
   Mutex series(LockLevel::series_state);
   EXPECT_DEATH(
       {
         MutexLock hold_series(series);
-        MutexLock hold_shard(shard);
+        MutexLock hold_map(map);
       },
-      "acquiring 'registry_shard' \\(level 10\\) while holding "
+      "acquiring 'series_map' \\(level 10\\) while holding "
       "'series_state' \\(level 20\\)");
 }
 
 TEST_F(LockOrderDeathTest, SameLevelReentryAborts) {
-  // Two registry shards held at once: the cross-shard deadlock hazard.
-  Mutex first_shard(LockLevel::registry_shard);
-  Mutex second_shard(LockLevel::registry_shard);
+  // Two series' states held at once: the cross-series deadlock hazard
+  // the engine avoids by locking one series at a time.
+  Mutex first_series(LockLevel::series_state);
+  Mutex second_series(LockLevel::series_state);
   EXPECT_DEATH(
       {
-        MutexLock hold_first(first_shard);
-        MutexLock hold_second(second_shard);
+        MutexLock hold_first(first_series);
+        MutexLock hold_second(second_series);
       },
-      "acquiring 'registry_shard'.*while holding 'registry_shard'");
+      "acquiring 'series_state'.*while holding 'series_state'");
 }
 
 TEST_F(LockOrderDeathTest, AcquisitionThroughCalleeAborts) {
@@ -106,18 +107,17 @@ TEST_F(LockOrderDeathTest, AcquisitionThroughCalleeAborts) {
 }
 
 TEST_F(LockOrderDeathTest, AcquisitionThroughCallableAborts) {
-  // The registry's get_or_create(id, factory) shape: a callable run under
-  // the caller's lock, written far from it.
-  Mutex shard(LockLevel::registry_shard);
-  Mutex cache(LockLevel::net_series_cache);
-  const std::function<void()> factory = [&] { MutexLock lock(cache); };
-  const auto run_under_shard = [&](const std::function<void()>& make) {
-    MutexLock hold(shard);
+  // add_series' shape: a detector factory run under the series map's
+  // lock, written far from it, that calls back into the server.
+  Mutex map(LockLevel::series_map);
+  Mutex server(LockLevel::net_server);
+  const std::function<void()> factory = [&] { MutexLock lock(server); };
+  const auto run_under_map = [&](const std::function<void()>& make) {
+    MutexLock hold(map);
     make();
   };
-  EXPECT_DEATH(run_under_shard(factory),
-               "acquiring 'net_series_cache'.*while holding "
-               "'registry_shard'");
+  EXPECT_DEATH(run_under_map(factory),
+               "acquiring 'net_server'.*while holding 'series_map'");
 }
 
 TEST_F(LockOrderDeathTest, UnlockingAMutexNotHeldAborts) {

@@ -62,7 +62,6 @@ int cmd_serve(const Args& args) {
   options.liveness.suspect_after_ticks = args.get_size("suspect-after", 5);
   options.liveness.lost_after_ticks = args.get_size("lost-after", 10);
   options.queue_capacity = args.get_size("queue-capacity", 64);
-  options.apply_budget = args.get_size("apply-budget", 0);
   options.retry_after_ticks =
       static_cast<std::uint32_t>(args.get_size("retry-after", 1));
   options.default_interval_seconds = interval;
