@@ -1,9 +1,11 @@
 #include "ml/binning.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <utility>
+#include <numeric>
 
 #include "util/thread_pool.hpp"
 
@@ -54,38 +56,98 @@ double FeatureBinner::upper_edge(std::uint8_t code) const {
   return edges_[idx];
 }
 
+namespace {
+
+// Maps a non-NaN double to a key whose unsigned order is the value's
+// order: the sign bit is flipped for non-negative values and every bit
+// for negative ones. −0.0 is first mapped to 0.0, which it equals.
+std::uint64_t sort_key(double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value == 0.0 ? 0.0 : value);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+double key_value(std::uint64_t key) {
+  return std::bit_cast<double>((key >> 63) != 0
+                                   ? key & ~(std::uint64_t{1} << 63)
+                                   : ~key);
+}
+
+// Sets `order` to the indices of `keys` in ascending key order: an LSD
+// radix sort with 8-bit digits, one counting pass for all eight digits,
+// and no scatter for a digit every key shares. `scratch` is its buffer.
+void radix_sort(std::span<const std::uint64_t> keys,
+                std::vector<std::uint32_t>& order,
+                std::vector<std::uint32_t>& scratch) {
+  const std::size_t n = keys.size();
+  order.resize(n);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  if (n < 2) return;
+  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  for (const std::uint64_t key : keys) {
+    for (std::size_t d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xFF];
+  }
+  scratch.resize(n);
+  for (std::size_t d = 0; d < 8; ++d) {
+    std::array<std::uint32_t, 256>& offset = counts[d];
+    const unsigned shift = static_cast<unsigned>(8 * d);
+    if (offset[(keys[0] >> shift) & 0xFF] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : offset) {
+      const std::uint32_t count = c;
+      c = sum;
+      sum += count;
+    }
+    for (const std::uint32_t i : order) {
+      scratch[offset[(keys[i] >> shift) & 0xFF]++] = i;
+    }
+    order.swap(scratch);
+  }
+}
+
+}  // namespace
+
 BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
     : binners_(data.num_features()),
       codes_(data.num_features()),
       labels_(data.labels()) {
   util::parallel_for(data.num_features(), [&](std::size_t f) {
     const auto column = data.column(f);
-    std::vector<std::pair<double, std::uint32_t>> sorted;
-    sorted.reserve(column.size());
-    for (std::size_t r = 0; r < column.size(); ++r) {
-      if (!std::isnan(column[r])) {
-        sorted.emplace_back(column[r], static_cast<std::uint32_t>(r));
-      }
+    // Keys of the non-NaN values, in row order; index k is the k-th
+    // non-NaN row.
+    std::vector<std::uint64_t> keys;
+    keys.reserve(column.size());
+    for (const double v : column) {
+      if (!std::isnan(v)) keys.push_back(sort_key(v));
     }
-    // Codes depend on the value alone, so the order of ties is free.
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<std::uint32_t> order;
+    std::vector<std::uint32_t> scratch;
+    radix_sort(keys, order, scratch);
     std::vector<double> distinct;
-    distinct.reserve(sorted.size());
-    for (const auto& entry : sorted) {
-      if (distinct.empty() || entry.first != distinct.back()) {
-        distinct.push_back(entry.first);
+    distinct.reserve(keys.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i == 0 || keys[order[i]] != keys[order[i - 1]]) {
+        distinct.push_back(key_value(keys[order[i]]));
       }
     }
     binners_[f] = FeatureBinner::from_distinct(distinct, max_bins);
 
+    // Codes of the non-NaN values go to slots 0..keys.size() first, then
+    // move out to their rows from the back; slot k <= its row, so no
+    // code is overwritten before it moves.
     const std::vector<double>& edges = binners_[f].edges();
     std::vector<std::uint8_t>& codes = codes_[f];
     codes.assign(column.size(), 0);  // NaN rows stay in bin 0
     std::size_t code = 0;
-    for (const auto& [value, row] : sorted) {
+    for (const std::uint32_t k : order) {
+      const double value = key_value(keys[k]);
       while (code < edges.size() && edges[code] < value) ++code;
-      codes[row] = static_cast<std::uint8_t>(code);
+      codes[k] = static_cast<std::uint8_t>(code);
+    }
+    if (keys.size() != column.size()) {
+      std::size_t k = keys.size();
+      for (std::size_t r = column.size(); r-- > 0;) {
+        codes[r] = std::isnan(column[r]) ? 0 : codes[--k];
+      }
     }
   });
 }

@@ -46,12 +46,13 @@ class FeatureBinner {
 // A dataset quantized for tree training. Keeps a reference-free copy of
 // the labels and the code matrix.
 //
-// Each column is sorted once, as (value, row) pairs: the distinct values
-// give the same edges as FeatureBinner::fit, and one forward walk assigns
-// every row its code, the number of edges below its value — exactly
-// bin_of's lower_bound, with NaN in bin 0. Columns are binned in parallel
-// on the global thread pool, each task writing only its own column, so
-// the result is the same at any thread count.
+// Each column's non-NaN values are sorted once, by an LSD radix sort of
+// order-preserving 64-bit keys: the distinct values give the same edges
+// as FeatureBinner::fit, and one forward walk assigns every row its code,
+// the number of edges below its value — exactly bin_of's lower_bound,
+// with NaN in bin 0. Columns are binned in parallel on the global thread
+// pool, each task writing only its own column, so the result is the same
+// at any thread count.
 class BinnedDataset {
  public:
   explicit BinnedDataset(const Dataset& data,

@@ -11,12 +11,20 @@ namespace opprentice::ml {
 namespace {
 
 constexpr std::size_t kNumBins = 256;
+constexpr std::uint64_t kLowHalf = 0xFFFFFFFFull;
+
+// A distinct sampled row and its bootstrap count, packed with its
+// positive count: count in the low half, count * label in the high half.
+// Sums of packed values are two 32-bit sums side by side.
+struct Sample {
+  std::uint64_t packed;
+  std::uint32_t row;
+};
 
 struct SplitCandidate {
   double gain = 0.0;
   std::size_t feature = 0;
   std::uint8_t code = 0;       // go left when bin <= code
-  std::size_t left_count = 0;
   bool valid = false;
 };
 
@@ -36,20 +44,42 @@ void DecisionTree::train(const Dataset& data) {
     throw std::invalid_argument("DecisionTree::train: empty dataset");
   }
   const BinnedDataset binned(data);
-  std::vector<std::size_t> rows(data.num_rows());
-  std::iota(rows.begin(), rows.end(), std::size_t{0});
-  train_binned(binned, std::move(rows));
+  const std::vector<std::uint32_t> counts(data.num_rows(), 1);
+  train_binned(binned, counts);
 }
 
 void DecisionTree::train_binned(const BinnedDataset& data,
-                                std::vector<std::size_t> rows) {
-  if (rows.empty()) {
-    throw std::invalid_argument("DecisionTree::train_binned: no rows");
+                                std::span<const std::uint32_t> counts) {
+  if (counts.size() != data.num_rows()) {
+    throw std::invalid_argument(
+        "DecisionTree::train_binned: need one count per row");
   }
   const std::size_t num_features = data.num_features();
   if (num_features > FlatNode::kMaxFeatures) {
     throw std::invalid_argument(
         "DecisionTree::train_binned: more features than a node can index");
+  }
+  // The tree grows over the distinct sampled rows only. A node's size,
+  // its positives and every histogram bin are sums of counts, the same
+  // integers the duplicated rows would sum to, so every split, leaf and
+  // draw of rng_ is the same as growing over the duplicates.
+  std::vector<Sample> samples;
+  samples.reserve(static_cast<std::size_t>(std::count_if(
+      counts.begin(), counts.end(), [](std::uint32_t c) { return c != 0; })));
+  std::uint64_t total = 0;
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    if (counts[r] == 0) continue;
+    total += counts[r];
+    const std::uint64_t count = counts[r];
+    samples.push_back(
+        {count | (count * data.label(r)) << 32, static_cast<std::uint32_t>(r)});
+  }
+  if (samples.empty()) {
+    throw std::invalid_argument("DecisionTree::train_binned: no rows");
+  }
+  if (total > kLowHalf) {
+    throw std::invalid_argument(
+        "DecisionTree::train_binned: counts sum past 32 bits");
   }
   nodes_.clear();
   importances_.assign(num_features, 0.0);
@@ -71,22 +101,31 @@ void DecisionTree::train_binned(const BinnedDataset& data,
     std::size_t depth;
   };
   std::stack<WorkItem> work;
-  work.push({0, false, 0, rows.size(), 0});
+  work.push({0, false, 0, samples.size(), 0});
 
-  std::array<std::uint32_t, kNumBins> hist_total{};
-  std::array<std::uint32_t, kNumBins> hist_pos{};
+  // Every feature, or the buffer each node's random subset is drawn into.
+  std::vector<std::size_t> candidates(num_features);
+  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+  std::array<std::uint64_t, kNumBins> hist{};
+  // One entry per occupied bin below the highest: the split's bin, and
+  // the left side's size, positives and gain.
+  std::array<std::uint8_t, kNumBins> split_code{};
+  std::array<double, kNumBins> left_total{};
+  std::array<double, kNumBins> left_pos{};
+  std::array<double, kNumBins> gain{};
 
   while (!work.empty()) {
     const WorkItem item = work.top();
     work.pop();
-    const std::size_t n = item.end - item.begin;
     const std::size_t at = grown.size();
     if (item.is_left) left_child[item.parent] = at;
 
-    std::size_t positives = 0;
+    std::uint64_t sums = 0;
     for (std::size_t i = item.begin; i < item.end; ++i) {
-      positives += data.label(rows[i]);
+      sums += samples[i].packed;
     }
+    const std::uint64_t n = sums & kLowHalf;
+    const std::uint64_t positives = sums >> 32;
     // The positive-class fraction, rounded through f32 so leaf scores
     // keep their bits; it stays the node's value if the node is a leaf.
     grown.push_back(FlatNode{
@@ -103,53 +142,62 @@ void DecisionTree::train_binned(const BinnedDataset& data,
 
     // Random feature subset (random forests evaluate only a random subset
     // of features at each node, §4.4.2).
-    std::vector<std::size_t> candidates =
-        mtry == num_features
-            ? [&] {
-                std::vector<std::size_t> all(num_features);
-                std::iota(all.begin(), all.end(), std::size_t{0});
-                return all;
-              }()
-            : rng_.sample_without_replacement(num_features, mtry);
+    if (mtry != num_features) {
+      rng_.sample_without_replacement(num_features, mtry, candidates);
+    }
 
-    const double parent_gini =
-        gini(static_cast<double>(positives), static_cast<double>(n));
+    const double node_total = static_cast<double>(n);
+    const double node_pos = static_cast<double>(positives);
+    const double parent_gini = gini(node_pos, node_total);
     SplitCandidate best;
 
     for (std::size_t f : candidates) {
-      const auto& codes = data.codes(f);
-      hist_total.fill(0);
-      hist_pos.fill(0);
-      std::uint8_t max_code = 0;
+      const std::uint8_t* codes = data.codes(f).data();
+      const std::size_t bins =
+          std::min(data.binner(f).num_bins(), kNumBins);
+      std::fill_n(hist.begin(), bins, std::uint64_t{0});
       for (std::size_t i = item.begin; i < item.end; ++i) {
-        const std::size_t r = rows[i];
-        const std::uint8_t c = codes[r];
-        ++hist_total[c];
-        hist_pos[c] += data.label(r);
-        max_code = std::max(max_code, c);
+        hist[codes[samples[i].row]] += samples[i].packed;
       }
-      // Prefix scan over bins: candidate split after each occupied bin.
-      // An empty bin would repeat the previous candidate exactly, and a
-      // repeat never beats the best by more than 1e-15, so skipping it
-      // leaves every chosen split unchanged.
-      double left_total = 0.0, left_pos = 0.0;
-      for (std::size_t b = 0; b < max_code; ++b) {
-        if (hist_total[b] == 0) continue;
-        left_total += hist_total[b];
-        left_pos += hist_pos[b];
-        const double right_total = static_cast<double>(n) - left_total;
-        if (right_total == 0.0) break;
-        const double right_pos = static_cast<double>(positives) - left_pos;
+      // A candidate split after each occupied bin below the highest
+      // occupied one, so both sides are non-empty. An empty bin would
+      // repeat the previous candidate exactly, and a repeat never beats
+      // the best by more than 1e-15, so skipping it changes no split.
+      std::size_t max_code = bins - 1;
+      while (max_code > 0 && hist[max_code] == 0) --max_code;
+      std::size_t min_code = 0;
+      while (hist[min_code] == 0) ++min_code;
+      // Every bin is written to the next free slot, which only an
+      // occupied bin claims: no branch on the occupancy.
+      std::size_t occupied = 0;
+      std::uint64_t left = 0;
+      for (std::size_t b = min_code; b < max_code; ++b) {
+        left += hist[b];
+        split_code[occupied] = static_cast<std::uint8_t>(b);
+        left_total[occupied] =
+            static_cast<double>(static_cast<std::uint32_t>(left));
+        left_pos[occupied] =
+            static_cast<double>(static_cast<std::uint32_t>(left >> 32));
+        occupied += hist[b] != 0 ? 1 : 0;
+      }
+      // Each gain on its own, in the expression order of gini(): both
+      // sides are non-empty, so neither total is zero.
+      for (std::size_t k = 0; k < occupied; ++k) {
+        const double right_total = node_total - left_total[k];
+        const double right_pos = node_pos - left_pos[k];
+        const double p_left = left_pos[k] / left_total[k];
+        const double p_right = right_pos / right_total;
         const double weighted =
-            (left_total * gini(left_pos, left_total) +
-             right_total * gini(right_pos, right_total)) /
-            static_cast<double>(n);
-        const double gain = parent_gini - weighted;
-        if (gain > best.gain + 1e-15) {
-          best.gain = gain;
+            (left_total[k] * (2.0 * p_left * (1.0 - p_left)) +
+             right_total * (2.0 * p_right * (1.0 - p_right))) /
+            node_total;
+        gain[k] = parent_gini - weighted;
+      }
+      for (std::size_t k = 0; k < occupied; ++k) {
+        if (gain[k] > best.gain + 1e-15) {
+          best.gain = gain[k];
           best.feature = f;
-          best.code = static_cast<std::uint8_t>(b);
-          best.left_count = static_cast<std::size_t>(left_total);
+          best.code = split_code[k];
           best.valid = true;
         }
       }
@@ -157,16 +205,16 @@ void DecisionTree::train_binned(const BinnedDataset& data,
 
     if (!best.valid) continue;  // all candidate features constant here
 
-    importances_[best.feature] += best.gain * static_cast<double>(n);
+    importances_[best.feature] += best.gain * node_total;
 
-    // Partition rows in place: left side first.
-    const auto& codes = data.codes(best.feature);
+    // Partition the samples in place: left side first.
+    const std::uint8_t* codes = data.codes(best.feature).data();
     auto middle = std::partition(
-        rows.begin() + static_cast<std::ptrdiff_t>(item.begin),
-        rows.begin() + static_cast<std::ptrdiff_t>(item.end),
-        [&](std::size_t r) { return codes[r] <= best.code; });
+        samples.begin() + static_cast<std::ptrdiff_t>(item.begin),
+        samples.begin() + static_cast<std::ptrdiff_t>(item.end),
+        [&](const Sample& s) { return codes[s.row] <= best.code; });
     const std::size_t mid =
-        static_cast<std::size_t>(middle - rows.begin());
+        static_cast<std::size_t>(middle - samples.begin());
 
     FlatNode& node = grown[at];
     node.feature = static_cast<std::uint8_t>(best.feature);

@@ -59,11 +59,14 @@ class DecisionTree final : public BinaryClassifier {
   // Bins the dataset internally and grows the tree on all rows.
   void train(const Dataset& data) override;
 
-  // Grows the tree on the given rows of an already-binned dataset
-  // (the random forest trains its trees through this entry point).
-  // Throws std::invalid_argument past FlatNode::kMaxFeatures features.
+  // Grows the tree on an already-binned dataset, row r taken counts[r]
+  // times (a bootstrap sample as multiplicities; the random forest trains
+  // its trees through this entry point). The tree equals one grown on
+  // the rows listed with their repeats. Throws std::invalid_argument
+  // unless there is one count per row, some count is non-zero and the
+  // counts sum below 2^32, or past FlatNode::kMaxFeatures features.
   void train_binned(const BinnedDataset& data,
-                    std::vector<std::size_t> rows);
+                    std::span<const std::uint32_t> counts);
 
   bool is_trained() const override { return !nodes_.empty(); }
 

@@ -36,11 +36,12 @@ void RandomForest::train(const Dataset& data) {
                 1, static_cast<std::size_t>(
                        std::sqrt(static_cast<double>(data.num_features()))));
 
-  // Per-tree seeds and bootstrap rows are drawn serially from the forest
-  // RNG *before* dispatch, in tree order — the same stream a serial train
-  // consumes — so the grown forest is bit-identical at any thread count.
+  // Per-tree seeds and bootstrap samples are drawn serially from the
+  // forest RNG *before* dispatch, in tree order — the same stream a
+  // serial train consumes — so the grown forest is bit-identical at any
+  // thread count. A sample is kept as how often each row was drawn.
   std::vector<TreeOptions> tree_options(options_.num_trees);
-  std::vector<std::vector<std::size_t>> tree_rows(options_.num_trees);
+  std::vector<std::vector<std::uint32_t>> tree_counts(options_.num_trees);
   for (std::size_t t = 0; t < options_.num_trees; ++t) {
     TreeOptions& topt = tree_options[t];
     topt.max_depth = options_.max_depth;
@@ -49,18 +50,20 @@ void RandomForest::train(const Dataset& data) {
     topt.seed = rng.next_u64();
 
     // Bootstrap: rows sampled with replacement.
-    tree_rows[t].resize(sample_size);
-    for (auto& r : tree_rows[t]) r = rng.uniform_int(data.num_rows());
+    tree_counts[t].assign(data.num_rows(), 0);
+    rng.tally_uniform_int(tree_counts[t], sample_size);
   }
 
   // Trees grow in parallel against the shared read-only BinnedDataset;
-  // each task owns its pre-seeded options, row sample, and output slot.
+  // each task owns its pre-seeded options, row sample (freed when its
+  // tree is grown), and output slot.
   std::vector<DecisionTree> trees(options_.num_trees);
   util::parallel_for(options_.num_trees, [&](std::size_t t) {
     obs::ScopedSpan tree_span("forest.tree", "ml");
     tree_span.arg("index", t);
+    const std::vector<std::uint32_t> counts = std::move(tree_counts[t]);
     DecisionTree tree(tree_options[t]);
-    tree.train_binned(binned, std::move(tree_rows[t]));
+    tree.train_binned(binned, counts);
     trees[t] = std::move(tree);
   });
 

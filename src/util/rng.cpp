@@ -55,6 +55,17 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) {
   }
 }
 
+void Rng::tally_uniform_int(std::span<std::uint32_t> counts,
+                            std::size_t draws) {
+  const std::uint64_t n = counts.size();
+  const std::uint64_t threshold = -n % n;
+  for (std::size_t d = 0; d < draws; ++d) {
+    std::uint64_t r = next_u64();
+    while (r < threshold) r = next_u64();
+    ++counts[r % n];
+  }
+}
+
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
@@ -96,15 +107,21 @@ std::uint64_t Rng::poisson(double lambda) {
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  std::vector<std::size_t> idx;
+  sample_without_replacement(n, k, idx);
+  return idx;
+}
+
+void Rng::sample_without_replacement(std::size_t n, std::size_t k,
+                                     std::vector<std::size_t>& out) {
+  out.resize(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
   // Partial Fisher-Yates: the first k slots become the sample.
   for (std::size_t i = 0; i < k && i + 1 < n; ++i) {
     const std::size_t j = i + uniform_int(n - i);
-    std::swap(idx[i], idx[j]);
+    std::swap(out[i], out[j]);
   }
-  idx.resize(k < n ? k : n);
-  return idx;
+  out.resize(k < n ? k : n);
 }
 
 Rng Rng::split() {

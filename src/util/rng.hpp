@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace opprentice::util {
@@ -31,6 +32,11 @@ class Rng {
   // Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_int(std::uint64_t n);
 
+  // Adds one to counts[uniform_int(counts.size())], `draws` times: the
+  // same next_u64 stream as that many uniform_int calls, with the
+  // rejection threshold computed once. Requires a non-empty span.
+  void tally_uniform_int(std::span<std::uint32_t> counts, std::size_t draws);
+
   // Standard normal via Marsaglia polar method.
   double normal();
 
@@ -44,6 +50,10 @@ class Rng {
   // Samples k distinct indices from [0, n) (k <= n), in random order.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
+
+  // The same draws and sample, written into `out`, reusing its storage.
+  void sample_without_replacement(std::size_t n, std::size_t k,
+                                  std::vector<std::size_t>& out);
 
   // Derives an independent child generator; useful to give each
   // subcomponent its own stream.

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+
+#include <sys/wait.h>
 
 #include "../tools/cli_commands.hpp"
 #include "core/fleet_engine.hpp"
@@ -79,6 +82,30 @@ TEST(ParseArgs, MissingValueThrows) {
 TEST(ParseArgs, NonOptionTokenThrows) {
   const char* argv[] = {"cli", "train", "oops"};
   EXPECT_THROW(parse_args(3, const_cast<char**>(argv)), std::runtime_error);
+}
+
+// Every command names the flags it reads; any other flag is refused by
+// name, and the CLI exits 2 before running the command on defaults.
+TEST(ParseArgs, UnknownFlagIsNamed) {
+  const char* bad[] = {"cli", "serve", "--apply-budget", "1"};
+  EXPECT_EQ(unknown_flag(parse_args(4, const_cast<char**>(bad))),
+            "apply-budget");
+  const char* good[] = {"cli",        "serve",     "--listen", "uds:s.sock",
+                        "--interval", "600",       "--exit-after-byes",
+                        "1",          "--report",  "s.json"};
+  EXPECT_EQ(unknown_flag(parse_args(10, const_cast<char**>(good))), "");
+  // A flag of another command is unknown here.
+  const char* other[] = {"cli", "train", "--connect", "uds:s.sock"};
+  EXPECT_EQ(unknown_flag(parse_args(4, const_cast<char**>(other))),
+            "connect");
+}
+
+TEST(ParseArgs, UnknownFlagExitsTwo) {
+  const std::string cli = OPPRENTICE_CLI_PATH;
+  const int status =
+      std::system((cli + " serve --apply-budget 1 2>/dev/null").c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
 TEST_F(CliWorkflow, GenerateProducesBothFiles) {

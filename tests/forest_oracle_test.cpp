@@ -8,6 +8,8 @@
 //  - RandomForest scores its one flat node array a few trees at a time;
 //    every score must equal the index walk over the reference trees bit
 //    for bit, also after save_forest → load_forest.
+//  - RandomForest::train end to end is pinned by per-case digests in
+//    tests/golden/forest_digests.txt.
 // Columns carry NaN, ±inf, −0.0/+0.0, ties, constants, all-NaN, a lone
 // value, and more distinct values than there are bins.
 //
@@ -17,6 +19,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -164,6 +168,37 @@ TEST(BinningOracle, RandomColumnsMatchFitAndBinOf) {
   }
 }
 
+// Columns whose sort keys share whole bytes, so the radix sort skips
+// those passes: one binade (exponent and sign shared), small integers
+// (low mantissa bytes zero), all equal, only ±0.0, one negative binade,
+// and a few values with NaN, at 1 and 2 rows as well.
+TEST(BinningOracle, SkippedRadixPassesMatchFitAndBinOf) {
+  util::Rng rng(77);
+  for (std::size_t rows : {1u, 2u, 3u, 300u, 2000u}) {
+    std::vector<std::vector<double>> cols;
+    const auto make = [&](auto value_at) {
+      std::vector<double> col(rows);
+      for (double& v : col) v = value_at();
+      cols.push_back(std::move(col));
+    };
+    make([&] { return 1.0 + rng.uniform(); });                // [1, 2)
+    make([&] { return 1.0 + std::ldexp(rng.uniform(), -30); });
+    make([&] { return static_cast<double>(rng.uniform_int(200)); });
+    make([] { return 3.25; });
+    make([&] { return rng.uniform() < 0.5 ? -0.0 : 0.0; });
+    make([&] { return -(4.0 + 4.0 * rng.uniform()); });       // [-8, -4)
+    make([&] { return rng.uniform() < 0.5 ? kNaN : -2.0; });
+    make([&] {
+      const double picks[] = {-0.0, 0.0, 1.0, kNaN};
+      return picks[rng.uniform_int(4)];
+    });
+    const Dataset data = dataset_of(std::move(cols), rng);
+    for (std::size_t max_bins : {2u, 16u, 255u}) {
+      expect_binning_matches_fit(data, max_bins);
+    }
+  }
+}
+
 // Labels driven by one feature plus noise, so trees split on real
 // signal as well as on ties and noise.
 std::vector<std::uint8_t> random_labels(
@@ -197,6 +232,22 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+// Grows `sample` (row indices, repeats allowed) as multiplicities and
+// checks the tree against the reference grown over the listed rows;
+// returns the reference's internal node count.
+std::size_t expect_tree_matches_reference(
+    const BinnedDataset& binned, const std::vector<std::size_t>& sample,
+    const TreeOptions& options, const std::string& context) {
+  std::vector<std::uint32_t> counts(binned.num_rows(), 0);
+  for (const std::size_t r : sample) ++counts[r];
+  DecisionTree tree(options);
+  tree.train_binned(binned, counts);
+  const std::vector<reference::TreeNode> want =
+      reference::train_binned_dense(binned, sample, options);
+  expect_same_nodes(tree.nodes(), reference::flatten(want), context);
+  return (want.size() - 1) / 2;
+}
+
 TEST(TreeOracle, OccupiedBinScanMatchesDenseScanNodeForNode) {
   util::Rng rng(5150);
   std::size_t internal_nodes = 0;
@@ -227,16 +278,53 @@ TEST(TreeOracle, OccupiedBinScanMatchesDenseScanNodeForNode) {
       for (auto& r : sample) r = rng.uniform_int(rows);
     }
 
-    DecisionTree tree(options);
-    tree.train_binned(binned, sample);
-    const std::vector<reference::TreeNode> want =
-        reference::train_binned_dense(binned, sample, options);
-    expect_same_nodes(tree.nodes(), reference::flatten(want),
-                      "round " + std::to_string(round));
-    internal_nodes += (want.size() - 1) / 2;
+    internal_nodes += expect_tree_matches_reference(
+        binned, sample, options, "round " + std::to_string(round));
   }
   // The rounds must actually grow trees, not stop at the root.
   EXPECT_GT(internal_nodes, 1000u);
+}
+
+// Samples drawn from a handful of rows, so each sampled row stands for
+// 100 or more draws, and a sample of one row repeated: the multiplicity
+// trainer against the reference grown over every repeat.
+TEST(TreeOracle, HeavyMultiplicitiesMatchDuplicateRowReference) {
+  util::Rng rng(4242);
+  std::size_t internal_nodes = 0;
+  for (int round = 0; round < 120; ++round) {
+    const std::size_t rows = 2 + rng.uniform_int(300);
+    const std::size_t features = 1 + rng.uniform_int(12);
+    std::vector<std::vector<double>> columns;
+    for (std::size_t f = 0; f < features; ++f) {
+      columns.push_back(random_column(rng, rows));
+    }
+    std::vector<std::uint8_t> labels = random_labels(rng, columns);
+    const Dataset data(std::vector<std::string>(features, "f"),
+                       std::move(columns), std::move(labels));
+    const BinnedDataset binned(data);
+
+    TreeOptions options;
+    options.seed = rng.next_u64();
+    options.mtry = rng.uniform_int(2) == 0 ? 0 : 1 + rng.uniform_int(features);
+    // Some rounds stop splitting at a few hundred draws: a few rows.
+    options.min_samples_split = round % 3 == 0 ? 2 + rng.uniform_int(600) : 2;
+
+    std::vector<std::size_t> sample;
+    if (round % 6 == 0) {
+      const std::size_t row = rng.uniform_int(rows);
+      sample.assign(1 + rng.uniform_int(500), row);
+    } else {
+      const std::size_t handful = 2 + rng.uniform_int(15);
+      std::vector<std::size_t> picks(handful);
+      for (auto& r : picks) r = rng.uniform_int(rows);
+      for (const std::size_t r : picks) {
+        sample.insert(sample.end(), 100 + rng.uniform_int(400), r);
+      }
+    }
+    internal_nodes += expect_tree_matches_reference(
+        binned, sample, options, "round " + std::to_string(round));
+  }
+  EXPECT_GT(internal_nodes, 150u);
 }
 
 // The flat forest against the index walk over the reference trees: the
@@ -302,6 +390,134 @@ TEST(ForestOracle, FlatScoresEqualIndexWalkAndSurviveSaveLoad) {
   }
   util::set_global_threads(0);
   EXPECT_GT(internal_nodes, 1000u);
+}
+
+// 64-bit FNV-1a over a forest's save_forest text and the bits of its
+// feature importances.
+std::uint64_t forest_digest(const RandomForest& forest,
+                            const std::vector<std::string>& names) {
+  std::ostringstream text;
+  save_forest(text, forest, names);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto add_byte = [&](std::uint64_t byte) {
+    hash = (hash ^ (byte & 0xff)) * 0x100000001b3ull;
+  };
+  for (const char c : text.str()) add_byte(static_cast<unsigned char>(c));
+  for (const double v : forest.feature_importances()) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) add_byte(bits >> (8 * byte));
+  }
+  return hash;
+}
+
+// A ≥ 5k-row training set of the hardest columns: heavy NaN, few
+// distinct values, ±0.0 mixed with tiny values, a lone value, and
+// random shapes with dirt planted.
+Dataset dirty_dataset(util::Rng& rng, std::size_t rows, std::size_t features) {
+  std::vector<std::vector<double>> columns;
+  for (std::size_t f = 0; f < features; ++f) {
+    std::vector<double> col(rows);
+    for (double& v : col) {
+      switch (f % 5) {
+        case 0:  // heavy NaN
+          v = rng.uniform() < 0.6 ? kNaN : rng.normal(0.0, 1.0);
+          break;
+        case 1:  // ties
+          v = static_cast<double>(rng.uniform_int(1 + f)) * 0.5;
+          break;
+        case 2: {  // ±0.0 and tiny values
+          const double picks[] = {-0.0, 0.0, 0.0, 5e-324, -1e-300, 1.0};
+          v = picks[rng.uniform_int(6)];
+          break;
+        }
+        case 3:  // mostly one value
+          v = rng.uniform() < 0.97 ? 2.0 : rng.uniform();
+          break;
+        default:
+          break;
+      }
+    }
+    if (f % 5 == 4) col = random_column(rng, rows);
+    columns.push_back(std::move(col));
+  }
+  std::vector<std::uint8_t> labels = random_labels(rng, columns);
+  return Dataset(std::vector<std::string>(features, "f"), std::move(columns),
+                 std::move(labels));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Pins RandomForest::train end to end (bootstrap, binning, trees, flat
+// layout, importances) bit for bit: one digest per seeded case, the same
+// at threads 1 and 4. The oracles above check the pieces against their
+// references; this test pins the whole path across trainer changes. A
+// deliberate change of a forest's bits re-records its line of
+// tests/golden/forest_digests.txt (the failure prints the whole table)
+// and says why in CHANGES.md.
+TEST(ForestOracle, GoldenForestDigests) {
+  struct Case {
+    std::string name;
+    Dataset data;
+    ForestOptions options;
+  };
+  std::vector<Case> cases;
+  {
+    std::vector<std::vector<double>> columns = {{1.0, 2.0}, {-0.0, kNaN},
+                                                {3.0, 3.0}};
+    Dataset data(std::vector<std::string>(3, "f"), std::move(columns),
+                 std::vector<std::uint8_t>{0, 1});
+    cases.push_back({"rows2", std::move(data), ForestOptions{}});
+  }
+  {
+    util::Rng rng(1339);
+    std::vector<std::vector<double>> columns;
+    for (std::size_t f = 0; f < 133; ++f) {
+      columns.push_back(random_column(rng, 1339));
+    }
+    std::vector<std::uint8_t> labels = random_labels(rng, columns);
+    Dataset data(std::vector<std::string>(133, "f"), std::move(columns),
+                 std::move(labels));
+    cases.push_back({"rows1339x133", std::move(data), ForestOptions{}});
+  }
+  {
+    util::Rng rng(5000);
+    cases.push_back({"dirty6000x40", dirty_dataset(rng, 6000, 40),
+                     ForestOptions{}});
+    ForestOptions shallow;
+    shallow.num_trees = 13;
+    shallow.max_depth = 9;
+    shallow.min_samples_split = 7;
+    shallow.sample_fraction = 0.6;
+    shallow.mtry = 11;
+    shallow.seed = 7;
+    cases.push_back({"dirty6000x40_shallow", cases.back().data, shallow});
+  }
+
+  std::string actual;
+  for (const Case& c : cases) {
+    std::uint64_t digest = 0;
+    for (std::size_t threads : {1u, 4u}) {
+      util::set_global_threads(threads);
+      RandomForest forest(c.options);
+      forest.train(c.data);
+      const std::uint64_t got = forest_digest(forest, c.data.feature_names());
+      if (threads == 1) digest = got;
+      EXPECT_EQ(got, digest) << c.name << " threads " << threads;
+    }
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx ",
+                  static_cast<unsigned long long>(digest));
+    actual += hex + c.name + '\n';
+  }
+  util::set_global_threads(0);
+  const std::string golden =
+      read_file(std::string(OPPRENTICE_GOLDEN_DIR) + "/forest_digests.txt");
+  EXPECT_EQ(actual, golden) << "digests now:\n" << actual;
 }
 
 }  // namespace

@@ -199,6 +199,22 @@ TEST(DecisionTree, EmptyTrainThrows) {
   EXPECT_THROW(tree.train(Dataset{}), std::invalid_argument);
 }
 
+// train_binned takes one bootstrap count per row, some non-zero, summing
+// below 2^32 (node sizes are 32-bit halves of a packed sum).
+TEST(DecisionTree, TrainBinnedRejectsBadCounts) {
+  const BinnedDataset binned(Dataset({"x"}, {{1, 2}}, {0, 1}));
+  DecisionTree tree;
+  const std::vector<std::uint32_t> short_counts{1};
+  const std::vector<std::uint32_t> none{0, 0};
+  const std::vector<std::uint32_t> too_many{0xFFFFFFFFu, 1};
+  EXPECT_THROW(tree.train_binned(binned, short_counts), std::invalid_argument);
+  EXPECT_THROW(tree.train_binned(binned, none), std::invalid_argument);
+  EXPECT_THROW(tree.train_binned(binned, too_many), std::invalid_argument);
+  const std::vector<std::uint32_t> both{3, 1};
+  tree.train_binned(binned, both);
+  EXPECT_DOUBLE_EQ(tree.score(std::vector<double>{2.0}), 1.0);
+}
+
 TEST(DecisionTree, ScoreBeforeTrainThrows) {
   DecisionTree tree;
   EXPECT_THROW(tree.score(std::vector<double>{1.0}), std::logic_error);

@@ -1,7 +1,9 @@
 // Test-only reference forest: DecisionTree::train_binned's split search
 // as it was before the occupied-bin scan, evaluating a candidate after
-// every bin up to the highest occupied one, empty bins included, and the
-// node layout and index walk trees had before the flat forest.
+// every bin up to the highest occupied one, empty bins included, over
+// every bootstrap draw as its own row (before the multiplicity
+// bootstrap), and the node layout and index walk trees had before the
+// flat forest.
 // tests/forest_oracle_test.cpp checks the shipped trainer against it node
 // for node, and the flat forest's scores against the index walk bit for
 // bit.
@@ -30,9 +32,10 @@ struct TreeNode {
   float anomaly_fraction = 0.0f;  // positive-class fraction at this node
 };
 
-// Grows a tree on the given rows of `data` with the same options, seed
-// and random stream as DecisionTree(options).train_binned(data, rows),
-// and returns its node array.
+// Grows a tree on the given rows of `data`, repeats visited one by one,
+// with the same options, seed and random stream as
+// DecisionTree(options).train_binned(data, counts), counts[r] being how
+// often r is listed, and returns its node array.
 std::vector<TreeNode> train_binned_dense(const BinnedDataset& data,
                                          std::vector<std::size_t> rows,
                                          const TreeOptions& options);

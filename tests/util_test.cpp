@@ -6,6 +6,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/ascii_chart.hpp"
 #include "util/csv.hpp"
@@ -114,6 +115,21 @@ TEST(Rng, SampleAllWhenKEqualsN) {
   const auto sample = rng.sample_without_replacement(5, 5);
   std::set<std::size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 5u);
+}
+
+// The bootstrap tally draws what one uniform_int per draw would, and
+// leaves the generator where those calls would.
+TEST(Rng, TallyUniformIntMatchesUniformIntCalls) {
+  for (const std::size_t n : {1u, 3u, 1339u}) {
+    Rng tally(31);
+    Rng calls(31);
+    std::vector<std::uint32_t> counts(n, 0);
+    tally.tally_uniform_int(counts, 5000);
+    std::vector<std::uint32_t> want(n, 0);
+    for (int d = 0; d < 5000; ++d) ++want[calls.uniform_int(n)];
+    EXPECT_EQ(counts, want) << n;
+    EXPECT_EQ(tally.next_u64(), calls.next_u64()) << n;
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {

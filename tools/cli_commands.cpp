@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -236,6 +237,36 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
+std::string unknown_flag(const Args& args) {
+  // Each command's flags, as its cmd_* function reads them.
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"generate", {"kpi", "seed", "weeks", "out", "labels"}},
+      {"profile", {"kpi", "repair-policy"}},
+      {"train",
+       {"kpi", "labels", "recall", "precision", "trees", "model",
+        "repair-policy"}},
+      {"detect", {"kpi", "model", "cthld", "out", "repair-policy"}},
+      {"evaluate", {"detections", "labels", "recall", "precision"}},
+      {"serve",
+       {"listen", "interval", "tick-ms", "queue-capacity", "suspect-after",
+        "lost-after", "retry-after", "repair-policy", "exit-after-byes"}},
+      {"agent",
+       {"connect", "kpi", "labels", "series", "source", "batch",
+        "heartbeat-every", "interval", "backoff-base", "backoff-max", "seed",
+        "timeout-ms", "max-attempts"}},
+  };
+  static const std::set<std::string> kEveryCommand = {
+      "trace", "metrics", "report", "threads", "faults"};
+  const auto command = kFlags.find(args.command);
+  if (command == kFlags.end()) return "";
+  for (const auto& [key, value] : args.options) {
+    if (command->second.count(key) == 0 && kEveryCommand.count(key) == 0) {
+      return key;
+    }
+  }
+  return "";
+}
+
 int print_usage() {
   std::printf(
       "opprentice_cli — anomaly detection the Opprentice way\n"
@@ -280,11 +311,14 @@ int print_usage() {
       "                        (the default), 1 = serial; results are\n"
       "                        bit-identical at any thread count\n"
       "\n"
-      "fault tolerance (any command):\n"
-      "  --repair-policy P     ingest repair for dirty KPI CSVs:\n"
-      "                        fail | drop (default) | fill-interpolate\n"
-      "  --faults SPEC         deterministic fault injection, e.g.\n"
-      "                        \"seed=7,detector.throw=0.02,ingest.nan=0.01\"\n"
+      "fault tolerance:\n"
+      "  --repair-policy P     ingest repair for dirty KPI CSVs (profile,\n"
+      "                        train, detect, serve): fail | drop\n"
+      "                        (default) | fill-interpolate\n"
+      "  --faults SPEC         deterministic fault injection (any command),\n"
+      "                        e.g. \"seed=7,detector.throw=0.02,ingest.nan=0.01\"\n"
+      "\n"
+      "a flag the command does not take exits 2, naming it\n"
       "\n"
       "environment: OPPRENTICE_TRACE=<path> traces any run;\n"
       "OPPRENTICE_THREADS=<n> sets the pool size like --threads;\n"

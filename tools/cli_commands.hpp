@@ -44,6 +44,13 @@ struct Args {
 
 Args parse_args(int argc, char** argv);
 
+// The first parsed flag that args.command does not read and that is not
+// one every command takes (--trace --metrics --report --threads
+// --faults), or "" when there is none or the command is unknown. main
+// exits 2 naming it, so a misspelled or removed flag never runs the
+// command on defaults.
+std::string unknown_flag(const Args& args);
+
 // Installs the run report the commands add their stage wall-times to
 // (--report <path>, run_report.hpp). Owned by the caller; nullptr
 // uninstalls. Main sets this once before dispatching the command.

@@ -45,6 +45,12 @@ int main(int argc, char** argv) {
   try {
     const opprentice::cli::Args args =
         opprentice::cli::parse_args(argc, argv);
+    const std::string unknown = opprentice::cli::unknown_flag(args);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "error: %s does not take --%s\n",
+                   args.command.c_str(), unknown.c_str());
+      return 2;
+    }
     const std::string trace_path = args.get("trace");
     const std::string metrics_path = args.get("metrics");
     const std::string report_path = args.get("report");
