@@ -78,9 +78,10 @@ std::size_t history_rows(const RetrainScheduler& scheduler, std::size_t phase,
 }
 
 // A series' stored feature history: rows [floor, end) with their labels,
-// column-major like ml::Dataset, `capacity` rows per column in one
-// block. A row's label byte is kUnlabeled until a label chunk covers it,
-// and training skips such rows. Rows below the floor are never stored.
+// column-major like ml::Dataset, `capacity` rows per column in one block
+// of f32 (stored_severity), 4 B per feature and row. A row's label byte
+// is kUnlabeled until a label chunk covers it, and training skips such
+// rows. Rows below the floor are never stored.
 // The block is sized when the series is added; only an unbounded
 // history, which starts empty, ever grows it. A sized block that fills
 // up is a sizing bug, and throws in every build.
@@ -95,8 +96,8 @@ class FeatureHistory {
         capacity_(capacity),
         grows_(capacity == 0),
         floor_(floor),
-        values_(std::make_unique_for_overwrite<double[]>(features *
-                                                         capacity)),
+        values_(std::make_unique_for_overwrite<float[]>(features *
+                                                        capacity)),
         labels_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity)) {}
 
   std::size_t floor() const { return floor_; }
@@ -112,7 +113,7 @@ class FeatureHistory {
       grow();
     }
     for (std::size_t f = 0; f < features_; ++f) {
-      values_[f * capacity_ + rows_] = features[f];
+      values_[f * capacity_ + rows_] = stored_severity(features[f]);
     }
     labels_[rows_] = kUnlabeled;
     ++rows_;
@@ -131,7 +132,7 @@ class FeatureHistory {
     const std::size_t drop = std::min(floor - floor_, rows_);
     const std::size_t keep = rows_ - drop;
     for (std::size_t f = 0; f < features_; ++f) {
-      double* column = values_.get() + f * capacity_;
+      float* column = values_.get() + f * capacity_;
       std::copy(column + drop, column + rows_, column);
     }
     std::copy(labels_.get() + drop, labels_.get() + rows_, labels_.get());
@@ -140,7 +141,7 @@ class FeatureHistory {
   }
 
   // The labeled rows of [begin, end), which must be stored, as a
-  // training dataset.
+  // training dataset; each value widens exactly to f64.
   ml::Dataset copy(std::vector<std::string> names, std::size_t begin,
                    std::size_t end) const {
     std::vector<std::size_t> rows;
@@ -152,7 +153,7 @@ class FeatureHistory {
     }
     std::vector<std::vector<double>> columns(features_);
     for (std::size_t f = 0; f < features_; ++f) {
-      const double* column = values_.get() + f * capacity_;
+      const float* column = values_.get() + f * capacity_;
       columns[f].reserve(rows.size());
       for (const std::size_t row : rows) columns[f].push_back(column[row]);
     }
@@ -163,8 +164,8 @@ class FeatureHistory {
  private:
   void grow() {
     const std::size_t capacity = std::max<std::size_t>(2 * capacity_, 64);
-    auto values = std::make_unique_for_overwrite<double[]>(features_ *
-                                                           capacity);
+    auto values = std::make_unique_for_overwrite<float[]>(features_ *
+                                                          capacity);
     for (std::size_t f = 0; f < features_; ++f) {
       std::copy_n(values_.get() + f * capacity_, rows_,
                   values.get() + f * capacity);
@@ -181,7 +182,7 @@ class FeatureHistory {
   bool grows_ = true;
   std::size_t floor_ = 0;  // global point index of stored row 0
   std::size_t rows_ = 0;
-  std::unique_ptr<double[]> values_;  // [feature * capacity_ + row]
+  std::unique_ptr<float[]> values_;  // [feature * capacity_ + row]
   std::unique_ptr<std::uint8_t[]> labels_;
 };
 

@@ -19,8 +19,11 @@
 // asserts exactly this.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -103,6 +106,16 @@ struct IngestOutcome {
   ts::RepairReport repairs;
   std::size_t points_fed = 0;
 };
+
+// How a series' feature history stores a severity: as f32, rounded to
+// nearest. A finite value beyond ±FLT_MAX saturates to ±FLT_MAX instead
+// of rounding to infinity; NaN stays NaN and ±inf stays ±inf. Retrains
+// read the stored values widened back to f64, exactly.
+inline float stored_severity(double value) {
+  constexpr double kMax = std::numeric_limits<float>::max();
+  if (std::isfinite(value)) value = std::clamp(value, -kMax, kMax);
+  return static_cast<float>(value);
+}
 
 class FleetSeries;  // opaque; all access goes through the engine
 using SeriesHandle = std::shared_ptr<FleetSeries>;

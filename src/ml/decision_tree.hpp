@@ -25,16 +25,17 @@ struct TreeOptions {
 };
 
 // One 16-byte tree node (DESIGN.md §5d). A tree's nodes sit in preorder,
-// left child first: an internal node's left child (value <= threshold)
-// is the next node, and its right child (value > threshold, or NaN) is
-// `right` nodes further on. A forest is its trees' nodes back to back in
-// one array.
+// left child first: an internal node's left child (value <= threshold,
+// or NaN) is the next node, and its right child (value > threshold) is
+// `right` nodes further on. NaN goes left because training bins it with
+// the lowest values (bin 0). A forest is its trees' nodes back to back
+// in one array.
 struct FlatNode {
   static constexpr std::uint8_t kLeaf = 0xFF;
   // Feature indices fit in the u8 below the leaf mark.
   static constexpr std::size_t kMaxFeatures = kLeaf;
 
-  double value = 0.0;          // threshold (go left when x <= value), or
+  double value = 0.0;          // threshold (go left unless x > value), or
                                // a leaf's positive-class fraction
   std::uint32_t right = 0;     // offset of the right child; 0 for a leaf
   std::uint8_t feature = kLeaf;
@@ -47,7 +48,7 @@ static_assert(sizeof(FlatNode) == 16);
 inline const FlatNode* descend(const FlatNode* node,
                                std::span<const double> features) {
   if (node->is_leaf()) return node;
-  return node + (features[node->feature] <= node->value ? 1u : node->right);
+  return node + (features[node->feature] > node->value ? node->right : 1u);
 }
 
 class DecisionTree final : public BinaryClassifier {

@@ -101,7 +101,7 @@ TEST(Serialize, VersionMismatchThrows) {
 }
 
 // One tree over features a, b: a <= 1.5 goes to the next node (fraction
-// 0), anything else, NaN included, to the node two on (fraction 1).
+// 0), NaN included, and a > 1.5 to the node two on (fraction 1).
 std::string forest_text(const std::string& nodes, std::size_t count = 3,
                         const std::string& version = "v2") {
   return "opprentice-forest " + version +
@@ -117,7 +117,7 @@ TEST(Serialize, HandWrittenTreeLoadsAndScores) {
   EXPECT_EQ(loaded.forest.score(std::vector<double>{1.0, 0.0}), 0.0);
   EXPECT_EQ(loaded.forest.score(std::vector<double>{2.0, 0.0}), 1.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(loaded.forest.score(std::vector<double>{nan, 0.0}), 1.0);
+  EXPECT_EQ(loaded.forest.score(std::vector<double>{nan, 0.0}), 0.0);
 }
 
 TEST(Serialize, VersionOneIsRefused) {

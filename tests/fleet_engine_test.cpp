@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -656,12 +657,51 @@ std::size_t next_retrain_floor(const core::RetrainScheduler& scheduler,
   return std::max(warmup, base);
 }
 
+// Severities at the edges of f32, a pure function of the input: ±1e300,
+// beyond ±FLT_MAX, and magnitudes below the smallest f32 subnormal,
+// between ordinary values, so retrains store and split on all of them.
+class EdgeSeverity final : public detectors::Detector {
+ public:
+  std::string name() const override { return "edge_severity"; }
+  std::size_t warmup_points() const override { return 0; }
+  double feed(double value) override {
+    static constexpr double kSeverities[] = {1e300, -1e300, 1e-50,
+                                             -1e-50, 1e-45, 2.5};
+    if (!(value >= 0.0)) return 0.0;
+    return kSeverities[static_cast<std::size_t>(value) % 6];
+  }
+  void reset() override {}
+};
+
+TEST(FleetHistory, StoredSeveritySaturatesToFloatRange) {
+  constexpr float kMax = std::numeric_limits<float>::max();
+  EXPECT_EQ(core::stored_severity(1e300), kMax);
+  EXPECT_EQ(core::stored_severity(-1e300), -kMax);
+  EXPECT_EQ(core::stored_severity(std::numeric_limits<double>::max()), kMax);
+  EXPECT_EQ(core::stored_severity(double{kMax}), kMax);
+  EXPECT_EQ(core::stored_severity(1e-45),
+            std::numeric_limits<float>::denorm_min());
+  EXPECT_EQ(core::stored_severity(1e-50), 0.0f);
+  EXPECT_FALSE(std::signbit(core::stored_severity(1e-50)));
+  EXPECT_TRUE(std::signbit(core::stored_severity(-1e-50)));
+  EXPECT_EQ(core::stored_severity(2.5), 2.5f);
+  EXPECT_EQ(core::stored_severity(0.1), 0.1f);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(core::stored_severity(inf), std::numeric_limits<float>::infinity());
+  EXPECT_EQ(core::stored_severity(-inf),
+            -std::numeric_limits<float>::infinity());
+  EXPECT_TRUE(std::isnan(
+      core::stored_severity(std::numeric_limits<double>::quiet_NaN())));
+}
+
 // The exactly-sized history store against the growing columns with the
 // 2x amortised trim it replaced, over random label traffic: trailing,
 // late and overlapping chunks, chunks that run past the fed rows and
 // chunks wholly below the stored floor, with quarantine toggled
-// mid-stream. Verdict bits must agree on every point, and forests and
-// stats after every chunk.
+// mid-stream. The bank adds EdgeSeverity to the short-window set, so the
+// f32 store's saturating cast and subnormal flush are on the compared
+// path. Verdict bits must agree on every point, and forests and stats
+// after every chunk.
 TEST(FleetHistoryOracle, StoreMatchesGrowingColumns) {
   struct Case {
     std::size_t capacity;
@@ -677,6 +717,11 @@ TEST(FleetHistoryOracle, StoreMatchesGrowingColumns) {
     auto options = small_fleet_options();
     options.history_capacity = c.capacity;
     options.retrain_interval = c.interval;
+    options.detector_factory = [](const detectors::SeriesContext& ctx) {
+      auto configs = test_support::short_window_configurations(ctx);
+      configs.push_back(std::make_unique<EdgeSeverity>());
+      return configs;
+    };
     core::FleetEngine engine(options);
     util::Rng rng(1000 * c.capacity + c.interval);
     std::size_t retrains = 0;

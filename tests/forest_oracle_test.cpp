@@ -445,6 +445,61 @@ Dataset dirty_dataset(util::Rng& rng, std::size_t rows, std::size_t features) {
                  std::move(labels));
 }
 
+// Training bins NaN with the lowest values (bin 0), so a split sends it
+// left; scoring must too. On a forest grown on NaN-heavy columns, a row
+// whose NaNs are replaced by −inf scores bit-identically through score,
+// score_all and a save→load round trip, while +inf (sent right) moves
+// some scores — so the rows do reach splits where NaN's side matters.
+TEST(ForestOracle, NaNScoresLikeNegativeInfinity) {
+  util::Rng rng(404);
+  constexpr std::size_t kRows = 1500;
+  constexpr std::size_t kFeatures = 8;
+  std::vector<std::vector<double>> columns(kFeatures);
+  for (auto& column : columns) {
+    column.resize(kRows);
+    for (double& v : column) {
+      v = rng.uniform() < 0.4 ? kNaN : rng.normal(0.0, 1.0);
+    }
+  }
+  std::vector<std::uint8_t> labels = random_labels(rng, columns);
+  const auto replaced = [&](double by) {
+    std::vector<std::vector<double>> out = columns;
+    for (auto& column : out) {
+      for (double& v : column) v = std::isnan(v) ? by : v;
+    }
+    return Dataset(std::vector<std::string>(kFeatures, "f"), std::move(out),
+                   labels);
+  };
+  const Dataset with_nan = replaced(kNaN);
+  const Dataset with_neg = replaced(-kInf);
+  const Dataset with_pos = replaced(kInf);
+
+  RandomForest forest(ForestOptions{});
+  forest.train(with_nan);
+  std::stringstream file;
+  save_forest(file, forest, with_nan.feature_names());
+  const LoadedForest loaded = load_forest(file);
+  const std::vector<double> all_nan = forest.score_all(with_nan);
+  const std::vector<double> all_neg = forest.score_all(with_neg);
+  const std::vector<double> loaded_nan = loaded.forest.score_all(with_nan);
+  const std::vector<double> loaded_neg = loaded.forest.score_all(with_neg);
+  std::size_t moved_by_pos = 0;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::vector<double> nan_row = with_nan.row(r);
+    const std::vector<double> neg_row = with_neg.row(r);
+    const double want = forest.score(nan_row);
+    ASSERT_TRUE(same_bits(forest.score(neg_row), want)) << "row " << r;
+    ASSERT_TRUE(same_bits(all_nan[r], want)) << "row " << r;
+    ASSERT_TRUE(same_bits(all_neg[r], want)) << "row " << r;
+    ASSERT_TRUE(same_bits(loaded.forest.score(nan_row), want)) << "row " << r;
+    ASSERT_TRUE(same_bits(loaded.forest.score(neg_row), want)) << "row " << r;
+    ASSERT_TRUE(same_bits(loaded_nan[r], want)) << "row " << r;
+    ASSERT_TRUE(same_bits(loaded_neg[r], want)) << "row " << r;
+    if (!same_bits(forest.score(with_pos.row(r)), want)) ++moved_by_pos;
+  }
+  EXPECT_GT(moved_by_pos, kRows / 20);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream out;

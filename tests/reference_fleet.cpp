@@ -47,7 +47,7 @@ FleetSeriesReference::FleetSeriesReference(const FleetOptions& options,
 
 void FleetSeriesReference::append_row() {
   for (std::size_t f = 0; f < features_.size(); ++f) {
-    columns_[f].push_back(features_[f]);
+    columns_[f].push_back(stored_severity(features_[f]));
   }
   labels_.push_back(kUnlabeled);
   const std::size_t capacity = options_.history_capacity;

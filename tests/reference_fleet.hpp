@@ -52,9 +52,10 @@ class FleetSeriesReference {
   std::size_t phase_;
   detectors::StreamingExtractor extractor_;
   std::vector<double> features_;
-  // Rows [base_, base_ + labels_.size()), column-major; a label byte of
-  // 0xFF marks a row no label chunk has covered.
-  std::vector<std::vector<double>> columns_;
+  // Rows [base_, base_ + labels_.size()), column-major, each value cast
+  // by stored_severity as the engine stores it; a label byte of 0xFF
+  // marks a row no label chunk has covered.
+  std::vector<std::vector<float>> columns_;
   std::vector<std::uint8_t> labels_;
   std::size_t base_ = 0;
   std::size_t labeled_until_ = 0;

@@ -166,7 +166,8 @@ double score_tree(const std::vector<TreeNode>& nodes,
     const TreeNode& n = nodes[node];
     if (n.feature < 0) return n.anomaly_fraction;
     const double v = features[static_cast<std::size_t>(n.feature)];
-    node = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
+    // NaN goes left, with bin 0.
+    node = static_cast<std::size_t>(v > n.threshold ? n.right : n.left);
   }
 }
 

@@ -333,8 +333,8 @@ TEST(FailureInjection, ForestScoresRowWithNaNFeature) {
   }
   ml::RandomForest forest;
   forest.train(ml::Dataset({"a", "b"}, cols, labels));
-  // NaN compares false against any threshold: the walk goes right; the
-  // score must still be a valid probability.
+  // NaN goes left at every split, as training bins it lowest; the score
+  // must still be a valid probability.
   const double s = forest.score(std::vector<double>{kNaN, 0.0});
   EXPECT_GE(s, 0.0);
   EXPECT_LE(s, 1.0);
