@@ -1,6 +1,7 @@
 #include "core/fleet_engine.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -186,6 +187,164 @@ class FeatureHistory {
   std::unique_ptr<std::uint8_t[]> labels_;
 };
 
+// A retrain from its due point T to its install after point T +
+// kForestInstallDelay, run as one stage per point (DESIGN.md §5i):
+//   0 (T)     the forest.train fault check; the newest `interval` rows
+//             scored by the live forest and the week's best cThld picked
+//             (a first retrain, with no live forest, keeps those rows);
+//   1 (T+1)   binning and the bootstrap draw, then the f64 copy is freed;
+//   2 .. 5    a quarter of the trees each;
+//   6 (T+6)   the forest assembled; a first retrain scores its kept rows
+//             with it and picks its cThld.
+// A stage is a serial begin(), independent units, then a serial end().
+// The forest and the cThld are functions of the copy, the live forest and
+// the options alone, so which thread or tick runs a unit changes no bit.
+// Any step may throw: the retrain has then failed.
+class PendingRetrain {
+ public:
+  static constexpr std::size_t kStages = kForestInstallDelay + 1;
+
+  PendingRetrain(ml::Dataset data, std::uint64_t key,
+                 std::shared_ptr<const ml::RandomForest> live,
+                 const FleetOptions& options, std::size_t interval)
+      : data_(std::move(data)),
+        key_(key),
+        live_(std::move(live)),
+        forest_options_(options.forest),
+        preference_(options.preference),
+        window_(std::min(data_.num_rows(), interval)) {}
+
+  std::uint64_t key() const { return key_; }
+  bool done() const { return stage_ == kStages; }
+  // After the last stage.
+  const std::shared_ptr<const ml::RandomForest>& forest() const {
+    return forest_;
+  }
+  double best_cthld() const { return best_cthld_; }
+
+  void begin() {
+    const std::size_t rows = data_.num_rows();
+    if (stage_ == 0) {
+      if (util::inject_fault(util::faults::kForestTrain, key_)) {
+        throw util::InjectedFault("injected forest.train");
+      }
+      training_.emplace(forest_options_, data_);
+      // As §4.5.2 does, the week's best cThld comes from a forest that has
+      // not trained on it: the live one.
+      if (live_ != nullptr) score(*live_, data_, rows - window_);
+    } else if (stage_ == kStages - 1) {
+      forest_ = std::make_shared<const ml::RandomForest>(training_->assemble());
+      if (live_ == nullptr) score(*forest_, kept_, 0);
+    }
+  }
+
+  std::size_t units() const {
+    if (scorer_ != nullptr) {
+      return (scores_.size() + kScoreChunk - 1) / kScoreChunk;
+    }
+    if (stage_ == 1) return training_->bin_units();
+    if (stage_ > 1 && stage_ < kStages - 1) {
+      const auto [first, last] = tree_range();
+      return last - first;
+    }
+    return 0;
+  }
+
+  void run_unit(std::size_t unit) {
+    if (scorer_ != nullptr) {
+      std::vector<double> row(scored_->num_features());
+      const std::size_t end =
+          std::min(scores_.size(), (unit + 1) * kScoreChunk);
+      for (std::size_t i = unit * kScoreChunk; i < end; ++i) {
+        for (std::size_t f = 0; f < row.size(); ++f) {
+          row[f] = scored_->value(first_scored_ + i, f);
+        }
+        scores_[i] = scorer_->score(row);
+      }
+    } else if (stage_ == 1) {
+      training_->bin(data_, unit);
+    } else {
+      training_->grow(tree_range().first + unit);
+    }
+  }
+
+  void end() {
+    if (scorer_ != nullptr) {
+      const eval::PrCurve curve(
+          scores_, std::span(scored_->labels())
+                       .subspan(first_scored_, scores_.size()));
+      best_cthld_ = eval::pick_threshold(
+                        curve, eval::ThresholdMethod::kPcScore, preference_)
+                        .cthld;
+      scorer_ = nullptr;
+      scores_ = {};
+    }
+    const std::size_t rows = data_.num_rows();
+    if (stage_ == 0 && live_ == nullptr) {
+      kept_ = data_.slice(rows - window_, rows);
+    }
+    if (stage_ == 1) data_ = ml::Dataset();
+    ++stage_;
+  }
+
+ private:
+  // Rows one scoring unit gathers and scores, as in score_all.
+  static constexpr std::size_t kScoreChunk = 64;
+  static constexpr std::size_t kTreeStages = kStages - 3;
+
+  // This stage's units score rows [first, first + window_) of `rows`.
+  void score(const ml::RandomForest& forest, const ml::Dataset& rows,
+             std::size_t first) {
+    scorer_ = &forest;
+    scored_ = &rows;
+    first_scored_ = first;
+    scores_.assign(window_, 0.0);
+  }
+
+  // The trees this tree stage grows, [first, last).
+  std::pair<std::size_t, std::size_t> tree_range() const {
+    const std::size_t trees = training_->tree_units();
+    const std::size_t per_stage = (trees + kTreeStages - 1) / kTreeStages;
+    const std::size_t first = std::min(trees, (stage_ - 2) * per_stage);
+    return {first, std::min(trees, first + per_stage)};
+  }
+
+  ml::Dataset data_;  // the copy taken at T; freed after binning
+  const std::uint64_t key_;
+  const std::shared_ptr<const ml::RandomForest> live_;
+  const ml::ForestOptions forest_options_;
+  const eval::AccuracyPreference preference_;
+  const std::size_t window_;  // the newest rows the cThld is picked on
+  ml::Dataset kept_;          // those rows, for a first retrain
+  std::size_t stage_ = 0;     // the next stage to run
+  std::optional<ml::ForestTraining> training_;
+  std::shared_ptr<const ml::RandomForest> forest_;
+  double best_cthld_ = 0.5;
+  // Set by a scoring stage's begin() for its units.
+  const ml::RandomForest* scorer_ = nullptr;
+  const ml::Dataset* scored_ = nullptr;
+  std::size_t first_scored_ = 0;
+  std::vector<double> scores_;
+};
+
+// Runs `job`'s next stage, its units over the global thread pool.
+void run_stage(PendingRetrain& job) {
+  job.begin();
+  util::parallel_for(job.units(),
+                     [&job](std::size_t unit) { job.run_unit(unit); });
+  job.end();
+}
+
+std::string error_text(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
 }  // namespace
 
 // All per-series streaming state, guarded by one mutex per series. The
@@ -195,33 +354,27 @@ class FeatureHistory {
 class FleetSeries {
  public:
   FleetSeries(std::string id, std::size_t phase,
-              detectors::StreamingExtractor extractor, double ewma_alpha)
+              detectors::StreamingExtractor extractor, double ewma_alpha,
+              std::atomic<std::size_t>& fleet_pending)
       : id_(std::move(id)),
         salt_(util::stable_id_hash(id_)),
         phase_(phase),
+        fleet_pending_(fleet_pending),
         extractor_(std::move(extractor)),
         cthld_(ewma_alpha) {}
 
  private:
   friend class FleetEngine;
 
-  // A retrain's input: the buffered labeled history, the forest.train
-  // fault key (series salt, point count) and the live forest, the one
-  // that produced the history's verdicts (null before the first retrain).
-  struct TrainingSet {
-    ml::Dataset data;
-    std::uint64_t key = 0;
-    std::shared_ptr<const ml::RandomForest> live;
-  };
-
   // Extracts, records and scores one point under the lock, writing the
-  // verdict to `out`. Returns the training set when the series' retrain
-  // comes due on this point; the caller runs retrain() on it before the
-  // series' next point. Allocation-free unless a retrain is due.
-  std::optional<TrainingSet> feed_point(double value,
-                                        const FleetOptions& options,
-                                        const RetrainScheduler& scheduler,
-                                        FleetDetection& out)
+  // verdict to `out`. On the series' due point a retrain copies its
+  // training set and becomes pending. Returns the pending retrain when
+  // this point has work for it and no other caller holds it — its next
+  // stage, or its install — claimed for the caller, which must pass it
+  // to advance(). Allocation-free unless a retrain comes due.
+  std::shared_ptr<PendingRetrain> feed_point(
+      double value, const FleetOptions& options,
+      const RetrainScheduler& scheduler, FleetDetection& out)
       OPPRENTICE_EXCLUDES(mutex_) {
     out = FleetDetection{};
     out.value = value;
@@ -229,7 +382,7 @@ class FleetSeries {
     if (quarantined_) {
       out.score = kNaN;
       out.cthld = kNaN;
-      return std::nullopt;
+      return nullptr;
     }
     extractor_.feed_into(value, features_);
     history_.append(extractor_.points_seen() - 1, features_);
@@ -245,20 +398,47 @@ class FleetSeries {
     }
 
     const std::size_t points = extractor_.points_seen();
-    if (!scheduler.due_at(phase_, points)) return std::nullopt;
-    std::optional<TrainingSet> training =
-        training_set(options.history_capacity);
-    // This retrain has its copy; the next one reads nothing below its
-    // own floor.
-    history_.drop_below(train_floor(scheduler.next_due(phase_, points),
-                                    extractor_.max_warmup(),
-                                    options.history_capacity));
-    return training;
+    if (scheduler.due_at(phase_, points)) {
+      // A retrain still pending here was held by a concurrent caller past
+      // its install point; this due point then trains nothing.
+      if (pending_ == nullptr) {
+        if (std::optional<ml::Dataset> data =
+                training_set(options.history_capacity)) {
+          pending_ = std::make_shared<PendingRetrain>(
+              std::move(*data), util::fault_key(salt_, points), forest_,
+              options, scheduler.interval());
+          install_at_ = points + kForestInstallDelay;
+          fleet_pending_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      // This retrain has its copy; the next one reads nothing below its
+      // own floor.
+      history_.drop_below(train_floor(scheduler.next_due(phase_, points),
+                                      extractor_.max_warmup(),
+                                      options.history_capacity));
+    }
+    if (pending_ == nullptr || pending_claimed_ ||
+        (pending_->done() && points < install_at_)) {
+      return nullptr;
+    }
+    pending_claimed_ = true;
+    return pending_;
+  }
+
+  // Claims the pending retrain's next stage for a caller that runs it
+  // before this series' next point is fed (feed_tick), or nullptr.
+  std::shared_ptr<PendingRetrain> claim_stage() OPPRENTICE_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    if (pending_ == nullptr || pending_claimed_ || pending_->done()) {
+      return nullptr;
+    }
+    pending_claimed_ = true;
+    return pending_;
   }
 
   // Copies the labeled rows of the window past warm-up. A window with no
   // positive labels yields nothing — nothing to learn is not a failure.
-  std::optional<TrainingSet> training_set(std::size_t history_capacity) const
+  std::optional<ml::Dataset> training_set(std::size_t history_capacity) const
       OPPRENTICE_REQUIRES(mutex_) {
     const std::size_t points = extractor_.points_seen();
     const std::size_t begin =
@@ -269,80 +449,104 @@ class FleetSeries {
       throw std::logic_error(
           "FleetSeries: training window starts below the stored history");
     }
-    TrainingSet out{
-        history_.copy(extractor_.feature_names(), begin, end),
-        util::fault_key(salt_, points), forest_};
-    if (out.data.positives() == 0) return std::nullopt;
-    return out;
+    ml::Dataset data = history_.copy(extractor_.feature_names(), begin, end);
+    if (data.positives() == 0) return std::nullopt;
+    return data;
   }
 
-  // Trains on `training` behind the forest.train fault site, then installs
-  // the forest under the lock. Training fans out over the thread pool, so
-  // it runs without the series lock: a pool task feeding this series
-  // would otherwise wait on it forever. Failures count toward quarantine.
-  void retrain(const TrainingSet& training, const FleetOptions& options,
-               std::size_t interval) OPPRENTICE_EXCLUDES(mutex_) {
-    const ml::Dataset& train = training.data;
-    const std::uint64_t key = training.key;
-    try {
-      if (util::inject_fault(util::faults::kForestTrain, key)) {
-        throw util::InjectedFault("injected forest.train");
+  // Runs a claimed retrain's next stage, then settles it. Stages fan out
+  // over the thread pool, so they run without the series lock: a pool
+  // task feeding this series would otherwise wait on it forever.
+  void advance(const std::shared_ptr<PendingRetrain>& job,
+               const FleetOptions& options) OPPRENTICE_EXCLUDES(mutex_) {
+    std::optional<std::string> error;
+    if (!job->done()) {
+      try {
+        run_stage(*job);
+      } catch (const std::exception& e) {
+        error = e.what();
       }
-      ml::RandomForest forest(options.forest);
-      forest.train(train);
+    }
+    settle(job, std::move(error), options);
+  }
 
-      // Best cThld on the most recent labeled window feeds the EWMA
-      // predictor (§4.5.2) — the per-series cThld history. As §4.5.2
-      // does, the window is scored by a forest that has not trained on
-      // it: the live one. Only the first retrain, which has none, scores
-      // it with the forest it just trained.
-      const std::size_t rows = train.num_rows();
-      const std::size_t window = std::min(rows, interval);
-      const ml::Dataset recent = train.slice(rows - window, rows);
-      const ml::RandomForest& scorer =
-          training.live != nullptr ? *training.live : forest;
-      const std::vector<double> scores = scorer.score_all(recent);
-      const eval::PrCurve curve(scores, recent.labels());
-      const eval::ThresholdChoice best = eval::pick_threshold(
-          curve, eval::ThresholdMethod::kPcScore, options.preference);
+  // Hands a claimed retrain back once its caller has run a stage. A
+  // failed one is counted and dropped. Once the series has reached the
+  // install point, every stage left runs and the forest is installed;
+  // otherwise the retrain waits for the series' next point.
+  void settle(const std::shared_ptr<PendingRetrain>& job,
+              std::optional<std::string> error, const FleetOptions& options)
+      OPPRENTICE_EXCLUDES(mutex_) {
+    if (!error.has_value() && !job->done() && install_due()) {
+      try {
+        while (!job->done()) run_stage(*job);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    }
+    util::MutexLock lock(mutex_);
+    if (error.has_value()) {
+      record_failure(job->key(), *error, options);
+    } else if (job->done() && extractor_.points_seen() >= install_at_) {
+      install(*job);
+    } else {
+      pending_claimed_ = false;
+      return;
+    }
+    pending_.reset();
+    pending_claimed_ = false;
+    fleet_pending_.fetch_sub(1, std::memory_order_relaxed);
+  }
 
-      util::MutexLock lock(mutex_);
-      forest_ = std::make_shared<const ml::RandomForest>(std::move(forest));
-      ++retrains_;
-      consecutive_train_failures_ = 0;
-      fleet_counters().retrains->add();
-      if (cthld_.initialized()) {
-        cthld_.observe_best(best.cthld);
-      } else {
-        cthld_.initialize(best.cthld);
-      }
-      // Keyed like the fault site, so retrain events line up with any
-      // injected failures in the sorted dump (flight_recorder.hpp).
-      obs::flight_record("fleet", "retrain", key, "series=" + id_);
-    } catch (const std::exception& e) {
-      util::MutexLock lock(mutex_);
-      ++train_failures_;
-      ++consecutive_train_failures_;
-      fleet_counters().train_failures->add();
-      obs::log(obs::LogLevel::kWarn, "fleet", "train_failed",
-               {{"series", id_}, {"error", e.what()}});
-      obs::flight_record("fleet", "train_failed", key, "series=" + id_);
-      if (options.quarantine_after > 0 &&
-          consecutive_train_failures_ >= options.quarantine_after &&
-          !quarantined_) {
-        quarantined_ = true;
-        fleet_counters().quarantined->add();
-        obs::log(obs::LogLevel::kWarn, "fleet", "quarantine",
-                 {{"series", id_},
-                  {"consecutive_failures", consecutive_train_failures_}});
-        obs::flight_record("fleet", "quarantine", salt_, "series=" + id_);
-      }
+  bool install_due() const OPPRENTICE_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    return extractor_.points_seen() >= install_at_;
+  }
+
+  void install(const PendingRetrain& job) OPPRENTICE_REQUIRES(mutex_) {
+    forest_ = job.forest();
+    ++retrains_;
+    consecutive_train_failures_ = 0;
+    fleet_counters().retrains->add();
+    // The best cThld feeds the EWMA predictor (§4.5.2), the per-series
+    // cThld history.
+    if (cthld_.initialized()) {
+      cthld_.observe_best(job.best_cthld());
+    } else {
+      cthld_.initialize(job.best_cthld());
+    }
+    // Keyed like the fault site, so retrain events line up with any
+    // injected failures in the sorted dump (flight_recorder.hpp).
+    obs::flight_record("fleet", "retrain", job.key(), "series=" + id_);
+  }
+
+  // Failures count toward quarantine.
+  void record_failure(std::uint64_t key, const std::string& error,
+                      const FleetOptions& options)
+      OPPRENTICE_REQUIRES(mutex_) {
+    ++train_failures_;
+    ++consecutive_train_failures_;
+    fleet_counters().train_failures->add();
+    obs::log(obs::LogLevel::kWarn, "fleet", "train_failed",
+             {{"series", id_}, {"error", error}});
+    obs::flight_record("fleet", "train_failed", key, "series=" + id_);
+    if (options.quarantine_after > 0 &&
+        consecutive_train_failures_ >= options.quarantine_after &&
+        !quarantined_) {
+      quarantined_ = true;
+      fleet_counters().quarantined->add();
+      obs::log(obs::LogLevel::kWarn, "fleet", "quarantine",
+               {{"series", id_},
+                {"consecutive_failures", consecutive_train_failures_}});
+      obs::flight_record("fleet", "quarantine", salt_, "series=" + id_);
     }
   }
 
   const std::string id_;
   const std::uint64_t salt_;
   const std::size_t phase_;
+  // The engine's count of series with a retrain pending.
+  std::atomic<std::size_t>& fleet_pending_;
 
   mutable util::Mutex mutex_{util::LockLevel::series_state};
   detectors::StreamingExtractor extractor_ OPPRENTICE_GUARDED_BY(mutex_);
@@ -351,10 +555,17 @@ class FleetSeries {
   // The rows from the next due retrain's floor up to the newest point.
   FeatureHistory history_ OPPRENTICE_GUARDED_BY(mutex_);
   std::size_t labeled_until_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
-  // Shared with a due TrainingSet, which scores its window outside the
+  // Shared with a pending retrain, which scores its window outside the
   // lock.
   std::shared_ptr<const ml::RandomForest> forest_
       OPPRENTICE_GUARDED_BY(mutex_);
+  // The retrain between its due point and its install, if any, the point
+  // count after which it installs, and whether a caller holds it. Only
+  // its holder touches it, outside the lock; an unheld one is read only
+  // under the lock.
+  std::shared_ptr<PendingRetrain> pending_ OPPRENTICE_GUARDED_BY(mutex_);
+  std::size_t install_at_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
+  bool pending_claimed_ OPPRENTICE_GUARDED_BY(mutex_) = false;
   EwmaCthldPredictor cthld_ OPPRENTICE_GUARDED_BY(mutex_);
   bool quarantined_ OPPRENTICE_GUARDED_BY(mutex_) = false;
   std::size_t retrains_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
@@ -368,7 +579,15 @@ FleetEngine::FleetEngine(FleetOptions options)
       scheduler_(options_.scheduler_seed,
                  options_.retrain_interval != 0
                      ? options_.retrain_interval
-                     : options_.ctx.points_per_week) {}
+                     : options_.ctx.points_per_week) {
+  if (scheduler_.interval() <= kForestInstallDelay) {
+    throw std::invalid_argument(
+        "FleetEngine: a retrain interval of " +
+        std::to_string(scheduler_.interval()) +
+        " points does not exceed the forest install delay of " +
+        std::to_string(kForestInstallDelay));
+  }
+}
 
 FleetEngine::~FleetEngine() = default;
 
@@ -385,7 +604,7 @@ SeriesHandle FleetEngine::add_series(const std::string& id) {
   auto state = std::make_shared<FleetSeries>(
       id, scheduler_.phase(id),
       detectors::StreamingExtractor(std::move(configs), boundary),
-      options_.cthld_ewma_alpha);
+      options_.cthld_ewma_alpha, pending_retrains_);
   {
     util::MutexLock lock(state->mutex_);
     const std::size_t features = state->extractor_.num_features();
@@ -421,8 +640,8 @@ std::vector<std::string> FleetEngine::series_ids() const {
 
 FleetDetection FleetEngine::feed(const SeriesHandle& series, double value) {
   FleetDetection out;
-  if (auto training = series->feed_point(value, options_, scheduler_, out)) {
-    series->retrain(*training, options_, scheduler_.interval());
+  if (const auto job = series->feed_point(value, options_, scheduler_, out)) {
+    series->advance(job, options_);
   }
   return out;
 }
@@ -437,28 +656,102 @@ void FleetEngine::feed_tick(std::span<const SeriesHandle> series,
         std::to_string(out.size()) + " outputs");
   }
   const std::size_t n = series.size();
-  // Phase 1: each slot is one independent series under its own lock
-  // writing its own output element and training slot — bit-identical at
-  // any thread count. A grain of a few series keeps pool dispatch off
-  // the per-point budget at 10k+, as do pointer-sized training slots.
-  std::vector<std::unique_ptr<FleetSeries::TrainingSet>> due(n);
+  // The stages of pending retrains that fall on this tick, claimed before
+  // the dispatch so that their units run in it; looked for only while
+  // some series has a retrain pending.
+  struct Stage {
+    std::size_t index = 0;  // of the series
+    std::shared_ptr<PendingRetrain> job;
+    std::size_t first_unit = 0;
+    std::size_t units = 0;
+    std::optional<std::string> error;
+  };
+  std::vector<Stage> stages;
+  std::size_t units = 0;
+  if (pending_retrains_.load(std::memory_order_relaxed) != 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::shared_ptr<PendingRetrain> job = series[i]->claim_stage();
+      if (job == nullptr) continue;
+      Stage& stage = stages.emplace_back();
+      stage.index = i;
+      stage.job = std::move(job);
+      stage.first_unit = units;
+      try {
+        stage.job->begin();
+        stage.units = stage.job->units();
+      } catch (const std::exception& e) {
+        stage.error = e.what();
+      }
+      units += stage.units;
+    }
+  }
+
+  // One dispatch: the stage units first, the larger tasks, then the
+  // points. Points go in tasks of a few series, which keeps pool dispatch
+  // off the per-point budget at 10k+ series, except on a tick with stage
+  // units: one series a task then lets the lanes that finish their units
+  // first take up the points, so no lane idles at the tick's tail. Each
+  // unit writes only its own retrain's slot, and each point its own
+  // series, output element and claim slot — bit-identical at any thread
+  // count.
+  const std::size_t points_per_task = units == 0 ? 8 : 1;
+  struct Slot {
+    std::shared_ptr<PendingRetrain> claim;
+    std::exception_ptr error;
+  };
+  std::vector<Slot> slots(n);
+  std::vector<std::exception_ptr> unit_errors(units);
   util::parallel_for(
-      n,
-      [&](std::size_t i) {
-        if (auto training =
-                series[i]->feed_point(values[i], options_, scheduler_,
-                                      out[i])) {
-          due[i] = std::make_unique<FleetSeries::TrainingSet>(
-              std::move(*training));
+      units + (n + points_per_task - 1) / points_per_task,
+      [&](std::size_t k) {
+        if (k < units) {
+          Stage* stage = stages.data();
+          while (k >= stage->first_unit + stage->units) ++stage;
+          try {
+            stage->job->run_unit(k - stage->first_unit);
+          } catch (...) {
+            unit_errors[k] = std::current_exception();
+          }
+          return;
         }
-      },
-      8);
-  // Phase 2: the due retrains, in index order from this thread, so each
-  // one's binning, trees and scoring fan out over every lane instead of
-  // running inline inside a phase-1 task. Every forest is installed
-  // before its series' next point, so verdicts equal a serial feed loop.
+        const std::size_t first = (k - units) * points_per_task;
+        for (std::size_t i = first; i < std::min(n, first + points_per_task);
+             ++i) {
+          try {
+            slots[i].claim = series[i]->feed_point(values[i], options_,
+                                                   scheduler_, out[i]);
+          } catch (...) {
+            slots[i].error = std::current_exception();
+          }
+        }
+      });
+
+  // In index order from this thread: the claimed stages end and settle,
+  // installing the forests whose install point this tick was; then the
+  // work the points claimed — the first stage of each retrain that came
+  // due — fans out over every lane.
+  for (Stage& stage : stages) {
+    for (std::size_t u = 0; u < stage.units && !stage.error; ++u) {
+      if (unit_errors[stage.first_unit + u]) {
+        stage.error = error_text(unit_errors[stage.first_unit + u]);
+      }
+    }
+    if (!stage.error) {
+      try {
+        stage.job->end();
+      } catch (const std::exception& e) {
+        stage.error = e.what();
+      }
+    }
+    series[stage.index]->settle(stage.job, std::move(stage.error), options_);
+  }
   for (std::size_t i = 0; i < n; ++i) {
-    if (due[i]) series[i]->retrain(*due[i], options_, scheduler_.interval());
+    if (slots[i].claim) series[i]->advance(slots[i].claim, options_);
+  }
+  // As parallel_for would: the lowest index's exception, once every
+  // other point has been fed.
+  for (const Slot& slot : slots) {
+    if (slot.error) std::rethrow_exception(slot.error);
   }
 }
 

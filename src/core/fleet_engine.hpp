@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -52,10 +53,16 @@ namespace opprentice::core {
 using DetectorFactory = std::function<std::vector<detectors::DetectorPtr>(
     const detectors::SeriesContext&)>;
 
+// Points from a retrain's due point T to the point after which its forest
+// is installed: the forest scores from point T + 7 on, and its training
+// runs in stages on points T to T + 6 (DESIGN.md §5i). One hour at
+// 10-minute bins.
+inline constexpr std::size_t kForestInstallDelay = 6;
+
 struct FleetOptions {
   std::uint64_t scheduler_seed = 0x0FF1CE;
   // Points between retrains of one series; 0 means one week of points
-  // (ctx.points_per_week).
+  // (ctx.points_per_week). Must exceed kForestInstallDelay.
   std::size_t retrain_interval = 0;
   // W, the bound on the rows a retrain trains on: at point count T it
   // reads the logical window from base(T) = (T / W - 1) * W (0 while
@@ -122,6 +129,8 @@ using SeriesHandle = std::shared_ptr<FleetSeries>;
 
 class FleetEngine {
  public:
+  // Throws std::invalid_argument when the retrain interval does not
+  // exceed kForestInstallDelay.
   explicit FleetEngine(FleetOptions options);
   ~FleetEngine();
 
@@ -140,19 +149,23 @@ class FleetEngine {
   std::vector<std::string> series_ids() const;  // sorted
 
   // Feeds one point to one series: extraction, scoring against the
-  // current forest and predicted cThld, and — when the series' staggered
-  // phase comes up — a retrain on its buffered labeled history.
+  // current forest and predicted cThld, then the stage of a pending
+  // retrain that falls on this point, its units fanned over the global
+  // thread pool. A retrain comes due on the series' staggered phase,
+  // copies its labeled history there (point T), and installs its forest
+  // after point T + kForestInstallDelay.
   FleetDetection feed(const SeriesHandle& series, double value);
 
   // One synchronized fleet tick: values[i] goes to series[i], verdicts
   // land in out[i]; handles must be distinct, and the three spans of one
-  // length (std::invalid_argument before any point is fed). Two phases:
-  // the points fan out over the global thread pool, then the retrains
-  // that came due run in index order from the calling thread, each one's
-  // training and scoring fanned over the pool. The caller must hold no
-  // util::Mutex (parallel_for aborts under one). Verdicts, forests and
-  // flight events equal a serial feed() loop's, bit for bit, at any
-  // thread count.
+  // length (std::invalid_argument before any point is fed). One dispatch
+  // over the global thread pool runs the points next to the units of the
+  // retrain stages that fall on them; a retrain that comes due on this
+  // tick then runs its first stage, and a forest whose install point
+  // this is installs, in index order from the calling thread. The caller
+  // must hold no util::Mutex (parallel_for aborts under one). Verdicts,
+  // forests and flight events equal a serial feed() loop's, bit for bit,
+  // at any thread count.
   void feed_tick(std::span<const SeriesHandle> series,
                  std::span<const double> values,
                  std::span<FleetDetection> out);
@@ -194,6 +207,9 @@ class FleetEngine {
  private:
   FleetOptions options_;
   RetrainScheduler scheduler_;
+  // Series with a retrain between its due point and its install; feed_tick
+  // looks for stages to run only while this is nonzero.
+  std::atomic<std::size_t> pending_retrains_{0};
   mutable util::Mutex series_mutex_{util::LockLevel::series_map};
   std::map<std::string, SeriesHandle, std::less<>> series_
       OPPRENTICE_GUARDED_BY(series_mutex_);

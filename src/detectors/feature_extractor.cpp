@@ -109,7 +109,9 @@ double guarded_severity(Detector& detector, double value, std::size_t point,
     return record_failure(detector, config_index, boundary, consecutive,
                           quarantined);
   }
-  if (!std::isfinite(severity)) {
+  // Severities are >= 0 (Detector::feed): NaN, ±inf and negatives are
+  // scrubbed, so none reaches a feature history or a forest.
+  if (!(severity >= 0.0) || std::isinf(severity)) {
     boundary_counters().scrubbed->add();
     return record_failure(detector, config_index, boundary, consecutive,
                           quarantined);

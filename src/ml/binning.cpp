@@ -107,49 +107,59 @@ void radix_sort(std::span<const std::uint64_t> keys,
 }  // namespace
 
 BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
-    : binners_(data.num_features()),
-      codes_(data.num_features()),
-      labels_(data.labels()) {
+    : BinnedDataset(unbinned(data)) {
   util::parallel_for(data.num_features(), [&](std::size_t f) {
-    const auto column = data.column(f);
-    // Keys of the non-NaN values, in row order; index k is the k-th
-    // non-NaN row.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(column.size());
-    for (const double v : column) {
-      if (!std::isnan(v)) keys.push_back(sort_key(v));
-    }
-    std::vector<std::uint32_t> order;
-    std::vector<std::uint32_t> scratch;
-    radix_sort(keys, order, scratch);
-    std::vector<double> distinct;
-    distinct.reserve(keys.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (i == 0 || keys[order[i]] != keys[order[i - 1]]) {
-        distinct.push_back(key_value(keys[order[i]]));
-      }
-    }
-    binners_[f] = FeatureBinner::from_distinct(distinct, max_bins);
-
-    // Codes of the non-NaN values go to slots 0..keys.size() first, then
-    // move out to their rows from the back; slot k <= its row, so no
-    // code is overwritten before it moves.
-    const std::vector<double>& edges = binners_[f].edges();
-    std::vector<std::uint8_t>& codes = codes_[f];
-    codes.assign(column.size(), 0);  // NaN rows stay in bin 0
-    std::size_t code = 0;
-    for (const std::uint32_t k : order) {
-      const double value = key_value(keys[k]);
-      while (code < edges.size() && edges[code] < value) ++code;
-      codes[k] = static_cast<std::uint8_t>(code);
-    }
-    if (keys.size() != column.size()) {
-      std::size_t k = keys.size();
-      for (std::size_t r = column.size(); r-- > 0;) {
-        codes[r] = std::isnan(column[r]) ? 0 : codes[--k];
-      }
-    }
+    bin_column(f, data.column(f), max_bins);
   });
+}
+
+BinnedDataset BinnedDataset::unbinned(const Dataset& data) {
+  BinnedDataset out;
+  out.binners_.resize(data.num_features());
+  out.codes_.resize(data.num_features());
+  out.labels_ = data.labels();
+  return out;
+}
+
+void BinnedDataset::bin_column(std::size_t f, std::span<const double> column,
+                               std::size_t max_bins) {
+  // Keys of the non-NaN values, in row order; index k is the k-th
+  // non-NaN row.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(column.size());
+  for (const double v : column) {
+    if (!std::isnan(v)) keys.push_back(sort_key(v));
+  }
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> buffer;
+  radix_sort(keys, order, buffer);
+  std::vector<double> distinct;
+  distinct.reserve(keys.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || keys[order[i]] != keys[order[i - 1]]) {
+      distinct.push_back(key_value(keys[order[i]]));
+    }
+  }
+  binners_[f] = FeatureBinner::from_distinct(distinct, max_bins);
+
+  // Codes of the non-NaN values go to slots 0..keys.size() first, then
+  // move out to their rows from the back; slot k <= its row, so no code
+  // is overwritten before it moves.
+  const std::vector<double>& edges = binners_[f].edges();
+  std::vector<std::uint8_t>& codes = codes_[f];
+  codes.assign(column.size(), 0);  // NaN rows stay in bin 0
+  std::size_t code = 0;
+  for (const std::uint32_t k : order) {
+    const double value = key_value(keys[k]);
+    while (code < edges.size() && edges[code] < value) ++code;
+    codes[k] = static_cast<std::uint8_t>(code);
+  }
+  if (keys.size() != column.size()) {
+    std::size_t k = keys.size();
+    for (std::size_t r = column.size(); r-- > 0;) {
+      codes[r] = std::isnan(column[r]) ? 0 : codes[--k];
+    }
+  }
 }
 
 }  // namespace opprentice::ml

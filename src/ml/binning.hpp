@@ -58,6 +58,16 @@ class BinnedDataset {
   explicit BinnedDataset(const Dataset& data,
                          std::size_t max_bins = kMaxBins);
 
+  // data's labels and shape with no column binned yet: bin_column fills
+  // one column, so the columns can be binned apart (the constructor
+  // above is this, then bin_column for every column in parallel).
+  static BinnedDataset unbinned(const Dataset& data);
+
+  // Bins feature f from `column`, its values in row order. Touches only
+  // feature f, so distinct columns may be binned concurrently.
+  void bin_column(std::size_t f, std::span<const double> column,
+                  std::size_t max_bins = kMaxBins);
+
   std::size_t num_rows() const { return labels_.size(); }
   std::size_t num_features() const { return codes_.size(); }
 
@@ -70,6 +80,8 @@ class BinnedDataset {
   }
 
  private:
+  BinnedDataset() = default;
+
   std::vector<FeatureBinner> binners_;
   std::vector<std::vector<std::uint8_t>> codes_;  // [feature][row]
   std::vector<std::uint8_t> labels_;

@@ -14,77 +14,19 @@ namespace opprentice::ml {
 RandomForest::RandomForest(ForestOptions options) : options_(options) {}
 
 void RandomForest::train(const Dataset& data) {
-  if (data.empty()) {
-    throw std::invalid_argument("RandomForest::train: empty dataset");
-  }
   obs::ScopedSpan span("forest.train", "ml");
   span.arg("rows", data.num_rows());
   span.arg("features", data.num_features());
   span.arg("trees", options_.num_trees);
   obs::Stopwatch watch;
 
-  const BinnedDataset binned(data);
-  util::Rng rng(options_.seed);
+  ForestTraining training(options_, data);
+  util::parallel_for(training.bin_units(),
+                     [&](std::size_t unit) { training.bin(data, unit); });
+  util::parallel_for(training.tree_units(),
+                     [&](std::size_t t) { training.grow(t); });
+  *this = training.assemble();
 
-  const std::size_t sample_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options_.sample_fraction *
-                                  static_cast<double>(data.num_rows())));
-  const std::size_t mtry =
-      options_.mtry != 0
-          ? options_.mtry
-          : std::max<std::size_t>(
-                1, static_cast<std::size_t>(
-                       std::sqrt(static_cast<double>(data.num_features()))));
-
-  // Per-tree seeds and bootstrap samples are drawn serially from the
-  // forest RNG *before* dispatch, in tree order — the same stream a
-  // serial train consumes — so the grown forest is bit-identical at any
-  // thread count. A sample is kept as how often each row was drawn.
-  std::vector<TreeOptions> tree_options(options_.num_trees);
-  std::vector<std::vector<std::uint32_t>> tree_counts(options_.num_trees);
-  for (std::size_t t = 0; t < options_.num_trees; ++t) {
-    TreeOptions& topt = tree_options[t];
-    topt.max_depth = options_.max_depth;
-    topt.min_samples_split = options_.min_samples_split;
-    topt.mtry = mtry;
-    topt.seed = rng.next_u64();
-
-    // Bootstrap: rows sampled with replacement.
-    tree_counts[t].assign(data.num_rows(), 0);
-    rng.tally_uniform_int(tree_counts[t], sample_size);
-  }
-
-  // Trees grow in parallel against the shared read-only BinnedDataset;
-  // each task owns its pre-seeded options, row sample (freed when its
-  // tree is grown), and output slot.
-  std::vector<DecisionTree> trees(options_.num_trees);
-  util::parallel_for(options_.num_trees, [&](std::size_t t) {
-    obs::ScopedSpan tree_span("forest.tree", "ml");
-    tree_span.arg("index", t);
-    const std::vector<std::uint32_t> counts = std::move(tree_counts[t]);
-    DecisionTree tree(tree_options[t]);
-    tree.train_binned(binned, counts);
-    trees[t] = std::move(tree);
-  });
-
-  // One array for the whole forest, and one importance vector summed in
-  // tree order; the trees themselves are dropped.
-  std::size_t total_nodes = 0;
-  for (const DecisionTree& tree : trees) total_nodes += tree.node_count();
-  nodes_.clear();
-  nodes_.reserve(total_nodes);
-  roots_.clear();
-  importances_.assign(data.num_features(), 0.0);
-  for (const DecisionTree& tree : trees) {
-    roots_.push_back(static_cast<std::uint32_t>(nodes_.size()));
-    nodes_.insert(nodes_.end(), tree.nodes().begin(), tree.nodes().end());
-    const std::vector<double>& imp = tree.feature_importances();
-    for (std::size_t f = 0; f < importances_.size(); ++f) {
-      importances_[f] += imp[f];
-    }
-  }
-
-  obs::counter("opprentice.forest.trains").add();
   obs::histogram("opprentice.forest.train.ms").record(watch.elapsed_ms());
   if (obs::log_enabled(obs::LogLevel::kInfo)) {
     obs::log(obs::LogLevel::kInfo, "forest", "train_done",
@@ -93,6 +35,85 @@ void RandomForest::train(const Dataset& data) {
               {"trees", roots_.size()},
               {"ms", watch.elapsed_ms()}});
   }
+}
+
+ForestTraining::ForestTraining(const ForestOptions& options,
+                               const Dataset& data)
+    : options_(options),
+      binned_(BinnedDataset::unbinned(data)),
+      tree_options_(options.num_trees),
+      tree_counts_(options.num_trees),
+      trees_(options.num_trees) {
+  if (data.empty()) {
+    throw std::invalid_argument("RandomForest::train: empty dataset");
+  }
+  if (data.num_features() > FlatNode::kMaxFeatures) {
+    throw std::invalid_argument(
+        "RandomForest::train: more features than a node can index");
+  }
+  sample_size_ = std::max<std::size_t>(
+      1, static_cast<std::size_t>(options_.sample_fraction *
+                                  static_cast<double>(data.num_rows())));
+  mtry_ = options_.mtry != 0
+              ? options_.mtry
+              : std::max<std::size_t>(
+                    1, static_cast<std::size_t>(std::sqrt(
+                           static_cast<double>(data.num_features()))));
+}
+
+void ForestTraining::bin(const Dataset& data, std::size_t unit) {
+  if (unit < binned_.num_features()) {
+    binned_.bin_column(unit, data.column(unit));
+    return;
+  }
+  // Per-tree seeds and bootstrap samples are drawn serially from the
+  // forest RNG, in tree order, so every tree's inputs are the same
+  // whichever thread grows it. A sample is kept as how often each row
+  // was drawn.
+  util::Rng rng(options_.seed);
+  for (std::size_t t = 0; t < tree_options_.size(); ++t) {
+    TreeOptions& topt = tree_options_[t];
+    topt.max_depth = options_.max_depth;
+    topt.min_samples_split = options_.min_samples_split;
+    topt.mtry = mtry_;
+    topt.seed = rng.next_u64();
+
+    // Bootstrap: rows sampled with replacement.
+    tree_counts_[t].assign(binned_.num_rows(), 0);
+    rng.tally_uniform_int(tree_counts_[t], sample_size_);
+  }
+}
+
+void ForestTraining::grow(std::size_t t) {
+  // Each tree reads the shared BinnedDataset and writes only its own
+  // slot; its row sample is freed once it has grown.
+  obs::ScopedSpan tree_span("forest.tree", "ml");
+  tree_span.arg("index", t);
+  const std::vector<std::uint32_t> counts = std::move(tree_counts_[t]);
+  DecisionTree tree(tree_options_[t]);
+  tree.train_binned(binned_, counts);
+  trees_[t] = std::move(tree);
+}
+
+RandomForest ForestTraining::assemble() {
+  // One array for the whole forest, and one importance vector summed in
+  // tree order; the trees themselves are dropped.
+  RandomForest forest(options_);
+  std::size_t total_nodes = 0;
+  for (const DecisionTree& tree : trees_) total_nodes += tree.node_count();
+  forest.nodes_.reserve(total_nodes);
+  forest.importances_.assign(binned_.num_features(), 0.0);
+  for (const DecisionTree& tree : trees_) {
+    forest.roots_.push_back(static_cast<std::uint32_t>(forest.nodes_.size()));
+    forest.nodes_.insert(forest.nodes_.end(), tree.nodes().begin(),
+                         tree.nodes().end());
+    const std::vector<double>& imp = tree.feature_importances();
+    for (std::size_t f = 0; f < forest.importances_.size(); ++f) {
+      forest.importances_[f] += imp[f];
+    }
+  }
+  obs::counter("opprentice.forest.trains").add();
+  return forest;
 }
 
 std::span<const FlatNode> RandomForest::tree_nodes(std::size_t t) const {

@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "ml/binning.hpp"
 #include "ml/decision_tree.hpp"
 
 namespace opprentice::ml {
@@ -33,6 +34,8 @@ class RandomForest final : public BinaryClassifier {
 
   std::string name() const override { return "random_forest"; }
 
+  // Runs ForestTraining's stages back to back, each one's units over the
+  // global thread pool.
   void train(const Dataset& data) override;
   bool is_trained() const override { return !roots_.empty(); }
 
@@ -65,12 +68,52 @@ class RandomForest final : public BinaryClassifier {
              std::size_t num_features);
 
  private:
+  friend class ForestTraining;
+
   std::size_t count_votes(std::span<const double> features) const;
 
   ForestOptions options_;
   std::vector<FlatNode> nodes_;       // every tree, in tree order
   std::vector<std::uint32_t> roots_;  // where each tree starts in nodes_
   std::vector<double> importances_;   // unnormalized, summed in tree order
+};
+
+// One forest's training cut into stages of independent units (DESIGN.md
+// §5i): binning with the bootstrap draw, then the trees, then assembly.
+// RandomForest::train runs the stages back to back; core::FleetEngine
+// spreads them over a series' next points. The units of a stage may run
+// concurrently and in any order, and a stage may start any time after the
+// one before it has finished: the forest depends only on the data and the
+// options, bit for bit.
+class ForestTraining {
+ public:
+  // Keeps data's labels and shape. Throws std::invalid_argument on an
+  // empty dataset or past FlatNode::kMaxFeatures features.
+  ForestTraining(const ForestOptions& options, const Dataset& data);
+
+  // Stage 1: unit f < num_features bins column f of `data`, the dataset
+  // given to the constructor; the last unit draws every tree's seed and
+  // bootstrap counts from the forest seed, in tree order.
+  std::size_t bin_units() const { return binned_.num_features() + 1; }
+  void bin(const Dataset& data, std::size_t unit);
+
+  // Stage 2, once every bin unit has run: unit t grows tree t.
+  std::size_t tree_units() const { return trees_.size(); }
+  void grow(std::size_t t);
+
+  // Once every tree has grown: the forest. Call once.
+  RandomForest assemble();
+
+ private:
+  ForestOptions options_;
+  std::size_t mtry_ = 0;
+  std::size_t sample_size_ = 0;
+  BinnedDataset binned_;
+  std::vector<TreeOptions> tree_options_;
+  // How often each row was drawn into tree t's bootstrap sample; freed
+  // when tree t has grown.
+  std::vector<std::vector<std::uint32_t>> tree_counts_;
+  std::vector<DecisionTree> trees_;
 };
 
 }  // namespace opprentice::ml

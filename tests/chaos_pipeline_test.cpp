@@ -326,6 +326,29 @@ TEST(DetectorBoundary, NanSeveritiesAreScrubbedToNeutral) {
   }
 }
 
+// A negative severity breaks Detector::feed's contract like NaN does: a
+// plugged-in detector returning -1e300 writes the neutral severity, not
+// -1e300, and counts a scrub.
+TEST(DetectorBoundary, NegativeSeveritiesAreScrubbedToNeutral) {
+  class NegativeDetector final : public detectors::Detector {
+   public:
+    std::string name() const override { return "negative()"; }
+    std::size_t warmup_points() const override { return 0; }
+    double feed(double) override { return -1e300; }
+    void reset() override {}
+  };
+  std::vector<detectors::DetectorPtr> dets;
+  dets.push_back(std::make_unique<NegativeDetector>());
+  detectors::StreamingExtractor extractor(std::move(dets));
+
+  const auto scrubbed_before = counter_value("opprentice.detector.scrubbed");
+  std::vector<double> features(1);
+  extractor.feed_into(3.0, features);
+  EXPECT_EQ(features[0], 0.0);
+  EXPECT_EQ(counter_value("opprentice.detector.scrubbed") - scrubbed_before,
+            1u);
+}
+
 TEST(DetectorBoundary, IntermittentFailuresDoNotQuarantine) {
   // Fails twice, recovers, fails twice, ... — never three in a row.
   class FlakyDetector : public detectors::Detector {

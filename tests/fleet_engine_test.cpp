@@ -234,11 +234,14 @@ TEST(FleetEngine, WeeklyBestCthldIsScoredByTheLiveForest) {
   std::string live;        // the forest installed by the last retrain
   double prediction = -1;  // the EWMA after it
   std::size_t checked = 0;
+  // The labeled rows when the retrain being installed came due: it copied
+  // its window then, kForestInstallDelay points before it installs.
+  std::size_t before = 0;
   for (std::size_t t = 0; t < 128; ++t) {
     const double value = test_support::synthetic_fleet_value(5, t, 16);
     rows.push_back(extractor.feed(value));
     labels.push_back(t % 7 == 0 ? 1 : 0);
-    const std::size_t before = labeled_until;
+    if (engine.scheduler().due("kpi-cthld", t + 1)) before = labeled_until;
     const core::FleetDetection got = engine.feed(s, value);
     if (!live.empty()) {
       ASSERT_TRUE(got.classified) << "point " << t;
@@ -269,6 +272,111 @@ TEST(FleetEngine, WeeklyBestCthldIsScoredByTheLiveForest) {
     live = trained;
   }
   EXPECT_GE(checked, 2u);
+}
+
+// A retrain copies its window on its due point T and installs its forest
+// after point T + kForestInstallDelay: points T + 1 .. T + 6 are scored by
+// the forest live at T, T + 7 by the new one, which equals one
+// RandomForest::train on the window copied at T; stats().retrains counts
+// it from point T + 6 on.
+TEST(FleetEngine, ForestInstallsSixPointsAfterItsDuePoint) {
+  ASSERT_EQ(core::kForestInstallDelay, 6u);
+  const core::FleetOptions options = small_fleet_options();
+  core::FleetEngine engine(options);
+  const auto s = engine.add_series("kpi-install");
+  detectors::StreamingExtractor extractor(
+      options.detector_factory(options.ctx));
+  const std::vector<std::string> names = extractor.feature_names();
+  const std::size_t warmup = extractor.max_warmup();
+  // The engine's rows as its history stores them, and their labels.
+  std::vector<std::vector<double>> columns(names.size());
+  std::vector<std::uint8_t> labels;
+  std::vector<std::uint8_t> chunk(16);
+  const auto fingerprint = [&names](const ml::RandomForest& forest) {
+    std::ostringstream out;
+    ml::save_forest(out, forest, names);
+    return out.str();
+  };
+  const auto load = [](const std::string& text) {
+    std::istringstream in(text);
+    return ml::load_forest(in).forest;
+  };
+
+  std::size_t labeled_until = 0;
+  std::size_t due = 0;           // the due point T followed, 0 for none
+  std::size_t retrains_at_due = 0;
+  std::string live_at_due;       // the forest installed before T
+  std::string trained;           // RandomForest::train on T's window
+  std::size_t installs = 0;
+  for (std::size_t t = 0; t < 160; ++t) {
+    const double value = test_support::synthetic_fleet_value(6, t, 16);
+    const std::vector<double> features = extractor.feed(value);
+    for (std::size_t f = 0; f < names.size(); ++f) {
+      columns[f].push_back(core::stored_severity(features[f]));
+    }
+    labels.push_back(t % 7 == 0 ? 1 : 0);
+    const core::FleetDetection got = engine.feed(s, value);
+    const std::size_t point = t + 1;  // points fed so far
+
+    if (due != 0 && point > due && point <= due + 7) {
+      SCOPED_TRACE("point T + " + std::to_string(point - due));
+      const std::string& scorer = point <= due + 6 ? live_at_due : trained;
+      if (scorer.empty()) {
+        EXPECT_FALSE(got.classified);
+      } else {
+        ASSERT_TRUE(got.classified);
+        EXPECT_EQ(bits(got.score), bits(load(scorer).score(features)));
+      }
+      EXPECT_EQ(engine.stats(s).retrains,
+                retrains_at_due + (point >= due + 6 ? 1 : 0));
+      if (point == due + 6) {
+        EXPECT_EQ(engine.forest_fingerprint(s), trained);
+        ++installs;
+      }
+    }
+    if (engine.scheduler().due("kpi-install", point) &&
+        labeled_until > warmup) {
+      // The window copied at T: the labeled rows past warm-up.
+      std::vector<std::vector<double>> window(names.size());
+      for (std::size_t f = 0; f < names.size(); ++f) {
+        window[f].assign(columns[f].begin() + warmup,
+                         columns[f].begin() + labeled_until);
+      }
+      const ml::Dataset data(
+          names, std::move(window),
+          std::vector<std::uint8_t>(labels.begin() + warmup,
+                                    labels.begin() + labeled_until));
+      ASSERT_GT(data.positives(), 0u);
+      ml::RandomForest forest(options.forest);
+      forest.train(data);
+      due = point;
+      retrains_at_due = engine.stats(s).retrains;
+      live_at_due = engine.forest_fingerprint(s);
+      trained = fingerprint(forest);
+    }
+    if (point % 16 == 0) {
+      std::copy(labels.end() - 16, labels.end(), chunk.begin());
+      engine.ingest_labels(s, chunk, point - 16);
+      labeled_until = point;
+    }
+  }
+  EXPECT_GE(installs, 3u) << "a first retrain and later ones";
+}
+
+// A retrain must install before the series' next one comes due.
+TEST(FleetEngine, RejectsRetrainIntervalWithinInstallDelay) {
+  auto options = small_fleet_options();
+  for (const std::size_t interval : {std::size_t{1}, core::kForestInstallDelay}) {
+    options.retrain_interval = interval;
+    EXPECT_THROW(core::FleetEngine{options}, std::invalid_argument)
+        << "interval " << interval;
+  }
+  // 0 retrains weekly: a 6-point week is as short.
+  options.retrain_interval = 0;
+  options.ctx = detectors::SeriesContext{1, core::kForestInstallDelay};
+  EXPECT_THROW(core::FleetEngine{options}, std::invalid_argument);
+  options.retrain_interval = core::kForestInstallDelay + 1;
+  EXPECT_NO_THROW(core::FleetEngine{options});
 }
 
 // A custom detector family (§4.3.2): the step |v_t - v_{t-1}| over k.

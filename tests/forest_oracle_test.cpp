@@ -500,6 +500,56 @@ TEST(ForestOracle, NaNScoresLikeNegativeInfinity) {
   EXPECT_GT(moved_by_pos, kRows / 20);
 }
 
+// ForestTraining's stages, run the way FleetEngine runs them — spread
+// over several dispatches, their units out of order and inside dispatches
+// that also carry unrelated pool work, with another forest trained
+// between stages — give RandomForest::train's forest bit for bit, at any
+// thread count.
+TEST(ForestOracle, StagedTrainEqualsTrain) {
+  util::Rng rng(4242);
+  const Dataset data = dirty_dataset(rng, 1500, 40);
+  const Dataset other = dirty_dataset(rng, 300, 12);
+  ForestOptions options;
+  options.num_trees = 21;
+  options.seed = 99;
+  for (std::size_t threads : kThreadSweep) {
+    util::set_global_threads(threads);
+    RandomForest whole(options);
+    whole.train(data);
+
+    ForestTraining staged(options, data);
+    RandomForest unrelated;
+    const std::size_t bins = staged.bin_units();
+    // Bin units in reverse order, in two dispatches with a forest trained
+    // on other data between them.
+    util::parallel_for(bins / 2, [&](std::size_t u) {
+      staged.bin(data, bins - 1 - u);
+    });
+    unrelated.train(other);
+    util::parallel_for(bins - bins / 2, [&](std::size_t u) {
+      staged.bin(data, bins - bins / 2 - 1 - u);
+    });
+    // Trees in a scrambled order (8 is prime to 21), over three
+    // dispatches whose other indices score rows of the other data.
+    const std::size_t trees = staged.tree_units();
+    std::vector<double> other_scores(other.num_rows());
+    for (std::size_t part = 0; part < 3; ++part) {
+      util::parallel_for(trees + other.num_rows(), [&](std::size_t k) {
+        if (k >= trees) {
+          other_scores[k - trees] = unrelated.score(other.row(k - trees));
+          return;
+        }
+        const std::size_t t = (k * 8) % trees;
+        if (t % 3 == part) staged.grow(t);
+      });
+    }
+    EXPECT_EQ(forest_digest(staged.assemble(), data.feature_names()),
+              forest_digest(whole, data.feature_names()))
+        << "threads " << threads;
+  }
+  util::set_global_threads(0);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream out;

@@ -423,14 +423,19 @@ TEST(ParallelEquivalence, FleetSweepSeededChaosBitIdentical) {
   }
 }
 
-// ---- deferred retrains: feed_tick ≡ a serial feed loop --------------------
+// ---- staged retrains: feed_tick ≡ a serial feed loop ----------------------
 
-// A fleet whose first eight series share one retrain phase, so each of
-// their retrains comes due on the same tick and feed_tick runs several
-// deferred retrains back to back; eight more series have other phases.
+// A fleet whose first eight series share one retrain phase, so their
+// retrains come due on the same tick and the stages of several retrains
+// run in one tick's dispatch; eight more series have other phases.
 // Drives 128 ticks under `threads`, through feed_tick or through a serial
-// feed() loop in index order, with a fresh flight recorder.
-FleetRunOutput shared_phase_run(std::size_t threads, bool use_tick) {
+// feed() loop in index order, with a fresh flight recorder. With
+// `toggle_quarantine`, every third series is quarantined two points after
+// each of its due points, while its forest is pending, and released three
+// ticks later; `toggles` counts those quarantines.
+FleetRunOutput shared_phase_run(std::size_t threads, bool use_tick,
+                                bool toggle_quarantine = false,
+                                std::size_t* toggles = nullptr) {
   util::set_global_threads(threads);
   obs::FlightRecorder::instance().clear();
 
@@ -464,6 +469,7 @@ FleetRunOutput shared_phase_run(std::size_t threads, bool use_tick) {
   std::vector<double> values(n);
   std::vector<core::FleetDetection> verdicts(n);
   std::vector<std::uint8_t> chunk(16);
+  std::vector<std::size_t> release_at(n, 0);  // tick of the release
   for (std::size_t t = 0; t < 128; ++t) {
     for (std::size_t i = 0; i < n; ++i) {
       values[i] = test_support::synthetic_fleet_value(salts[i], t, 16);
@@ -476,6 +482,18 @@ FleetRunOutput shared_phase_run(std::size_t threads, bool use_tick) {
       }
     }
     for (const auto& v : verdicts) out.score_bits.push_back(bits(v.score));
+    for (std::size_t i = 1; toggle_quarantine && i < n; i += 3) {
+      const core::FleetSeriesStats stats = engine.stats(handles[i]);
+      if (stats.quarantined && release_at[i] == t) {
+        engine.set_quarantined(handles[i], false);
+      } else if (!stats.quarantined && stats.points_seen >= 2 &&
+                 engine.scheduler().due_at(stats.phase,
+                                           stats.points_seen - 2)) {
+        engine.set_quarantined(handles[i], true);
+        release_at[i] = t + 3;
+        if (toggles != nullptr) ++*toggles;
+      }
+    }
     if ((t + 1) % 16 == 0) {
       const std::size_t begin = t + 1 - 16;
       for (std::size_t j = 0; j < 16; ++j) {
@@ -512,6 +530,34 @@ TEST(ParallelEquivalence, FeedTickDeferredRetrainsEqualSerialFeedLoop) {
       << "a series must reach quarantine";
   for (std::size_t threads : kThreadSweep) {
     const FleetRunOutput run = shared_phase_run(threads, /*use_tick=*/true);
+    EXPECT_EQ(run.dropped, 0u) << "threads=" << threads;
+    EXPECT_EQ(run.score_bits, serial.score_bits) << "threads=" << threads;
+    EXPECT_EQ(run.forests, serial.forests) << "threads=" << threads;
+    EXPECT_EQ(run.flight, serial.flight) << "threads=" << threads;
+  }
+}
+
+// Stages run in feed_tick's dispatch whether or not their series consumes
+// the point, so a series quarantined while its forest is pending has its
+// stages done early under feed_tick and late under feed(); the install
+// still waits for the series' own point T + kForestInstallDelay in both.
+TEST(ParallelEquivalence, FeedTickStagedRetrainsUnderQuarantineEqualSerialFeedLoop) {
+  util::FaultPlan plan;
+  plan.seed = 20261018;
+  plan.rates["forest.train"] = 0.3;
+  const PlanGuard guard(plan);
+
+  std::size_t toggles = 0;
+  const FleetRunOutput serial =
+      shared_phase_run(1, /*use_tick=*/false, /*toggle_quarantine=*/true,
+                       &toggles);
+  EXPECT_GT(toggles, 4u);
+  EXPECT_EQ(serial.dropped, 0u);
+  EXPECT_NE(serial.flight.find("\"retrain\""), std::string::npos);
+  EXPECT_NE(serial.flight.find("\"train_failed\""), std::string::npos);
+  for (std::size_t threads : kThreadSweep) {
+    const FleetRunOutput run =
+        shared_phase_run(threads, /*use_tick=*/true, /*toggle_quarantine=*/true);
     EXPECT_EQ(run.dropped, 0u) << "threads=" << threads;
     EXPECT_EQ(run.score_bits, serial.score_bits) << "threads=" << threads;
     EXPECT_EQ(run.forests, serial.forests) << "threads=" << threads;

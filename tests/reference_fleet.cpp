@@ -81,6 +81,9 @@ FleetDetection FleetSeriesReference::feed(double value) {
   } else {
     out.score = std::numeric_limits<double>::quiet_NaN();
   }
+  if (pending_.has_value() && extractor_.points_seen() == install_at_) {
+    install();
+  }
   if (scheduler_.due_at(phase_, extractor_.points_seen())) retrain();
   return out;
 }
@@ -120,22 +123,29 @@ void FleetSeriesReference::retrain() {
     // first retrain has none and scores it with the new one.
     const ml::RandomForest& scorer = forest_.has_value() ? *forest_ : forest;
     const eval::PrCurve curve(scorer.score_all(recent), recent.labels());
-    const eval::ThresholdChoice best = eval::pick_threshold(
-        curve, eval::ThresholdMethod::kPcScore, options_.preference);
-    forest_ = std::move(forest);
-    ++retrains_;
-    consecutive_train_failures_ = 0;
-    if (cthld_.initialized()) {
-      cthld_.observe_best(best.cthld);
-    } else {
-      cthld_.initialize(best.cthld);
-    }
+    pending_cthld_ = eval::pick_threshold(curve, eval::ThresholdMethod::kPcScore,
+                                          options_.preference)
+                         .cthld;
+    pending_ = std::move(forest);
+    install_at_ = extractor_.points_seen() + kForestInstallDelay;
   } catch (const std::exception&) {
     ++consecutive_train_failures_;
     if (options_.quarantine_after > 0 &&
         consecutive_train_failures_ >= options_.quarantine_after) {
       quarantined_ = true;
     }
+  }
+}
+
+void FleetSeriesReference::install() {
+  forest_ = std::move(pending_);
+  pending_.reset();
+  ++retrains_;
+  consecutive_train_failures_ = 0;
+  if (cthld_.initialized()) {
+    cthld_.observe_best(pending_cthld_);
+  } else {
+    cthld_.initialize(pending_cthld_);
   }
 }
 

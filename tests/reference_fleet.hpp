@@ -2,8 +2,11 @@
 // pipeline (extraction, scoring, staggered retrains, the cThld EWMA)
 // with the feature history as it was before the exactly-sized store —
 // one growing vector per feature column, cut by the 2x amortised trim
-// when it reaches twice history_capacity. tests/fleet_engine_test.cpp
-// checks the engine's verdicts, forests and stats against it.
+// when it reaches twice history_capacity — and each retrain trained in
+// one RandomForest::train call on its due point T, held, and installed
+// after point T + kForestInstallDelay, where the engine trains in
+// stages. tests/fleet_engine_test.cpp checks the engine's verdicts,
+// forests and stats against it.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +48,7 @@ class FleetSeriesReference {
  private:
   void append_row();
   void retrain();
+  void install();
 
   FleetOptions options_;
   RetrainScheduler scheduler_;
@@ -60,6 +64,11 @@ class FleetSeriesReference {
   std::size_t base_ = 0;
   std::size_t labeled_until_ = 0;
   std::optional<ml::RandomForest> forest_;
+  // The forest trained on the last due point, its week's best cThld, and
+  // the point count after which both install.
+  std::optional<ml::RandomForest> pending_;
+  double pending_cthld_ = 0.0;
+  std::size_t install_at_ = 0;
   EwmaCthldPredictor cthld_;
   bool quarantined_ = false;
   std::size_t retrains_ = 0;
