@@ -25,7 +25,6 @@ void EwmaCthldPredictor::observe_best(double best_cthld) {
   } else {
     prediction_ = alpha_ * best_cthld + (1.0 - alpha_) * prediction_;
   }
-  obs::gauge("opprentice.cthld.ewma_prediction").set(prediction_);
   if (obs::log_enabled(obs::LogLevel::kDebug)) {
     obs::log(obs::LogLevel::kDebug, "cthld", "ewma_update",
              {{"observed_best", best_cthld}, {"prediction", prediction_}});

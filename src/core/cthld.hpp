@@ -13,19 +13,22 @@
 
 namespace opprentice::core {
 
+// The paper's EWMA weight on the newest best cThld ("to quickly catch up
+// with the cThld variation"); the fleet engine's predictor uses it.
+inline constexpr double kCthldEwmaAlpha = 0.8;
+
 // EWMA predictor over weekly best cThlds:
 //   cthld_pred(i) = alpha * best(i-1) + (1 - alpha) * cthld_pred(i-1)
-// alpha = 0.8 in the paper ("to quickly catch up with the cThld
-// variation").
 class EwmaCthldPredictor {
  public:
-  explicit EwmaCthldPredictor(double alpha = 0.8) : alpha_(alpha) {}
+  explicit EwmaCthldPredictor(double alpha = kCthldEwmaAlpha)
+      : alpha_(alpha) {}
 
-  // Initializes the first prediction. The paper uses 5-fold CV for it,
-  // as the offline drivers do (five_fold_cthld); the fleet engine seeds
-  // it with its first retrain's best cThld on the newest labeled window,
-  // scored in sample by the forest just trained on it (no earlier forest
-  // exists), and predicts 0.5 until then.
+  // Initializes the first prediction. The paper uses 5-fold CV for it
+  // (five_fold_cthld); the fleet engine seeds it with its first retrain's
+  // best cThld on the newest labeled window, scored in sample by the
+  // forest just trained on it (no earlier forest exists), and predicts
+  // 0.5 until then.
   void initialize(double first_prediction);
   bool initialized() const { return initialized_; }
 

@@ -354,14 +354,13 @@ std::string error_text(const std::exception_ptr& error) {
 class FleetSeries {
  public:
   FleetSeries(std::string id, std::size_t phase,
-              detectors::StreamingExtractor extractor, double ewma_alpha,
+              detectors::StreamingExtractor extractor,
               std::atomic<std::size_t>& fleet_pending)
       : id_(std::move(id)),
         salt_(util::stable_id_hash(id_)),
         phase_(phase),
         fleet_pending_(fleet_pending),
-        extractor_(std::move(extractor)),
-        cthld_(ewma_alpha) {}
+        extractor_(std::move(extractor)) {}
 
  private:
   friend class FleetEngine;
@@ -595,16 +594,16 @@ SeriesHandle FleetEngine::add_series(const std::string& id) {
   util::MutexLock map_lock(series_mutex_);
   const auto it = series_.find(id);
   if (it != series_.end()) return it->second;
-  detectors::FaultBoundary boundary = options_.boundary;
-  boundary.key_salt = util::stable_id_hash(id);
   std::vector<detectors::DetectorPtr> configs =
       options_.detector_factory
           ? options_.detector_factory(options_.ctx)
           : detectors::standard_configurations(options_.ctx);
   auto state = std::make_shared<FleetSeries>(
       id, scheduler_.phase(id),
-      detectors::StreamingExtractor(std::move(configs), boundary),
-      options_.cthld_ewma_alpha, pending_retrains_);
+      detectors::StreamingExtractor(
+          std::move(configs),
+          detectors::FaultBoundary{.key_salt = util::stable_id_hash(id)}),
+      pending_retrains_);
   {
     util::MutexLock lock(state->mutex_);
     const std::size_t features = state->extractor_.num_features();

@@ -76,8 +76,6 @@ struct FleetOptions {
   detectors::SeriesContext ctx{1440, 10080};
   ml::ForestOptions forest;
   eval::AccuracyPreference preference{0.66, 0.66};
-  double cthld_ewma_alpha = 0.8;
-  detectors::FaultBoundary boundary;
   DetectorFactory detector_factory;  // nullptr -> standard_configurations
 };
 

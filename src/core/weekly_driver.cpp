@@ -177,22 +177,6 @@ IncrementalRunResult run_weekly_incremental(const ml::Dataset& data,
   return result;
 }
 
-std::vector<double> ewma_predicted_cthlds(const IncrementalRunResult& run,
-                                          double initial_cthld,
-                                          double alpha) {
-  obs::ScopedSpan span("cthld.ewma_predict", "core");
-  span.arg("weeks", run.weeks.size());
-  std::vector<double> predicted;
-  predicted.reserve(run.weeks.size());
-  EwmaCthldPredictor predictor(alpha);
-  predictor.initialize(initial_cthld);
-  for (const auto& week : run.weeks) {
-    predicted.push_back(predictor.predict());
-    predictor.observe_best(week.best.cthld);
-  }
-  return predicted;
-}
-
 std::vector<double> five_fold_weekly_cthlds(const ml::Dataset& data,
                                             std::size_t points_per_week,
                                             std::size_t warmup,

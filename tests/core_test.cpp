@@ -179,18 +179,6 @@ TEST(WeeklyDriver, BestCthldsSatisfyPreferenceOnSeparableData) {
   }
 }
 
-TEST(WeeklyDriver, EwmaPredictionsFollowBests) {
-  const auto data = weekly_data(12, 100);
-  DriverOptions opt;
-  opt.forest = tiny_forest();
-  const auto run = run_weekly_incremental(data, 100, 0, opt);
-  const auto predicted = ewma_predicted_cthlds(run, 0.5, 0.8);
-  ASSERT_EQ(predicted.size(), run.weeks.size());
-  EXPECT_DOUBLE_EQ(predicted[0], 0.5);
-  EXPECT_NEAR(predicted[1], 0.8 * run.weeks[0].best.cthld + 0.2 * 0.5,
-              1e-12);
-}
-
 TEST(WeeklyDriver, DecisionsRespectWeeklyCthlds) {
   const auto data = weekly_data(10, 100);
   DriverOptions opt;

@@ -810,8 +810,10 @@ TEST(StreamingExtractor, MatchesBatchExtraction) {
   for (std::size_t i = 0; i < series.size(); ++i) {
     const auto row = streaming.feed(series[i]);
     for (std::size_t f = 0; f < row.size(); ++f) {
-      ASSERT_DOUBLE_EQ(row[f], batch.columns[f][i])
-          << batch.feature_names[f] << " at " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(row[f]),
+                std::bit_cast<std::uint64_t>(batch.columns[f][i]))
+          << batch.feature_names[f] << " at " << i << ": " << row[f]
+          << " vs " << batch.columns[f][i];
     }
   }
 }

@@ -4,7 +4,8 @@
 // seed, series are isolated — a quarantined or fault-injected series
 // must not perturb any other series' output bytes — and the exactly-sized
 // feature history decides everything the growing columns it replaced
-// did (reference_fleet.hpp).
+// did (reference_fleet.hpp), and the offline I1 driver trains the
+// engine's forests (weekly_driver.hpp).
 //
 // ctest label: fleet (CI runs these under TSan alongside `parallel`).
 #include <gtest/gtest.h>
@@ -23,8 +24,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/cthld.hpp"
+#include "core/dataset_builder.hpp"
 #include "core/fleet_engine.hpp"
 #include "core/retrain_scheduler.hpp"
+#include "core/weekly_driver.hpp"
+#include "datagen/anomaly_injector.hpp"
+#include "datagen/kpi_presets.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "eval/pr_curve.hpp"
 #include "eval/threshold_pickers.hpp"
@@ -265,8 +271,8 @@ TEST(FleetEngine, WeeklyBestCthldIsScoredByTheLiveForest) {
       // The two picks differ on this stream, so the check below can tell
       // them apart.
       EXPECT_NE(bits(best), bits(in_sample)) << "point " << t;
-      prediction = options.cthld_ewma_alpha * best +
-                   (1.0 - options.cthld_ewma_alpha) * prediction;
+      prediction = core::kCthldEwmaAlpha * best +
+                   (1.0 - core::kCthldEwmaAlpha) * prediction;
       ++checked;
     }
     live = trained;
@@ -361,6 +367,91 @@ TEST(FleetEngine, ForestInstallsSixPointsAfterItsDuePoint) {
     }
   }
   EXPECT_GE(installs, 3u) << "a first retrain and later ones";
+}
+
+// ---- the offline I1 driver against the engine ---------------------------
+
+// The offline weekly driver (run_weekly_incremental, I1) and one engine
+// series with default options train the same forests, so the driver's
+// figures stand for the running system. Labels arrive at week boundaries,
+// as an operator's would, which lines the series' staggered phase up with
+// the driver's week-aligned windows: a retrain due at point T trains on
+// the rows labeled by then, [warm-up, k * W) with k = (T - 1) / W. The
+// driver reads the features as the engine's history stores them
+// (stored_severity); streaming extraction equals batch extraction bit for
+// bit (StreamingExtractor.MatchesBatchExtraction).
+TEST(EngineEqualsDriver, I1Forests) {
+  const datagen::KpiPreset preset = datagen::srt_preset(datagen::Scale::kSmall);
+  const core::ExperimentData data = core::prepare_experiment(
+      datagen::generate_kpi(preset.model, preset.injection));
+  const std::size_t week = data.points_per_week;
+  const std::size_t rows = data.dataset.num_rows();
+  std::vector<std::vector<double>> columns = data.dataset.columns();
+  for (auto& column : columns) {
+    for (double& value : column) value = core::stored_severity(value);
+  }
+  const ml::Dataset stored(data.dataset.feature_names(), std::move(columns),
+                           data.dataset.labels());
+
+  core::FleetOptions options;
+  options.ctx = {data.series.points_per_day(), week};
+  core::FleetEngine engine(options);
+  const std::string id = data.series.name();
+  const auto s = engine.add_series(id);
+
+  core::DriverOptions driver;
+  driver.initial_weeks = 2;
+  driver.forest = options.forest;
+  const core::IncrementalRunResult run =
+      core::run_weekly_incremental(stored, week, data.warmup, driver);
+
+  const std::span<const std::uint8_t> labels = stored.labels();
+  std::size_t retrains = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    engine.feed(s, data.series[i]);
+    if ((i + 1) % week == 0) {
+      engine.ingest_labels(s, labels.subspan(i + 1 - week, week),
+                           i + 1 - week);
+    }
+    const core::FleetSeriesStats stats = engine.stats(s);
+    if (stats.retrains == retrains) continue;
+    ASSERT_EQ(stats.retrains, retrains + 1);
+    retrains = stats.retrains;
+    const std::size_t due = stats.points_seen - core::kForestInstallDelay;
+    SCOPED_TRACE("retrain due at point " + std::to_string(due));
+    ASSERT_TRUE(engine.scheduler().due(id, due));
+    const std::size_t k = (due - 1) / week;
+    ASSERT_GE(k, driver.initial_weeks);
+    const auto windows =
+        core::strategy_windows(core::TrainingStrategy::kI1,
+                               k - driver.initial_weeks, rows, week,
+                               driver.initial_weeks);
+    ASSERT_TRUE(windows.has_value());
+    ASSERT_EQ(windows->train_end, k * week);
+
+    // (a) The installed forest is RandomForest::train on the I1 window.
+    ml::RandomForest forest(options.forest);
+    forest.train(stored.slice(std::max(windows->train_begin, data.warmup),
+                              windows->train_end));
+    std::ostringstream expected;
+    ml::save_forest(expected, forest, stored.feature_names());
+    const std::string installed = engine.forest_fingerprint(s);
+    ASSERT_EQ(installed, expected.str());
+
+    // (b) It scores week k as the driver does.
+    std::istringstream in(installed);
+    const std::vector<double> scores = ml::load_forest(in).forest.score_all(
+        stored.slice(windows->test_begin, windows->test_end));
+    for (std::size_t j = 0; j < scores.size(); ++j) {
+      ASSERT_EQ(bits(scores[j]), bits(run.scores[windows->test_begin + j]))
+          << "row " << windows->test_begin + j;
+    }
+  }
+  // Every driver week with training rows past warm-up had its retrain.
+  std::size_t trainable = 0;
+  for (const auto& w : run.weeks) trainable += w.test_begin > data.warmup;
+  EXPECT_GT(trainable, 10u);
+  EXPECT_EQ(retrains, trainable);
 }
 
 // A retrain must install before the series' next one comes due.

@@ -24,12 +24,6 @@ std::vector<detectors::DetectorPtr> configurations(
              : detectors::standard_configurations(options.ctx);
 }
 
-detectors::FaultBoundary salted(detectors::FaultBoundary boundary,
-                                std::uint64_t salt) {
-  boundary.key_salt = salt;
-  return boundary;
-}
-
 }  // namespace
 
 FleetSeriesReference::FleetSeriesReference(const FleetOptions& options,
@@ -40,10 +34,11 @@ FleetSeriesReference::FleetSeriesReference(const FleetOptions& options,
                                              : options.ctx.points_per_week),
       salt_(util::stable_id_hash(id)),
       phase_(scheduler_.phase(id)),
-      extractor_(configurations(options), salted(options.boundary, salt_)),
+      extractor_(configurations(options),
+                 detectors::FaultBoundary{.key_salt = salt_}),
       features_(extractor_.num_features()),
       columns_(extractor_.num_features()),
-      cthld_(options.cthld_ewma_alpha) {}
+      cthld_(kCthldEwmaAlpha) {}
 
 void FleetSeriesReference::append_row() {
   for (std::size_t f = 0; f < features_.size(); ++f) {
