@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "eval/pr_curve.hpp"
 #include "obs/obs.hpp"
@@ -15,25 +16,29 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // Fault-contained forest training for the strategy drivers (DESIGN.md
-// §5f): trains on rows [max(train_begin, warmup), train_end), returns
-// nullopt when the window has no positive labels or training fails
-// (injected or genuine) — the caller degrades instead of aborting. The
-// injection key is the training window, so the fired-event set is a pure
-// function of schedule + plan.
+// §5f): trains on rows [max(train_begin, warmup), train_end) of data in
+// place, returns nullopt when the window has no positive labels or
+// training fails (injected or genuine) — the caller degrades instead of
+// aborting. The injection key is the training window, so the fired-event
+// set is a pure function of schedule + plan.
 std::optional<ml::RandomForest> train_forest_guarded(
     const ml::Dataset& data, std::size_t warmup, std::size_t train_begin,
     std::size_t train_end, const ml::ForestOptions& options) {
   const std::size_t begin = std::max(train_begin, warmup);
   if (begin >= train_end) return std::nullopt;
-  const ml::Dataset train = data.slice(begin, train_end);
-  if (train.positives() == 0) return std::nullopt;
+  const auto labels =
+      std::span(data.labels()).subspan(begin, train_end - begin);
+  if (std::none_of(labels.begin(), labels.end(),
+                   [](std::uint8_t y) { return y != 0; })) {
+    return std::nullopt;
+  }
   const std::uint64_t key = util::fault_key(begin, train_end);
   try {
     if (util::inject_fault(util::faults::kForestTrain, key)) {
       throw util::InjectedFault("injected forest.train");
     }
     ml::RandomForest forest(options);
-    forest.train(train);
+    forest.train(data, begin, train_end);
     return forest;
   } catch (const std::exception& e) {
     obs::counter("opprentice.forest.train_failures").add();
@@ -49,6 +54,28 @@ std::optional<ml::RandomForest> train_forest_guarded(
                            " train_end=" + std::to_string(train_end));
     return std::nullopt;
   }
+}
+
+// The I1 windows of a dataset of num_rows rows, oldest first.
+std::vector<StrategyWindows> i1_schedule(std::size_t num_rows,
+                                         std::size_t points_per_week,
+                                         std::size_t initial_weeks) {
+  std::vector<StrategyWindows> schedule;
+  for (std::size_t window = 0;; ++window) {
+    const auto windows = strategy_windows(TrainingStrategy::kI1, window,
+                                          num_rows, points_per_week,
+                                          initial_weeks);
+    if (!windows) break;
+    schedule.push_back(*windows);
+  }
+  return schedule;
+}
+
+// The window the i-th parallel_for index runs. The pool hands indices out
+// in ascending order, so the newest window, the largest forest, starts
+// first and the lanes finish together instead of idling behind it.
+std::size_t newest_first(std::size_t windows, std::size_t i) {
+  return windows - 1 - i;
 }
 
 }  // namespace
@@ -109,8 +136,7 @@ std::vector<double> run_strategy_window(const ml::Dataset& data,
 
   obs::ScopedSpan span("weekly.score", "core");
   span.arg("rows", windows.test_end - windows.test_begin);
-  const ml::Dataset test = data.slice(windows.test_begin, windows.test_end);
-  return forest->score_all(test);
+  return forest->score_all(data, windows.test_begin, windows.test_end);
 }
 
 IncrementalRunResult run_weekly_incremental(const ml::Dataset& data,
@@ -126,21 +152,15 @@ IncrementalRunResult run_weekly_incremental(const ml::Dataset& data,
   result.scores.assign(data.num_rows(), kNaN);
 
   // Enumerate the window schedule up front, then fan the weeks out across
-  // the pool. Each week trains on its own (read-only) slice of history
+  // the pool. Each week trains on its own rows of history, read in place,
   // with pre-fixed forest seeds and writes a disjoint [test_begin,
   // test_end) score range plus its own WeekResult slot, so the run is
-  // bit-identical at any thread count.
-  std::vector<StrategyWindows> schedule;
-  for (std::size_t window = 0;; ++window) {
-    const auto windows =
-        strategy_windows(TrainingStrategy::kI1, window, data.num_rows(),
-                         points_per_week, options.initial_weeks);
-    if (!windows) break;
-    schedule.push_back(*windows);
-  }
-
+  // bit-identical at any thread count and in any order.
+  const std::vector<StrategyWindows> schedule =
+      i1_schedule(data.num_rows(), points_per_week, options.initial_weeks);
   result.weeks.assign(schedule.size(), WeekResult{});
-  util::parallel_for(schedule.size(), [&](std::size_t window) {
+  util::parallel_for(schedule.size(), [&](std::size_t i) {
+    const std::size_t window = newest_first(schedule.size(), i);
     const StrategyWindows& windows = schedule[window];
     obs::ScopedSpan week_span("weekly.window", "core");
     week_span.arg("week", window);
@@ -157,9 +177,9 @@ IncrementalRunResult run_weekly_incremental(const ml::Dataset& data,
     wr.test_end = windows.test_end;
     {
       obs::ScopedSpan pick_span("weekly.cthld_pick", "core");
-      const ml::Dataset test =
-          data.slice(windows.test_begin, windows.test_end);
-      const eval::PrCurve curve(week_scores, test.labels());
+      const eval::PrCurve curve(
+          week_scores, std::span(data.labels())
+                           .subspan(windows.test_begin, week_scores.size()));
       wr.best = eval::pick_threshold(curve, eval::ThresholdMethod::kPcScore,
                                      options.preference);
     }
@@ -181,19 +201,15 @@ std::vector<double> five_fold_weekly_cthlds(const ml::Dataset& data,
                                             std::size_t points_per_week,
                                             std::size_t warmup,
                                             const DriverOptions& options) {
-  std::vector<StrategyWindows> schedule;
-  for (std::size_t window = 0;; ++window) {
-    const auto windows =
-        strategy_windows(TrainingStrategy::kI1, window, data.num_rows(),
-                         points_per_week, options.initial_weeks);
-    if (!windows) break;
-    schedule.push_back(*windows);
-  }
-
-  // Weeks fan out across the pool; each week's five-fold selection (and
-  // the forest trainings inside it) then runs inline on its worker.
+  const std::vector<StrategyWindows> schedule =
+      i1_schedule(data.num_rows(), points_per_week, options.initial_weeks);
+  // Weeks fan out across the pool, newest first; each week's five-fold
+  // selection (and the forest trainings inside it) then runs inline on its
+  // worker. five_fold_cthld draws its folds as row lists, so this window
+  // is still a copy.
   std::vector<double> cthlds(schedule.size(), 0.0);
-  util::parallel_for(schedule.size(), [&](std::size_t window) {
+  util::parallel_for(schedule.size(), [&](std::size_t i) {
+    const std::size_t window = newest_first(schedule.size(), i);
     const std::size_t begin = std::max(schedule[window].train_begin, warmup);
     const ml::Dataset train = data.slice(begin, schedule[window].train_end);
     cthlds[window] =

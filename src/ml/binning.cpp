@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
@@ -107,17 +108,22 @@ void radix_sort(std::span<const std::uint64_t> keys,
 }  // namespace
 
 BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
-    : BinnedDataset(unbinned(data)) {
+    : BinnedDataset(unbinned(data, 0, data.num_rows())) {
   util::parallel_for(data.num_features(), [&](std::size_t f) {
     bin_column(f, data.column(f), max_bins);
   });
 }
 
-BinnedDataset BinnedDataset::unbinned(const Dataset& data) {
+BinnedDataset BinnedDataset::unbinned(const Dataset& data, std::size_t begin,
+                                      std::size_t end) {
+  if (begin > end || end > data.num_rows()) {
+    throw std::out_of_range("BinnedDataset: bad row range");
+  }
   BinnedDataset out;
   out.binners_.resize(data.num_features());
   out.codes_.resize(data.num_features());
-  out.labels_ = data.labels();
+  const auto labels = std::span(data.labels()).subspan(begin, end - begin);
+  out.labels_.assign(labels.begin(), labels.end());
   return out;
 }
 

@@ -58,10 +58,13 @@ class BinnedDataset {
   explicit BinnedDataset(const Dataset& data,
                          std::size_t max_bins = kMaxBins);
 
-  // data's labels and shape with no column binned yet: bin_column fills
-  // one column, so the columns can be binned apart (the constructor
-  // above is this, then bin_column for every column in parallel).
-  static BinnedDataset unbinned(const Dataset& data);
+  // The labels and shape of data's rows [begin, end) with no column
+  // binned yet: bin_column fills one column, so the columns can be binned
+  // apart (the constructor above is this over every row, then bin_column
+  // for every column in parallel). Copies only the range's labels; throws
+  // std::out_of_range on a bad range.
+  static BinnedDataset unbinned(const Dataset& data, std::size_t begin,
+                                std::size_t end);
 
   // Bins feature f from `column`, its values in row order. Touches only
   // feature f, so distinct columns may be binned concurrently.

@@ -14,13 +14,18 @@ namespace opprentice::ml {
 RandomForest::RandomForest(ForestOptions options) : options_(options) {}
 
 void RandomForest::train(const Dataset& data) {
+  train(data, 0, data.num_rows());
+}
+
+void RandomForest::train(const Dataset& data, std::size_t begin,
+                         std::size_t end) {
   obs::ScopedSpan span("forest.train", "ml");
-  span.arg("rows", data.num_rows());
+  span.arg("rows", end - begin);
   span.arg("features", data.num_features());
   span.arg("trees", options_.num_trees);
   obs::Stopwatch watch;
 
-  ForestTraining training(options_, data);
+  ForestTraining training(options_, data, begin, end);
   util::parallel_for(training.bin_units(),
                      [&](std::size_t unit) { training.bin(data, unit); });
   util::parallel_for(training.tree_units(),
@@ -30,7 +35,7 @@ void RandomForest::train(const Dataset& data) {
   obs::histogram("opprentice.forest.train.ms").record(watch.elapsed_ms());
   if (obs::log_enabled(obs::LogLevel::kInfo)) {
     obs::log(obs::LogLevel::kInfo, "forest", "train_done",
-             {{"rows", data.num_rows()},
+             {{"rows", end - begin},
               {"features", data.num_features()},
               {"trees", roots_.size()},
               {"ms", watch.elapsed_ms()}});
@@ -39,12 +44,18 @@ void RandomForest::train(const Dataset& data) {
 
 ForestTraining::ForestTraining(const ForestOptions& options,
                                const Dataset& data)
+    : ForestTraining(options, data, 0, data.num_rows()) {}
+
+ForestTraining::ForestTraining(const ForestOptions& options,
+                               const Dataset& data, std::size_t begin,
+                               std::size_t end)
     : options_(options),
-      binned_(BinnedDataset::unbinned(data)),
+      begin_(begin),
+      binned_(BinnedDataset::unbinned(data, begin, end)),
       tree_options_(options.num_trees),
       tree_counts_(options.num_trees),
       trees_(options.num_trees) {
-  if (data.empty()) {
+  if (binned_.num_rows() == 0) {
     throw std::invalid_argument("RandomForest::train: empty dataset");
   }
   if (data.num_features() > FlatNode::kMaxFeatures) {
@@ -53,7 +64,7 @@ ForestTraining::ForestTraining(const ForestOptions& options,
   }
   sample_size_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(options_.sample_fraction *
-                                  static_cast<double>(data.num_rows())));
+                                  static_cast<double>(binned_.num_rows())));
   mtry_ = options_.mtry != 0
               ? options_.mtry
               : std::max<std::size_t>(
@@ -63,7 +74,8 @@ ForestTraining::ForestTraining(const ForestOptions& options,
 
 void ForestTraining::bin(const Dataset& data, std::size_t unit) {
   if (unit < binned_.num_features()) {
-    binned_.bin_column(unit, data.column(unit));
+    binned_.bin_column(unit,
+                       data.column(unit).subspan(begin_, binned_.num_rows()));
     return;
   }
   // Per-tree seeds and bootstrap samples are drawn serially from the
@@ -188,12 +200,21 @@ bool RandomForest::classify(std::span<const double> features,
 }
 
 std::vector<double> RandomForest::score_all(const Dataset& data) const {
+  return score_all(data, 0, data.num_rows());
+}
+
+std::vector<double> RandomForest::score_all(const Dataset& data,
+                                            std::size_t begin,
+                                            std::size_t end) const {
   if (roots_.empty()) {
     throw std::logic_error("RandomForest::score_all: not trained");
   }
+  if (begin > end || end > data.num_rows()) {
+    throw std::out_of_range("RandomForest::score_all: bad row range");
+  }
+  const std::size_t rows = end - begin;
   obs::ScopedSpan span("forest.score_all", "ml");
-  span.arg("rows", data.num_rows());
-  const std::size_t rows = data.num_rows();
+  span.arg("rows", rows);
   std::vector<double> scores(rows, 0.0);
   // Chunks of rows fan out across the pool; a row's votes are an integer
   // sum, so every score is bit-identical at any thread count. One row is
@@ -202,9 +223,11 @@ std::vector<double> RandomForest::score_all(const Dataset& data) const {
   constexpr std::size_t kChunk = 64;
   util::parallel_for((rows + kChunk - 1) / kChunk, [&](std::size_t chunk) {
     std::vector<double> row(data.num_features());
-    const std::size_t end = std::min(rows, (chunk + 1) * kChunk);
-    for (std::size_t i = chunk * kChunk; i < end; ++i) {
-      for (std::size_t f = 0; f < row.size(); ++f) row[f] = data.value(i, f);
+    const std::size_t last = std::min(rows, (chunk + 1) * kChunk);
+    for (std::size_t i = chunk * kChunk; i < last; ++i) {
+      for (std::size_t f = 0; f < row.size(); ++f) {
+        row[f] = data.value(begin + i, f);
+      }
       scores[i] = score(row);
     }
   });

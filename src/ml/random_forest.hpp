@@ -35,8 +35,11 @@ class RandomForest final : public BinaryClassifier {
   std::string name() const override { return "random_forest"; }
 
   // Runs ForestTraining's stages back to back, each one's units over the
-  // global thread pool.
+  // global thread pool, on every row of data.
   void train(const Dataset& data) override;
+  // The same on rows [begin, end) of data, read in place: the forest of
+  // train(data.slice(begin, end)), bit for bit, without the copy.
+  void train(const Dataset& data, std::size_t begin, std::size_t end);
   bool is_trained() const override { return !roots_.empty(); }
 
   // Fraction of trees voting anomaly, in [0, 1].
@@ -46,6 +49,10 @@ class RandomForest final : public BinaryClassifier {
   // reduce per row in fixed tree order; results match serial score()
   // bit-for-bit at any thread count.
   std::vector<double> score_all(const Dataset& data) const override;
+  // Scores rows [begin, end) of data in place: score_all(data.slice(begin,
+  // end)) without the copy. Throws std::out_of_range on a bad range.
+  std::vector<double> score_all(const Dataset& data, std::size_t begin,
+                                std::size_t end) const;
 
   // score >= cthld; 0.5 is the default majority vote.
   bool classify(std::span<const double> features, double cthld = 0.5) const;
@@ -87,13 +94,18 @@ class RandomForest final : public BinaryClassifier {
 // options, bit for bit.
 class ForestTraining {
  public:
-  // Keeps data's labels and shape. Throws std::invalid_argument on an
-  // empty dataset or past FlatNode::kMaxFeatures features.
+  // Trains on rows [begin, end) of data and keeps only their labels and
+  // the shape; stage 1 reads the rows in place. Throws std::out_of_range
+  // on a bad range, std::invalid_argument on an empty one or past
+  // FlatNode::kMaxFeatures features.
+  ForestTraining(const ForestOptions& options, const Dataset& data,
+                 std::size_t begin, std::size_t end);
+  // Every row of data.
   ForestTraining(const ForestOptions& options, const Dataset& data);
 
-  // Stage 1: unit f < num_features bins column f of `data`, the dataset
-  // given to the constructor; the last unit draws every tree's seed and
-  // bootstrap counts from the forest seed, in tree order.
+  // Stage 1: unit f < num_features bins column f of the constructor's
+  // rows of `data`, the dataset given to it; the last unit draws every
+  // tree's seed and bootstrap counts from the forest seed, in tree order.
   std::size_t bin_units() const { return binned_.num_features() + 1; }
   void bin(const Dataset& data, std::size_t unit);
 
@@ -108,6 +120,7 @@ class ForestTraining {
   ForestOptions options_;
   std::size_t mtry_ = 0;
   std::size_t sample_size_ = 0;
+  std::size_t begin_ = 0;  // the first row of data trained on
   BinnedDataset binned_;
   std::vector<TreeOptions> tree_options_;
   // How often each row was drawn into tree t's bootstrap sample; freed

@@ -2,12 +2,14 @@
 // and weekly drivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/cthld.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/weekly_driver.hpp"
 #include "datagen/anomaly_injector.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -207,6 +209,32 @@ TEST(WeeklyDriver, WarmupRowsExcludedFromTraining) {
   const auto run = run_weekly_incremental(data, 100, 800, opt);
   for (std::size_t i = run.test_start; i < data.num_rows(); ++i) {
     EXPECT_TRUE(std::isnan(run.scores[i]));
+  }
+}
+
+TEST(WeeklyDriver, WindowWithoutPositivesStaysNaN) {
+  // Positives only in the warm-up rows [0, 200) and from the first test
+  // week (row 800) on. The first window trains on rows [200, 800), which
+  // hold no positive: its week stays NaN and no forest trains for it. The
+  // second trains on [200, 900), which holds week 8's positives.
+  const auto base = weekly_data(10, 100);
+  std::vector<std::uint8_t> labels = base.labels();
+  std::fill(labels.begin() + 200, labels.begin() + 800, 0);
+  ASSERT_GT(std::count(labels.begin(), labels.begin() + 200, 1), 0);
+  ASSERT_GT(std::count(labels.begin() + 800, labels.begin() + 900, 1), 0);
+  const ml::Dataset data(base.feature_names(), base.columns(), labels);
+  DriverOptions opt;
+  opt.forest = tiny_forest();
+  obs::Counter& trains = obs::counter("opprentice.forest.trains");
+  const std::uint64_t trains_before = trains.value();
+  const auto run = run_weekly_incremental(data, 100, 200, opt);
+  EXPECT_EQ(trains.value() - trains_before, 1u);
+  ASSERT_EQ(run.weeks.size(), 2u);
+  for (std::size_t i = 800; i < 900; ++i) {
+    EXPECT_TRUE(std::isnan(run.scores[i])) << "row " << i;
+  }
+  for (std::size_t i = 900; i < 1000; ++i) {
+    EXPECT_FALSE(std::isnan(run.scores[i])) << "row " << i;
   }
 }
 

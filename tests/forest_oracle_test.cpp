@@ -550,6 +550,64 @@ TEST(ForestOracle, StagedTrainEqualsTrain) {
   util::set_global_threads(0);
 }
 
+// Training and batch scoring read a row range of a dataset in place; the
+// forest and the scores must be those of a copy of the range, bit for
+// bit, at any thread count. The columns are dirty_dataset's, the special
+// columns (±inf, NaN, −0.0, all-NaN) and random ones; the ranges start
+// inside, end inside, hold one row, or hold every row.
+TEST(ForestOracle, RowRangeTrainEqualsSliceTrain) {
+  util::Rng rng(5151);
+  constexpr std::size_t kRows = 1200;
+  std::vector<std::vector<double>> columns =
+      dirty_dataset(rng, kRows, 20).columns();
+  for (std::vector<double>& column : special_columns(kRows)) {
+    columns.push_back(std::move(column));
+  }
+  for (int i = 0; i < 6; ++i) columns.push_back(random_column(rng, kRows));
+  std::vector<std::uint8_t> labels = random_labels(rng, columns);
+  const std::size_t features = columns.size();
+  const Dataset data(std::vector<std::string>(features, "f"),
+                     std::move(columns), std::move(labels));
+  ForestOptions options;
+  options.num_trees = 16;
+  options.seed = 2718;
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {137, 911}, {0, 300}, {850, kRows}, {523, 524}, {0, kRows}};
+  for (std::size_t threads : kThreadSweep) {
+    util::set_global_threads(threads);
+    for (const auto& [begin, end] : ranges) {
+      const std::string context = "rows [" + std::to_string(begin) + ", " +
+                                  std::to_string(end) + ") threads " +
+                                  std::to_string(threads);
+      const Dataset copy = data.slice(begin, end);
+      RandomForest in_place(options);
+      in_place.train(data, begin, end);
+      RandomForest sliced(options);
+      sliced.train(copy);
+      EXPECT_EQ(forest_digest(in_place, data.feature_names()),
+                forest_digest(sliced, data.feature_names()))
+          << context;
+
+      const std::vector<double> got = in_place.score_all(data, begin, end);
+      const std::vector<double> want = sliced.score_all(copy);
+      ASSERT_EQ(got.size(), want.size()) << context;
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        ASSERT_TRUE(same_bits(got[r], want[r])) << context << " row " << r;
+      }
+    }
+  }
+  util::set_global_threads(0);
+
+  RandomForest forest(options);
+  EXPECT_THROW(forest.train(data, 400, 400), std::invalid_argument);
+  EXPECT_THROW(forest.train(data.slice(400, 400)), std::invalid_argument);
+  EXPECT_THROW(forest.train(data, 401, 400), std::out_of_range);
+  EXPECT_THROW(forest.train(data, 0, kRows + 1), std::out_of_range);
+  forest.train(data, 0, 600);
+  EXPECT_TRUE(forest.score_all(data, 400, 400).empty());
+  EXPECT_THROW((void)forest.score_all(data, 0, kRows + 1), std::out_of_range);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream out;
