@@ -21,7 +21,6 @@
 #include "detectors/feature_extractor.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/json_util.hpp"
-#include "util/ascii_chart.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace opprentice;
@@ -285,24 +284,6 @@ int main(int argc, char** argv) {
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-
-  // Where the extraction budget actually goes, per configuration — only
-  // populated when --json enabled detailed timing.
-  const auto cost_rows = obs::CostAttribution::instance().snapshot();
-  if (!cost_rows.empty()) {
-    std::vector<std::vector<std::string>> cells;
-    for (std::size_t i = 0; i < cost_rows.size() && i < 10; ++i) {
-      const auto& r = cost_rows[i];
-      cells.push_back({r.configuration, std::to_string(r.count),
-                       util::format_double(r.mean_us, 2),
-                       util::format_double(100.0 * r.share, 1) + "%"});
-    }
-    std::printf("\ntop %zu most expensive configurations (of %zu):\n%s",
-                cells.size(), cost_rows.size(),
-                util::render_table(
-                    {"configuration", "points", "mean_us", "share"}, cells)
-                    .c_str());
-  }
 
   if (!session.json_path().empty()) {
     session.set_extra_json(render_report(reporter));

@@ -1,5 +1,5 @@
 // Fleet engine: one process, tens of thousands of KPI streams
-// (DESIGN.md §5i, ROADMAP item 1).
+// (DESIGN.md §5i).
 //
 // The paper's pipeline detects anomalies on one KPI; operators watch
 // fleets. This engine multiplexes the whole per-series pipeline —

@@ -1,7 +1,5 @@
 #include "core/retrain_scheduler.hpp"
 
-#include <string>
-
 #include "util/fault_injection.hpp"
 
 namespace opprentice::core {
@@ -27,16 +25,6 @@ std::size_t RetrainScheduler::next_due(std::size_t phase,
   if (n < interval_) n = interval_;
   const std::size_t rem = n % interval_;
   return rem <= phase ? n + (phase - rem) : n + interval_ - (rem - phase);
-}
-
-std::vector<std::size_t> RetrainScheduler::phase_histogram(
-    const std::vector<std::string>& ids, std::size_t buckets) const {
-  if (buckets == 0) buckets = 1;
-  std::vector<std::size_t> histogram(buckets, 0);
-  for (const auto& id : ids) {
-    ++histogram[phase(id) * buckets / interval_];
-  }
-  return histogram;
 }
 
 }  // namespace opprentice::core

@@ -16,9 +16,9 @@
 // fleet determinism sweep asserts byte-for-byte.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace opprentice::core {
 
@@ -48,11 +48,6 @@ class RetrainScheduler {
   // The next point count strictly after `points_seen` at which the
   // series is due.
   std::size_t next_due(std::size_t phase, std::size_t points_seen) const;
-
-  // How many of `ids` land in each of `buckets` equal slices of the
-  // interval — the spread the golden-schedule test bounds.
-  std::vector<std::size_t> phase_histogram(
-      const std::vector<std::string>& ids, std::size_t buckets) const;
 
  private:
   std::uint64_t seed_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/cost_attribution.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
@@ -217,13 +216,9 @@ FeatureMatrix extract_features(const ts::TimeSeries& series,
         // One observation per configuration pass, normalized to µs/point.
         // Recorded under extract.batch.* (not the streaming family
         // histograms) so per-point counts stay consistent with
-        // opprentice.extract.points, plus the per-configuration slot that
-        // feeds the cost-attribution table.
+        // opprentice.extract.points.
         batch_family_histogram(family_of(detector->name()))
             .record(elapsed_us[j] / static_cast<double>(series.size()));
-        obs::CostAttribution::instance()
-            .slot(detector->name())
-            .record_pass(elapsed_us[j], series.size());
       }
       // Zero out this detector's own warm-up region so warm-up artifacts
       // cannot leak into training even when other detectors are ready.
@@ -253,11 +248,8 @@ StreamingExtractor::StreamingExtractor(std::vector<DetectorPtr> detectors,
       faults_active_(util::faults_enabled()) {
   points_counter_ = &obs::counter("opprentice.extract.points");
   feed_histogram_ = &obs::histogram("opprentice.extract.feed.us");
-  cost_slots_.reserve(detectors_.size());
   for (std::size_t f = 0; f < detectors_.size(); ++f) {
     max_warmup_ = std::max(max_warmup_, detectors_[f]->warmup_points());
-    cost_slots_.push_back(
-        &obs::CostAttribution::instance().slot(detectors_[f]->name()));
     const std::string family = family_of(detectors_[f]->name());
     if (families_.empty() ||
         family != family_of(detectors_[families_.back().begin]->name())) {
@@ -295,24 +287,16 @@ void StreamingExtractor::feed_into(double value, std::span<double> features) {
                                                                   : 0.0;
   };
   if (obs::detailed_timing_enabled()) {
-    // Per-family µs/point plus the per-configuration attribution slots:
-    // §5.8's extraction budget broken down by where it actually goes,
-    // sharp enough to name the individual configurations worth attacking
-    // (ROADMAP item 2). Each configuration is timed individually; the
-    // family observation is the sum of its members so both levels stay
-    // consistent.
+    // §5.8's extraction budget per detector family: one stopwatch per
+    // family range and one for the whole feed, 15 clock pairs a point
+    // over the standard bank.
     obs::Stopwatch total;
     for (const auto& fam : families_) {
-      double family_us = 0.0;
+      obs::Stopwatch watch;
       for (std::size_t f = fam.begin; f < fam.end; ++f) {
-        obs::Stopwatch watch;
-        const double severity = guarded_feed(f, value);
-        const double config_us = watch.elapsed_us();
-        cost_slots_[f]->record(config_us);
-        family_us += config_us;
-        features[f] = masked(f, severity);
+        features[f] = masked(f, guarded_feed(f, value));
       }
-      fam.histogram->record(family_us);
+      fam.histogram->record(watch.elapsed_us());
     }
     feed_histogram_->record(total.elapsed_us());
   } else {

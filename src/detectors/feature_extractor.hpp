@@ -10,7 +10,6 @@
 
 #include "detectors/detector.hpp"
 #include "detectors/registry.hpp"
-#include "obs/cost_attribution.hpp"
 #include "obs/metrics.hpp"
 #include "timeseries/time_series.hpp"
 
@@ -126,9 +125,6 @@ class StreamingExtractor {
 
   std::vector<DetectorPtr> detectors_;
   std::vector<FamilyRange> families_;
-  // Per-configuration cost slots (cost_attribution.hpp), looked up once
-  // at construction; fed per point when detailed timing is enabled.
-  std::vector<obs::CostSlot*> cost_slots_;
   FaultBoundary boundary_;
   // Consecutive-failure count per configuration; quarantine trips when it
   // reaches boundary_.quarantine_after.

@@ -60,7 +60,7 @@ class FlightRecorder {
 
   // Named record_event (not record) so tokenizer-level tools like the
   // hot-path analyzer never confuse this locking append with the
-  // wait-free Histogram::record / CostSlot::record on the hot path.
+  // wait-free Histogram::record on the hot path.
   void record_event(std::string_view category, std::string_view name,
                     std::uint64_t key, std::string_view detail = {});
 

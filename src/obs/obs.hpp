@@ -7,8 +7,6 @@
 //                         JSON (OPPRENTICE_TRACE=<path> or --trace <path>)
 //   log.hpp               leveled key=value structured logging
 //                         (OPPRENTICE_LOG=debug|info|warn|error)
-//   cost_attribution.hpp  per-configuration cost accumulator (count/sum/
-//                         max µs per detector configuration)
 //   flight_recorder.hpp   fixed-size ring of structured events for
 //                         postmortems, deterministic dump order
 //   run_report.hpp        schema-versioned per-run JSON manifest
@@ -18,7 +16,6 @@
 // disabled.
 #pragma once
 
-#include "obs/cost_attribution.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"

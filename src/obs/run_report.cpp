@@ -3,7 +3,6 @@
 #include <fstream>
 #include <thread>
 
-#include "obs/cost_attribution.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
@@ -184,9 +183,6 @@ std::string RunReport::to_json() const {
          std::to_string(
              registry.counter("opprentice.forest.train_failures").value());
   out += "}";
-
-  out += ",\n\"attribution\": ";
-  out += cost_rows_json(CostAttribution::instance().snapshot());
 
   out += ",\n\"flight_recorder\": ";
   out += FlightRecorder::instance().dump_json();

@@ -5,19 +5,18 @@
 // A run report is the self-describing record of what a run was and what
 // it cost: build/compiler info, thread configuration, the seeds that make
 // it reproducible, stage wall-times, a full counter snapshot, the
-// fault/repair/quarantine summaries, the per-configuration cost
-// attribution table (cost_attribution.hpp), and the flight-recorder dump
-// (flight_recorder.hpp). `opprentice_perf` and CI consume these files;
-// humans read them when a chaos run needs a postmortem.
+// fault/repair/quarantine summaries, and the flight-recorder dump
+// (flight_recorder.hpp). CI's network smoke reads the serve and agent
+// reports; humans read them when a chaos run needs a postmortem.
+// (`opprentice_perf` reads perfbench result lines, not run reports.)
 //
-// Schema "opprentice.run_report/1" — top-level keys, in order:
+// Schema "opprentice.run_report/2" — top-level keys, in order:
 //   schema, tool, command, build{compiler, build_type, cxx_standard},
 //   threads{configured, hardware_concurrency}, seeds{...}, stages[...],
 //   counters{...}, resilience{faults, ingest, detector, net, net_sources,
-//   forest_train_failures}, attribution[...], flight_recorder{...},
-//   extra{...}
+//   forest_train_failures}, flight_recorder{...}, extra{...}
 // Additive evolution only: consumers must tolerate new keys; removing or
-// retyping one bumps the schema version.
+// retyping one bumps the schema version (/2 dropped /1's "attribution").
 #pragma once
 
 #include <cstdint>
@@ -32,7 +31,7 @@ namespace opprentice::obs {
 
 class RunReport {
  public:
-  static constexpr std::string_view kSchema = "opprentice.run_report/1";
+  static constexpr std::string_view kSchema = "opprentice.run_report/2";
 
   RunReport(std::string tool, std::string command);
 
@@ -60,8 +59,8 @@ class RunReport {
   // Pre-rendered JSON for one extra member (caller owns validity).
   void set_field_json(std::string_view key, std::string json);
 
-  // Renders the manifest. Counters, attribution, and the flight recorder
-  // are snapshotted from the process-wide registries at call time.
+  // Renders the manifest. Counters and the flight recorder are
+  // snapshotted from the process-wide registries at call time.
   std::string to_json() const;
 
   // to_json() to a file; false when the file cannot be written.

@@ -53,7 +53,6 @@ enum class LockLevel : std::uint8_t {
   pool_work = 60,         // pool job hand-off and completion
   pool_error = 70,        // a parallel_for's lowest-index exception
   trace_collector = 80,   // span collector (§5c)
-  cost_ledger = 85,       // cost attribution slots (§5h)
   metrics_registry = 90,  // instrument registry (§5c)
   flight_recorder = 95,   // flight recorder ring (§5h)
   log_write = 99,         // log sink; the top level, nothing nests inside
@@ -70,7 +69,6 @@ constexpr const char* lock_level_name(LockLevel level) {
     case LockLevel::pool_work: return "pool_work";
     case LockLevel::pool_error: return "pool_error";
     case LockLevel::trace_collector: return "trace_collector";
-    case LockLevel::cost_ledger: return "cost_ledger";
     case LockLevel::metrics_registry: return "metrics_registry";
     case LockLevel::flight_recorder: return "flight_recorder";
     case LockLevel::log_write: return "log_write";

@@ -616,12 +616,26 @@ std::size_t mismatched_bits(const std::vector<std::vector<double>>& a,
 }
 
 // feed_into's untimed path skips the warm-up mask once every detector is
-// warm and computes no fault key without a plan; timing every
-// configuration (obs::set_detailed_timing) must not change a bit.
+// warm and computes no fault key without a plan; timing each family
+// (obs::set_detailed_timing) must not change a bit. The timed run records
+// exactly one observation per point in each of the 14 family histograms
+// and in opprentice.extract.feed.us; the untimed run records none.
 TEST(DetectorBoundary, TimedAndUntimedFeedAgreeBitForBit) {
   util::clear_fault_plan();
   const detectors::SeriesContext ctx{24, 168};
   const std::vector<double> values = dirty_hourly_values();
+  std::vector<std::string> names{"opprentice.extract.feed.us"};
+  for (const auto& detector : detectors::standard_configurations(ctx)) {
+    const std::string name = "opprentice.extract.family." +
+                             detectors::family_of(detector->name()) + ".us";
+    if (name != names.back()) names.push_back(name);
+  }
+  ASSERT_EQ(names.size(), 1u + 14u);
+  const auto counts = [&] {
+    std::vector<std::uint64_t> out;
+    for (const auto& name : names) out.push_back(obs::histogram(name).count());
+    return out;
+  };
   const bool was_timed = obs::detailed_timing_enabled();
   const auto run = [&](bool timed) {
     obs::set_detailed_timing(timed);
@@ -631,8 +645,14 @@ TEST(DetectorBoundary, TimedAndUntimedFeedAgreeBitForBit) {
     obs::set_detailed_timing(was_timed);
     return rows;
   };
+  const auto before = counts();
   const auto untimed = run(false);
+  EXPECT_EQ(counts(), before);
   const auto timed = run(true);
+  const auto after = counts();
+  for (std::size_t h = 0; h < names.size(); ++h) {
+    EXPECT_EQ(after[h] - before[h], values.size()) << names[h];
+  }
   ASSERT_EQ(untimed.front().size(), 133u);
   EXPECT_EQ(mismatched_bits(untimed, timed), 0u);
 }

@@ -111,7 +111,6 @@ TEST(RetrainScheduler, GoldenScheduleForSeed2026) {
         << "kpi-" << i;
   }
   std::uint64_t checksum = 1469598103934665603ULL;
-  std::vector<std::string> ids;
   std::vector<std::size_t> load(64, 0);
   for (int i = 0; i < 1000; ++i) {
     const std::string id = "kpi-" + std::to_string(i);
@@ -119,7 +118,6 @@ TEST(RetrainScheduler, GoldenScheduleForSeed2026) {
     ++load[phase];
     checksum ^= phase;
     checksum *= 1099511628211ULL;
-    ids.push_back(id);
   }
   EXPECT_EQ(checksum, 6472609295425330507ULL);
   // The stagger must actually spread load: with 1000 series over 64
@@ -128,10 +126,6 @@ TEST(RetrainScheduler, GoldenScheduleForSeed2026) {
   for (std::size_t phase = 0; phase < 64; ++phase) {
     EXPECT_LE(load[phase], 47u) << "phase " << phase;
   }
-  const auto histogram = scheduler.phase_histogram(ids, 8);
-  std::size_t total = 0;
-  for (const std::size_t bucket : histogram) total += bucket;
-  EXPECT_EQ(total, 1000u);
 }
 
 // ---- fleet engine --------------------------------------------------------

@@ -1,16 +1,16 @@
-// Run-report manifest, cost attribution, flight recorder, and the JSON
-// parser they are validated with (DESIGN.md §5h).
+// Run-report manifest, flight recorder, and the JSON parser they are
+// validated with (DESIGN.md §5h).
 //
 // The schema case doubles as the golden test for
-// "opprentice.run_report/1": it renders a populated report and re-parses
+// "opprentice.run_report/2": it renders a populated report and re-parses
 // it with util::json, pinning every top-level key and the row shapes
-// downstream consumers (opprentice_perf, CI artifacts) rely on.
+// downstream consumers (CI's network smoke, postmortems) rely on.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "obs/cost_attribution.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -63,31 +63,6 @@ TEST(JsonParser, RejectsMalformedInputWithOffset) {
   }
 }
 
-TEST(CostAttribution, SnapshotOrdersByTotalCostAndNormalizesShare) {
-  obs::CostAttribution attribution;
-  attribution.slot("cheap").record(1.0);
-  attribution.slot("cheap").record(1.0);
-  attribution.slot("dear").record(6.0);
-  attribution.slot("mid").record_pass(2.0, 2);
-
-  const auto rows = attribution.snapshot();
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].configuration, "dear");
-  EXPECT_EQ(rows[1].configuration, "cheap");
-  EXPECT_EQ(rows[2].configuration, "mid");
-  EXPECT_EQ(rows[1].count, 2u);
-  EXPECT_DOUBLE_EQ(rows[1].mean_us, 1.0);
-  EXPECT_DOUBLE_EQ(rows[0].share, 0.6);
-  // record_pass counts every point and folds the per-point mean into max.
-  EXPECT_EQ(rows[2].count, 2u);
-  EXPECT_DOUBLE_EQ(rows[2].max_us, 1.0);
-
-  attribution.reset_values();
-  EXPECT_TRUE(attribution.snapshot().empty());
-  // Registrations survive a value reset (held slot pointers stay valid).
-  EXPECT_EQ(attribution.slot_count(), 3u);
-}
-
 TEST(FlightRecorder, SortsDeterministicallyAndReportsOverflow) {
   obs::FlightRecorder recorder(/*capacity=*/3);
   recorder.record_event("b", "second", 2, "x");
@@ -131,15 +106,12 @@ TEST(FlightRecorder, DumpJsonParsesAndDumpTextMatchesOrder) {
   EXPECT_LT(text.find("detector.quarantine"), text.find("ingest.repair"));
 }
 
-// The schema-golden case: every "opprentice.run_report/1" top-level key
+// The schema-golden case: every "opprentice.run_report/2" top-level key
 // must be present with the documented shape. Additive evolution only —
 // if this test has to delete or retype an expectation, bump the schema
 // version instead.
 TEST(RunReport, SchemaGolden) {
   obs::FlightRecorder::instance().clear();
-  obs::CostAttribution::instance().reset_values();
-  obs::CostAttribution::instance().slot("ewma(alpha=0.3)").record(2.0);
-  obs::CostAttribution::instance().slot("svd(row=10,col=5)").record(5.0);
   obs::flight_record("detector", "quarantine", 4, "configuration=svd");
 
   obs::RunReport report("unit_test", "train");
@@ -154,7 +126,15 @@ TEST(RunReport, SchemaGolden) {
   report.set_field("speedup", 1.5);
 
   const auto doc = json::parse(report.to_json());
-  EXPECT_EQ(doc.find("schema")->string, "opprentice.run_report/1");
+  EXPECT_EQ(doc.find("schema")->string, "opprentice.run_report/2");
+  // Exactly the documented top-level keys (util::json orders them by
+  // name).
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "build", "command", "counters", "extra",
+                      "flight_recorder", "resilience", "schema", "seeds",
+                      "stages", "threads", "tool"}));
   EXPECT_EQ(doc.find("tool")->string, "unit_test");
   EXPECT_EQ(doc.find("command")->string, "train");
 
@@ -183,15 +163,6 @@ TEST(RunReport, SchemaGolden) {
   ASSERT_NE(doc.find_path("resilience.net_sources"), nullptr);
   EXPECT_GE(doc.number_at("resilience.forest_train_failures", -1.0), 0.0);
 
-  const auto* attribution = doc.find("attribution");
-  ASSERT_NE(attribution, nullptr);
-  ASSERT_EQ(attribution->array.size(), 2u);
-  // Ordered by total cost, share normalized over the snapshot.
-  EXPECT_EQ(attribution->array[0].find("configuration")->string,
-            "svd(row=10,col=5)");
-  EXPECT_DOUBLE_EQ(attribution->array[0].number_at("share", -1.0),
-                   5.0 / 7.0);
-  EXPECT_DOUBLE_EQ(attribution->array[1].number_at("sum_us", -1.0), 2.0);
 
   const auto* flight = doc.find("flight_recorder");
   ASSERT_NE(flight, nullptr);
@@ -205,7 +176,6 @@ TEST(RunReport, SchemaGolden) {
   EXPECT_DOUBLE_EQ(doc.number_at("extra.speedup", -1.0), 1.5);
 
   obs::FlightRecorder::instance().clear();
-  obs::CostAttribution::instance().reset_values();
 }
 
 TEST(RunReport, StageTimerAppendsOneRow) {

@@ -161,27 +161,6 @@ ts::LabelSet load_labels(const std::string& path) {
 void set_run_report(obs::RunReport* report) { g_report = report; }
 obs::RunReport* run_report() { return g_report; }
 
-std::string render_top_configs(std::size_t k) {
-  const auto rows = obs::CostAttribution::instance().snapshot();
-  if (rows.empty()) return "";
-  std::vector<std::vector<std::string>> cells;
-  for (std::size_t i = 0; i < rows.size() && i < k; ++i) {
-    const auto& r = rows[i];
-    cells.push_back({r.configuration, std::to_string(r.count),
-                     util::format_double(r.sum_us / 1000.0, 1),
-                     util::format_double(r.mean_us, 2),
-                     util::format_double(r.max_us, 1),
-                     util::format_double(100.0 * r.share, 1) + "%"});
-  }
-  std::string out = "top " + std::to_string(cells.size()) +
-                    " most expensive configurations (of " +
-                    std::to_string(rows.size()) + " observed):\n";
-  out += util::render_table(
-      {"configuration", "points", "total_ms", "mean_us", "max_us", "share"},
-      cells);
-  return out;
-}
-
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {
   const auto it = options.find(key);
@@ -302,9 +281,8 @@ int print_usage() {
       "  --metrics file.json   write a metrics snapshot (counters, gauges,\n"
       "                        latency histograms; .prom for Prometheus text)\n"
       "  --report file.json    write a schema-versioned run report (build\n"
-      "                        info, seeds, stage times, counters, per-config\n"
-      "                        cost attribution, flight-recorder dump) and\n"
-      "                        print the most expensive configurations\n"
+      "                        info, seeds, stage times, counters,\n"
+      "                        flight-recorder dump)\n"
       "\n"
       "parallelism (any command):\n"
       "  --threads N           worker pool size: 0 = all hardware threads\n"

@@ -58,11 +58,6 @@ void set_run_report(obs::RunReport* report);
 // The installed report, or nullptr (for commands in other files).
 obs::RunReport* run_report();
 
-// Renders the top-`k` rows of the per-configuration cost-attribution
-// snapshot (cost_attribution.hpp) as an aligned text table; empty string
-// when nothing was recorded (detailed timing off).
-std::string render_top_configs(std::size_t k);
-
 // Reads a KPI CSV's (timestamp, value) rows as raw points, before any
 // repair. Throws, naming the file and the 1-based data row, unless every
 // timestamp is a finite integer that fits std::int64_t.

@@ -13,7 +13,6 @@
 //   --metrics <file>  write a metrics snapshot (JSON; .prom for
 //                     Prometheus text)
 //   --report <file>   write a schema-versioned run report (run_report.hpp)
-//                     and print the per-configuration cost table
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -55,11 +54,9 @@ int main(int argc, char** argv) {
     const std::string metrics_path = args.get("metrics");
     const std::string report_path = args.get("report");
     if (!trace_path.empty()) obs::enable_tracing();
-    // Detailed timing feeds the family histograms and the per-config
-    // cost-attribution table; both --metrics and --report want them.
-    if (!metrics_path.empty() || !report_path.empty()) {
-      obs::set_detailed_timing(true);
-    }
+    // Detailed timing feeds the per-family extraction histograms, which
+    // only --metrics writes (a run report holds counters, not histograms).
+    if (!metrics_path.empty()) obs::set_detailed_timing(true);
     // --threads N: parallelism degree (0 = hardware concurrency,
     // 1 = serial); overrides OPPRENTICE_THREADS for this run.
     if (args.has("threads")) {
@@ -99,8 +96,6 @@ int main(int argc, char** argv) {
     if (report) {
       report->set_field("exit_status",
                         static_cast<std::uint64_t>(status < 0 ? 0 : status));
-      const std::string table = opprentice::cli::render_top_configs(10);
-      if (!table.empty()) std::printf("\n%s", table.c_str());
       opprentice::cli::set_run_report(nullptr);
       if (!report->write_file(report_path)) {
         std::fprintf(stderr, "warning: cannot write --report file %s\n",
