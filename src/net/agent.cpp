@@ -29,13 +29,9 @@ void AgentCore::queue_data(const std::string& series_id,
                            std::size_t batch) {
   if (batch == 0) batch = points.size() == 0 ? 1 : points.size();
   for (std::size_t at = 0; at < points.size(); at += batch) {
-    DataPayload payload;
-    payload.series_id = series_id;
-    payload.interval_seconds = interval_seconds;
     const std::size_t n = std::min(batch, points.size() - at);
-    payload.points.assign(points.begin() + static_cast<std::ptrdiff_t>(at),
-                          points.begin() + static_cast<std::ptrdiff_t>(at + n));
-    pending_.push_back(make_data(next_seq(), payload));
+    pending_.push_back(make_data(next_seq(), series_id, interval_seconds,
+                                 points.subspan(at, n)));
   }
 }
 

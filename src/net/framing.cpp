@@ -7,33 +7,84 @@
 namespace opprentice::net {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 CRC-32 tables. kCrcTables[0] is the byte-at-a-time table
+// of the reflected 0xEDB88320 polynomial; kCrcTables[k][b] is
+// kCrcTables[k - 1][b] advanced over one more zero byte, so eight lookups
+// fold eight input bytes into the CRC at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> kTable = make_crc_table();
-  return kTable;
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFFu));
-}
+// Writes little-endian fields into storage the encoder sized beforehand.
+class Writer {
+ public:
+  explicit Writer(std::uint8_t* at) : at_(at) {}
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+  void u8(std::uint8_t v) { *at_++ = v; }
+
+  void u32(std::uint32_t v) {
+    at_[0] = static_cast<std::uint8_t>(v & 0xFFu);
+    at_[1] = static_cast<std::uint8_t>((v >> 8) & 0xFFu);
+    at_[2] = static_cast<std::uint8_t>((v >> 16) & 0xFFu);
+    at_[3] = static_cast<std::uint8_t>((v >> 24) & 0xFFu);
+    at_ += 4;
+  }
+
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
+    u32(static_cast<std::uint32_t>(v >> 32));
+  }
+
+  void bytes(const void* data, std::size_t n) {
+    if (n > 0) std::memcpy(at_, data, n);
+    at_ += n;
+  }
+
+  // Length-prefixed string (u32 length + bytes).
+  void string(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes(s.data(), s.size());
+  }
+
+ private:
+  std::uint8_t* at_;
+};
+
+constexpr std::size_t string_bytes(std::string_view s) { return 4 + s.size(); }
+
+// A frame whose payload is sized for `payload_bytes`, for one Writer pass.
+Frame sized_frame(FrameType type, std::uint32_t seq,
+                  std::size_t payload_bytes) {
+  Frame frame;
+  frame.type = type;
+  frame.seq = seq;
+  frame.payload.resize(payload_bytes);
+  return frame;
 }
 
 // Cursor over a payload; every read checks bounds and flips `ok` on
@@ -50,10 +101,7 @@ struct Reader {
       pos = data.size();
       return 0;
     }
-    const std::uint32_t v = static_cast<std::uint32_t>(data[pos]) |
-                            static_cast<std::uint32_t>(data[pos + 1]) << 8 |
-                            static_cast<std::uint32_t>(data[pos + 2]) << 16 |
-                            static_cast<std::uint32_t>(data[pos + 3]) << 24;
+    const std::uint32_t v = load_u32(data.data() + pos);
     pos += 4;
     return v;
   }
@@ -86,20 +134,6 @@ struct Reader {
 
   bool done() const { return ok && pos == data.size(); }
 };
-
-void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-Frame make(FrameType type, std::uint32_t seq,
-           std::vector<std::uint8_t> payload) {
-  Frame frame;
-  frame.type = type;
-  frame.seq = seq;
-  frame.payload = std::move(payload);
-  return frame;
-}
 
 }  // namespace
 
@@ -153,107 +187,144 @@ bool is_server_frame(FrameType type) {
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  const auto& table = crc_table();
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) {
-    crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  const CrcTables& t = kCrcTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_u32(p) ^ crc;
+    const std::uint32_t hi = load_u32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
 FrameHeader decode_frame_header(const std::uint8_t* data) {
   FrameHeader h;
-  h.payload_len = static_cast<std::uint32_t>(data[0]) |
-                  static_cast<std::uint32_t>(data[1]) << 8 |
-                  static_cast<std::uint32_t>(data[2]) << 16 |
-                  static_cast<std::uint32_t>(data[3]) << 24;
+  h.payload_len = load_u32(data);
   h.version = data[4];
   h.type = data[5];
-  h.seq = static_cast<std::uint32_t>(data[6]) |
-          static_cast<std::uint32_t>(data[7]) << 8 |
-          static_cast<std::uint32_t>(data[8]) << 16 |
-          static_cast<std::uint32_t>(data[9]) << 24;
+  h.seq = load_u32(data + 6);
   return h;
 }
 
-void append_frame(std::vector<std::uint8_t>& out, const Frame& frame) {
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::uint32_t seq, std::span<const std::uint8_t> payload,
+                  std::uint8_t version) {
   const std::size_t start = out.size();
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.push_back(frame.version);
-  out.push_back(static_cast<std::uint8_t>(frame.type));
-  put_u32(out, frame.seq);
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  const std::uint32_t crc = crc32(
-      std::span<const std::uint8_t>(out).subspan(start + 4));
-  put_u32(out, crc);
+  out.resize(start + kHeaderBytes + payload.size() + kCrcBytes);
+  std::uint8_t* frame = out.data() + start;
+  Writer w(frame);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u8(version);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u32(seq);
+  w.bytes(payload.data(), payload.size());
+  w.u32(crc32(std::span<const std::uint8_t>(
+      frame + 4, kHeaderBytes - 4 + payload.size())));
+}
+
+void append_frame(std::vector<std::uint8_t>& out, const Frame& frame) {
+  append_frame(out, frame.type, frame.seq, frame.payload, frame.version);
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + frame.payload.size() + kCrcBytes);
   append_frame(out, frame);
   return out;
 }
 
+std::array<std::uint8_t, 4> ack_payload(const AckPayload& payload) {
+  std::array<std::uint8_t, 4> body;
+  Writer(body.data()).u32(payload.seq);
+  return body;
+}
+
+std::array<std::uint8_t, 8> retry_payload(const RetryPayload& payload) {
+  std::array<std::uint8_t, 8> body;
+  Writer w(body.data());
+  w.u32(payload.seq);
+  w.u32(payload.retry_after_ticks);
+  return body;
+}
+
 Frame make_hello(std::uint32_t seq, const HelloPayload& payload) {
-  std::vector<std::uint8_t> body;
-  put_string(body, payload.source_id);
-  put_u32(body, payload.resume_seq);
-  return make(FrameType::kHello, seq, std::move(body));
+  Frame frame =
+      sized_frame(FrameType::kHello, seq, string_bytes(payload.source_id) + 4);
+  Writer w(frame.payload.data());
+  w.string(payload.source_id);
+  w.u32(payload.resume_seq);
+  return frame;
+}
+
+Frame make_data(std::uint32_t seq, std::string_view series_id,
+                std::int64_t interval_seconds,
+                std::span<const ts::RawPoint> points) {
+  Frame frame = sized_frame(FrameType::kData, seq,
+                            string_bytes(series_id) + 8 + 4 + 16 * points.size());
+  Writer w(frame.payload.data());
+  w.string(series_id);
+  w.u64(static_cast<std::uint64_t>(interval_seconds));
+  w.u32(static_cast<std::uint32_t>(points.size()));
+  for (const ts::RawPoint& p : points) {
+    w.u64(static_cast<std::uint64_t>(p.timestamp));
+    w.u64(std::bit_cast<std::uint64_t>(p.value));
+  }
+  return frame;
 }
 
 Frame make_data(std::uint32_t seq, const DataPayload& payload) {
-  std::vector<std::uint8_t> body;
-  put_string(body, payload.series_id);
-  put_u64(body, static_cast<std::uint64_t>(payload.interval_seconds));
-  put_u32(body, static_cast<std::uint32_t>(payload.points.size()));
-  for (const ts::RawPoint& p : payload.points) {
-    put_u64(body, static_cast<std::uint64_t>(p.timestamp));
-    put_u64(body, std::bit_cast<std::uint64_t>(p.value));
-  }
-  return make(FrameType::kData, seq, std::move(body));
+  return make_data(seq, payload.series_id, payload.interval_seconds,
+                   payload.points);
 }
 
 Frame make_label(std::uint32_t seq, const LabelPayload& payload) {
-  std::vector<std::uint8_t> body;
-  put_string(body, payload.series_id);
-  put_u64(body, payload.begin);
-  put_u32(body, static_cast<std::uint32_t>(payload.labels.size()));
-  body.insert(body.end(), payload.labels.begin(), payload.labels.end());
-  return make(FrameType::kLabel, seq, std::move(body));
+  Frame frame = sized_frame(
+      FrameType::kLabel, seq,
+      string_bytes(payload.series_id) + 8 + 4 + payload.labels.size());
+  Writer w(frame.payload.data());
+  w.string(payload.series_id);
+  w.u64(payload.begin);
+  w.u32(static_cast<std::uint32_t>(payload.labels.size()));
+  w.bytes(payload.labels.data(), payload.labels.size());
+  return frame;
 }
 
 Frame make_heartbeat(std::uint32_t seq) {
-  return make(FrameType::kHeartbeat, seq, {});
+  return sized_frame(FrameType::kHeartbeat, seq, 0);
 }
 
 Frame make_bye(std::uint32_t seq) {
-  return make(FrameType::kBye, seq, {});
+  return sized_frame(FrameType::kBye, seq, 0);
 }
 
 Frame make_welcome(const WelcomePayload& payload) {
-  std::vector<std::uint8_t> body;
-  put_u32(body, payload.resume_seq);
-  return make(FrameType::kWelcome, 0, std::move(body));
+  Frame frame = sized_frame(FrameType::kWelcome, 0, 4);
+  Writer(frame.payload.data()).u32(payload.resume_seq);
+  return frame;
 }
 
 Frame make_ack(const AckPayload& payload) {
-  std::vector<std::uint8_t> body;
-  put_u32(body, payload.seq);
-  return make(FrameType::kAck, 0, std::move(body));
+  const auto body = ack_payload(payload);
+  Frame frame = sized_frame(FrameType::kAck, 0, 0);
+  frame.payload.assign(body.begin(), body.end());
+  return frame;
 }
 
 Frame make_retry(const RetryPayload& payload) {
-  std::vector<std::uint8_t> body;
-  put_u32(body, payload.seq);
-  put_u32(body, payload.retry_after_ticks);
-  return make(FrameType::kRetry, 0, std::move(body));
+  const auto body = retry_payload(payload);
+  Frame frame = sized_frame(FrameType::kRetry, 0, 0);
+  frame.payload.assign(body.begin(), body.end());
+  return frame;
 }
 
 Frame make_error(std::string_view message) {
-  std::vector<std::uint8_t> body;
-  put_string(body, message);
-  return make(FrameType::kError, 0, std::move(body));
+  Frame frame = sized_frame(FrameType::kError, 0, string_bytes(message));
+  Writer(frame.payload.data()).string(message);
+  return frame;
 }
 
 bool decode_hello(const Frame& frame, HelloPayload* out) {
@@ -353,6 +424,12 @@ FrameParser::FrameParser(std::size_t max_payload)
 
 void FrameParser::push_bytes(std::span<const std::uint8_t> bytes) {
   if (dead_) return;
+  // Everything parsed: start over at the front, so a connection whose
+  // reads end on frame boundaries reuses the same few bytes.
+  if (head_ == buffer_.size()) {
+    buffer_.clear();
+    head_ = 0;
+  }
   // Compact once the consumed prefix dominates the buffer so a long-lived
   // connection does not grow its buffer without bound.
   if (head_ > 4096 && head_ * 2 > buffer_.size()) {
@@ -377,11 +454,7 @@ bool FrameParser::next(Frame* out) {
     const std::size_t total = kHeaderBytes + h.payload_len + kCrcBytes;
     if (avail < total) return false;
     const std::uint8_t* base = buffer_.data() + head_;
-    const std::uint32_t want =
-        static_cast<std::uint32_t>(base[total - 4]) |
-        static_cast<std::uint32_t>(base[total - 3]) << 8 |
-        static_cast<std::uint32_t>(base[total - 2]) << 16 |
-        static_cast<std::uint32_t>(base[total - 1]) << 24;
+    const std::uint32_t want = load_u32(base + total - kCrcBytes);
     const std::uint32_t got = crc32(std::span<const std::uint8_t>(
         base + 4, total - 4 - kCrcBytes));
     head_ += total;

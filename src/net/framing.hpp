@@ -22,15 +22,19 @@
 //
 // Everything here is a pure function of its input bytes — no clocks, no
 // sockets, no global state — so the session core built on it replays
-// byte-identically in the chaos suite (tests/net_session_test.cpp). The
-// fixed-size header decode is on the per-frame hot path: no allocation,
-// no lock (tests/hotpath_runtime_test.cpp).
+// byte-identically in the chaos suite (tests/net_session_test.cpp). Each
+// encoder sizes its payload and frame once; the header decode, crc32,
+// append_frame into a buffer with room, and FrameParser::next into a
+// Frame that held a payload as large are the per-frame hot path: no
+// allocation, no lock (tests/hotpath_runtime_test.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "timeseries/repair.hpp"
@@ -60,7 +64,8 @@ const char* to_string(FrameType type);
 bool is_client_frame(FrameType type);
 bool is_server_frame(FrameType type);
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial).
+// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial), eight bytes per
+// step (slicing-by-8).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 struct Frame {
@@ -82,7 +87,12 @@ struct FrameHeader {
 // readable). Pure and allocation-free: the per-frame fast path.
 FrameHeader decode_frame_header(const std::uint8_t* data);
 
-// Serializes header + payload + CRC onto `out`.
+// Serializes header + payload + CRC onto `out`, growing it once: the one
+// frame encoder. The Frame overload and encode_frame call it, and the
+// server writes ACK and RETRY through it from a payload on the stack.
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::uint32_t seq, std::span<const std::uint8_t> payload,
+                  std::uint8_t version = kProtocolVersion);
 void append_frame(std::vector<std::uint8_t>& out, const Frame& frame);
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
@@ -126,8 +136,18 @@ struct ErrorPayload {
   std::string message;
 };
 
+// The fixed-size server payloads as bytes on the stack; make_ack and
+// make_retry wrap the same bytes in a Frame.
+std::array<std::uint8_t, 4> ack_payload(const AckPayload& payload);
+std::array<std::uint8_t, 8> retry_payload(const RetryPayload& payload);
+
 Frame make_hello(std::uint32_t seq, const HelloPayload& payload);
 Frame make_data(std::uint32_t seq, const DataPayload& payload);
+// The same DATA frame from borrowed fields (AgentCore encodes each batch
+// straight from its caller's points).
+Frame make_data(std::uint32_t seq, std::string_view series_id,
+                std::int64_t interval_seconds,
+                std::span<const ts::RawPoint> points);
 Frame make_label(std::uint32_t seq, const LabelPayload& payload);
 Frame make_heartbeat(std::uint32_t seq);
 Frame make_bye(std::uint32_t seq);
@@ -158,7 +178,9 @@ class FrameParser {
   explicit FrameParser(std::size_t max_payload = kMaxPayloadBytes);
 
   void push_bytes(std::span<const std::uint8_t> bytes);
-  // True when a complete valid frame was extracted into *out.
+  // True when a complete valid frame was extracted into *out. The payload
+  // is copied into out->payload's storage, so a Frame reused across calls
+  // stops allocating once it has held the largest payload.
   bool next(Frame* out);
 
   bool dead() const { return dead_; }

@@ -1,5 +1,8 @@
 #include "net/server.hpp"
 
+#include <exception>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "obs/flight_recorder.hpp"
@@ -32,6 +35,8 @@ struct NetCounters {
   obs::Counter* resets = &obs::counter("opprentice.net.resets");
   obs::Counter* batches_applied =
       &obs::counter("opprentice.net.batches_applied");
+  obs::Counter* batches_rejected =
+      &obs::counter("opprentice.net.batches_rejected");
   obs::Counter* points_applied =
       &obs::counter("opprentice.net.points_applied");
   obs::Gauge* sources_live = &obs::gauge("opprentice.net.sources_live");
@@ -46,12 +51,30 @@ NetCounters& net_counters() {
   return counters;
 }
 
-void append_response(std::vector<std::uint8_t>& responses,
-                     const Frame& frame) {
+// Server frames carry sequence number 0.
+void append_response(std::vector<std::uint8_t>& responses, FrameType type,
+                     std::span<const std::uint8_t> payload) {
   const std::size_t before = responses.size();
-  append_frame(responses, frame);
+  append_frame(responses, type, 0, payload);
   net_counters().frames_tx->add();
   net_counters().bytes_tx->add(responses.size() - before);
+}
+
+void append_response(std::vector<std::uint8_t>& responses,
+                     const Frame& frame) {
+  append_response(responses, frame.type, frame.payload);
+}
+
+void append_ack(std::vector<std::uint8_t>& responses, std::uint32_t seq) {
+  append_response(responses, FrameType::kAck, ack_payload(AckPayload{seq}));
+}
+
+// Moves the whole of `queue` onto the end of `work`.
+template <typename Batch>
+void take_all(std::vector<Batch>& queue, std::vector<Batch>& work) {
+  work.insert(work.end(), std::make_move_iterator(queue.begin()),
+              std::make_move_iterator(queue.end()));
+  queue.clear();
 }
 
 }  // namespace
@@ -86,7 +109,7 @@ bool IngestServer::on_bytes(std::uint64_t conn_id,
   if (it == connections_.end()) return false;
   Connection& conn = it->second;
   conn.parser.push_bytes(bytes);
-  Frame frame;
+  Frame& frame = conn.frame;
   while (conn.parser.next(&frame)) {
     net_counters().frames_rx->add();
     if (!handle_frame(conn, frame, responses)) return false;
@@ -163,8 +186,9 @@ bool IngestServer::handle_frame(Connection& conn, const Frame& frame,
     obs::flight_record("net", "backpressure",
                        util::fault_key(source.salt, frame.seq),
                        "source=" + source.id);
-    append_response(responses, make_retry(RetryPayload{
-                                   frame.seq, options_.retry_after_ticks}));
+    append_response(responses, FrameType::kRetry,
+                    retry_payload(RetryPayload{frame.seq,
+                                               options_.retry_after_ticks}));
     return true;
   }
   const SeqVerdict verdict = source.tracker.observe(frame.seq, now_);
@@ -174,11 +198,11 @@ bool IngestServer::handle_frame(Connection& conn, const Frame& frame,
       // exactly-once apply, but re-ACK so a lockstep sender whose ACK
       // was lost can make progress.
       counters.seq_duplicates->add();
-      append_response(responses, make_ack(AckPayload{frame.seq}));
+      append_ack(responses, frame.seq);
       return true;
     case SeqVerdict::kStale:
       counters.seq_stale->add();
-      append_response(responses, make_ack(AckPayload{frame.seq}));
+      append_ack(responses, frame.seq);
       return true;
     case SeqVerdict::kGap:
       counters.seq_gaps->add();
@@ -192,7 +216,8 @@ bool IngestServer::handle_frame(Connection& conn, const Frame& frame,
   switch (frame.type) {
     case FrameType::kData: {
       DataPayload data;
-      if (!decode_data(frame, &data) || data.series_id.empty()) {
+      if (!decode_data(frame, &data) || data.series_id.empty() ||
+          data.points.empty()) {
         append_response(responses, make_error("malformed DATA"));
         return false;
       }
@@ -206,6 +231,8 @@ bool IngestServer::handle_frame(Connection& conn, const Frame& frame,
         return false;
       }
       QueuedBatch batch;
+      batch.source = &source;
+      batch.seq = frame.seq;
       batch.type = FrameType::kData;
       batch.series_id = std::move(data.series_id);
       batch.interval_seconds = data.interval_seconds != 0
@@ -222,6 +249,8 @@ bool IngestServer::handle_frame(Connection& conn, const Frame& frame,
         return false;
       }
       QueuedBatch batch;
+      batch.source = &source;
+      batch.seq = frame.seq;
       batch.type = FrameType::kLabel;
       batch.series_id = std::move(label.series_id);
       batch.label_begin = label.begin;
@@ -238,13 +267,13 @@ bool IngestServer::handle_frame(Connection& conn, const Frame& frame,
     default:
       break;
   }
-  append_response(responses, make_ack(AckPayload{frame.seq}));
+  append_ack(responses, frame.seq);
   return true;
 }
 
-void IngestServer::apply_batches(
-    std::vector<std::pair<std::string, QueuedBatch>> work) {
-  NetCounters& counters = net_counters();
+void IngestServer::apply_batches(std::vector<QueuedBatch> work) {
+  // Engine calls happen outside the server lock: ingest_raw feeds the
+  // per-point pipeline and must never serialize against the frame path.
   // Coalesce runs of DATA batches for the same series into one
   // ingest_raw call: a wire gap inside the run becomes missing grid
   // slots, a reorder becomes out-of-order points — exactly the defect
@@ -253,44 +282,84 @@ void IngestServer::apply_batches(
   // first sight.
   std::size_t i = 0;
   while (i < work.size()) {
-    QueuedBatch& batch = work[i].second;
+    QueuedBatch& batch = work[i];
     if (batch.type == FrameType::kLabel) {
       engine_.ingest_labels(engine_.add_series(batch.series_id),
                             batch.labels,
                             static_cast<std::size_t>(batch.label_begin));
-      counters.batches_applied->add();
+      net_counters().batches_applied->add();
       ++i;
       continue;
     }
-    std::vector<ts::RawPoint> points = std::move(batch.points);
-    const std::string series_id = std::move(batch.series_id);
-    const std::int64_t interval = batch.interval_seconds;
     std::size_t coalesced = 1;
     while (i + coalesced < work.size()) {
-      QueuedBatch& next = work[i + coalesced].second;
-      if (work[i + coalesced].first != work[i].first ||
-          next.type != FrameType::kData || next.series_id != series_id ||
-          next.interval_seconds != interval) {
+      const QueuedBatch& next = work[i + coalesced];
+      if (next.source != batch.source || next.type != FrameType::kData ||
+          next.series_id != batch.series_id ||
+          next.interval_seconds != batch.interval_seconds) {
         break;
       }
-      points.insert(points.end(), next.points.begin(), next.points.end());
       ++coalesced;
     }
-    const std::size_t submitted = points.size();
-    const core::IngestOutcome outcome =
-        engine_.ingest_raw(engine_.add_series(series_id), std::move(points),
-                           interval, options_.repair_policy);
-    counters.batches_applied->add(coalesced);
+    const std::span<QueuedBatch> run(work.data() + i, coalesced);
+    if (!ingest_run(run)) {
+      // One batch the engine refuses must not take the rest of its run
+      // with it: apply them one by one. Repair refuses a chunk before
+      // any of its points is fed, so none is fed twice.
+      for (QueuedBatch& one : run) ingest_run({&one, 1});
+    }
+    i += coalesced;
+  }
+  // The storage goes back for the next tick.
+  work.clear();
+  util::MutexLock lock(mutex_);
+  work_.swap(work);
+}
+
+bool IngestServer::ingest_run(std::span<QueuedBatch> run) {
+  NetCounters& counters = net_counters();
+  const QueuedBatch& batch = run.front();
+  // A lone batch hands its points over; a longer run copies them, so each
+  // batch keeps its own points for a retry.
+  std::vector<ts::RawPoint> points;
+  if (run.size() == 1) {
+    points = std::move(run.front().points);
+  } else {
+    for (const QueuedBatch& next : run) {
+      points.insert(points.end(), next.points.begin(), next.points.end());
+    }
+  }
+  const std::size_t submitted = points.size();
+  try {
+    const core::IngestOutcome outcome = engine_.ingest_raw(
+        engine_.add_series(batch.series_id), std::move(points),
+        batch.interval_seconds, options_.repair_policy);
+    counters.batches_applied->add(run.size());
     counters.points_applied->add(outcome.points_fed);
     if (!outcome.repairs.clean()) {
       obs::log(obs::LogLevel::kWarn, "net", "apply_dirty",
-               {{"series", series_id},
+               {{"series", batch.series_id},
                 {"submitted", submitted},
                 {"fed", outcome.points_fed},
                 {"repairs", outcome.repairs.summary()}});
     }
-    i += coalesced;
+  } catch (const std::exception& e) {
+    if (run.size() > 1) return false;
+    // The batch was ACKed, so the sender will not resend it: count and
+    // record the refusal, and go on with the rest of the tick.
+    counters.batches_rejected->add();
+    obs::flight_record(
+        "net", "batch_rejected", util::fault_key(batch.source->salt, batch.seq),
+        "source=" + batch.source->id + " series=" + batch.series_id +
+            " seq=" + std::to_string(batch.seq) + " " + e.what());
+    obs::log(obs::LogLevel::kWarn, "net", "batch_rejected",
+             {{"source", batch.source->id},
+              {"series", batch.series_id},
+              {"seq", batch.seq},
+              {"submitted", submitted},
+              {"error", e.what()}});
   }
+  return true;
 }
 
 void IngestServer::refresh_gauges() {
@@ -319,10 +388,11 @@ void IngestServer::refresh_gauges() {
 }
 
 void IngestServer::tick() {
-  std::vector<std::pair<std::string, QueuedBatch>> work;
+  std::vector<QueuedBatch> work;
   std::vector<std::string> lost;  // logged after the lock: log sinks do I/O
   {
     util::MutexLock lock(mutex_);
+    work.swap(work_);
     ++now_;
     for (auto& [id, source] : sources_) {
       const SourceState state = source->tracker.tick(now_);
@@ -335,40 +405,26 @@ void IngestServer::tick() {
           lost.push_back(id);
           // Deterministic teardown: everything the source queued before
           // going dark is flushed this tick — no buffered data is lost.
-          while (!source->queue.empty()) {
-            work.emplace_back(id, std::move(source->queue.front()));
-            source->queue.pop_front();
-          }
+          take_all(source->queue, work);
         }
         source->last_reported = state;
       }
     }
-    for (auto& [id, source] : sources_) {
-      while (!source->queue.empty()) {
-        work.emplace_back(id, std::move(source->queue.front()));
-        source->queue.pop_front();
-      }
-    }
+    for (auto& [id, source] : sources_) take_all(source->queue, work);
     refresh_gauges();
   }
   for (const std::string& id : lost) {
     obs::log(obs::LogLevel::kWarn, "net", "source_lost", {{"source", id}});
   }
-  // Engine calls happen outside the server lock: ingest_raw feeds the
-  // per-point pipeline and must never serialize against the frame path.
   apply_batches(std::move(work));
 }
 
 void IngestServer::drain() {
-  std::vector<std::pair<std::string, QueuedBatch>> work;
+  std::vector<QueuedBatch> work;
   {
     util::MutexLock lock(mutex_);
-    for (auto& [id, source] : sources_) {
-      while (!source->queue.empty()) {
-        work.emplace_back(id, std::move(source->queue.front()));
-        source->queue.pop_front();
-      }
-    }
+    work.swap(work_);
+    for (auto& [id, source] : sources_) take_all(source->queue, work);
     refresh_gauges();
   }
   apply_batches(std::move(work));

@@ -23,10 +23,14 @@
 // connections (the state mutex serializes them); tick()/drain() apply
 // engine work outside the lock. Bytes of one connection must arrive in
 // order, as any stream transport guarantees.
+//
+// Steady-state cost: each connection parses into one reused Frame, ACK
+// and RETRY are written from stack payloads, and tick() reuses its work
+// list, so an accepted one-point DATA frame allocates only its queued
+// points (tests/hotpath_runtime_test.cpp counts the whole exchange).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -93,7 +97,10 @@ class IngestServer {
   // kSuspect/kLost transitions; a source going kLost has its queue
   // flushed to the engine first — deterministic teardown, no data loss),
   // then apply every queued batch in sorted source order, refreshing the
-  // liveness gauges.
+  // liveness gauges. A batch the engine refuses (ingest_raw throws, e.g.
+  // a timestamp span no grid may cover) is counted in
+  // opprentice.net.batches_rejected and flight-recorded; every other
+  // batch of the tick, those coalesced with it included, is applied.
   void tick();
 
   // Applies everything still queued (SIGTERM drain path).
@@ -108,7 +115,13 @@ class IngestServer {
   std::vector<SourceSnapshot> snapshot() const;  // sorted by source id
 
  private:
+  struct Source;
+
   struct QueuedBatch {
+    // Sources are never erased, and id and salt never change after
+    // HELLO, so the apply phase reads them without the lock.
+    const Source* source = nullptr;
+    std::uint32_t seq = 0;              // the frame's sequence number
     FrameType type = FrameType::kData;  // kData or kLabel
     std::string series_id;
     std::int64_t interval_seconds = 0;
@@ -121,13 +134,14 @@ class IngestServer {
     std::string id;
     std::uint64_t salt = 0;
     SourceTracker tracker;
-    std::deque<QueuedBatch> queue;
+    std::vector<QueuedBatch> queue;  // every tick takes all of it
     bool saw_bye = false;
     SourceState last_reported = SourceState::kAwaiting;
   };
 
   struct Connection {
     FrameParser parser;
+    Frame frame;  // parser.next refills it for every frame
     Source* source = nullptr;  // bound by HELLO; sources outlive conns
     std::uint64_t frames_processed = 0;
   };
@@ -137,7 +151,13 @@ class IngestServer {
                     std::vector<std::uint8_t>& responses)
       OPPRENTICE_REQUIRES(mutex_);
 
-  void apply_batches(std::vector<std::pair<std::string, QueuedBatch>> work);
+  // Applies `work` outside the lock, then returns its storage for the
+  // next tick.
+  void apply_batches(std::vector<QueuedBatch> work);
+  // One ingest_raw call over consecutive DATA batches of one series.
+  // False = a run of several batches was refused (the caller applies them
+  // one by one); a lone refused batch is counted and recorded.
+  bool ingest_run(std::span<QueuedBatch> run);
   void refresh_gauges() OPPRENTICE_REQUIRES(mutex_);
 
   core::FleetEngine& engine_;
@@ -152,6 +172,8 @@ class IngestServer {
   // every sweep is in deterministic id order.
   std::map<std::string, std::unique_ptr<Source>, std::less<>> sources_
       OPPRENTICE_GUARDED_BY(mutex_);
+  // The work list's storage between ticks (empty, with capacity).
+  std::vector<QueuedBatch> work_ OPPRENTICE_GUARDED_BY(mutex_);
 };
 
 }  // namespace opprentice::net

@@ -27,12 +27,28 @@ void throw_dirty(const std::string& name, const RepairReport& report,
                            " (" + report.summary() + ")");
 }
 
+// Instruments looked up once; addresses are stable for process lifetime.
+struct IngestCounters {
+  obs::Counter* out_of_order;
+  obs::Counter* duplicates;
+  obs::Counter* gaps;
+  obs::Counter* bad_values;
+  obs::Counter* misaligned;
+};
+
 void record_ingest_metrics(const RepairReport& report) {
-  obs::counter("opprentice.ingest.out_of_order").add(report.out_of_order);
-  obs::counter("opprentice.ingest.duplicates").add(report.duplicates);
-  obs::counter("opprentice.ingest.gaps").add(report.gaps);
-  obs::counter("opprentice.ingest.bad_values").add(report.bad_values);
-  obs::counter("opprentice.ingest.misaligned").add(report.misaligned);
+  static const IngestCounters counters{
+      &obs::counter("opprentice.ingest.out_of_order"),
+      &obs::counter("opprentice.ingest.duplicates"),
+      &obs::counter("opprentice.ingest.gaps"),
+      &obs::counter("opprentice.ingest.bad_values"),
+      &obs::counter("opprentice.ingest.misaligned")};
+  if (report.clean()) return;  // the instruments exist; nothing to add
+  counters.out_of_order->add(report.out_of_order);
+  counters.duplicates->add(report.duplicates);
+  counters.gaps->add(report.gaps);
+  counters.bad_values->add(report.bad_values);
+  counters.misaligned->add(report.misaligned);
 }
 
 // Linearly interpolates every interior NaN run between its nearest finite
@@ -103,14 +119,18 @@ RepairResult repair_series(std::string name, std::vector<RawPoint> points,
   RepairReport report;
 
   // Pass 1: ordering. Count inversions against the original arrival order
-  // before sorting, so the report reflects what was actually dirty.
+  // before sorting, so the report reflects what was actually dirty. With
+  // no inversion the points are already sorted, and a stable sort of a
+  // sorted run changes nothing.
   for (std::size_t i = 1; i < points.size(); ++i) {
     if (points[i].timestamp < points[i - 1].timestamp) ++report.out_of_order;
   }
-  std::stable_sort(points.begin(), points.end(),
-                   [](const RawPoint& a, const RawPoint& b) {
-                     return a.timestamp < b.timestamp;
-                   });
+  if (report.out_of_order > 0) {
+    std::stable_sort(points.begin(), points.end(),
+                     [](const RawPoint& a, const RawPoint& b) {
+                       return a.timestamp < b.timestamp;
+                     });
+  }
 
   // Pass 2: interval. Infer from the smallest positive delta when the
   // caller did not specify one (on a clean stream this is exactly
@@ -137,7 +157,9 @@ RepairResult repair_series(std::string name, std::vector<RawPoint> points,
 
   // Pass 3: grid placement. Snap each point onto the fixed grid anchored
   // at the first timestamp; first write to a slot wins, extras count as
-  // duplicates, empty slots are gaps.
+  // duplicates, empty slots are gaps. Sorted points map to non-decreasing
+  // slots, so a duplicate repeats the last slot written, and the gaps are
+  // the slots minus the distinct slots written.
   const std::int64_t start = points.front().timestamp;
   const std::int64_t span = points.back().timestamp - start;
   const std::size_t slots = static_cast<std::size_t>(span / interval_seconds) + 1;
@@ -150,7 +172,8 @@ RepairResult repair_series(std::string name, std::vector<RawPoint> points,
   }
 
   std::vector<double> values(slots, kNan);
-  std::vector<bool> filled(slots, false);
+  std::size_t distinct = 0;
+  std::int64_t last_slot = -1;
   for (const RawPoint& p : points) {
     const std::int64_t offset = p.timestamp - start;
     std::int64_t slot = (offset + interval_seconds / 2) / interval_seconds;
@@ -159,11 +182,12 @@ RepairResult repair_series(std::string name, std::vector<RawPoint> points,
       slot = static_cast<std::int64_t>(slots) - 1;
     }
     if (offset != slot * interval_seconds) ++report.misaligned;
-    if (filled[static_cast<std::size_t>(slot)]) {
+    if (slot == last_slot) {
       ++report.duplicates;
       continue;
     }
-    filled[static_cast<std::size_t>(slot)] = true;
+    last_slot = slot;
+    ++distinct;
     double v = p.value;
     if (!std::isfinite(v)) {
       ++report.bad_values;
@@ -171,9 +195,7 @@ RepairResult repair_series(std::string name, std::vector<RawPoint> points,
     }
     values[static_cast<std::size_t>(slot)] = v;
   }
-  for (std::size_t i = 0; i < slots; ++i) {
-    if (!filled[i]) ++report.gaps;
-  }
+  report.gaps = slots - distinct;
 
   if (policy == RepairPolicy::kFail && !report.clean()) {
     record_ingest_metrics(report);

@@ -18,7 +18,12 @@
 //     the registry plus the extension families);
 //   - RandomForest::score and RandomForest::classify;
 //   - core::DurationFilter::feed;
-//   - net::decode_frame_header and net::SourceTracker::observe.
+//   - net::decode_frame_header, net::crc32, net::append_frame into a
+//     buffer with room, net::FrameParser::next into a warmed Frame, and
+//     net::SourceTracker::observe;
+//   - the server's side of a one-point DATA frame (on_bytes, its ACK,
+//     and the tick() that applies it), which takes the server's and the
+//     series' locks by design and is held to an allocation budget.
 // StreamingExtractor::feed is not one: it returns a fresh vector by
 // contract, and feed_into is its allocation-free form.
 //
@@ -47,6 +52,7 @@
 #include "ml/dataset.hpp"
 #include "ml/random_forest.hpp"
 #include "net/framing.hpp"
+#include "net/server.hpp"
 #include "net/source_state.hpp"
 #include "obs/log.hpp"
 #include "util/mutex.hpp"
@@ -374,6 +380,127 @@ TEST(HotPath, DecodeFrameHeader) {
   };
   EXPECT_EQ(allocating_steps(kMeasuredPoints, step), 0u);
   EXPECT_EQ(seq_sum, 41u * kMeasuredPoints);
+}
+
+TEST(HotPath, Crc32) {
+  util::Rng rng(34);
+  std::vector<std::uint8_t> bytes(300);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  }
+  std::uint32_t sink = 0;
+  const auto step = [&](std::size_t i) {
+    sink ^= net::crc32(std::span(bytes).first(i % bytes.size()));
+  };
+  EXPECT_EQ(allocating_steps(kMeasuredPoints, step), 0u);
+  EXPECT_NE(sink, 0u);
+}
+
+TEST(HotPath, AppendFrameIntoABufferWithRoom) {
+  const ts::RawPoint point{1700000400, 1.5};
+  const net::Frame data = net::make_data(7, "a00/s00", 600, {&point, 1});
+  std::vector<std::uint8_t> out;
+  out.reserve(256);
+  const auto step = [&](std::size_t i) {
+    out.clear();
+    net::append_frame(out, data);
+    net::append_frame(
+        out, net::FrameType::kAck, 0,
+        net::ack_payload(net::AckPayload{static_cast<std::uint32_t>(i)}));
+  };
+  EXPECT_EQ(allocating_steps(kMeasuredPoints, step), 0u);
+  EXPECT_EQ(out.size(), 2 * (net::kHeaderBytes + net::kCrcBytes) +
+                            data.payload.size() + 4);
+}
+
+TEST(HotPath, FrameParserNextIntoAWarmedFrame) {
+  // One-point DATA frames and the ACKs they get, one frame per push, as
+  // a connection receives them.
+  std::vector<std::vector<std::uint8_t>> wire;
+  for (std::uint32_t seq = 1; seq <= kMeasuredPoints + 1; ++seq) {
+    const ts::RawPoint point{1700000400 + 600 * seq, 1.0 * seq};
+    wire.push_back(seq % 2 == 0
+                       ? net::encode_frame(net::make_ack(net::AckPayload{seq}))
+                       : net::encode_frame(
+                             net::make_data(seq, "pv", 600, {&point, 1})));
+  }
+  net::FrameParser parser;
+  net::Frame frame;
+  parser.push_bytes(wire.back());  // the largest payload warms the Frame
+  ASSERT_TRUE(parser.next(&frame));
+  std::size_t parsed = 0;
+  const auto step = [&](std::size_t i) {
+    parser.push_bytes(wire[i]);
+    while (parser.next(&frame)) ++parsed;
+  };
+  EXPECT_EQ(allocating_steps(kMeasuredPoints, step), 0u);
+  EXPECT_EQ(parsed, kMeasuredPoints);
+  EXPECT_EQ(parser.corrupt_frames(), 0u);
+}
+
+// The server's whole share of a one-point DATA frame: on_bytes parses it,
+// queues it and writes its ACK, and tick() repairs it and feeds it to the
+// engine. Both take the server's lock and the series' lock by design, so
+// this is held to an allocation budget, not to the no-lock rule. Each
+// frame may allocate twice:
+//   1. decode_data's point vector, which the queued batch owns until the
+//      tick hands it to ingest_raw;
+//   2. repair_series' grid values, which the TimeSeries it returns owns.
+TEST(HotPath, WireExchangeAllocationBudget) {
+  constexpr std::size_t kBudget = 2;
+  core::FleetOptions options;
+  options.ctx = kCtx;
+  options.detector_factory = [](const detectors::SeriesContext& ctx) {
+    auto registry = detectors::DetectorRegistry::with_standard_families();
+    auto bank = registry.instantiate_family("simple_threshold", ctx);
+    for (auto& config : registry.instantiate_family("diff", ctx)) {
+      bank.push_back(std::move(config));
+    }
+    return bank;
+  };
+  options.retrain_interval = 1000 * kCtx.points_per_week;
+  options.history_capacity = kPointsPerDay;
+  core::FleetEngine engine(std::move(options));
+  net::ServerOptions server_options;
+  server_options.default_interval_seconds = 600;
+  net::IngestServer server(engine, server_options);
+  ASSERT_TRUE(server.on_connect(1));
+  std::vector<std::uint8_t> responses;
+  ASSERT_TRUE(server.on_bytes(
+      1, net::encode_frame(net::make_hello(0, net::HelloPayload{"agent-00", 0})),
+      responses));
+
+  // A day to warm the series, the queues, the work list and the
+  // instruments, then two days measured. Values are finite: a dirty
+  // chunk is logged and flight-recorded, which allocates by design.
+  const std::size_t total = kPointsPerDay + kMeasuredPoints;
+  std::vector<std::vector<std::uint8_t>> wire;
+  for (std::size_t t = 0; t < total; ++t) {
+    const ts::RawPoint point{1700000400 + 600 * static_cast<std::int64_t>(t),
+                             100.0 + static_cast<double>(t % 17)};
+    wire.push_back(net::encode_frame(net::make_data(
+        static_cast<std::uint32_t>(t + 1), "a00/s00", 0, {&point, 1})));
+  }
+  std::size_t fed = 0;
+  std::size_t most = 0;
+  const auto exchange = [&](std::size_t t) {
+    responses.clear();
+    const std::size_t before = t_allocations;
+    EXPECT_TRUE(server.on_bytes(1, wire[t], responses));
+    server.tick();
+    most = std::max(most, t_allocations - before);
+    ++fed;
+  };
+  for (std::size_t t = 0; t < kPointsPerDay; ++t) exchange(t);
+  most = 0;
+  for (std::size_t t = kPointsPerDay; t < total; ++t) exchange(t);
+  EXPECT_LE(most, kBudget);
+  EXPECT_EQ(engine.stats(engine.find_series("a00/s00")).points_seen, fed);
+  net::FrameParser parser;
+  parser.push_bytes(responses);
+  net::Frame reply;
+  ASSERT_TRUE(parser.next(&reply));
+  EXPECT_EQ(reply.type, net::FrameType::kAck);
 }
 
 TEST(HotPath, SourceTrackerObserve) {

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "net/framing.hpp"
 #include "net/session.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -242,12 +245,107 @@ TEST(Framing, TypePredicatesPartitionTheProtocol) {
   }
 }
 
+std::string to_hex(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  char buf[3];
+  for (const std::uint8_t b : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+// One frame of each type with fixed payloads, against the bytes the
+// encoder wrote before it was rewritten: the wire format is the
+// protocol, and an encoder change may not move a single byte.
+TEST(Framing, GoldenBytesForEveryFrameType) {
+  net::DataPayload data;
+  data.series_id = "pv-3";
+  data.interval_seconds = 600;
+  data.points = {{1700000000, 1.5},
+                 {1700000600, -0.25},
+                 {-600, std::numeric_limits<double>::infinity()}};
+  const struct {
+    net::Frame frame;
+    const char* hex;
+  } cases[] = {
+      {net::make_hello(0, net::HelloPayload{"edge-7", 3}),
+       "0e00000001010000000006000000656467652d3703000000c963f5ca"},
+      {net::make_data(9, data),
+       "440000000102090000000400000070762d335802000000000000030000"
+       "0000f1536500000000000000000000f83f58f353650000000000000000"
+       "0000d0bfa8fdffffffffffff000000000000f07fc0a6b4bb"},
+      {net::make_label(10, net::LabelPayload{"pv-3", 144, {0, 1, 1, 0}}),
+       "1800000001030a0000000400000070762d339000000000000000040000"
+       "00000101007fcab236"},
+      {net::make_heartbeat(11), "0000000001040b000000c7531f58"},
+      {net::make_bye(12), "0000000001050c000000ce42a8f8"},
+      {net::make_welcome(net::WelcomePayload{7}),
+       "0400000001810000000007000000fd2fb1e0"},
+      {net::make_ack(net::AckPayload{9}),
+       "04000000018200000000090000000b64e339"},
+      {net::make_retry(net::RetryPayload{9, 2}),
+       "080000000183000000000900000002000000c80252e4"},
+      {net::make_error("malformed DATA"),
+       "120000000184000000000e0000006d616c666f726d65642044415441236e25c9"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(to_hex(net::encode_frame(c.frame)), c.hex)
+        << net::to_string(c.frame.type);
+  }
+  // The server writes ACK and RETRY from stack payloads through the same
+  // encoder, after bytes already in the buffer.
+  std::vector<std::uint8_t> out = {0xAA};
+  net::append_frame(out, net::FrameType::kAck, 0,
+                    net::ack_payload(net::AckPayload{9}));
+  net::append_frame(out, net::FrameType::kRetry, 0,
+                    net::retry_payload(net::RetryPayload{9, 2}));
+  EXPECT_EQ(to_hex(out), std::string("aa") + cases[6].hex + cases[7].hex);
+}
+
 TEST(Framing, Crc32MatchesKnownVector) {
   // CRC-32 (IEEE) of "123456789" is the classic check value 0xCBF43926.
   const std::string check = "123456789";
   const std::uint32_t crc = net::crc32(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(check.data()), check.size()));
   EXPECT_EQ(crc, 0xCBF43926u);
+}
+
+// The byte-at-a-time table loop crc32 ran before slicing-by-8.
+std::uint32_t crc32_byte_loop(std::span<const std::uint8_t> bytes) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Every length 0-300 at every start offset 0-7, so the eight-byte steps
+// meet every alignment and every tail length.
+TEST(Framing, Crc32SlicingEqualsByteLoop) {
+  util::Rng rng(34);
+  for (int buffer = 0; buffer < 4; ++buffer) {
+    std::vector<std::uint8_t> bytes(308);
+    for (std::uint8_t& b : bytes) {
+      b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t length = 0; length <= 300; ++length) {
+        const std::span<const std::uint8_t> span(bytes.data() + offset,
+                                                 length);
+        ASSERT_EQ(net::crc32(span), crc32_byte_loop(span))
+            << "offset " << offset << " length " << length;
+      }
+    }
+  }
 }
 
 }  // namespace

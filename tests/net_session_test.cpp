@@ -601,6 +601,106 @@ TEST(IngestServer, ResumeAfterLostKeepsAttributionExact) {
   EXPECT_TRUE(snapshots[0].saw_bye);
 }
 
+// One DATA frame the engine cannot ingest stays one lost batch, and the
+// daemon keeps serving. A zero-point frame is refused at the frame with
+// ERROR "malformed DATA". A frame whose two points lie 3e9 s apart is
+// well-formed and ACKed, but repair refuses its grid in the tick: the
+// batch is counted in opprentice.net.batches_rejected and
+// flight-recorded, the good batch of the same series it was coalesced
+// with is applied, and so are a third source's batches, after it in the
+// same tick's work list.
+TEST(NetSession, UningestableDataDoesNotStopTheTick) {
+  const auto run = [](std::size_t threads) {
+    util::set_global_threads(threads);
+    obs::FlightRecorder::instance().clear();
+    const std::uint64_t rejected_before =
+        counter_value("opprentice.net.batches_rejected");
+    const std::uint64_t applied_before =
+        counter_value("opprentice.net.batches_applied");
+    const std::uint64_t points_before =
+        counter_value("opprentice.net.points_applied");
+    core::FleetEngine engine(small_fleet());
+    net::ServerOptions options;
+    options.default_interval_seconds = 3600;
+    net::IngestServer server(engine, options);
+    // Sources sort "src-empty" < "src-far" < "src-good", so the good
+    // batches follow the refused one in the tick.
+    const char* const sources[] = {"src-empty", "src-far", "src-good"};
+    for (std::uint64_t conn = 1; conn <= 3; ++conn) {
+      EXPECT_TRUE(server.on_connect(conn));
+      send_frame(server, conn,
+                 net::make_hello(0, net::HelloPayload{sources[conn - 1], 0}));
+    }
+
+    net::DataPayload empty;
+    empty.series_id = "empty";
+    bool keep = true;
+    net::FrameParser parser;
+    parser.push_bytes(send_frame(server, 1, net::make_data(1, empty), &keep));
+    EXPECT_FALSE(keep);
+    net::Frame reply;
+    net::ErrorPayload error;
+    EXPECT_TRUE(parser.next(&reply) && net::decode_error(reply, &error));
+    EXPECT_EQ(error.message, "malformed DATA");
+    server.on_disconnect(1);
+
+    net::DataPayload far;
+    far.series_id = "far";
+    far.interval_seconds = 3600;
+    far.points = {{1700000000, 1.0}, {1700003600, 2.0}};
+    EXPECT_EQ(first_response_type(send_frame(server, 2, net::make_data(1, far))),
+              net::FrameType::kAck);
+    far.points = {{1700007200, 3.0}, {1700007200 + 3'000'000'000, 4.0}};
+    EXPECT_EQ(first_response_type(send_frame(server, 2, net::make_data(2, far))),
+              net::FrameType::kAck);
+
+    const auto points = clean_points(16, 3600);
+    const auto good = [&](std::uint32_t seq) {
+      net::DataPayload data;
+      data.series_id = "pv";
+      data.points.assign(points.begin() + (seq - 1) * 4,
+                         points.begin() + seq * 4);
+      return first_response_type(
+          send_frame(server, 3, net::make_data(seq, data)));
+    };
+    for (std::uint32_t seq = 1; seq <= 3; ++seq) {
+      EXPECT_EQ(good(seq), net::FrameType::kAck);
+    }
+    server.tick();
+    // The server keeps serving: the next tick applies the next batch.
+    EXPECT_EQ(good(4), net::FrameType::kAck);
+    server.tick();
+
+    const auto pv = engine.find_series("pv");
+    EXPECT_TRUE(pv != nullptr && engine.stats(pv).points_seen == 16u);
+    EXPECT_EQ(engine.find_series("empty"), nullptr);
+    const auto far_series = engine.find_series("far");
+    EXPECT_TRUE(far_series != nullptr &&
+                engine.stats(far_series).points_seen == 2u);
+    EXPECT_EQ(counter_value("opprentice.net.batches_rejected") -
+                  rejected_before,
+              1u);
+    // The three good "pv" batches of the first tick coalesce into one
+    // ingest_raw call, but count as three batches.
+    EXPECT_EQ(counter_value("opprentice.net.batches_applied") -
+                  applied_before,
+              5u);
+    EXPECT_EQ(counter_value("opprentice.net.points_applied") - points_before,
+              18u);
+    std::string dump = obs::FlightRecorder::instance().dump_json();
+    obs::FlightRecorder::instance().clear();
+    return dump;
+  };
+  const std::string serial = run(1);
+  const std::string two = run(2);
+  const std::string eight = run(8);
+  util::set_global_threads(1);
+  EXPECT_EQ(serial, two);
+  EXPECT_EQ(serial, eight);
+  EXPECT_NE(serial.find("\"batch_rejected\""), std::string::npos) << serial;
+  EXPECT_NE(serial.find("series=far seq=2"), std::string::npos) << serial;
+}
+
 // ---- end-to-end chaos ----------------------------------------------------
 
 // Engine fingerprint for rerun-equality assertions.

@@ -1,13 +1,23 @@
-// Unit tests for src/timeseries: TimeSeries, LabelSet, series profiling.
+// Unit tests for src/timeseries: TimeSeries, LabelSet, series profiling,
+// and the one-pass repair against the sort-then-scan reference it
+// replaced (reference_repair.*).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "reference_repair.hpp"
 #include "timeseries/labels.hpp"
 #include "timeseries/repair.hpp"
 #include "timeseries/series_stats.hpp"
 #include "timeseries/time_series.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -69,6 +79,163 @@ TEST(Repair, RefusesGridsVastlyLargerThanTheInput) {
   std::vector<RawPoint> points = {{0, 1.0}, {600, 2.0}, {600'000'000, 3.0}};
   EXPECT_THROW(repair_series("corrupt", points, 600, RepairPolicy::kDrop),
                std::runtime_error);
+}
+
+// ---- the one-pass repair against the reference ----
+
+// A chunk as a wire batch may carry it: `n` points on a grid of
+// `interval` seconds (0 = let repair infer it from the stamps, which are
+// still laid on `grid`) with each defect class at its own rate.
+struct ChunkShape {
+  std::size_t n = 0;
+  std::int64_t grid = 600;
+  std::int64_t interval = 600;
+  double gap = 0.0;        // point dropped
+  double duplicate = 0.0;  // point repeats the previous stamp
+  double disorder = 0.0;   // point swapped with its predecessor
+  double misalign = 0.0;   // stamp moved off the grid
+  double bad = 0.0;        // value NaN, +inf or -inf
+};
+
+std::vector<RawPoint> make_chunk(opprentice::util::Rng& rng,
+                                 const ChunkShape& shape) {
+  const std::int64_t start =
+      static_cast<std::int64_t>(rng.uniform_int(4'000'000'000)) - 2'000'000'000;
+  std::vector<RawPoint> points;
+  for (std::size_t i = 0; i < shape.n; ++i) {
+    if (rng.uniform() < shape.gap) continue;
+    RawPoint p{start + static_cast<std::int64_t>(i) * shape.grid,
+               rng.normal(100.0, 15.0)};
+    if (rng.uniform() < shape.misalign) {
+      p.timestamp += static_cast<std::int64_t>(
+                         rng.uniform_int(static_cast<std::uint64_t>(shape.grid))) -
+                     shape.grid / 2;
+    }
+    if (rng.uniform() < shape.bad) {
+      const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+      p.value = bad[rng.uniform_int(3)];
+    }
+    if (!points.empty() && rng.uniform() < shape.duplicate) {
+      p.timestamp = points.back().timestamp;
+    }
+    points.push_back(p);
+    if (points.size() >= 2 && rng.uniform() < shape.disorder) {
+      std::swap(points[points.size() - 1], points[points.size() - 2]);
+    }
+  }
+  return points;
+}
+
+// Runs both repairs on one chunk under one policy and compares every
+// observable: value bits, start, interval, the report, or the message.
+void expect_same_repair(const std::vector<RawPoint>& points,
+                        std::int64_t interval, RepairPolicy policy,
+                        const std::string& what) {
+  std::string want_error;
+  RepairResult want{TimeSeries("x", 0, 600, {}), {}};
+  try {
+    want = reference::repair_series("chunk", points, interval, policy);
+  } catch (const std::runtime_error& e) {
+    want_error = e.what();
+  }
+  std::string got_error;
+  RepairResult got{TimeSeries("x", 0, 600, {}), {}};
+  try {
+    got = repair_series("chunk", points, interval, policy);
+  } catch (const std::runtime_error& e) {
+    got_error = e.what();
+  }
+  const std::string where = what + " policy=" + to_string(policy);
+  ASSERT_EQ(got_error, want_error) << where;
+  if (!want_error.empty()) return;
+  EXPECT_EQ(got.series.name(), want.series.name()) << where;
+  EXPECT_EQ(got.series.start_epoch(), want.series.start_epoch()) << where;
+  EXPECT_EQ(got.series.interval_seconds(), want.series.interval_seconds())
+      << where;
+  ASSERT_EQ(got.series.size(), want.series.size()) << where;
+  for (std::size_t i = 0; i < want.series.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.series[i]),
+              std::bit_cast<std::uint64_t>(want.series[i]))
+        << where << " slot " << i;
+  }
+  EXPECT_EQ(got.report.out_of_order, want.report.out_of_order) << where;
+  EXPECT_EQ(got.report.duplicates, want.report.duplicates) << where;
+  EXPECT_EQ(got.report.gaps, want.report.gaps) << where;
+  EXPECT_EQ(got.report.bad_values, want.report.bad_values) << where;
+  EXPECT_EQ(got.report.misaligned, want.report.misaligned) << where;
+}
+
+TEST(RepairOracle, OnePassEqualsReference) {
+  opprentice::util::Rng rng(20261019);
+  const std::int64_t grids[] = {60, 300, 600, 3600};
+  std::vector<std::pair<std::vector<RawPoint>, std::int64_t>> chunks;
+  std::size_t refused = 0;
+  for (std::size_t k = 0; k < 400; ++k) {
+    ChunkShape shape;
+    shape.grid = grids[rng.uniform_int(4)];
+    shape.interval = k % 5 == 0 ? 0 : shape.grid;
+    // Lengths: one point, short, and long.
+    const std::size_t lengths[] = {1, 2 + rng.uniform_int(30),
+                                   200 + rng.uniform_int(2000)};
+    shape.n = lengths[k % 3];
+    switch (k % 4) {
+      case 0:  // clean: the sort is skipped and nothing is counted
+        break;
+      case 1:  // every defect at once
+        shape.gap = 0.05;
+        shape.duplicate = 0.04;
+        shape.disorder = 0.04;
+        shape.misalign = 0.03;
+        shape.bad = 0.03;
+        break;
+      case 2:  // sorted but dirty: gaps, duplicates and bad values only
+        shape.gap = 0.2;
+        shape.duplicate = 0.1;
+        shape.bad = 0.1;
+        break;
+      default:  // heavy disorder and misalignment
+        shape.disorder = 0.3;
+        shape.misalign = 0.3;
+        shape.bad = 0.01;
+        break;
+    }
+    chunks.emplace_back(make_chunk(rng, shape), shape.interval);
+  }
+  // Refused chunks: no points, a span no grid may cover, identical stamps
+  // with nothing to infer from, and intervals that do not divide a day.
+  chunks.emplace_back(std::vector<RawPoint>{}, 600);
+  chunks.emplace_back(std::vector<RawPoint>{{0, 1.0}, {3'000'000'000, 2.0}},
+                      600);
+  chunks.emplace_back(std::vector<RawPoint>{{600, 1.0}, {600, 2.0}}, 0);
+  chunks.emplace_back(std::vector<RawPoint>{{0, 1.0}, {7, 2.0}}, 0);
+  chunks.emplace_back(std::vector<RawPoint>{{0, 1.0}, {600, 2.0}}, -600);
+  chunks.emplace_back(std::vector<RawPoint>{{0, 1.0}, {700, 2.0}}, 700);
+  // One-point chunks of every value class.
+  for (const double v : {1.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    chunks.emplace_back(std::vector<RawPoint>{{1700000400, v}}, 600);
+  }
+
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    for (const RepairPolicy policy :
+         {RepairPolicy::kFail, RepairPolicy::kDrop,
+          RepairPolicy::kFillInterpolate}) {
+      try {
+        (void)reference::repair_series("chunk", chunks[c].first,
+                                       chunks[c].second, policy);
+      } catch (const std::runtime_error&) {
+        ++refused;
+      }
+      expect_same_repair(chunks[c].first, chunks[c].second, policy,
+                         "chunk " + std::to_string(c));
+    }
+  }
+  // kFail refuses every dirty chunk, and the structural refusals fail
+  // under every policy.
+  EXPECT_GT(refused, 3u * 6u);
 }
 
 // ---- TimeSeries ----
