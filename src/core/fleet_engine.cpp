@@ -754,28 +754,24 @@ void FleetEngine::feed_tick(std::span<const SeriesHandle> series,
   }
 }
 
-IngestOutcome FleetEngine::ingest_raw(const SeriesHandle& series,
+IngestOutcome FleetEngine::ingest_raw(const std::string& id,
                                       std::vector<ts::RawPoint> points,
                                       std::int64_t interval_seconds,
                                       ts::RepairPolicy policy) {
-  FleetSeries& state = *series;
-  std::string id;
-  std::uint64_t salt = 0;
-  {
-    util::MutexLock lock(state.mutex_);
-    id = state.id_;
-    salt = state.salt_;
-  }
-  // Injection and repair run outside the series lock (they only touch
-  // the local point vector); repair_series flight-records dirty streams
-  // with the series id in the detail, which is the per-series
+  SeriesHandle series = find_series(id);
+  // Injection and repair only touch the local point vector, so they run
+  // outside every lock, before the series need exist; the salt is the
+  // one a series of this id carries. repair_series flight-records dirty
+  // streams with the series id in the detail, which is the per-series
   // attribution the chaos tests assert.
-  ts::inject_ingest_faults(points, salt);
-  ts::RepairResult repaired =
+  ts::inject_ingest_faults(points, util::stable_id_hash(id));
+  const ts::RepairResult repaired =
       ts::repair_series(id, std::move(points), interval_seconds, policy);
+  if (series == nullptr) series = add_series(id);
   for (std::size_t i = 0; i < repaired.series.size(); ++i) {
     feed(series, repaired.series[i]);
   }
+  FleetSeries& state = *series;
   util::MutexLock lock(state.mutex_);
   state.repair_totals_.out_of_order += repaired.report.out_of_order;
   state.repair_totals_.duplicates += repaired.report.duplicates;

@@ -168,11 +168,14 @@ class FleetEngine {
                  std::span<const double> values,
                  std::span<FleetDetection> out);
 
-  // Raw dirty stream for one series: ingest fault injection (salted per
-  // series), repair_series under `policy`, then every repaired value is
-  // fed. Returns this call's repair report and fed-point count; the
-  // running per-series repair total is in stats().repairs.
-  IngestOutcome ingest_raw(const SeriesHandle& series,
+  // Raw dirty stream for the series named `id`: ingest fault injection
+  // (salted per series), repair_series under `policy`, then every
+  // repaired value is fed. The series is created, as by add_series, only
+  // once repair accepts the chunk, so a chunk repair refuses throws
+  // before any series exists; an existing series costs one map lookup.
+  // Returns this call's repair report and fed-point count; the running
+  // per-series repair total is in stats().repairs.
+  IngestOutcome ingest_raw(const std::string& id,
                            std::vector<ts::RawPoint> points,
                            std::int64_t interval_seconds,
                            ts::RepairPolicy policy);

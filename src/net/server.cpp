@@ -277,9 +277,10 @@ void IngestServer::apply_batches(std::vector<QueuedBatch> work) {
   // Coalesce runs of DATA batches for the same series into one
   // ingest_raw call: a wire gap inside the run becomes missing grid
   // slots, a reorder becomes out-of-order points — exactly the defect
-  // classes repair_series already repairs and reports. Each applied run
-  // resolves its series id with add_series, which creates the series on
-  // first sight.
+  // classes repair_series already repairs and reports. A run's series is
+  // created when repair first accepts a run of it, so a refused batch
+  // under a new id leaves no series behind; a LABEL batch creates its
+  // series on first sight.
   std::size_t i = 0;
   while (i < work.size()) {
     QueuedBatch& batch = work[i];
@@ -331,9 +332,9 @@ bool IngestServer::ingest_run(std::span<QueuedBatch> run) {
   }
   const std::size_t submitted = points.size();
   try {
-    const core::IngestOutcome outcome = engine_.ingest_raw(
-        engine_.add_series(batch.series_id), std::move(points),
-        batch.interval_seconds, options_.repair_policy);
+    const core::IngestOutcome outcome =
+        engine_.ingest_raw(batch.series_id, std::move(points),
+                           batch.interval_seconds, options_.repair_policy);
     counters.batches_applied->add(run.size());
     counters.points_applied->add(outcome.points_fed);
     if (!outcome.repairs.clean()) {

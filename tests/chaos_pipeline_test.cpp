@@ -919,11 +919,11 @@ TEST(ChaosFleet, InterleavedIngestAttributesRepairsPerSeries) {
   const auto c = engine.add_series("fleet-shuffled");
 
   for (std::size_t chunk = 0; chunk < 4; ++chunk) {
-    engine.ingest_raw(a, chunk_for('A', chunk), kInterval,
+    engine.ingest_raw("fleet-gappy", chunk_for('A', chunk), kInterval,
                       ts::RepairPolicy::kFillInterpolate);
-    engine.ingest_raw(b, chunk_for('B', chunk), kInterval,
+    engine.ingest_raw("fleet-doubled", chunk_for('B', chunk), kInterval,
                       ts::RepairPolicy::kFillInterpolate);
-    engine.ingest_raw(c, chunk_for('C', chunk), kInterval,
+    engine.ingest_raw("fleet-shuffled", chunk_for('C', chunk), kInterval,
                       ts::RepairPolicy::kFillInterpolate);
   }
 
@@ -970,17 +970,20 @@ TEST(ChaosFleet, IngestReportIsPerCallAndTotalsAccumulate) {
                                                   1700000000 + 16 * kInterval);
   chunk3.insert(chunk3.begin() + 2, chunk3[1]);
 
-  const auto report1 = engine.ingest_raw(s, std::move(chunk1), kInterval,
-                                         ts::RepairPolicy::kFillInterpolate);
+  const auto report1 =
+      engine.ingest_raw("fleet-mixed", std::move(chunk1), kInterval,
+                        ts::RepairPolicy::kFillInterpolate);
   EXPECT_EQ(report1.repairs.gaps, 1u);
   EXPECT_EQ(report1.repairs.duplicates, 0u);
 
-  const auto report2 = engine.ingest_raw(s, std::move(chunk2), kInterval,
-                                         ts::RepairPolicy::kFillInterpolate);
+  const auto report2 =
+      engine.ingest_raw("fleet-mixed", std::move(chunk2), kInterval,
+                        ts::RepairPolicy::kFillInterpolate);
   EXPECT_EQ(report2.repairs.total(), 0u) << "clean chunks must report nothing";
 
-  const auto report3 = engine.ingest_raw(s, std::move(chunk3), kInterval,
-                                         ts::RepairPolicy::kFillInterpolate);
+  const auto report3 =
+      engine.ingest_raw("fleet-mixed", std::move(chunk3), kInterval,
+                        ts::RepairPolicy::kFillInterpolate);
   EXPECT_EQ(report3.repairs.duplicates, 1u);
   EXPECT_EQ(report3.repairs.gaps, 0u);
 

@@ -710,7 +710,7 @@ TEST(FleetEngine, FaultedSeriesCannotPerturbNeighbors) {
             ts::RawPoint{1700000000 + static_cast<std::int64_t>(t) * 600,
                          test_support::synthetic_fleet_value(1, t, 16)});
         if ((t + 1) % 16 == 0) {
-          engine.ingest_raw(x, std::move(raw), 600,
+          engine.ingest_raw("kpi-x", std::move(raw), 600,
                             ts::RepairPolicy::kFillInterpolate);
           raw.clear();
         }

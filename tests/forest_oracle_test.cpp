@@ -16,11 +16,13 @@
 // ctest label: chaos (CI runs it under ASan/UBSan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -234,10 +236,12 @@ bool same_bits(double a, double b) {
 
 // Grows `sample` (row indices, repeats allowed) as multiplicities and
 // checks the tree against the reference grown over the listed rows;
-// returns the reference's internal node count.
+// returns the reference's internal node count, and its nodes through
+// `reference_out` when given.
 std::size_t expect_tree_matches_reference(
     const BinnedDataset& binned, const std::vector<std::size_t>& sample,
-    const TreeOptions& options, const std::string& context) {
+    const TreeOptions& options, const std::string& context,
+    std::vector<reference::TreeNode>* reference_out = nullptr) {
   std::vector<std::uint32_t> counts(binned.num_rows(), 0);
   for (const std::size_t r : sample) ++counts[r];
   DecisionTree tree(options);
@@ -245,6 +249,7 @@ std::size_t expect_tree_matches_reference(
   const std::vector<reference::TreeNode> want =
       reference::train_binned_dense(binned, sample, options);
   expect_same_nodes(tree.nodes(), reference::flatten(want), context);
+  if (reference_out != nullptr) *reference_out = want;
   return (want.size() - 1) / 2;
 }
 
@@ -283,6 +288,119 @@ TEST(TreeOracle, OccupiedBinScanMatchesDenseScanNodeForNode) {
   }
   // The rounds must actually grow trees, not stop at the root.
   EXPECT_GT(internal_nodes, 1000u);
+}
+
+// How many distinct rows of `rows` reach each node of a reference tree,
+// routed by raw value as scoring routes them (NaN goes left).
+std::vector<std::size_t> node_sizes(
+    const std::vector<reference::TreeNode>& nodes, const Dataset& data,
+    const std::vector<std::size_t>& rows) {
+  std::vector<std::size_t> sizes(nodes.size(), 0);
+  for (const std::size_t row : rows) {
+    std::size_t at = 0;
+    while (true) {
+      ++sizes[at];
+      const reference::TreeNode& node = nodes[at];
+      if (node.feature < 0) break;
+      const double v =
+          data.column(static_cast<std::size_t>(node.feature))[row];
+      at = static_cast<std::size_t>(
+          std::isnan(v) || v <= node.threshold ? node.left : node.right);
+    }
+  }
+  return sizes;
+}
+
+// Each split-kernel path of train_binned (DESIGN.md §5d) against the
+// dense-scan reference: root sizes at the sparse path's row threshold
+// and around it, up to 6000 distinct rows and every remainder mod 4 (the
+// interleaved fill's tail); a column whose codes sit at the occupancy
+// bitmap's word edges, one holding ~90% of its rows in one bin, and one
+// constant over the rows some rounds sample; 2, 16, 255 and 256 bins
+// (256 is the most a u8 code can name, so only it reaches code 255).
+TEST(TreeOracle, SplitKernelPathsMatchReference) {
+  util::Rng rng(1024);
+  constexpr std::size_t kRows = 8000;
+  const double edges[] = {0,   63,  64,  65,  127, 128,
+                          129, 191, 192, 193, 254, 255};
+  std::vector<std::vector<double>> columns(6, std::vector<double>(kRows));
+  for (std::size_t r = 0; r < kRows; ++r) {
+    // Every value 0..255 once, so a value's code is its rank, then the
+    // values around the word edges, with some NaN (bin 0).
+    columns[0][r] = r < 256         ? static_cast<double>(r)
+                    : r % 97 == 0   ? kNaN
+                                    : edges[rng.uniform_int(std::size(edges))];
+    columns[1][r] = rng.uniform() < 0.9 ? 3.0 : rng.normal(0.0, 1.0);
+    columns[2][r] = r < kRows / 2 ? 1.0 : rng.normal(0.0, 1.0);
+  }
+  for (std::size_t f = 3; f < columns.size(); ++f) {
+    columns[f] = random_column(rng, kRows);
+  }
+  std::vector<std::uint8_t> labels(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const double v = columns[0][r];
+    const bool signal = (v >= 64 && v < 128) || v >= 192;
+    labels[r] = (rng.uniform() < 0.15) != signal ? 1 : 0;
+  }
+  std::vector<std::string> names(columns.size(), "f");
+  const Dataset data(std::move(names), std::move(columns), std::move(labels));
+
+  const std::size_t root_sizes[] = {127,  128,  129,  130,  1023,
+                                    1024, 1025, 1026, 4001, 6000};
+  std::size_t small = 0;
+  std::size_t medium = 0;
+  std::size_t large = 0;
+  for (const std::size_t max_bins : {2u, 16u, 255u, 256u}) {
+    const BinnedDataset binned(data, max_bins);
+    if (max_bins >= 255) {
+      const std::vector<std::uint8_t>& codes = binned.codes(0);
+      const std::size_t edge_codes[] = {0,   63,  64,  127,
+                                        128, 191, 192, max_bins - 1};
+      for (const std::size_t code : edge_codes) {
+        EXPECT_NE(std::find(codes.begin(), codes.end(), code), codes.end())
+            << "max_bins " << max_bins << " code " << code;
+      }
+    }
+    for (std::size_t i = 0; i < std::size(root_sizes); ++i) {
+      const std::size_t size = root_sizes[i];
+      // Odd rounds draw only rows where column 2 is constant, so no node
+      // has a candidate on it; even rounds repeat rows 1-3 times.
+      const bool constant_rows = i % 2 == 1 && size <= kRows / 2;
+      std::vector<std::size_t> pool(constant_rows ? kRows / 2 : kRows);
+      std::iota(pool.begin(), pool.end(), std::size_t{0});
+      for (std::size_t k = 0; k < size; ++k) {
+        std::swap(pool[k], pool[k + rng.uniform_int(pool.size() - k)]);
+      }
+      const std::vector<std::size_t> rows(
+          pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(size));
+      std::vector<std::size_t> sample;
+      for (const std::size_t r : rows) {
+        sample.insert(sample.end(), i % 2 == 0 ? 1 + rng.uniform_int(3) : 1, r);
+      }
+      TreeOptions options;
+      options.seed = rng.next_u64();
+      options.mtry = i % 3 == 0 ? 0 : 2;
+      std::vector<reference::TreeNode> nodes;
+      expect_tree_matches_reference(
+          binned, sample, options,
+          "max_bins " + std::to_string(max_bins) + " rows " +
+              std::to_string(size),
+          &nodes);
+      const std::vector<std::size_t> sizes = node_sizes(nodes, data, rows);
+      ASSERT_EQ(sizes[0], size);
+      for (std::size_t n = 0; n < nodes.size(); ++n) {
+        if (nodes[n].feature < 0) continue;
+        small += sizes[n] <= 128 ? 1 : 0;
+        medium += sizes[n] > 128 && sizes[n] <= 1024 ? 1 : 0;
+        large += sizes[n] > 1024 ? 1 : 0;
+      }
+    }
+  }
+  // Every path ran on internal nodes, the interleaved one on nodes of
+  // more than 1024 rows too.
+  EXPECT_GT(small, 4000u);
+  EXPECT_GT(medium, 500u);
+  EXPECT_GT(large, 100u);
 }
 
 // Samples drawn from a handful of rows, so each sampled row stands for

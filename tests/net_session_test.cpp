@@ -701,6 +701,64 @@ TEST(NetSession, UningestableDataDoesNotStopTheTick) {
   EXPECT_NE(serial.find("series=far seq=2"), std::string::npos) << serial;
 }
 
+// A DATA frame repair refuses creates no series: its points span 3e9 s
+// under an id the engine has not seen, so the tick rejects it and the
+// engine stays empty. A good batch of the same id, a tick later, creates
+// the series and feeds it.
+TEST(NetSession, RefusedDataCreatesNoSeries) {
+  const auto run = [](std::size_t threads) {
+    util::set_global_threads(threads);
+    obs::FlightRecorder::instance().clear();
+    const std::uint64_t rejected_before =
+        counter_value("opprentice.net.batches_rejected");
+    core::FleetEngine engine(small_fleet());
+    net::ServerOptions options;
+    options.default_interval_seconds = 3600;
+    net::IngestServer server(engine, options);
+    EXPECT_TRUE(server.on_connect(1));
+    send_frame(server, 1, net::make_hello(0, net::HelloPayload{"src", 0}));
+
+    net::DataPayload far;
+    far.series_id = "fresh";
+    far.interval_seconds = 3600;
+    far.points = {{1700000000, 1.0}, {1700000000 + 3'000'000'000, 2.0}};
+    EXPECT_EQ(
+        first_response_type(send_frame(server, 1, net::make_data(1, far))),
+        net::FrameType::kAck);
+    server.tick();
+    EXPECT_EQ(engine.series_count(), 0u);
+    EXPECT_EQ(engine.find_series("fresh"), nullptr);
+    EXPECT_EQ(counter_value("opprentice.net.batches_rejected") -
+                  rejected_before,
+              1u);
+
+    net::DataPayload good;
+    good.series_id = "fresh";
+    good.interval_seconds = 3600;
+    good.points = clean_points(6, 3600);
+    EXPECT_EQ(
+        first_response_type(send_frame(server, 1, net::make_data(2, good))),
+        net::FrameType::kAck);
+    server.tick();
+    EXPECT_EQ(engine.series_count(), 1u);
+    const auto fresh = engine.find_series("fresh");
+    EXPECT_TRUE(fresh != nullptr && engine.stats(fresh).points_seen == 6u);
+    EXPECT_EQ(counter_value("opprentice.net.batches_rejected") -
+                  rejected_before,
+              1u);
+    std::string dump = obs::FlightRecorder::instance().dump_json();
+    obs::FlightRecorder::instance().clear();
+    return dump;
+  };
+  const std::string serial = run(1);
+  const std::string two = run(2);
+  const std::string eight = run(8);
+  util::set_global_threads(1);
+  EXPECT_EQ(serial, two);
+  EXPECT_EQ(serial, eight);
+  EXPECT_NE(serial.find("series=fresh seq=1"), std::string::npos) << serial;
+}
+
 // ---- end-to-end chaos ----------------------------------------------------
 
 // Engine fingerprint for rerun-equality assertions.
@@ -981,7 +1039,7 @@ TEST(WireEqualsEngine, ThreeWeekPvReplayTrainsTheSameForest) {
         std::span<const std::uint8_t>(labels).subspan(at, n);
     agent.queue_data("pv", interval, day, 36);
     agent.queue_labels("pv", at, {day_labels.begin(), day_labels.end()});
-    direct.ingest_raw(direct_pv, {day.begin(), day.end()}, interval,
+    direct.ingest_raw("pv", {day.begin(), day.end()}, interval,
                       server_options.repair_policy);
     direct.ingest_labels(direct_pv, day_labels, at);
   }
