@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/feature_history.hpp"
 #include "eval/pr_curve.hpp"
 #include "eval/threshold_pickers.hpp"
 #include "ml/serialize.hpp"
