@@ -26,6 +26,9 @@ FeatureBinner FeatureBinner::fit(std::span<const double> column,
 
 FeatureBinner FeatureBinner::from_distinct(std::span<const double> distinct,
                                            std::size_t max_bins) {
+  if (max_bins == 0 || max_bins > 256) {  // codes are one byte
+    throw std::invalid_argument("FeatureBinner: max_bins must be in [1, 256]");
+  }
   FeatureBinner binner;
   if (distinct.size() <= 1) return binner;  // constant column: single bin
 

@@ -279,15 +279,16 @@ void IngestServer::apply_batches(std::vector<QueuedBatch> work) {
   // slots, a reorder becomes out-of-order points — exactly the defect
   // classes repair_series already repairs and reports. A run's series is
   // created when repair first accepts a run of it, so a refused batch
-  // under a new id leaves no series behind; a LABEL batch creates its
-  // series on first sight.
+  // under a new id leaves no series behind; a LABEL batch, which labels
+  // only rows already fed, applies to an existing series alone.
   std::size_t i = 0;
   while (i < work.size()) {
     QueuedBatch& batch = work[i];
     if (batch.type == FrameType::kLabel) {
-      engine_.ingest_labels(engine_.add_series(batch.series_id),
-                            batch.labels,
-                            static_cast<std::size_t>(batch.label_begin));
+      if (const auto series = engine_.find_series(batch.series_id)) {
+        engine_.ingest_labels(series, batch.labels,
+                              static_cast<std::size_t>(batch.label_begin));
+      }
       net_counters().batches_applied->add();
       ++i;
       continue;

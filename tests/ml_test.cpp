@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "ml/binning.hpp"
 #include "ml/dataset.hpp"
@@ -138,6 +139,25 @@ TEST(Binning, UpperEdgeSeparates) {
   const double edge = binner.upper_edge(c2);
   EXPECT_GE(edge, 2.0);
   EXPECT_LT(edge, 3.0);
+}
+
+TEST(Binning, MaxBinsOutsideOneByteCodesThrows) {
+  // 300 distinct values, so every bin count tried here could be filled.
+  std::vector<double> column(300);
+  std::iota(column.begin(), column.end(), 0.0);
+  const Dataset data({"v"}, {column}, std::vector<std::uint8_t>(300, 0));
+  for (const std::size_t max_bins : {0u, 257u, 300u}) {
+    EXPECT_THROW(FeatureBinner::fit(column, max_bins), std::invalid_argument)
+        << max_bins;
+    EXPECT_THROW(BinnedDataset(data, max_bins), std::invalid_argument)
+        << max_bins;
+  }
+  // 256 bins is the most a one-byte code holds: the top value gets 255.
+  const BinnedDataset full(data, 256);
+  EXPECT_EQ(full.binner(0).num_bins(), 256u);
+  EXPECT_EQ(full.codes(0).front(), 0);
+  EXPECT_EQ(full.codes(0).back(), 255);
+  EXPECT_EQ(FeatureBinner::fit(column, 1).num_bins(), 1u);
 }
 
 TEST(Binning, BinnedDatasetShape) {

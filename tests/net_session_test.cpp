@@ -759,6 +759,50 @@ TEST(NetSession, RefusedDataCreatesNoSeries) {
   EXPECT_NE(serial.find("series=fresh seq=1"), std::string::npos) << serial;
 }
 
+TEST(NetSession, LabelForUnseenSeriesCreatesNoSeries) {
+  const std::uint64_t applied_before =
+      counter_value("opprentice.net.batches_applied");
+  core::FleetEngine engine(small_fleet());
+  net::ServerOptions options;
+  options.default_interval_seconds = 3600;
+  net::IngestServer server(engine, options);
+  EXPECT_TRUE(server.on_connect(1));
+  send_frame(server, 1, net::make_hello(0, net::HelloPayload{"src", 0}));
+  std::uint32_t seq = 0;
+  const auto send = [&](const net::Frame& frame) {
+    EXPECT_EQ(first_response_type(send_frame(server, 1, frame)),
+              net::FrameType::kAck);
+  };
+  for (int i = 0; i < 50; ++i) {
+    send(net::make_label(
+        ++seq, net::LabelPayload{"fresh" + std::to_string(i), 0, {1}}));
+  }
+  server.tick();
+  EXPECT_EQ(engine.series_count(), 0u);
+  EXPECT_EQ(counter_value("opprentice.net.batches_applied") - applied_before,
+            50u);
+
+  // A DATA batch creates one of those series; a LABEL for rows it has
+  // been fed then moves its watermark.
+  net::DataPayload data;
+  data.series_id = "fresh7";
+  data.interval_seconds = 3600;
+  data.points = clean_points(6, 3600);
+  send(net::make_data(++seq, data));
+  server.tick();
+  EXPECT_EQ(engine.series_count(), 1u);
+  const auto fresh = engine.find_series("fresh7");
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(engine.stats(fresh).points_seen, 6u);
+  EXPECT_EQ(engine.stats(fresh).labeled_until, 0u);
+  send(net::make_label(++seq, net::LabelPayload{"fresh7", 0, {0, 0, 1, 0}}));
+  server.tick();
+  EXPECT_EQ(engine.series_count(), 1u);
+  EXPECT_EQ(engine.stats(fresh).labeled_until, 4u);
+  EXPECT_EQ(counter_value("opprentice.net.batches_applied") - applied_before,
+            52u);
+}
+
 // ---- end-to-end chaos ----------------------------------------------------
 
 // Engine fingerprint for rerun-equality assertions.
