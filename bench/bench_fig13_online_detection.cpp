@@ -8,8 +8,11 @@
 // moving windows that advance one day per step; the shaded region of the
 // figure is the operators' preference (recall >= 0.66, precision >= 0.66).
 //
-// Exits 1 if a KPI's engine series never retrained or left a point after
-// week 8 unclassified: an online loop that stopped learning is a failure.
+// Exits 1 if a KPI's engine series never retrained, left a point after
+// week 8 unclassified, or installed two forests or more without ever
+// updating its cThld: an online loop that stopped learning is a failure,
+// and one whose weeks never yield a best cThld would run every verdict at
+// 0.5 and show only as a smaller number.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +35,7 @@ struct ModeResult {
 struct OnlineRun {
   std::vector<std::uint8_t> decisions;  // the engine's is_anomaly per point
   std::size_t retrains = 0;
+  std::size_t cthld_updates = 0;
   std::size_t unclassified = 0;  // points from `classify_from` on
 };
 
@@ -60,7 +64,9 @@ OnlineRun replay_online(const core::ExperimentData& data,
                            i + 1 - week);
     }
   }
-  out.retrains = engine.stats(series).retrains;
+  const core::FleetSeriesStats stats = engine.stats(series);
+  out.retrains = stats.retrains;
+  out.cthld_updates = stats.cthld_updates;
   return out;
 }
 
@@ -138,15 +144,19 @@ int main(int argc, char** argv) {
                 100.0 * static_cast<double>(flagged) /
                     static_cast<double>(ewma_decisions.size() -
                                         run.test_start));
-    std::printf("  engine series: %zu retrains, %zu points after week %zu "
-                "unclassified\n",
-                online.retrains, online.unclassified,
+    std::printf("  engine series: %zu retrains, %zu cThld updates, %zu "
+                "points after week %zu unclassified\n",
+                online.retrains, online.cthld_updates, online.unclassified,
                 run.test_start / data.points_per_week);
-    if (online.retrains == 0 || online.unclassified > 0) {
+    const char* fault = online.retrains == 0 ? "never retrained"
+                        : online.unclassified > 0
+                            ? "left test points unclassified"
+                        : online.retrains >= 2 && online.cthld_updates == 0
+                            ? "never updated its cThld"
+                            : nullptr;
+    if (fault != nullptr) {
       std::fprintf(stderr, "FAIL: %s's engine series %s\n",
-                   preset.model.name.c_str(),
-                   online.retrains == 0 ? "never retrained"
-                                        : "left test points unclassified");
+                   preset.model.name.c_str(), fault);
       failed = true;
     }
   }

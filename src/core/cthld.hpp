@@ -25,18 +25,17 @@ class EwmaCthldPredictor {
       : alpha_(alpha) {}
 
   // Initializes the first prediction. The paper uses 5-fold CV for it
-  // (five_fold_cthld); the fleet engine seeds it with its first retrain's
-  // best cThld on the newest labeled window, scored in sample by the
-  // forest just trained on it (no earlier forest exists), and predicts
-  // 0.5 until then.
+  // (five_fold_cthld). The fleet engine does not: its first observed best
+  // cThld seeds the prediction, which is 0.5 until then.
   void initialize(double first_prediction);
-  bool initialized() const { return initialized_; }
 
-  // Prediction for the upcoming week.
+  // Prediction for the upcoming week; 0.5 before any initialization.
   double predict() const { return prediction_; }
 
-  // Feeds the best cThld measured on the week that just ended, scored by
-  // a forest that had not trained on it (the fleet engine's live forest).
+  // Feeds the best cThld measured on the week that just ended; the first
+  // call without initialize() seeds the prediction with it. The fleet
+  // engine picks it from the scores the series emitted on that week's
+  // labeled rows, from forests that had not trained on them.
   void observe_best(double best_cthld);
 
  private:

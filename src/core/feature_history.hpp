@@ -30,12 +30,21 @@ inline float stored_severity(double value) {
   return static_cast<float>(value);
 }
 
+// A retrain's copy of its series' history: the training rows, and the
+// scores the series emitted on the newest of them, one per row of the
+// last scores.size() rows of `data` (NaN where no forest classified it).
+struct TrainingSet {
+  ml::Dataset data;
+  std::vector<double> scores;
+};
+
 // A series' stored feature history and the training-window policy over
-// it: rows [floor, end) with their labels, column-major like ml::Dataset,
-// `capacity` rows per column in one block of f32 (stored_severity), 4 B
-// per feature and row. A row's label byte is kUnlabeled until a label
-// chunk covers it, and training skips such rows. Rows below the floor
-// are never stored.
+// it: rows [floor, end) with their labels and emitted scores,
+// column-major like ml::Dataset, `capacity` rows per column in one block
+// of f32 (stored_severity), 4 B per feature and row, and one f64 score
+// column beside it. A row's label byte is kUnlabeled until a label chunk
+// covers it, and training skips such rows. Rows below the floor are
+// never stored.
 // The block is sized on construction for the series' retrains; only an
 // unbounded history (W = 0), which starts empty, ever grows it. A sized
 // block that fills up is a sizing bug, and throws in every build.
@@ -55,14 +64,17 @@ class FeatureHistory {
         floor_(train_floor(scheduler.next_due(phase, 0), warmup, window)),
         values_(std::make_unique_for_overwrite<float[]>(features *
                                                         capacity_)),
-        labels_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity_)) {}
+        labels_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity_)),
+        scores_(std::make_unique_for_overwrite<double[]>(capacity_)) {}
 
   // The end of the rows some label chunk has written.
   std::size_t labeled_until() const { return labeled_until_; }
 
-  // Stores point `row`, unlabeled, unless it lies below the floor.
-  // Rows arrive in order, so a stored row is always floor + stored rows.
-  void append(std::size_t row, std::span<const double> features) {
+  // Stores point `row`, unlabeled, with the score the series emitted for
+  // it, unless it lies below the floor. Rows arrive in order, so a stored
+  // row is always floor + stored rows.
+  void append(std::size_t row, std::span<const double> features,
+              double score) {
     if (row < floor_) return;
     if (rows_ == capacity_) {
       if (window_ != 0) {
@@ -74,6 +86,7 @@ class FeatureHistory {
       values_[f * capacity_ + rows_] = stored_severity(features[f]);
     }
     labels_[rows_] = kUnlabeled;
+    scores_[rows_] = score;
     ++rows_;
   }
 
@@ -94,11 +107,13 @@ class FeatureHistory {
   }
 
   // The training set of a retrain at point count `points`: the labeled
-  // rows of the window past warm-up, each value widened exactly to f64. A
+  // rows of the window past warm-up, each value widened exactly to f64,
+  // with the emitted scores of the newest min(rows, `recent`) of them. A
   // window with no positive labels yields nothing — nothing to learn is
   // not a failure.
-  std::optional<ml::Dataset> training_set(std::vector<std::string> names,
-                                          std::size_t points) const {
+  std::optional<TrainingSet> training_set(std::vector<std::string> names,
+                                          std::size_t points,
+                                          std::size_t recent) const {
     const std::size_t begin = train_floor(points, warmup_, window_);
     const std::size_t end = std::min(labeled_until_, points);
     if (begin >= end) return std::nullopt;
@@ -121,7 +136,12 @@ class FeatureHistory {
     }
     ml::Dataset data(std::move(names), std::move(columns), std::move(labels));
     if (data.positives() == 0) return std::nullopt;
-    return data;
+    std::vector<double> scores;
+    for (std::size_t i = rows.size() - std::min(rows.size(), recent);
+         i < rows.size(); ++i) {
+      scores.push_back(scores_[rows[i]]);
+    }
+    return TrainingSet{std::move(data), std::move(scores)};
   }
 
   // Once a retrain has taken its rows: drops the rows below the floor of
@@ -137,6 +157,7 @@ class FeatureHistory {
       std::copy(column + drop, column + rows_, column);
     }
     std::copy(labels_.get() + drop, labels_.get() + rows_, labels_.get());
+    std::copy(scores_.get() + drop, scores_.get() + rows_, scores_.get());
     rows_ = keep;
     floor_ = floor;
   }
@@ -190,8 +211,11 @@ class FeatureHistory {
     }
     auto labels = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
     std::copy_n(labels_.get(), rows_, labels.get());
+    auto scores = std::make_unique_for_overwrite<double[]>(capacity);
+    std::copy_n(scores_.get(), rows_, scores.get());
     values_ = std::move(values);
     labels_ = std::move(labels);
+    scores_ = std::move(scores);
     capacity_ = capacity;
   }
 
@@ -203,6 +227,7 @@ class FeatureHistory {
   std::size_t rows_ = 0;
   std::unique_ptr<float[]> values_;  // [feature * capacity_ + row]
   std::unique_ptr<std::uint8_t[]> labels_;
+  std::unique_ptr<double[]> scores_;  // as emitted, NaN if unclassified
   std::size_t labeled_until_ = 0;
 };
 

@@ -94,6 +94,9 @@ struct FleetSeriesStats {
   std::size_t points_seen = 0;
   std::size_t labeled_until = 0;
   std::size_t retrains = 0;
+  // Installs whose week had a best cThld to feed the EWMA: a finite
+  // emitted score and a positive label among its newest labeled rows.
+  std::size_t cthld_updates = 0;
   std::size_t train_failures = 0;
   bool trained = false;
   bool quarantined = false;
@@ -134,11 +137,14 @@ class FleetEngine {
   std::vector<std::string> series_ids() const;  // sorted
 
   // Feeds one point to one series: extraction, scoring against the
-  // current forest and predicted cThld, then the stage of a pending
-  // retrain that falls on this point, its units fanned over the global
-  // thread pool. A retrain comes due on the series' staggered phase,
-  // copies its labeled history there (point T), and installs its forest
-  // after point T + kForestInstallDelay.
+  // current forest and predicted cThld, the row and its score stored,
+  // then the stage of a pending retrain that falls on this point, its
+  // units fanned over the global thread pool. A retrain comes due on the
+  // series' staggered phase and copies its labeled history there (point
+  // T) with the scores this call returned for its newest interval of
+  // rows. Those scores pick the week's best cThld, which feeds the EWMA
+  // when the forest installs after point T + kForestInstallDelay; until
+  // a first week has one, verdicts use cThld 0.5.
   FleetDetection feed(const SeriesHandle& series, double value);
 
   // One synchronized fleet tick: values[i] goes to series[i], verdicts

@@ -28,30 +28,24 @@ namespace opprentice::core {
 
 // A retrain from its due point T to its install after point T +
 // kForestInstallDelay, run as one stage per point (DESIGN.md §5i):
-//   0 (T)     the forest.train fault check; the newest `interval` rows
-//             scored by the live forest and the week's best cThld picked
-//             (a first retrain, with no live forest, keeps those rows);
+//   0 (T)     the forest.train fault check, and the week's best cThld
+//             picked from the scores the series emitted on the copy's
+//             newest rows;
 //   1 (T+1)   binning and the bootstrap draw, then the f64 copy is freed;
 //   2 .. 5    a quarter of the trees each;
-//   6 (T+6)   the forest assembled; a first retrain scores its kept rows
-//             with it and picks its cThld.
+//   6 (T+6)   the forest assembled.
 // A stage is a serial begin(), independent units, then a serial end().
-// The forest and the cThld are functions of the copy, the live forest and
-// the options alone, so which thread or tick runs a unit changes no bit.
+// The forest and the cThld are functions of the copy and the options
+// alone, so which thread or tick runs a unit changes no bit.
 // Any step may throw: the retrain has then failed.
 class PendingRetrain {
  public:
   static constexpr std::size_t kStages = kForestInstallDelay + 1;
 
-  PendingRetrain(ml::Dataset data, std::uint64_t key,
-                 std::shared_ptr<const ml::RandomForest> live,
-                 const FleetOptions& options, std::size_t interval)
-      : data_(std::move(data)),
-        key_(key),
-        live_(std::move(live)),
-        forest_options_(options.forest),
-        preference_(options.preference),
-        window_(std::min(data_.num_rows(), interval)) {}
+  // `options` are the engine's, which outlive every retrain it runs.
+  PendingRetrain(TrainingSet copy, std::uint64_t key,
+                 const FleetOptions& options)
+      : copy_(std::move(copy)), key_(key), options_(options) {}
 
   std::uint64_t key() const { return key_; }
   bool done() const { return stage_ == kStages; }
@@ -59,28 +53,34 @@ class PendingRetrain {
   const std::shared_ptr<const ml::RandomForest>& forest() const {
     return forest_;
   }
-  double best_cthld() const { return best_cthld_; }
+  // After stage 0: the week's best cThld, or nullopt when the picked rows
+  // hold no finite score or no positive label.
+  std::optional<double> best_cthld() const { return best_cthld_; }
 
   void begin() {
-    const std::size_t rows = data_.num_rows();
     if (stage_ == 0) {
       if (util::inject_fault(util::faults::kForestTrain, key_)) {
         throw util::InjectedFault("injected forest.train");
       }
-      training_.emplace(forest_options_, data_);
-      // As §4.5.2 does, the week's best cThld comes from a forest that has
-      // not trained on it: the live one.
-      if (live_ != nullptr) score(*live_, data_, rows - window_);
+      training_.emplace(options_.forest, copy_.data);
+      // As §4.5.2 does, the week's best cThld comes from the week's own
+      // detection results: the scores its verdicts carried.
+      const std::span<const std::uint8_t> labels(copy_.data.labels());
+      const eval::PrCurve curve(copy_.scores,
+                                labels.last(copy_.scores.size()));
+      if (!curve.empty()) {
+        best_cthld_ = eval::pick_threshold(curve,
+                                           eval::ThresholdMethod::kPcScore,
+                                           options_.preference)
+                          .cthld;
+      }
+      copy_.scores = {};
     } else if (stage_ == kStages - 1) {
       forest_ = std::make_shared<const ml::RandomForest>(training_->assemble());
-      if (live_ == nullptr) score(*forest_, kept_, 0);
     }
   }
 
   std::size_t units() const {
-    if (scorer_ != nullptr) {
-      return (scores_.size() + kScoreChunk - 1) / kScoreChunk;
-    }
     if (stage_ == 1) return training_->bin_units();
     if (stage_ > 1 && stage_ < kStages - 1) {
       const auto [first, last] = tree_range();
@@ -90,55 +90,20 @@ class PendingRetrain {
   }
 
   void run_unit(std::size_t unit) {
-    if (scorer_ != nullptr) {
-      std::vector<double> row(scored_->num_features());
-      const std::size_t end =
-          std::min(scores_.size(), (unit + 1) * kScoreChunk);
-      for (std::size_t i = unit * kScoreChunk; i < end; ++i) {
-        for (std::size_t f = 0; f < row.size(); ++f) {
-          row[f] = scored_->value(first_scored_ + i, f);
-        }
-        scores_[i] = scorer_->score(row);
-      }
-    } else if (stage_ == 1) {
-      training_->bin(data_, unit);
+    if (stage_ == 1) {
+      training_->bin(copy_.data, unit);
     } else {
       training_->grow(tree_range().first + unit);
     }
   }
 
   void end() {
-    if (scorer_ != nullptr) {
-      const eval::PrCurve curve(
-          scores_, std::span(scored_->labels())
-                       .subspan(first_scored_, scores_.size()));
-      best_cthld_ = eval::pick_threshold(
-                        curve, eval::ThresholdMethod::kPcScore, preference_)
-                        .cthld;
-      scorer_ = nullptr;
-      scores_ = {};
-    }
-    const std::size_t rows = data_.num_rows();
-    if (stage_ == 0 && live_ == nullptr) {
-      kept_ = data_.slice(rows - window_, rows);
-    }
-    if (stage_ == 1) data_ = ml::Dataset();
+    if (stage_ == 1) copy_.data = ml::Dataset();
     ++stage_;
   }
 
  private:
-  // Rows one scoring unit gathers and scores, as in score_all.
-  static constexpr std::size_t kScoreChunk = 64;
   static constexpr std::size_t kTreeStages = kStages - 3;
-
-  // This stage's units score rows [first, first + window_) of `rows`.
-  void score(const ml::RandomForest& forest, const ml::Dataset& rows,
-             std::size_t first) {
-    scorer_ = &forest;
-    scored_ = &rows;
-    first_scored_ = first;
-    scores_.assign(window_, 0.0);
-  }
 
   // The trees this tree stage grows, [first, last).
   std::pair<std::size_t, std::size_t> tree_range() const {
@@ -148,22 +113,13 @@ class PendingRetrain {
     return {first, std::min(trees, first + per_stage)};
   }
 
-  ml::Dataset data_;  // the copy taken at T; freed after binning
+  TrainingSet copy_;  // taken at T; the rows are freed after binning
   const std::uint64_t key_;
-  const std::shared_ptr<const ml::RandomForest> live_;
-  const ml::ForestOptions forest_options_;
-  const eval::AccuracyPreference preference_;
-  const std::size_t window_;  // the newest rows the cThld is picked on
-  ml::Dataset kept_;          // those rows, for a first retrain
-  std::size_t stage_ = 0;     // the next stage to run
+  const FleetOptions& options_;
+  std::size_t stage_ = 0;  // the next stage to run
   std::optional<ml::ForestTraining> training_;
   std::shared_ptr<const ml::RandomForest> forest_;
-  double best_cthld_ = 0.5;
-  // Set by a scoring stage's begin() for its units.
-  const ml::RandomForest* scorer_ = nullptr;
-  const ml::Dataset* scored_ = nullptr;
-  std::size_t first_scored_ = 0;
-  std::vector<double> scores_;
+  std::optional<double> best_cthld_;
 };
 
 // Runs `job`'s next stage, its units over the global thread pool.
@@ -215,7 +171,6 @@ class FleetSeries {
       return nullptr;
     }
     extractor_.feed_into(value, features_);
-    history_.append(extractor_.points_seen() - 1, features_);
     // Fleet-level instruments are looked up once per process (registration
     // takes a mutex; updates are relaxed atomics).
     static obs::Counter& fed = obs::counter("opprentice.fleet.points");
@@ -223,23 +178,25 @@ class FleetSeries {
 
     if (forest_ != nullptr && extractor_.warmed_up()) {
       out.score = forest_->score(features_);
-      out.cthld = cthld_.initialized() ? cthld_.predict() : 0.5;
+      out.cthld = cthld_.predict();
       out.is_anomaly = out.score >= out.cthld;
       out.classified = true;
     } else {
       out.score = kNaN;
     }
+    // The row keeps the score it was given: a retrain picks its week's
+    // best cThld from these.
+    history_.append(extractor_.points_seen() - 1, features_, out.score);
 
     const std::size_t points = extractor_.points_seen();
     if (scheduler.due_at(phase_, points)) {
       // A retrain still pending here was held by a concurrent caller past
       // its install point; this due point then trains nothing.
       if (pending_ == nullptr) {
-        if (std::optional<ml::Dataset> data =
-                history_.training_set(extractor_.feature_names(), points)) {
+        if (std::optional<TrainingSet> copy = history_.training_set(
+                extractor_.feature_names(), points, scheduler.interval())) {
           pending_ = std::make_shared<PendingRetrain>(
-              std::move(*data), util::fault_key(salt_, points), forest_,
-              options, scheduler.interval());
+              std::move(*copy), util::fault_key(salt_, points), options);
           install_at_ = points + kForestInstallDelay;
           fleet_pending_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -345,6 +302,7 @@ class FleetSeries {
     out.points_seen = extractor_.points_seen();
     out.labeled_until = history_.labeled_until();
     out.retrains = retrains_;
+    out.cthld_updates = cthld_updates_;
     out.train_failures = train_failures_;
     out.trained = forest_ != nullptr;
     out.quarantined = quarantined_;
@@ -389,11 +347,10 @@ class FleetSeries {
     static obs::Counter& count = obs::counter("opprentice.fleet.retrains");
     count.add();
     // The best cThld feeds the EWMA predictor (§4.5.2), the per-series
-    // cThld history.
-    if (cthld_.initialized()) {
-      cthld_.observe_best(job.best_cthld());
-    } else {
-      cthld_.initialize(job.best_cthld());
+    // cThld history; a week with none leaves it as it was.
+    if (const std::optional<double> best = job.best_cthld()) {
+      cthld_.observe_best(*best);
+      ++cthld_updates_;
     }
     // Keyed like the fault site, so retrain events line up with any
     // injected failures in the sorted dump (flight_recorder.hpp).
@@ -438,8 +395,7 @@ class FleetSeries {
   std::vector<double> features_ OPPRENTICE_GUARDED_BY(mutex_);
   // The rows from the next due retrain's floor up to the newest point.
   FeatureHistory history_ OPPRENTICE_GUARDED_BY(mutex_);
-  // Shared with a pending retrain, which scores its window outside the
-  // lock.
+  // The installed forest, handed over by its retrain.
   std::shared_ptr<const ml::RandomForest> forest_
       OPPRENTICE_GUARDED_BY(mutex_);
   // The retrain between its due point and its install, if any, the point
@@ -452,6 +408,7 @@ class FleetSeries {
   EwmaCthldPredictor cthld_ OPPRENTICE_GUARDED_BY(mutex_);
   bool quarantined_ OPPRENTICE_GUARDED_BY(mutex_) = false;
   std::size_t retrains_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
+  std::size_t cthld_updates_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
   std::size_t train_failures_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
   std::size_t consecutive_train_failures_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
   ts::RepairReport repair_totals_ OPPRENTICE_GUARDED_BY(mutex_);

@@ -196,84 +196,83 @@ TEST(FleetEngine, WarmupTrainClassifyCycle) {
   }
 }
 
-// §4.5.2 feeds the EWMA the best cThld of a week the forest had not
-// trained on. A retrain therefore scores its newest labeled window with
-// the live forest, the one that produced those verdicts, not the forest it
-// just trained on those rows; only the first retrain, which has no live
-// forest, picks in sample.
-TEST(FleetEngine, WeeklyBestCthldIsScoredByTheLiveForest) {
+// §4.5.2 picks a week's best cThld from the week's own detection
+// results. Every install's cThld is rebuilt here from the verdicts feed()
+// returned: the PC-Score pick over their scores and labels on the newest
+// `interval` rows labeled at the due point, fed to the EWMA. Rows no
+// forest classified carry NaN and drop out of the curve, so the first
+// retrain, whose rows all predate a forest, leaves the cThld at 0.5, and
+// so does a retrain whose newest labeled interval holds no anomaly.
+TEST(FleetEngine, WeeklyBestCthldIsPickedFromEmittedScores) {
   const core::FleetOptions options = small_fleet_options();
   core::FleetEngine engine(options);
-  const auto s = engine.add_series("kpi-cthld");
-  // The engine's features, recomputed point by point.
-  detectors::StreamingExtractor extractor(
-      options.detector_factory(options.ctx));
+  const std::string id = "kpi-cthld";
+  const auto s = engine.add_series(id);
   const std::size_t interval = engine.scheduler().interval();
-  std::vector<std::vector<double>> rows;
-  std::vector<std::uint8_t> labels;
-  std::vector<std::uint8_t> chunk(16);
-  const auto load = [](const std::string& fingerprint) {
-    std::istringstream in(fingerprint);
-    return ml::load_forest(in).forest;
-  };
-  // The best cThld of rows [end - interval, end) under `forest`.
-  const auto best_cthld = [&](const ml::RandomForest& forest,
-                              std::size_t end) {
-    std::vector<double> scores;
-    std::vector<std::uint8_t> window_labels;
-    for (std::size_t i = end - interval; i < end; ++i) {
-      scores.push_back(forest.score(rows[i]));
-      window_labels.push_back(labels[i]);
-    }
-    return eval::pick_threshold(eval::PrCurve(scores, window_labels),
-                                eval::ThresholdMethod::kPcScore,
-                                options.preference)
-        .cthld;
-  };
+  const std::size_t warmup =
+      detectors::StreamingExtractor(options.detector_factory(options.ctx))
+          .max_warmup();
+  // Each 16-point label chunk is the newest labeled interval of exactly
+  // one retrain; this one has no anomaly.
+  constexpr std::size_t kQuietChunk = 5;
 
+  std::vector<double> scores;
+  std::vector<std::uint8_t> labels;
   std::size_t labeled_until = 0;
-  std::size_t retrains = 0;
-  std::string live;        // the forest installed by the last retrain
-  double prediction = -1;  // the EWMA after it
-  std::size_t checked = 0;
-  // The labeled rows when the retrain being installed came due: it copied
-  // its window then, kForestInstallDelay points before it installs.
+  // The labeled rows when the retrain being installed came due.
   std::size_t before = 0;
-  for (std::size_t t = 0; t < 128; ++t) {
+  std::size_t retrains = 0;
+  std::size_t updates = 0;
+  double prediction = 0.5;
+  std::size_t quiet = 0;      // installs whose interval had no anomaly
+  std::size_t unscored = 0;   // installs whose interval nothing classified
+  for (std::size_t t = 0; t < 192; ++t) {
     const double value = test_support::synthetic_fleet_value(5, t, 16);
-    rows.push_back(extractor.feed(value));
-    labels.push_back(t % 7 == 0 ? 1 : 0);
-    if (engine.scheduler().due("kpi-cthld", t + 1)) before = labeled_until;
+    if (engine.scheduler().due(id, t + 1)) before = labeled_until;
     const core::FleetDetection got = engine.feed(s, value);
-    if (!live.empty()) {
-      ASSERT_TRUE(got.classified) << "point " << t;
+    scores.push_back(got.score);
+    labels.push_back(t / 16 != kQuietChunk && t % 7 == 0 ? 1 : 0);
+    if (got.classified) {
       ASSERT_EQ(bits(got.cthld), bits(prediction)) << "point " << t;
     }
     if ((t + 1) % 16 == 0) {
-      std::copy(labels.end() - 16, labels.end(), chunk.begin());
-      engine.ingest_labels(s, chunk, t + 1 - 16);
+      engine.ingest_labels(s, std::span(labels).last(16), t + 1 - 16);
       labeled_until = t + 1;
     }
-    if (engine.stats(s).retrains == retrains) continue;
-    ++retrains;
-    const std::string trained = engine.forest_fingerprint(s);
-    // Every retrain here has a full window of labeled rows past warm-up.
-    ASSERT_GE(before, extractor.max_warmup() + interval) << "point " << t;
-    const double in_sample = best_cthld(load(trained), before);
-    if (live.empty()) {
-      prediction = in_sample;
-    } else {
-      const double best = best_cthld(load(live), before);
-      // The two picks differ on this stream, so the check below can tell
-      // them apart.
-      EXPECT_NE(bits(best), bits(in_sample)) << "point " << t;
-      prediction = core::kCthldEwmaAlpha * best +
-                   (1.0 - core::kCthldEwmaAlpha) * prediction;
-      ++checked;
+    const core::FleetSeriesStats stats = engine.stats(s);
+    if (stats.retrains == retrains) continue;
+    ASSERT_EQ(stats.retrains, ++retrains) << "point " << t;
+    const std::size_t first =
+        std::max(warmup, before - std::min(before, interval));
+    ASSERT_LT(first, before) << "point " << t;
+    const std::span<const double> window =
+        std::span(scores).subspan(first, before - first);
+    const std::span<const std::uint8_t> truth =
+        std::span(labels).subspan(first, before - first);
+    const eval::PrCurve curve(window, truth);
+    if (std::all_of(window.begin(), window.end(),
+                    [](double v) { return std::isnan(v); })) {
+      ++unscored;
+    } else if (std::find(truth.begin(), truth.end(), 1) == truth.end()) {
+      ++quiet;
     }
-    live = trained;
+    if (!curve.empty()) {
+      const double best =
+          eval::pick_threshold(curve, eval::ThresholdMethod::kPcScore,
+                               options.preference)
+              .cthld;
+      prediction = updates == 0
+                       ? best
+                       : core::kCthldEwmaAlpha * best +
+                             (1.0 - core::kCthldEwmaAlpha) * prediction;
+      ++updates;
+    }
+    ASSERT_EQ(stats.cthld_updates, updates) << "point " << t;
   }
-  EXPECT_GE(checked, 2u);
+  EXPECT_EQ(unscored, 1u);  // the first retrain
+  EXPECT_EQ(quiet, 1u);
+  EXPECT_GE(updates, 4u);
+  EXPECT_NE(bits(prediction), bits(0.5));
 }
 
 // A retrain copies its window on its due point T and installs its forest
@@ -890,7 +889,9 @@ TEST(FleetHistory, StoredSeveritySaturatesToFloatRange) {
 }
 
 // FeatureHistory's two invariant throws, on the store of a series with 2
-// features, warm after 10 points, retrained every 100 points on phase 5:
+// features, warm after 10 points, retrained every 100 points on phase 5;
+// each row's emitted score is its index, so a retrain's scores show
+// that the score column moved with its rows:
 // due at 105, 205, 305, ... With W = 150 a retrain at t reads from
 // max(10, (t / 150 - 1) * 150), so the most rows any retrain reads is
 // 255, at t = 405, and the store keeps rows from 10 on.
@@ -910,7 +911,7 @@ TEST(FeatureHistory, SizedStoreThatFillsUpThrows) {
   core::FeatureHistory kept = small_history(scheduler, 150);
   EXPECT_NO_THROW({
     for (std::size_t row = 0; row < 3000; ++row) {
-      kept.append(row, values);
+      kept.append(row, values, static_cast<double>(row));
       if (scheduler.due_at(kHistoryPhase, row + 1)) {
         kept.drop_before(scheduler.next_due(kHistoryPhase, row + 1));
       }
@@ -920,24 +921,27 @@ TEST(FeatureHistory, SizedStoreThatFillsUpThrows) {
   core::FeatureHistory full = small_history(scheduler, 150);
   std::size_t row = 0;
   const auto fill = [&] {
-    for (; row < 3000; ++row) full.append(row, values);
+    for (; row < 3000; ++row) full.append(row, values, 0.0);
   };
   EXPECT_THROW(fill(), std::logic_error);
   EXPECT_EQ(row, kHistoryWarmup + 255);
 
-  // An unbounded store (W = 0) keeps every row past warm-up.
+  // An unbounded store (W = 0) keeps every row past warm-up, growing.
   core::FeatureHistory unbounded = small_history(scheduler, 0);
-  for (row = 0; row < 3000; ++row) unbounded.append(row, values);
+  for (row = 0; row < 3000; ++row) {
+    unbounded.append(row, values, static_cast<double>(row));
+  }
   std::vector<std::uint8_t> labels(3000, 0);
   labels[2999] = 1;
   unbounded.label(labels, 0, 3000);
   EXPECT_EQ(unbounded.labeled_until(), 3000u);
-  const std::optional<ml::Dataset> data =
-      unbounded.training_set({"a", "b"}, 3000);
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->num_rows(), 3000 - kHistoryWarmup);
-  EXPECT_EQ(data->value(0, 0), 1.0);
-  EXPECT_EQ(data->value(data->num_rows() - 1, 1), -1.0);
+  const std::optional<core::TrainingSet> copy =
+      unbounded.training_set({"a", "b"}, 3000, 3);
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->data.num_rows(), 3000 - kHistoryWarmup);
+  EXPECT_EQ(copy->data.value(0, 0), 1.0);
+  EXPECT_EQ(copy->data.value(copy->data.num_rows() - 1, 1), -1.0);
+  EXPECT_EQ(copy->scores, (std::vector<double>{2997.0, 2998.0, 2999.0}));
 }
 
 TEST(FeatureHistory, TrainingRangeBelowTheStoredFloorThrows) {
@@ -949,21 +953,31 @@ TEST(FeatureHistory, TrainingRangeBelowTheStoredFloorThrows) {
     labels[row] = row % 7 == 0 ? 1 : 0;
   }
   for (std::size_t row = 0; row < 405; ++row) {
-    history.append(row, values);
+    history.append(row, values, static_cast<double>(row));
     history.label(std::span(labels).subspan(row, 1), row, row + 1);
     if (row + 1 < 405 && scheduler.due_at(kHistoryPhase, row + 1)) {
       history.drop_before(scheduler.next_due(kHistoryPhase, row + 1));
     }
   }
   // The retrain due at 405 reads rows [150, 405), all stored.
-  const std::optional<ml::Dataset> data = history.training_set({"a", "b"}, 405);
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->num_rows(), 255u);
+  const std::optional<core::TrainingSet> copy =
+      history.training_set({"a", "b"}, 405, 100);
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->data.num_rows(), 255u);
+  ASSERT_EQ(copy->scores.size(), 100u);
+  EXPECT_EQ(copy->scores.front(), 305.0);
+  EXPECT_EQ(copy->scores.back(), 404.0);
   // Once it has dropped the rows below the next retrain's floor (300), the
   // same range starts below the store.
   history.drop_before(scheduler.next_due(kHistoryPhase, 405));
-  EXPECT_THROW(history.training_set({"a", "b"}, 405), std::logic_error);
-  EXPECT_EQ(history.training_set({"a", "b"}, 505)->num_rows(), 105u);
+  EXPECT_THROW(history.training_set({"a", "b"}, 405, 100), std::logic_error);
+  const std::optional<core::TrainingSet> rest =
+      history.training_set({"a", "b"}, 505, 200);
+  ASSERT_TRUE(rest.has_value());
+  EXPECT_EQ(rest->data.num_rows(), 105u);
+  ASSERT_EQ(rest->scores.size(), 105u);
+  EXPECT_EQ(rest->scores.front(), 300.0);
+  EXPECT_EQ(rest->scores.back(), 404.0);
 }
 
 // The exactly-sized history store against the growing columns with the
@@ -972,8 +986,10 @@ TEST(FeatureHistory, TrainingRangeBelowTheStoredFloorThrows) {
 // chunks wholly below the stored floor, with quarantine toggled
 // mid-stream. The bank adds EdgeSeverity to the short-window set, so the
 // f32 store's saturating cast and subnormal flush are on the compared
-// path. Verdict bits must agree on every point, and forests and stats
-// after every chunk.
+// path. The score column is one more input: the reference picks each
+// week's cThld from its own vector of emitted scores, so every cThld bit
+// compared checks the column the engine picked from. Verdict bits must
+// agree on every point, and forests and stats after every chunk.
 TEST(FleetHistoryOracle, StoreMatchesGrowingColumns) {
   struct Case {
     std::size_t capacity;
@@ -985,6 +1001,8 @@ TEST(FleetHistoryOracle, StoreMatchesGrowingColumns) {
                         {24, 16}, {12, 20}, {10, 100}};
   std::size_t below_floor_chunks = 0;
   std::size_t quarantine_toggles = 0;
+  std::size_t all_retrains = 0;
+  std::size_t cthld_updates = 0;
   for (const Case& c : cases) {
     auto options = small_fleet_options();
     options.history_capacity = c.capacity;
@@ -1055,15 +1073,23 @@ TEST(FleetHistoryOracle, StoreMatchesGrowingColumns) {
         ASSERT_EQ(stats.labeled_until, reference.labeled_until())
             << "point " << t;
         ASSERT_EQ(stats.retrains, reference.retrains()) << "point " << t;
+        ASSERT_EQ(stats.cthld_updates, reference.cthld_updates())
+            << "point " << t;
         ASSERT_EQ(stats.trained, reference.trained()) << "point " << t;
         ASSERT_EQ(engine.forest_fingerprint(series),
                   reference.forest_fingerprint())
             << "point " << t;
       }
       retrains += reference.retrains();
+      cthld_updates += reference.cthld_updates();
     }
     EXPECT_GT(retrains, 4u) << "capacity " << c.capacity;
+    all_retrains += retrains;
   }
+  // Both sides of the pick: weeks that fed the EWMA, and installs (every
+  // series' first) whose week had nothing to pick from.
+  EXPECT_GT(cthld_updates, 0u);
+  EXPECT_LT(cthld_updates, all_retrains);
   EXPECT_GT(below_floor_chunks, 0u);
   EXPECT_GT(quarantine_toggles, 0u);
 }

@@ -6,8 +6,11 @@
 // scheduling differences get a real chance to surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -313,13 +316,32 @@ TEST_F(ForestEquivalenceTest, FiveFoldWeeklyCthldsBitIdentical) {
 // ---- fleet determinism sweep (DESIGN.md §5i) -----------------------------
 
 // Everything a fleet run can output, flattened to comparable bytes: every
-// verdict's score bits tick by tick, every trained forest's serialized
-// text in id order, and the flight-recorder dump.
+// verdict's score and cThld bits and anomaly bit tick by tick, every
+// trained forest's serialized text in id order, and the flight-recorder
+// dump.
 struct FleetRunOutput {
   std::vector<std::uint64_t> score_bits;
+  std::vector<std::uint64_t> cthld_bits;
+  std::vector<bool> anomalies;
   std::string forests;
   std::string flight;
   std::uint64_t dropped = 0;
+
+  void record(std::span<const core::FleetDetection> verdicts) {
+    for (const auto& v : verdicts) {
+      score_bits.push_back(bits(v.score));
+      cthld_bits.push_back(bits(v.cthld));
+      anomalies.push_back(v.is_anomaly);
+    }
+  }
+  // Whether some verdict ran at a cThld a retrain's week picked.
+  bool cthld_moved() const {
+    return std::any_of(cthld_bits.begin(), cthld_bits.end(),
+                       [](std::uint64_t b) {
+                         return b != bits(0.5) &&
+                                b != bits(std::numeric_limits<double>::quiet_NaN());
+                       });
+  }
 
   bool operator==(const FleetRunOutput&) const = default;
 };
@@ -361,7 +383,7 @@ FleetRunOutput fleet_run(std::size_t threads) {
       values[i] = test_support::synthetic_fleet_value(salts[i], t, 16);
     }
     engine.feed_tick(handles, values, verdicts);
-    for (const auto& v : verdicts) out.score_bits.push_back(bits(v.score));
+    out.record(verdicts);
     if ((t + 1) % 16 == 0) {
       const std::size_t begin = t + 1 - 16;
       for (std::size_t j = 0; j < 16; ++j) {
@@ -389,6 +411,7 @@ TEST(ParallelEquivalence, FleetSweepZeroFaultBitIdentical) {
       << "fleet must actually train";
   // Successful retrains flight-record; the dump must carry them.
   EXPECT_NE(serial.flight.find("\"retrain\""), std::string::npos);
+  EXPECT_TRUE(serial.cthld_moved());
   for (std::size_t threads : kThreadSweep) {
     const FleetRunOutput run = fleet_run(threads);
     EXPECT_EQ(run.dropped, 0u) << "threads=" << threads;
@@ -481,7 +504,7 @@ FleetRunOutput shared_phase_run(std::size_t threads, bool use_tick,
         verdicts[i] = engine.feed(handles[i], values[i]);
       }
     }
-    for (const auto& v : verdicts) out.score_bits.push_back(bits(v.score));
+    out.record(verdicts);
     for (std::size_t i = 1; toggle_quarantine && i < n; i += 3) {
       const core::FleetSeriesStats stats = engine.stats(handles[i]);
       if (stats.quarantined && release_at[i] == t) {
@@ -528,10 +551,13 @@ TEST(ParallelEquivalence, FeedTickDeferredRetrainsEqualSerialFeedLoop) {
   EXPECT_NE(serial.flight.find("\"train_failed\""), std::string::npos);
   EXPECT_NE(serial.flight.find("\"quarantine\""), std::string::npos)
       << "a series must reach quarantine";
+  EXPECT_TRUE(serial.cthld_moved());
   for (std::size_t threads : kThreadSweep) {
     const FleetRunOutput run = shared_phase_run(threads, /*use_tick=*/true);
     EXPECT_EQ(run.dropped, 0u) << "threads=" << threads;
     EXPECT_EQ(run.score_bits, serial.score_bits) << "threads=" << threads;
+    EXPECT_EQ(run.cthld_bits, serial.cthld_bits) << "threads=" << threads;
+    EXPECT_EQ(run.anomalies, serial.anomalies) << "threads=" << threads;
     EXPECT_EQ(run.forests, serial.forests) << "threads=" << threads;
     EXPECT_EQ(run.flight, serial.flight) << "threads=" << threads;
   }
@@ -560,6 +586,8 @@ TEST(ParallelEquivalence, FeedTickStagedRetrainsUnderQuarantineEqualSerialFeedLo
         shared_phase_run(threads, /*use_tick=*/true, /*toggle_quarantine=*/true);
     EXPECT_EQ(run.dropped, 0u) << "threads=" << threads;
     EXPECT_EQ(run.score_bits, serial.score_bits) << "threads=" << threads;
+    EXPECT_EQ(run.cthld_bits, serial.cthld_bits) << "threads=" << threads;
+    EXPECT_EQ(run.anomalies, serial.anomalies) << "threads=" << threads;
     EXPECT_EQ(run.forests, serial.forests) << "threads=" << threads;
     EXPECT_EQ(run.flight, serial.flight) << "threads=" << threads;
   }

@@ -1,12 +1,13 @@
 #include "reference_fleet.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <limits>
 #include <sstream>
 #include <utility>
 
-#include "core/feature_history.hpp"
+#include "core/cthld.hpp"
 #include "eval/pr_curve.hpp"
 #include "eval/threshold_pickers.hpp"
 #include "ml/serialize.hpp"
@@ -17,6 +18,14 @@ namespace {
 
 // A buffered row's label until ingest_labels covers it; retrains skip it.
 constexpr std::uint8_t kUnlabeled = 0xFF;
+
+// A severity as the engine stores it: f32, rounded to nearest, with a
+// finite value beyond the float range saturated to its largest float.
+float to_stored(double value) {
+  constexpr double kMax = std::numeric_limits<float>::max();
+  if (std::isfinite(value)) value = std::clamp(value, -kMax, kMax);
+  return static_cast<float>(value);
+}
 
 std::vector<detectors::DetectorPtr> configurations(
     const FleetOptions& options) {
@@ -38,12 +47,11 @@ FleetSeriesReference::FleetSeriesReference(const FleetOptions& options,
       extractor_(configurations(options),
                  detectors::FaultBoundary{.key_salt = salt_}),
       features_(extractor_.num_features()),
-      columns_(extractor_.num_features()),
-      cthld_(kCthldEwmaAlpha) {}
+      columns_(extractor_.num_features()) {}
 
 void FleetSeriesReference::append_row() {
   for (std::size_t f = 0; f < features_.size(); ++f) {
-    columns_[f].push_back(stored_severity(features_[f]));
+    columns_[f].push_back(to_stored(features_[f]));
   }
   labels_.push_back(kUnlabeled);
   const std::size_t capacity = options_.history_capacity;
@@ -71,12 +79,13 @@ FleetDetection FleetSeriesReference::feed(double value) {
   append_row();
   if (forest_.has_value() && extractor_.warmed_up()) {
     out.score = forest_->score(features_);
-    out.cthld = cthld_.initialized() ? cthld_.predict() : 0.5;
+    out.cthld = cthld_;
     out.is_anomaly = out.score >= out.cthld;
     out.classified = true;
   } else {
     out.score = std::numeric_limits<double>::quiet_NaN();
   }
+  emitted_.push_back(out.score);
   if (pending_.has_value() && extractor_.points_seen() == install_at_) {
     install();
   }
@@ -94,12 +103,14 @@ void FleetSeriesReference::retrain() {
   if (begin_local >= end_local) return;
   std::vector<std::vector<double>> columns(columns_.size());
   std::vector<std::uint8_t> labels;
+  std::vector<std::size_t> points;  // each training row's point index
   for (std::size_t row = begin_local; row < end_local; ++row) {
     if (labels_[row] == kUnlabeled) continue;
     for (std::size_t f = 0; f < columns_.size(); ++f) {
       columns[f].push_back(columns_[f][row]);
     }
     labels.push_back(labels_[row]);
+    points.push_back(base_ + row);
   }
   const ml::Dataset train(extractor_.feature_names(), std::move(columns),
                           std::move(labels));
@@ -112,16 +123,27 @@ void FleetSeriesReference::retrain() {
     }
     ml::RandomForest forest(options_.forest);
     forest.train(train);
-    const std::size_t rows = train.num_rows();
-    const std::size_t window = std::min(rows, scheduler_.interval());
-    const ml::Dataset recent = train.slice(rows - window, rows);
-    // Scored by the live forest, which has not trained on the window; the
-    // first retrain has none and scores it with the new one.
-    const ml::RandomForest& scorer = forest_.has_value() ? *forest_ : forest;
-    const eval::PrCurve curve(scorer.score_all(recent), recent.labels());
-    pending_cthld_ = eval::pick_threshold(curve, eval::ThresholdMethod::kPcScore,
-                                          options_.preference)
-                         .cthld;
+    // The week's best cThld: picked over what the series emitted on the
+    // newest `interval` training rows that it classified, if they hold a
+    // positive label.
+    std::vector<double> scores;
+    std::vector<std::uint8_t> truth;
+    const std::size_t rows = points.size();
+    for (std::size_t i = rows - std::min(rows, scheduler_.interval());
+         i < rows; ++i) {
+      const double score = emitted_[points[i]];
+      if (std::isnan(score)) continue;
+      scores.push_back(score);
+      truth.push_back(train.label(i));
+    }
+    pending_cthld_.reset();
+    if (std::find(truth.begin(), truth.end(), 1) != truth.end()) {
+      pending_cthld_ =
+          eval::pick_threshold(eval::PrCurve(scores, truth),
+                               eval::ThresholdMethod::kPcScore,
+                               options_.preference)
+              .cthld;
+    }
     pending_ = std::move(forest);
     install_at_ = extractor_.points_seen() + kForestInstallDelay;
   } catch (const std::exception&) {
@@ -138,10 +160,11 @@ void FleetSeriesReference::install() {
   pending_.reset();
   ++retrains_;
   consecutive_train_failures_ = 0;
-  if (cthld_.initialized()) {
-    cthld_.observe_best(pending_cthld_);
-  } else {
-    cthld_.initialize(pending_cthld_);
+  if (pending_cthld_.has_value()) {
+    cthld_ = cthld_updates_ == 0 ? *pending_cthld_
+                                 : kCthldEwmaAlpha * *pending_cthld_ +
+                                       (1.0 - kCthldEwmaAlpha) * cthld_;
+    ++cthld_updates_;
   }
 }
 
