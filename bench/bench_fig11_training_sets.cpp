@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
   for (const auto& preset :
        datagen::all_presets(datagen::scale_from_env())) {
     const auto data = bench::prepare_kpi(preset);
+    // Every window of every strategy trains on rows of this one dataset:
+    // sort each column once and bin all of them from that order.
+    const ml::ColumnOrder order(data.dataset);
 
     std::printf("\n--- KPI: %s (AUCPR per 4-week moving test set) ---\n",
                 preset.model.name.c_str());
@@ -46,7 +49,8 @@ int main(int argc, char** argv) {
             8);
         if (!win) break;
         const auto scores = core::run_strategy_window(
-            data.dataset, data.warmup, *win, bench::standard_forest());
+            data.dataset, data.warmup, *win, bench::standard_forest(),
+            &order);
         const ml::Dataset test =
             data.dataset.slice(win->test_begin, win->test_end);
         const double aucpr =

@@ -13,11 +13,6 @@
 
 namespace opprentice::core {
 
-void EwmaCthldPredictor::initialize(double first_prediction) {
-  prediction_ = first_prediction;
-  initialized_ = true;
-}
-
 void EwmaCthldPredictor::observe_best(double best_cthld) {
   if (!initialized_) {
     prediction_ = best_cthld;

@@ -2,9 +2,12 @@
 //
 // Offline ("oracle") mode picks the best cThld of a test set with the
 // PC-Score. Online detection must *predict* next week's cThld from history:
-// the paper's method is an EWMA over the historical best cThlds (initialized
-// by 5-fold cross-validation); the baseline it beats is plain 5-fold
-// cross-validation over all historical data.
+// the paper's method is an EWMA over the historical best cThlds (the paper
+// initializes it by 5-fold cross-validation; the fleet engine seeds it from
+// its first observed best cThld instead). The baseline it beats is plain
+// 5-fold cross-validation over all historical data, which
+// five_fold_weekly_cthlds (weekly_driver.hpp) keeps as Fig 13's baseline
+// row.
 #pragma once
 
 #include "eval/threshold_pickers.hpp"
@@ -24,18 +27,13 @@ class EwmaCthldPredictor {
   explicit EwmaCthldPredictor(double alpha = kCthldEwmaAlpha)
       : alpha_(alpha) {}
 
-  // Initializes the first prediction. The paper uses 5-fold CV for it
-  // (five_fold_cthld). The fleet engine does not: its first observed best
-  // cThld seeds the prediction, which is 0.5 until then.
-  void initialize(double first_prediction);
-
-  // Prediction for the upcoming week; 0.5 before any initialization.
+  // Prediction for the upcoming week; 0.5 before the first observation.
   double predict() const { return prediction_; }
 
   // Feeds the best cThld measured on the week that just ended; the first
-  // call without initialize() seeds the prediction with it. The fleet
-  // engine picks it from the scores the series emitted on that week's
-  // labeled rows, from forests that had not trained on them.
+  // call seeds the prediction with it. The fleet engine picks it from the
+  // scores the series emitted on that week's labeled rows, from forests
+  // that had not trained on them.
   void observe_best(double best_cthld);
 
  private:

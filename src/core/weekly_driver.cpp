@@ -23,7 +23,8 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 // set is a pure function of schedule + plan.
 std::optional<ml::RandomForest> train_forest_guarded(
     const ml::Dataset& data, std::size_t warmup, std::size_t train_begin,
-    std::size_t train_end, const ml::ForestOptions& options) {
+    std::size_t train_end, const ml::ForestOptions& options,
+    const ml::ColumnOrder* order) {
   const std::size_t begin = std::max(train_begin, warmup);
   if (begin >= train_end) return std::nullopt;
   const auto labels =
@@ -38,7 +39,7 @@ std::optional<ml::RandomForest> train_forest_guarded(
       throw util::InjectedFault("injected forest.train");
     }
     ml::RandomForest forest(options);
-    forest.train(data, begin, train_end);
+    forest.train(data, begin, train_end, order);
     return forest;
   } catch (const std::exception& e) {
     obs::counter("opprentice.forest.train_failures").add();
@@ -122,16 +123,16 @@ std::optional<StrategyWindows> strategy_windows(TrainingStrategy strategy,
   return w;
 }
 
-std::vector<double> run_strategy_window(const ml::Dataset& data,
-                                        std::size_t warmup,
-                                        const StrategyWindows& windows,
-                                        const ml::ForestOptions& options) {
+std::vector<double> run_strategy_window(
+    const ml::Dataset& data, std::size_t warmup,
+    const StrategyWindows& windows, const ml::ForestOptions& options,
+    const ml::ColumnOrder* order) {
   std::vector<double> scores(windows.test_end - windows.test_begin, kNaN);
   // A failed training window degrades instead of aborting the run: its
   // scores stay NaN, so its decisions are all 0 and other windows —
   // which train independently — are unaffected (DESIGN.md §5f).
   auto forest = train_forest_guarded(data, warmup, windows.train_begin,
-                                     windows.train_end, options);
+                                     windows.train_end, options, order);
   if (!forest) return scores;
 
   obs::ScopedSpan span("weekly.score", "core");
@@ -159,6 +160,13 @@ IncrementalRunResult run_weekly_incremental(const ml::Dataset& data,
   const std::vector<StrategyWindows> schedule =
       i1_schedule(data.num_rows(), points_per_week, options.initial_weeks);
   result.weeks.assign(schedule.size(), WeekResult{});
+  // Every week trains on a prefix of the same rows, so each column is
+  // sorted once, over the rows the newest week trains on, and every week
+  // bins from that order instead of sorting its window again.
+  std::optional<ml::ColumnOrder> order;
+  if (!schedule.empty() && warmup < schedule.back().train_end) {
+    order.emplace(data, warmup, schedule.back().train_end);
+  }
   util::parallel_for(schedule.size(), [&](std::size_t i) {
     const std::size_t window = newest_first(schedule.size(), i);
     const StrategyWindows& windows = schedule[window];
@@ -167,7 +175,8 @@ IncrementalRunResult run_weekly_incremental(const ml::Dataset& data,
     week_span.arg("train_rows", windows.train_end - windows.train_begin);
 
     const std::vector<double> week_scores =
-        run_strategy_window(data, warmup, windows, options.forest);
+        run_strategy_window(data, warmup, windows, options.forest,
+                            order ? &*order : nullptr);
     std::copy(week_scores.begin(), week_scores.end(),
               result.scores.begin() +
                   static_cast<std::ptrdiff_t>(windows.test_begin));

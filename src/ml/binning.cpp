@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -70,31 +69,24 @@ std::uint64_t sort_key(double value) {
   return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
 }
 
-double key_value(std::uint64_t key) {
-  return std::bit_cast<double>((key >> 63) != 0
-                                   ? key & ~(std::uint64_t{1} << 63)
-                                   : ~key);
-}
-
-// Sets `order` to the indices of `keys` in ascending key order: an LSD
-// radix sort with 8-bit digits, one counting pass for all eight digits,
-// and no scatter for a digit every key shares. `scratch` is its buffer.
+// Sorts `order`, indices of `keys`, stably by ascending key: an LSD radix
+// sort with 8-bit digits, one counting pass for all eight digits, and no
+// scatter for a digit every key shares. `scratch` is its buffer.
 void radix_sort(std::span<const std::uint64_t> keys,
                 std::vector<std::uint32_t>& order,
                 std::vector<std::uint32_t>& scratch) {
-  const std::size_t n = keys.size();
-  order.resize(n);
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  const std::size_t n = order.size();
   if (n < 2) return;
   std::array<std::array<std::uint32_t, 256>, 8> counts{};
-  for (const std::uint64_t key : keys) {
+  for (const std::uint32_t i : order) {
+    const std::uint64_t key = keys[i];
     for (std::size_t d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xFF];
   }
   scratch.resize(n);
   for (std::size_t d = 0; d < 8; ++d) {
     std::array<std::uint32_t, 256>& offset = counts[d];
     const unsigned shift = static_cast<unsigned>(8 * d);
-    if (offset[(keys[0] >> shift) & 0xFF] == n) continue;
+    if (offset[(keys[order[0]] >> shift) & 0xFF] == n) continue;
     std::uint32_t sum = 0;
     for (std::uint32_t& c : offset) {
       const std::uint32_t count = c;
@@ -108,7 +100,45 @@ void radix_sort(std::span<const std::uint64_t> keys,
   }
 }
 
+// The rows r in [begin, end) whose column[r] is not NaN, in ascending
+// value order, ties in row order.
+std::vector<std::uint32_t> sorted_rows(std::span<const double> column,
+                                       std::size_t begin, std::size_t end) {
+  // keys[i] and order hold row begin + i.
+  std::vector<std::uint64_t> keys(end - begin);
+  std::vector<std::uint32_t> order;
+  order.reserve(end - begin);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const double v = column[begin + i];
+    if (std::isnan(v)) continue;
+    keys[i] = sort_key(v);
+    order.push_back(static_cast<std::uint32_t>(i));
+  }
+  std::vector<std::uint32_t> scratch;
+  radix_sort(keys, order, scratch);
+  for (std::uint32_t& row : order) row += static_cast<std::uint32_t>(begin);
+  return order;
+}
+
+void check_range(const Dataset& data, std::size_t begin, std::size_t end,
+                 const char* what) {
+  if (begin > end || end > data.num_rows()) throw std::out_of_range(what);
+}
+
 }  // namespace
+
+ColumnOrder::ColumnOrder(const Dataset& data)
+    : ColumnOrder(data, 0, data.num_rows()) {}
+
+ColumnOrder::ColumnOrder(const Dataset& data, std::size_t begin,
+                         std::size_t end)
+    : begin_(begin), end_(end) {
+  check_range(data, begin, end, "ColumnOrder: bad row range");
+  rows_.resize(data.num_features());
+  util::parallel_for(data.num_features(), [&](std::size_t f) {
+    rows_[f] = sorted_rows(data.column(f), begin, end);
+  });
+}
 
 BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
     : BinnedDataset(unbinned(data, 0, data.num_rows())) {
@@ -119,10 +149,9 @@ BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
 
 BinnedDataset BinnedDataset::unbinned(const Dataset& data, std::size_t begin,
                                       std::size_t end) {
-  if (begin > end || end > data.num_rows()) {
-    throw std::out_of_range("BinnedDataset: bad row range");
-  }
+  check_range(data, begin, end, "BinnedDataset: bad row range");
   BinnedDataset out;
+  out.first_row_ = begin;
   out.binners_.resize(data.num_features());
   out.codes_.resize(data.num_features());
   const auto labels = std::span(data.labels()).subspan(begin, end - begin);
@@ -132,42 +161,44 @@ BinnedDataset BinnedDataset::unbinned(const Dataset& data, std::size_t begin,
 
 void BinnedDataset::bin_column(std::size_t f, std::span<const double> column,
                                std::size_t max_bins) {
-  // Keys of the non-NaN values, in row order; index k is the k-th
-  // non-NaN row.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(column.size());
-  for (const double v : column) {
-    if (!std::isnan(v)) keys.push_back(sort_key(v));
+  bin_column(f, column,
+             sorted_rows(column, first_row_, first_row_ + num_rows()),
+             max_bins);
+}
+
+void BinnedDataset::bin_column(std::size_t f, std::span<const double> column,
+                               std::span<const std::uint32_t> sorted,
+                               std::size_t max_bins) {
+  // The sorted rows inside [first_row_, first_row_ + rows): a row below
+  // first_row_ wraps to a huge offset, so one compare keeps a row.
+  const std::size_t rows = num_rows();
+  std::vector<std::uint32_t> inside(sorted.size());
+  std::size_t kept = 0;
+  for (const std::uint32_t row : sorted) {
+    inside[kept] = row;
+    kept += static_cast<std::size_t>(row - first_row_ < rows);
   }
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> buffer;
-  radix_sort(keys, order, buffer);
+  std::vector<double> values(kept);  // ascending
+  for (std::size_t i = 0; i < kept; ++i) values[i] = column[inside[i]];
+
+  // −0.0 and 0.0 are one distinct value: whichever comes first adds the
+  // same to a midpoint with its non-zero neighbour.
   std::vector<double> distinct;
-  distinct.reserve(keys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i == 0 || keys[order[i]] != keys[order[i - 1]]) {
-      distinct.push_back(key_value(keys[order[i]]));
+  distinct.reserve(kept);
+  for (const double value : values) {
+    if (distinct.empty() || value != distinct.back()) {
+      distinct.push_back(value);
     }
   }
   binners_[f] = FeatureBinner::from_distinct(distinct, max_bins);
 
-  // Codes of the non-NaN values go to slots 0..keys.size() first, then
-  // move out to their rows from the back; slot k <= its row, so no code
-  // is overwritten before it moves.
   const std::vector<double>& edges = binners_[f].edges();
   std::vector<std::uint8_t>& codes = codes_[f];
-  codes.assign(column.size(), 0);  // NaN rows stay in bin 0
+  codes.assign(rows, 0);  // NaN rows stay in bin 0
   std::size_t code = 0;
-  for (const std::uint32_t k : order) {
-    const double value = key_value(keys[k]);
-    while (code < edges.size() && edges[code] < value) ++code;
-    codes[k] = static_cast<std::uint8_t>(code);
-  }
-  if (keys.size() != column.size()) {
-    std::size_t k = keys.size();
-    for (std::size_t r = column.size(); r-- > 0;) {
-      codes[r] = std::isnan(column[r]) ? 0 : codes[--k];
-    }
+  for (std::size_t i = 0; i < kept; ++i) {
+    while (code < edges.size() && edges[code] < values[i]) ++code;
+    codes[inside[i] - first_row_] = static_cast<std::uint8_t>(code);
   }
 }
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace opprentice::ml {
@@ -18,14 +17,14 @@ void RandomForest::train(const Dataset& data) {
 }
 
 void RandomForest::train(const Dataset& data, std::size_t begin,
-                         std::size_t end) {
+                         std::size_t end, const ColumnOrder* order) {
   obs::ScopedSpan span("forest.train", "ml");
   span.arg("rows", end - begin);
   span.arg("features", data.num_features());
   span.arg("trees", options_.num_trees);
   obs::Stopwatch watch;
 
-  ForestTraining training(options_, data, begin, end);
+  ForestTraining training(options_, data, begin, end, order);
   util::parallel_for(training.bin_units(),
                      [&](std::size_t unit) { training.bin(data, unit); });
   util::parallel_for(training.tree_units(),
@@ -48,12 +47,12 @@ ForestTraining::ForestTraining(const ForestOptions& options,
 
 ForestTraining::ForestTraining(const ForestOptions& options,
                                const Dataset& data, std::size_t begin,
-                               std::size_t end)
+                               std::size_t end, const ColumnOrder* order)
     : options_(options),
-      begin_(begin),
+      order_(order),
       binned_(BinnedDataset::unbinned(data, begin, end)),
       tree_options_(options.num_trees),
-      tree_counts_(options.num_trees),
+      tree_draws_(options.num_trees),
       trees_(options.num_trees) {
   if (binned_.num_rows() == 0) {
     throw std::invalid_argument("RandomForest::train: empty dataset");
@@ -61,6 +60,12 @@ ForestTraining::ForestTraining(const ForestOptions& options,
   if (data.num_features() > FlatNode::kMaxFeatures) {
     throw std::invalid_argument(
         "RandomForest::train: more features than a node can index");
+  }
+  if (order != nullptr &&
+      (order->num_features() != data.num_features() ||
+       begin < order->begin() || end > order->end())) {
+    throw std::invalid_argument(
+        "RandomForest::train: the column order does not hold the rows");
   }
   sample_size_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(options_.sample_fraction *
@@ -74,14 +79,17 @@ ForestTraining::ForestTraining(const ForestOptions& options,
 
 void ForestTraining::bin(const Dataset& data, std::size_t unit) {
   if (unit < binned_.num_features()) {
-    binned_.bin_column(unit,
-                       data.column(unit).subspan(begin_, binned_.num_rows()));
+    if (order_ != nullptr) {
+      binned_.bin_column(unit, data.column(unit), order_->rows(unit));
+    } else {
+      binned_.bin_column(unit, data.column(unit));
+    }
     return;
   }
-  // Per-tree seeds and bootstrap samples are drawn serially from the
-  // forest RNG, in tree order, so every tree's inputs are the same
-  // whichever thread grows it. A sample is kept as how often each row
-  // was drawn.
+  // Per-tree seeds and bootstrap samples come serially from the forest
+  // RNG, in tree order, so every tree's inputs are the same whichever
+  // thread grows it. The walk only skips over each tree's draws; grow(t)
+  // makes them again from the RNG kept here.
   util::Rng rng(options_.seed);
   for (std::size_t t = 0; t < tree_options_.size(); ++t) {
     TreeOptions& topt = tree_options_[t];
@@ -89,19 +97,20 @@ void ForestTraining::bin(const Dataset& data, std::size_t unit) {
     topt.min_samples_split = options_.min_samples_split;
     topt.mtry = mtry_;
     topt.seed = rng.next_u64();
-
-    // Bootstrap: rows sampled with replacement.
-    tree_counts_[t].assign(binned_.num_rows(), 0);
-    rng.tally_uniform_int(tree_counts_[t], sample_size_);
+    tree_draws_[t] = rng;
+    rng.discard_uniform_int(binned_.num_rows(), sample_size_);
   }
 }
 
 void ForestTraining::grow(std::size_t t) {
   // Each tree reads the shared BinnedDataset and writes only its own
-  // slot; its row sample is freed once it has grown.
+  // slot. Its bootstrap, rows sampled with replacement, is kept as how
+  // often each row was drawn, and freed once the tree has grown.
   obs::ScopedSpan tree_span("forest.tree", "ml");
   tree_span.arg("index", t);
-  const std::vector<std::uint32_t> counts = std::move(tree_counts_[t]);
+  std::vector<std::uint32_t> counts(binned_.num_rows(), 0);
+  util::Rng draws = tree_draws_[t];
+  draws.tally_uniform_int(counts, sample_size_);
   DecisionTree tree(tree_options_[t]);
   tree.train_binned(binned_, counts);
   trees_[t] = std::move(tree);

@@ -14,6 +14,7 @@
 
 #include "ml/binning.hpp"
 #include "ml/decision_tree.hpp"
+#include "util/rng.hpp"
 
 namespace opprentice::ml {
 
@@ -38,8 +39,11 @@ class RandomForest final : public BinaryClassifier {
   // global thread pool, on every row of data.
   void train(const Dataset& data) override;
   // The same on rows [begin, end) of data, read in place: the forest of
-  // train(data.slice(begin, end)), bit for bit, without the copy.
-  void train(const Dataset& data, std::size_t begin, std::size_t end);
+  // train(data.slice(begin, end)), bit for bit, without the copy. With an
+  // `order`, a ColumnOrder of data whose range holds [begin, end), each
+  // column is binned from it instead of sorted: the same forest again.
+  void train(const Dataset& data, std::size_t begin, std::size_t end,
+             const ColumnOrder* order = nullptr);
   bool is_trained() const override { return !roots_.empty(); }
 
   // Fraction of trees voting anomaly, in [0, 1].
@@ -95,21 +99,27 @@ class RandomForest final : public BinaryClassifier {
 class ForestTraining {
  public:
   // Trains on rows [begin, end) of data and keeps only their labels and
-  // the shape; stage 1 reads the rows in place. Throws std::out_of_range
-  // on a bad range, std::invalid_argument on an empty one or past
-  // FlatNode::kMaxFeatures features.
+  // the shape; stage 1 reads the rows in place. With an `order` (a
+  // ColumnOrder of data, which must outlive stage 1), stage 1 bins each
+  // column from it; without one, each bin unit sorts its column's rows.
+  // Throws std::out_of_range on a bad range, std::invalid_argument on an
+  // empty one, past FlatNode::kMaxFeatures features, or for an order
+  // whose range or feature count does not fit.
   ForestTraining(const ForestOptions& options, const Dataset& data,
-                 std::size_t begin, std::size_t end);
+                 std::size_t begin, std::size_t end,
+                 const ColumnOrder* order = nullptr);
   // Every row of data.
   ForestTraining(const ForestOptions& options, const Dataset& data);
 
   // Stage 1: unit f < num_features bins column f of the constructor's
   // rows of `data`, the dataset given to it; the last unit draws every
-  // tree's seed and bootstrap counts from the forest seed, in tree order.
+  // tree's seed from the forest seed, in tree order, and keeps the forest
+  // RNG as it stands before each tree's bootstrap draws.
   std::size_t bin_units() const { return binned_.num_features() + 1; }
   void bin(const Dataset& data, std::size_t unit);
 
-  // Stage 2, once every bin unit has run: unit t grows tree t.
+  // Stage 2, once every bin unit has run: unit t draws tree t's bootstrap
+  // counts from its kept RNG and grows the tree.
   std::size_t tree_units() const { return trees_.size(); }
   void grow(std::size_t t);
 
@@ -120,12 +130,12 @@ class ForestTraining {
   ForestOptions options_;
   std::size_t mtry_ = 0;
   std::size_t sample_size_ = 0;
-  std::size_t begin_ = 0;  // the first row of data trained on
+  const ColumnOrder* order_ = nullptr;
   BinnedDataset binned_;
   std::vector<TreeOptions> tree_options_;
-  // How often each row was drawn into tree t's bootstrap sample; freed
-  // when tree t has grown.
-  std::vector<std::vector<std::uint32_t>> tree_counts_;
+  // The forest RNG before tree t's bootstrap draws: a bootstrap is drawn
+  // by the unit that grows its tree, and lives only while it grows.
+  std::vector<util::Rng> tree_draws_;
   std::vector<DecisionTree> trees_;
 };
 

@@ -66,6 +66,14 @@ void Rng::tally_uniform_int(std::span<std::uint32_t> counts,
   }
 }
 
+void Rng::discard_uniform_int(std::uint64_t n, std::size_t draws) {
+  const std::uint64_t threshold = -n % n;
+  for (std::size_t d = 0; d < draws; ++d) {
+    std::uint64_t r = next_u64();
+    while (r < threshold) r = next_u64();
+  }
+}
+
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;

@@ -37,6 +37,11 @@ class Rng {
   // rejection threshold computed once. Requires a non-empty span.
   void tally_uniform_int(std::span<std::uint32_t> counts, std::size_t draws);
 
+  // Advances the stream past `draws` uniform_int(n) calls without their
+  // results: the state tally_uniform_int leaves over n counts. Requires
+  // n > 0.
+  void discard_uniform_int(std::uint64_t n, std::size_t draws);
+
   // Standard normal via Marsaglia polar method.
   double normal();
 

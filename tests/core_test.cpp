@@ -97,7 +97,7 @@ TEST(StrategyWindows, Names) {
 
 TEST(EwmaPredictor, BlendsBestCthlds) {
   EwmaCthldPredictor p(0.8);
-  p.initialize(0.5);
+  p.observe_best(0.5);  // the first observation seeds the prediction
   EXPECT_DOUBLE_EQ(p.predict(), 0.5);
   p.observe_best(1.0);
   EXPECT_NEAR(p.predict(), 0.8 * 1.0 + 0.2 * 0.5, 1e-12);
@@ -113,8 +113,8 @@ TEST(EwmaPredictor, FirstObservationWithoutInitSeeds) {
 
 TEST(EwmaPredictor, HighAlphaTracksFaster) {
   EwmaCthldPredictor fast(0.9), slow(0.1);
-  fast.initialize(0.0);
-  slow.initialize(0.0);
+  fast.observe_best(0.0);
+  slow.observe_best(0.0);
   fast.observe_best(1.0);
   slow.observe_best(1.0);
   EXPECT_GT(fast.predict(), slow.predict());

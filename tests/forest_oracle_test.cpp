@@ -1,6 +1,7 @@
 // Oracle for the forest trainer's fast paths (DESIGN.md §5d):
-//  - BinnedDataset sorts each column once and assigns codes in one walk;
-//    its edges and codes must equal FeatureBinner::fit + bin_of column by
+//  - BinnedDataset sorts each column once and assigns codes in one walk,
+//    or bins a row range from a ColumnOrder shared by many ranges; its
+//    edges and codes must equal FeatureBinner::fit + bin_of column by
 //    column, bit for bit, at any thread count.
 //  - DecisionTree::train_binned scans occupied bins only; its trees must
 //    equal the dense scan's (tests/reference_tree.*) node for node:
@@ -199,6 +200,105 @@ TEST(BinningOracle, SkippedRadixPassesMatchFitAndBinOf) {
       expect_binning_matches_fit(data, max_bins);
     }
   }
+}
+
+// Windows binned from a shared ColumnOrder: for random [begin, end)
+// ranges, single rows, ranges inside a NaN run and every row, each
+// column's edges and codes must equal FeatureBinner::fit + bin_of on the
+// window's slice, bit for bit, and those of the window's own sort. The
+// columns are the special ones (NaN runs, ±0.0, ±inf, ties), random ones,
+// one binade, and f32-widened values (low key bytes shared); the orders
+// cover every row or only a tail of them.
+TEST(BinningOracle, SharedOrderRangesMatchFitAndBinOf) {
+  util::Rng rng(3939);
+  constexpr std::size_t kRows = 3000;
+  constexpr std::size_t kNaNRun[] = {1200, 1500};
+  std::vector<std::vector<double>> columns = special_columns(kRows);
+  for (int i = 0; i < 8; ++i) columns.push_back(random_column(rng, kRows));
+  std::vector<double> binade(kRows);
+  std::vector<double> widened(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    binade[r] = 1.0 + rng.uniform();
+    widened[r] = static_cast<double>(static_cast<float>(rng.normal(0.0, 3.0)));
+  }
+  columns.push_back(std::move(binade));
+  columns.push_back(std::move(widened));
+  for (std::vector<double>& column : columns) {
+    for (std::size_t r = kNaNRun[0]; r < kNaNRun[1]; ++r) column[r] = kNaN;
+  }
+  const Dataset data = dataset_of(std::move(columns), rng);
+
+  struct Window {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t max_bins = kMaxBins;
+    std::vector<FeatureBinner> fits;  // per feature, on the slice
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+      {0, kRows},   {700, kRows},  {0, 1},    {kRows - 1, kRows},
+      {1300, 1301}, {1250, 1450},  {kNaNRun[0], kNaNRun[1]},
+      {1100, 1600}, {700, 701}};
+  while (ranges.size() < 60) {
+    const std::size_t begin = rng.uniform_int(kRows);
+    ranges.emplace_back(begin, begin + 1 + rng.uniform_int(kRows - begin));
+  }
+  std::vector<Window> windows;
+  for (const auto& [begin, end] : ranges) {
+    Window w{begin, end, windows.size() % 3 == 0 ? 2 + rng.uniform_int(40)
+                                                 : kMaxBins, {}};
+    for (std::size_t f = 0; f < data.num_features(); ++f) {
+      w.fits.push_back(FeatureBinner::fit(
+          data.column(f).subspan(begin, end - begin), w.max_bins));
+    }
+    windows.push_back(std::move(w));
+  }
+
+  const auto expect_fit = [&](const BinnedDataset& binned, const Window& w,
+                              const std::string& context) {
+    for (std::size_t f = 0; f < data.num_features(); ++f) {
+      const FeatureBinner& fit = w.fits[f];
+      const std::vector<double>& edges = binned.binner(f).edges();
+      ASSERT_EQ(edges.size(), fit.edges().size()) << context << " f " << f;
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(edges[e]),
+                  std::bit_cast<std::uint64_t>(fit.edges()[e]))
+            << context << " f " << f << " edge " << e;
+      }
+      ASSERT_EQ(binned.codes(f).size(), w.end - w.begin) << context;
+      for (std::size_t r = w.begin; r < w.end; ++r) {
+        ASSERT_EQ(binned.codes(f)[r - w.begin], fit.bin_of(data.value(r, f)))
+            << context << " f " << f << " row " << r;
+      }
+    }
+  };
+  for (std::size_t threads : kThreadSweep) {
+    util::set_global_threads(threads);
+    const ColumnOrder whole(data);
+    const ColumnOrder tail(data, 700, kRows);
+    for (const Window& w : windows) {
+      const std::string context =
+          "rows [" + std::to_string(w.begin) + ", " + std::to_string(w.end) +
+          ") max_bins " + std::to_string(w.max_bins) + " threads " +
+          std::to_string(threads);
+      BinnedDataset own = BinnedDataset::unbinned(data, w.begin, w.end);
+      util::parallel_for(data.num_features(), [&](std::size_t f) {
+        own.bin_column(f, data.column(f), w.max_bins);
+      });
+      expect_fit(own, w, context + " own sort");
+      for (const ColumnOrder* order : {&whole, &tail}) {
+        if (w.begin < order->begin()) continue;
+        BinnedDataset shared = BinnedDataset::unbinned(data, w.begin, w.end);
+        util::parallel_for(data.num_features(), [&](std::size_t f) {
+          shared.bin_column(f, data.column(f), order->rows(f), w.max_bins);
+        });
+        expect_fit(shared, w,
+                   context + " order from " + std::to_string(order->begin()));
+      }
+    }
+  }
+  util::set_global_threads(0);
+  EXPECT_THROW(ColumnOrder(data, 5, 4), std::out_of_range);
+  EXPECT_THROW(ColumnOrder(data, 0, kRows + 1), std::out_of_range);
 }
 
 // Labels driven by one feature plus noise, so trees split on real
@@ -668,9 +768,10 @@ TEST(ForestOracle, StagedTrainEqualsTrain) {
   util::set_global_threads(0);
 }
 
-// Training and batch scoring read a row range of a dataset in place; the
-// forest and the scores must be those of a copy of the range, bit for
-// bit, at any thread count. The columns are dirty_dataset's, the special
+// Training and batch scoring read a row range of a dataset in place, and
+// training may bin it from a shared ColumnOrder; the forest and the
+// scores must be those of a copy of the range, bit for bit, at any
+// thread count. The columns are dirty_dataset's, the special
 // columns (±inf, NaN, −0.0, all-NaN) and random ones; the ranges start
 // inside, end inside, hold one row, or hold every row.
 TEST(ForestOracle, RowRangeTrainEqualsSliceTrain) {
@@ -689,8 +790,19 @@ TEST(ForestOracle, RowRangeTrainEqualsSliceTrain) {
   ForestOptions options;
   options.num_trees = 16;
   options.seed = 2718;
-  const std::pair<std::size_t, std::size_t> ranges[] = {
+  // With 100-row weeks, 100 rows of warm-up and 8 initial weeks: I1's
+  // growing prefixes, R4's sliding 8 weeks and F4's first 8 weeks. Every
+  // range also trains from the shared orders that hold it.
+  std::vector<std::pair<std::size_t, std::size_t>> ranges = {
       {137, 911}, {0, 300}, {850, kRows}, {523, 524}, {0, kRows}};
+  for (std::size_t test_begin = 800; test_begin < kRows; test_begin += 100) {
+    ranges.emplace_back(100, test_begin);                                // I1
+    ranges.emplace_back(std::max<std::size_t>(100, test_begin - 800),
+                        test_begin);                                     // R4
+  }
+  ranges.emplace_back(100, 800);                                         // F4
+  const ColumnOrder whole(data);
+  const ColumnOrder trained(data, 100, 1100);
   for (std::size_t threads : kThreadSweep) {
     util::set_global_threads(threads);
     for (const auto& [begin, end] : ranges) {
@@ -702,9 +814,17 @@ TEST(ForestOracle, RowRangeTrainEqualsSliceTrain) {
       in_place.train(data, begin, end);
       RandomForest sliced(options);
       sliced.train(copy);
-      EXPECT_EQ(forest_digest(in_place, data.feature_names()),
-                forest_digest(sliced, data.feature_names()))
+      const std::uint64_t digest = forest_digest(sliced, data.feature_names());
+      EXPECT_EQ(forest_digest(in_place, data.feature_names()), digest)
           << context;
+      for (const ColumnOrder* order : {&whole, &trained}) {
+        if (begin < order->begin() || end > order->end()) continue;
+        RandomForest shared(options);
+        shared.train(data, begin, end, order);
+        EXPECT_EQ(forest_digest(shared, data.feature_names()), digest)
+            << context << " order [" << order->begin() << ", "
+            << order->end() << ")";
+      }
 
       const std::vector<double> got = in_place.score_all(data, begin, end);
       const std::vector<double> want = sliced.score_all(copy);
@@ -721,6 +841,11 @@ TEST(ForestOracle, RowRangeTrainEqualsSliceTrain) {
   EXPECT_THROW(forest.train(data.slice(400, 400)), std::invalid_argument);
   EXPECT_THROW(forest.train(data, 401, 400), std::out_of_range);
   EXPECT_THROW(forest.train(data, 0, kRows + 1), std::out_of_range);
+  EXPECT_THROW(forest.train(data, 50, 600, &trained), std::invalid_argument);
+  EXPECT_THROW(forest.train(data, 100, 1101, &trained),
+               std::invalid_argument);
+  const ColumnOrder narrow(data.select_features({0, 1}));
+  EXPECT_THROW(forest.train(data, 0, 600, &narrow), std::invalid_argument);
   forest.train(data, 0, 600);
   EXPECT_TRUE(forest.score_all(data, 400, 400).empty());
   EXPECT_THROW((void)forest.score_all(data, 0, kRows + 1), std::out_of_range);

@@ -24,6 +24,8 @@
 //   - the server's side of a one-point DATA frame (on_bytes, its ACK,
 //     and the tick() that applies it), which takes the server's and the
 //     series' locks by design and is held to an allocation budget.
+// One training unit is held to a byte budget instead: ForestTraining's
+// bootstrap draw, whose bytes must not grow with the training rows.
 // StreamingExtractor::feed is not one: it returns a fresh vector by
 // contract, and feed_into is its allocation-free form.
 //
@@ -60,18 +62,22 @@
 
 namespace {
 
-// Allocations made by the calling thread (trivially constructed, so the
-// replaced operator new may touch it on any thread at any time).
+// Allocations, and the bytes they asked for, made by the calling thread
+// (trivially constructed, so the replaced operator new may touch them on
+// any thread at any time).
 thread_local std::size_t t_allocations = 0;
+thread_local std::size_t t_allocated_bytes = 0;
 
 void* counted_alloc(std::size_t size) {
   ++t_allocations;
+  t_allocated_bytes += size;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   ++t_allocations;
+  t_allocated_bytes += size;
   const auto alignment = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   const std::size_t rounded =
@@ -97,10 +103,12 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   ++t_allocations;
+  t_allocated_bytes += size;
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   ++t_allocations;
+  t_allocated_bytes += size;
   return std::malloc(size == 0 ? 1 : size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -356,6 +364,38 @@ TEST(HotPath, RandomForestScoreAndClassify) {
   };
   EXPECT_EQ(allocating_steps(kMeasuredPoints, step), 0u);
   EXPECT_GT(anomalies, 0u);
+}
+
+// The draw unit walks the forest RNG in tree order and keeps each tree's
+// seed and starting RNG; each tree tallies its own bootstrap counts as it
+// grows. So the bytes the unit allocates must not grow with the rows: a
+// draw that kept every tree's counts would allocate 48 x rows x 4 B.
+TEST(HotPath, ForestDrawUnitBytesDoNotGrowWithRows) {
+  const auto draw_bytes = [](std::size_t rows) {
+    util::Rng rng(rows);
+    std::vector<std::vector<double>> columns(3, std::vector<double>(rows));
+    for (auto& column : columns) {
+      for (double& v : column) v = rng.normal(0.0, 1.0);
+    }
+    std::vector<std::uint8_t> labels(rows);
+    for (std::size_t r = 0; r < rows; ++r) labels[r] = r % 7 == 0 ? 1 : 0;
+    const ml::Dataset data({"a", "b", "c"}, std::move(columns),
+                           std::move(labels));
+    ml::ForestTraining training(ml::ForestOptions{}, data);
+    const std::size_t before = t_allocated_bytes;
+    training.bin(data, training.bin_units() - 1);  // the draw unit
+    const std::size_t bytes = t_allocated_bytes - before;
+    for (std::size_t f = 0; f + 1 < training.bin_units(); ++f) {
+      training.bin(data, f);
+    }
+    for (std::size_t t = 0; t < training.tree_units(); ++t) training.grow(t);
+    EXPECT_TRUE(training.assemble().is_trained());
+    return bytes;
+  };
+  const std::size_t small = draw_bytes(1000);
+  const std::size_t large = draw_bytes(16000);
+  EXPECT_EQ(large, small);
+  EXPECT_LT(large, 1000 * sizeof(std::uint32_t));
 }
 
 TEST(HotPath, DurationFilterFeed) {

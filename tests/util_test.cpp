@@ -132,6 +132,20 @@ TEST(Rng, TallyUniformIntMatchesUniformIntCalls) {
   }
 }
 
+// Skipping draws leaves the generator where the calls would, rejections
+// included: at n = 2^63 + 1 about half of the next_u64 values are
+// rejected.
+TEST(Rng, DiscardUniformIntLeavesTheStateOfUniformIntCalls) {
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{1339}, (std::uint64_t{1} << 63) + 1}) {
+    Rng discard(37);
+    Rng calls(37);
+    discard.discard_uniform_int(n, 5000);
+    for (int d = 0; d < 5000; ++d) (void)calls.uniform_int(n);
+    EXPECT_EQ(discard.next_u64(), calls.next_u64()) << n;
+  }
+}
+
 TEST(Rng, SplitProducesIndependentStream) {
   Rng a(23);
   Rng child = a.split();
