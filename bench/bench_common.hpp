@@ -1,10 +1,9 @@
 // Shared plumbing for the per-figure/per-table bench binaries.
 //
 // Every bench reproduces one table or figure of the paper's §5 on the
-// three synthetic KPI presets (PV, #SR, SRT). The expensive intermediate —
-// the weekly-incrementally-retrained random-forest scores — is cached on
-// disk (build/bench-cache) so consecutive bench binaries don't retrain
-// identical forests; results are deterministic either way.
+// three synthetic KPI presets (PV, #SR, SRT). Each binary computes its
+// weekly-incrementally-retrained forest scores itself with
+// core::run_weekly_incremental; results are deterministic.
 #pragma once
 
 #include <string>
@@ -71,19 +70,6 @@ core::ExperimentData prepare_kpi(const datagen::KpiPreset& preset);
 
 // All three KPIs at the environment's scale.
 std::vector<core::ExperimentData> prepare_all_kpis();
-
-// Weekly incremental run (I1) with disk caching keyed by KPI name, scale,
-// a fingerprint of every feature column and the labels, and every
-// DriverOptions field. Cache lives in $OPPRENTICE_CACHE_DIR (default
-// "bench-cache/"); set OPPRENTICE_NO_CACHE=1 to disable.
-core::IncrementalRunResult cached_weekly_incremental(
-    const core::ExperimentData& data, const core::DriverOptions& options,
-    const std::string& kpi_name);
-
-// Per-week 5-fold cThlds, cached like cached_weekly_incremental.
-std::vector<double> cached_five_fold_cthlds(
-    const core::ExperimentData& data, const core::DriverOptions& options,
-    const std::string& kpi_name);
 
 // Test-region views of an incremental run.
 std::vector<double> test_scores(const core::IncrementalRunResult& run);

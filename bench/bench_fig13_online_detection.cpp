@@ -83,10 +83,10 @@ int main(int argc, char** argv) {
        datagen::all_presets(datagen::scale_from_env())) {
     const auto data = bench::prepare_kpi(preset);
     const auto driver = bench::standard_driver();
-    const auto run = bench::cached_weekly_incremental(data, driver,
-                                                      preset.model.name);
-    const auto five_fold =
-        bench::cached_five_fold_cthlds(data, driver, preset.model.name);
+    const auto run = core::run_weekly_incremental(
+        data.dataset, data.points_per_week, data.warmup, driver);
+    const auto five_fold = core::five_fold_weekly_cthlds(
+        data.dataset, data.points_per_week, data.warmup, driver);
 
     // Best case: the oracle per-week cThld.
     std::vector<double> best_cthlds;

@@ -22,8 +22,9 @@ int main(int argc, char** argv) {
 
   const auto data =
       bench::prepare_kpi(datagen::pv_preset(datagen::scale_from_env()));
-  const auto run = bench::cached_weekly_incremental(
-      data, bench::standard_driver(), "PV");
+  const auto run = core::run_weekly_incremental(
+      data.dataset, data.points_per_week, data.warmup,
+      bench::standard_driver());
 
   const eval::PrCurve curve(bench::test_scores(run),
                             bench::test_labels(data, run));

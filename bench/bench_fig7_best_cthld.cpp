@@ -17,8 +17,9 @@ int main(int argc, char** argv) {
   const auto presets = datagen::all_presets(datagen::scale_from_env());
   for (const auto& preset : presets) {
     const auto data = bench::prepare_kpi(preset);
-    const auto run = bench::cached_weekly_incremental(
-        data, bench::standard_driver(), preset.model.name);
+    const auto run = core::run_weekly_incremental(
+        data.dataset, data.points_per_week, data.warmup,
+        bench::standard_driver());
 
     std::vector<double> bests;
     for (const auto& w : run.weeks) bests.push_back(w.best.cthld);

@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
   for (const auto& preset :
        datagen::all_presets(datagen::scale_from_env())) {
     const auto data = bench::prepare_kpi(preset);
-    const auto run = bench::cached_weekly_incremental(
-        data, bench::standard_driver(), preset.model.name);
+    const auto run = core::run_weekly_incremental(
+        data.dataset, data.points_per_week, data.warmup,
+        bench::standard_driver());
     const auto labels = bench::test_labels(data, run);
 
     std::vector<Entry> entries;

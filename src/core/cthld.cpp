@@ -61,9 +61,9 @@ double five_fold_cthld(const ml::Dataset& training,
     ml::RandomForest forest(forest_options);
     forest.train(train_part);
 
-    const ml::Dataset test_part =
-        training.slice(fold.test_begin, fold.test_end);
-    const std::vector<double> scores = forest.score_all(test_part);
+    // The held-out block is contiguous, so it is scored in place.
+    const std::vector<double> scores =
+        forest.score_all(training, fold.test_begin, fold.test_end);
 
     FoldScores fs;
     std::vector<std::size_t> order(scores.size());
@@ -75,10 +75,10 @@ double five_fold_cthld(const ml::Dataset& training,
     fs.prefix_tp.reserve(order.size() + 1);
     fs.prefix_tp.push_back(0);
     for (std::size_t i : order) {
+      const bool positive = training.label(fold.test_begin + i) != 0;
       fs.sorted_scores.push_back(scores[i]);
-      fs.prefix_tp.push_back(fs.prefix_tp.back() +
-                             (test_part.label(i) != 0 ? 1 : 0));
-      fs.positives += test_part.label(i) != 0 ? 1 : 0;
+      fs.prefix_tp.push_back(fs.prefix_tp.back() + (positive ? 1 : 0));
+      fs.positives += positive ? 1 : 0;
     }
     if (fs.positives > 0) fold_slots[f] = std::move(fs);
   });

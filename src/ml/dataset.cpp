@@ -49,17 +49,6 @@ Dataset Dataset::slice(std::size_t begin, std::size_t end) const {
                      labels_.begin() + static_cast<std::ptrdiff_t>(end)));
 }
 
-void Dataset::append(const Dataset& tail) {
-  if (tail.num_features() != num_features()) {
-    throw std::invalid_argument("Dataset::append: feature count mismatch");
-  }
-  for (std::size_t f = 0; f < columns_.size(); ++f) {
-    columns_[f].insert(columns_[f].end(), tail.columns_[f].begin(),
-                       tail.columns_[f].end());
-  }
-  labels_.insert(labels_.end(), tail.labels_.begin(), tail.labels_.end());
-}
-
 Dataset Dataset::select_features(
     const std::vector<std::size_t>& features) const {
   std::vector<std::string> names;

@@ -42,9 +42,6 @@ class Dataset {
   // Rows [begin, end).
   Dataset slice(std::size_t begin, std::size_t end) const;
 
-  // Appends rows of `tail` (same features required).
-  void append(const Dataset& tail);
-
   // Keeps only the given feature columns, in the given order.
   Dataset select_features(const std::vector<std::size_t>& features) const;
 

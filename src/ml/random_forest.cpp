@@ -203,11 +203,6 @@ double RandomForest::score(std::span<const double> features) const {
   return static_cast<double>(votes) / static_cast<double>(roots_.size());
 }
 
-bool RandomForest::classify(std::span<const double> features,
-                            double cthld) const {
-  return score(features) >= cthld;
-}
-
 std::vector<double> RandomForest::score_all(const Dataset& data) const {
   return score_all(data, 0, data.num_rows());
 }

@@ -58,9 +58,6 @@ class RandomForest final : public BinaryClassifier {
   std::vector<double> score_all(const Dataset& data, std::size_t begin,
                                 std::size_t end) const;
 
-  // score >= cthld; 0.5 is the default majority vote.
-  bool classify(std::span<const double> features, double cthld = 0.5) const;
-
   std::size_t tree_count() const { return roots_.size(); }
 
   // Tree t's nodes (see FlatNode), a slice of the forest's one array.

@@ -9,6 +9,7 @@
 #include "core/dataset_builder.hpp"
 #include "core/weekly_driver.hpp"
 #include "datagen/anomaly_injector.hpp"
+#include "ml/kfold.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -150,6 +151,90 @@ TEST(FiveFold, SeparableDataSatisfiesPreference) {
       eval::confusion(eval::decide(scores, cthld), test.labels());
   EXPECT_GT(eval::recall(counts), 0.6);
   EXPECT_GT(eval::precision(counts), 0.6);
+}
+
+// Plain five-fold pick: each fold trains on a select_rows copy, scores a
+// slice of its held-out block and counts every candidate's detections
+// directly.
+double reference_five_fold_cthld(const ml::Dataset& training,
+                                 const eval::AccuracyPreference& pref,
+                                 const ml::ForestOptions& forest_options,
+                                 const FiveFoldOptions& options) {
+  const std::size_t n = training.num_rows();
+  struct Fold {
+    std::vector<double> scores;
+    std::vector<std::uint8_t> labels;
+    std::size_t positives = 0;
+  };
+  std::vector<Fold> folds;
+  for (const auto& split : ml::contiguous_folds(n, options.folds)) {
+    const ml::Dataset train_part =
+        training.select_rows(ml::training_rows(split, n));
+    if (train_part.positives() == 0) continue;
+    ml::RandomForest forest(forest_options);
+    forest.train(train_part);
+    const ml::Dataset test_part =
+        training.slice(split.test_begin, split.test_end);
+    Fold fold{forest.score_all(test_part), test_part.labels(),
+              test_part.positives()};
+    if (fold.positives > 0) folds.push_back(std::move(fold));
+  }
+  double best_cthld = 0.5;
+  double best_score = -1.0;
+  for (std::size_t c = 0; c <= options.candidates; ++c) {
+    const double cthld =
+        static_cast<double>(c) / static_cast<double>(options.candidates);
+    double total = 0.0;
+    std::size_t counted = 0;
+    for (const auto& fold : folds) {
+      std::size_t detected = 0, tp = 0;
+      for (std::size_t i = 0; i < fold.scores.size(); ++i) {
+        if (fold.scores[i] < cthld) continue;
+        ++detected;
+        tp += fold.labels[i] != 0 ? 1 : 0;
+      }
+      if (detected == 0) continue;
+      total += eval::pc_score(
+          static_cast<double>(tp) / static_cast<double>(fold.positives),
+          static_cast<double>(tp) / static_cast<double>(detected), pref);
+      ++counted;
+    }
+    if (counted == 0) continue;
+    const double avg = total / static_cast<double>(counted);
+    if (avg > best_score) {
+      best_score = avg;
+      best_cthld = cthld;
+    }
+  }
+  return best_cthld;
+}
+
+TEST(FiveFold, PickEqualsPlainReference) {
+  // Overlapping severities, so held-out scores spread over many candidates.
+  for (const std::uint64_t seed : {1u, 7u, 23u}) {
+    util::Rng rng(seed);
+    const std::size_t n = 700;
+    std::vector<std::vector<double>> cols(2);
+    std::vector<std::uint8_t> labels(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool anomaly = rng.uniform() < 0.1;
+      labels[i] = anomaly;
+      cols[0].push_back(anomaly ? rng.uniform(1.5, 5.0)
+                                : rng.uniform(0.0, 3.0));
+      cols[1].push_back(rng.uniform(0.0, 4.0));
+    }
+    const ml::Dataset data({"sev", "noise"}, std::move(cols),
+                           std::move(labels));
+    ml::ForestOptions forest = tiny_forest();
+    forest.seed = seed;
+    for (const eval::AccuracyPreference pref :
+         {eval::AccuracyPreference{0.66, 0.66},
+          eval::AccuracyPreference{0.9, 0.3}}) {
+      EXPECT_EQ(five_fold_cthld(data, pref, forest),
+                reference_five_fold_cthld(data, pref, forest, {}))
+          << "seed " << seed << ", min recall " << pref.min_recall;
+    }
+  }
 }
 
 // ---- weekly incremental driver ----

@@ -16,7 +16,7 @@
 //   - FleetEngine::feed over the same bank, between retrains;
 //   - every detector family's feed (kFamilies below, which must match
 //     the registry plus the extension families);
-//   - RandomForest::score and RandomForest::classify;
+//   - RandomForest::score;
 //   - core::DurationFilter::feed;
 //   - net::decode_frame_header, net::crc32, net::append_frame into a
 //     buffer with room, net::FrameParser::next into a warmed Frame, and
@@ -354,13 +354,10 @@ TEST(HotPath, RandomForestScoreAndClassify) {
   }
   // First calls initialize the instruments' magic statics.
   (void)forest.score(rows[0]);
-  (void)forest.classify(rows[0]);
 
   std::size_t anomalies = 0;
   const auto step = [&](std::size_t i) {
-    const double score = forest.score(rows[i]);
-    if (forest.classify(rows[i], 0.5) != (score >= 0.5)) ADD_FAILURE();
-    if (score >= 0.5) ++anomalies;
+    if (forest.score(rows[i]) >= 0.5) ++anomalies;
   };
   EXPECT_EQ(allocating_steps(kMeasuredPoints, step), 0u);
   EXPECT_GT(anomalies, 0u);

@@ -60,15 +60,17 @@ TEST(Dataset, ShapeValidation) {
   EXPECT_THROW(Dataset({"a", "b"}, {{1.0}}, {0}), std::invalid_argument);
 }
 
-TEST(Dataset, SliceAndAppendRoundTrip) {
+TEST(Dataset, SliceCopiesRowRange) {
   const Dataset d = blobs(100, 2.0);
-  Dataset head = d.slice(0, 60);
+  const Dataset head = d.slice(0, 60);
   const Dataset tail = d.slice(60, 100);
-  head.append(tail);
-  ASSERT_EQ(head.num_rows(), 100u);
+  ASSERT_EQ(head.num_rows(), 60u);
+  ASSERT_EQ(tail.num_rows(), 40u);
   for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(head.value(i, 0), d.value(i, 0));
-    EXPECT_EQ(head.label(i), d.label(i));
+    const Dataset& part = i < 60 ? head : tail;
+    const std::size_t row = i < 60 ? i : i - 60;
+    EXPECT_DOUBLE_EQ(part.value(row, 0), d.value(i, 0));
+    EXPECT_EQ(part.label(row), d.label(i));
   }
 }
 
@@ -318,14 +320,6 @@ TEST(RandomForest, RobustToIrrelevantFeatures) {
   a.train(few_noise);
   b.train(many_noise);
   EXPECT_GT(accuracy(b, test_many), accuracy(a, test_few) - 0.05);
-}
-
-TEST(RandomForest, ClassifyUsesCthld) {
-  RandomForest forest;
-  forest.train(blobs(500, 4.0));
-  const std::vector<double> anomalous{6.0, 0.0};
-  EXPECT_TRUE(forest.classify(anomalous, 0.5));
-  EXPECT_FALSE(forest.classify(anomalous, 1.01));  // unreachable threshold
 }
 
 TEST(RandomForest, ImportancesNormalized) {

@@ -44,8 +44,8 @@ bool is_checked_extension(const std::filesystem::path& p) {
 }
 
 bool is_skipped_directory_name(const std::string& name) {
-  return name == ".git" || name == "bench-cache" ||
-         name.rfind("build", 0) == 0 || name.rfind("cmake-build", 0) == 0;
+  return name == ".git" || name.rfind("build", 0) == 0 ||
+         name.rfind("cmake-build", 0) == 0;
 }
 
 }  // namespace

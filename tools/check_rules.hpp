@@ -81,9 +81,8 @@ std::string format_report(const LintReport& report);
 // Recursively collects .cpp/.cc/.hpp/.h files under `roots` in sorted
 // path order (directory enumeration order is filesystem-dependent; the
 // checker holds itself to the determinism contract it enforces). Build
-// trees and caches below a root (build*, cmake-build*, .git,
-// bench-cache) are skipped; the names of a root's own ancestors never
-// matter. A root that is not a directory adds a "missing-root" issue to
+// trees and .git below a root (build*, cmake-build*, .git) are skipped;
+// the names of a root's own ancestors never matter. A root that is not a directory adds a "missing-root" issue to
 // `report` when it is non-null.
 std::vector<std::filesystem::path> list_cpp_sources(
     const std::vector<std::string>& roots, LintReport* report);
