@@ -11,12 +11,10 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/retrain_scheduler.hpp"
-#include "ml/dataset.hpp"
 
 namespace opprentice::core {
 
@@ -30,17 +28,22 @@ inline float stored_severity(double value) {
   return static_cast<float>(value);
 }
 
-// A retrain's copy of its series' history: the training rows, and the
-// scores the series emitted on the newest of them, one per row of the
-// last scores.size() rows of `data` (NaN where no forest classified it).
+// A retrain's copy of its series' history: the training rows as stored,
+// f32 and column-major in one block, one label per row, and the scores
+// the series emitted on the newest of them, one per row of the last
+// scores.size() rows (NaN where no forest classified it).
 struct TrainingSet {
-  ml::Dataset data;
+  std::vector<float> values;  // [feature * labels.size() + row]
+  std::vector<std::uint8_t> labels;
   std::vector<double> scores;
+
+  std::size_t rows() const { return labels.size(); }
+  std::size_t features() const { return values.size() / rows(); }
 };
 
 // A series' stored feature history and the training-window policy over
 // it: rows [floor, end) with their labels and emitted scores,
-// column-major like ml::Dataset, `capacity` rows per column in one block
+// column-major, `capacity` rows per column in one block
 // of f32 (stored_severity), 4 B per feature and row, and one f64 score
 // column beside it. A row's label byte is kUnlabeled until a label chunk
 // covers it, and training skips such rows. Rows below the floor are
@@ -107,12 +110,12 @@ class FeatureHistory {
   }
 
   // The training set of a retrain at point count `points`: the labeled
-  // rows of the window past warm-up, each value widened exactly to f64,
-  // with the emitted scores of the newest min(rows, `recent`) of them. A
-  // window with no positive labels yields nothing — nothing to learn is
-  // not a failure.
-  std::optional<TrainingSet> training_set(std::vector<std::string> names,
-                                          std::size_t points,
+  // rows of the window past warm-up, with the emitted scores of the
+  // newest min(rows, `recent`) of them. Rows are copied in runs of
+  // labeled rows, so a window without label holes is one copy per
+  // column. A window with no positive labels yields nothing — nothing to
+  // learn is not a failure.
+  std::optional<TrainingSet> training_set(std::size_t points,
                                           std::size_t recent) const {
     const std::size_t begin = train_floor(points, warmup_, window_);
     const std::size_t end = std::min(labeled_until_, points);
@@ -121,27 +124,44 @@ class FeatureHistory {
       throw std::logic_error(
           "FeatureHistory: training window starts below the stored history");
     }
-    std::vector<std::size_t> rows;
-    std::vector<std::uint8_t> labels;
-    for (std::size_t row = begin - floor_; row < end - floor_; ++row) {
-      if (labels_[row] == kUnlabeled) continue;
-      rows.push_back(row);
-      labels.push_back(labels_[row]);
+    // The labeled stored rows, as runs [first, last).
+    std::vector<std::pair<std::size_t, std::size_t>> runs;
+    std::size_t rows = 0;
+    std::size_t positives = 0;
+    for (std::size_t row = begin - floor_; row < end - floor_;) {
+      if (labels_[row] == kUnlabeled) {
+        ++row;
+        continue;
+      }
+      const std::size_t first = row;
+      for (; row < end - floor_ && labels_[row] != kUnlabeled; ++row) {
+        positives += labels_[row];
+      }
+      runs.emplace_back(first, row);
+      rows += row - first;
     }
-    std::vector<std::vector<double>> columns(features_);
+    if (positives == 0) return std::nullopt;
+    TrainingSet set;
+    set.values.reserve(features_ * rows);
     for (std::size_t f = 0; f < features_; ++f) {
       const float* column = values_.get() + f * capacity_;
-      columns[f].reserve(rows.size());
-      for (const std::size_t row : rows) columns[f].push_back(column[row]);
+      for (const auto& [first, last] : runs) {
+        set.values.insert(set.values.end(), column + first, column + last);
+      }
     }
-    ml::Dataset data(std::move(names), std::move(columns), std::move(labels));
-    if (data.positives() == 0) return std::nullopt;
-    std::vector<double> scores;
-    for (std::size_t i = rows.size() - std::min(rows.size(), recent);
-         i < rows.size(); ++i) {
-      scores.push_back(scores_[rows[i]]);
+    set.labels.reserve(rows);
+    set.scores.reserve(std::min(rows, recent));
+    // Copied rows [skip, rows) are the newest `recent`.
+    const std::size_t skip = rows - std::min(rows, recent);
+    std::size_t copied = 0;
+    for (const auto& [first, last] : runs) {
+      set.labels.insert(set.labels.end(), labels_.get() + first,
+                        labels_.get() + last);
+      for (std::size_t row = first; row < last; ++row, ++copied) {
+        if (copied >= skip) set.scores.push_back(scores_[row]);
+      }
     }
-    return TrainingSet{std::move(data), std::move(scores)};
+    return set;
   }
 
   // Once a retrain has taken its rows: drops the rows below the floor of

@@ -31,7 +31,8 @@ namespace opprentice::core {
 //   0 (T)     the forest.train fault check, and the week's best cThld
 //             picked from the scores the series emitted on the copy's
 //             newest rows;
-//   1 (T+1)   binning and the bootstrap draw, then the f64 copy is freed;
+//   1 (T+1)   binning the copy's f32 columns and the bootstrap draw, then
+//             the copy is freed;
 //   2 .. 5    a quarter of the trees each;
 //   6 (T+6)   the forest assembled.
 // A stage is a serial begin(), independent units, then a serial end().
@@ -62,10 +63,10 @@ class PendingRetrain {
       if (util::inject_fault(util::faults::kForestTrain, key_)) {
         throw util::InjectedFault("injected forest.train");
       }
-      training_.emplace(options_.forest, copy_.data);
+      training_.emplace(options_.forest, copy_.labels, copy_.features());
       // As §4.5.2 does, the week's best cThld comes from the week's own
       // detection results: the scores its verdicts carried.
-      const std::span<const std::uint8_t> labels(copy_.data.labels());
+      const std::span<const std::uint8_t> labels(copy_.labels);
       const eval::PrCurve curve(copy_.scores,
                                 labels.last(copy_.scores.size()));
       if (!curve.empty()) {
@@ -91,14 +92,14 @@ class PendingRetrain {
 
   void run_unit(std::size_t unit) {
     if (stage_ == 1) {
-      training_->bin(copy_.data, unit);
+      training_->bin(copy_.values, unit);
     } else {
       training_->grow(tree_range().first + unit);
     }
   }
 
   void end() {
-    if (stage_ == 1) copy_.data = ml::Dataset();
+    if (stage_ == 1) copy_ = {};
     ++stage_;
   }
 
@@ -193,8 +194,8 @@ class FleetSeries {
       // A retrain still pending here was held by a concurrent caller past
       // its install point; this due point then trains nothing.
       if (pending_ == nullptr) {
-        if (std::optional<TrainingSet> copy = history_.training_set(
-                extractor_.feature_names(), points, scheduler.interval())) {
+        if (std::optional<TrainingSet> copy =
+                history_.training_set(points, scheduler.interval())) {
           pending_ = std::make_shared<PendingRetrain>(
               std::move(*copy), util::fault_key(salt_, points), options);
           install_at_ = points + kForestInstallDelay;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/thread_pool.hpp"
 
@@ -61,29 +62,39 @@ double FeatureBinner::upper_edge(std::uint8_t code) const {
 
 namespace {
 
-// Maps a non-NaN double to a key whose unsigned order is the value's
-// order: the sign bit is flipped for non-negative values and every bit
-// for negative ones. −0.0 is first mapped to 0.0, which it equals.
-std::uint64_t sort_key(double value) {
-  const auto bits = std::bit_cast<std::uint64_t>(value == 0.0 ? 0.0 : value);
-  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+// Maps a non-NaN value to a key of its width whose unsigned order is the
+// value's order: the sign bit is flipped for non-negative values and every
+// bit for negative ones. −0.0 is first mapped to 0.0, which it equals.
+// Widening a float to f64 is exact and monotone, so a float's 32-bit keys
+// order its values as their widenings' 64-bit keys do.
+template <typename Value>
+auto sort_key(Value value) {
+  using Key = std::conditional_t<sizeof(Value) == 8, std::uint64_t,
+                                 std::uint32_t>;
+  constexpr unsigned kSign = 8 * sizeof(Key) - 1;
+  const auto bits = std::bit_cast<Key>(value == Value{0} ? Value{0} : value);
+  return (bits >> kSign) != 0 ? static_cast<Key>(~bits)
+                              : static_cast<Key>(bits | (Key{1} << kSign));
 }
 
 // Sorts `order`, indices of `keys`, stably by ascending key: an LSD radix
-// sort with 8-bit digits, one counting pass for all eight digits, and no
-// scatter for a digit every key shares. `scratch` is its buffer.
-void radix_sort(std::span<const std::uint64_t> keys,
-                std::vector<std::uint32_t>& order,
+// sort with 8-bit digits, one counting pass for all of a key's digits,
+// and no scatter for a digit every key shares. `scratch` is its buffer.
+template <typename Key>
+void radix_sort(std::span<const Key> keys, std::vector<std::uint32_t>& order,
                 std::vector<std::uint32_t>& scratch) {
+  constexpr std::size_t kDigits = sizeof(Key);
   const std::size_t n = order.size();
   if (n < 2) return;
-  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  std::array<std::array<std::uint32_t, 256>, kDigits> counts{};
   for (const std::uint32_t i : order) {
-    const std::uint64_t key = keys[i];
-    for (std::size_t d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xFF];
+    const Key key = keys[i];
+    for (std::size_t d = 0; d < kDigits; ++d) {
+      ++counts[d][(key >> (8 * d)) & 0xFF];
+    }
   }
   scratch.resize(n);
-  for (std::size_t d = 0; d < 8; ++d) {
+  for (std::size_t d = 0; d < kDigits; ++d) {
     std::array<std::uint32_t, 256>& offset = counts[d];
     const unsigned shift = static_cast<unsigned>(8 * d);
     if (offset[(keys[order[0]] >> shift) & 0xFF] == n) continue;
@@ -101,21 +112,23 @@ void radix_sort(std::span<const std::uint64_t> keys,
 }
 
 // The rows r in [begin, end) whose column[r] is not NaN, in ascending
-// value order, ties in row order.
-std::vector<std::uint32_t> sorted_rows(std::span<const double> column,
+// value order, ties in row order. An f32 column sorts 32-bit keys, in
+// the order of its values widened to f64.
+template <typename Value>
+std::vector<std::uint32_t> sorted_rows(std::span<const Value> column,
                                        std::size_t begin, std::size_t end) {
   // keys[i] and order hold row begin + i.
-  std::vector<std::uint64_t> keys(end - begin);
+  std::vector<decltype(sort_key(Value{}))> keys(end - begin);
   std::vector<std::uint32_t> order;
   order.reserve(end - begin);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const double v = column[begin + i];
+    const Value v = column[begin + i];
     if (std::isnan(v)) continue;
     keys[i] = sort_key(v);
     order.push_back(static_cast<std::uint32_t>(i));
   }
   std::vector<std::uint32_t> scratch;
-  radix_sort(keys, order, scratch);
+  radix_sort<decltype(sort_key(Value{}))>(keys, order, scratch);
   for (std::uint32_t& row : order) row += static_cast<std::uint32_t>(begin);
   return order;
 }
@@ -150,11 +163,18 @@ BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
 BinnedDataset BinnedDataset::unbinned(const Dataset& data, std::size_t begin,
                                       std::size_t end) {
   check_range(data, begin, end, "BinnedDataset: bad row range");
-  BinnedDataset out;
+  BinnedDataset out =
+      unbinned(std::span(data.labels()).subspan(begin, end - begin),
+               data.num_features());
   out.first_row_ = begin;
-  out.binners_.resize(data.num_features());
-  out.codes_.resize(data.num_features());
-  const auto labels = std::span(data.labels()).subspan(begin, end - begin);
+  return out;
+}
+
+BinnedDataset BinnedDataset::unbinned(std::span<const std::uint8_t> labels,
+                                      std::size_t features) {
+  BinnedDataset out;
+  out.binners_.resize(features);
+  out.codes_.resize(features);
   out.labels_.assign(labels.begin(), labels.end());
   return out;
 }
@@ -164,6 +184,17 @@ void BinnedDataset::bin_column(std::size_t f, std::span<const double> column,
   bin_column(f, column,
              sorted_rows(column, first_row_, first_row_ + num_rows()),
              max_bins);
+}
+
+void BinnedDataset::bin_column(std::size_t f, std::span<const float> column,
+                               std::size_t max_bins) {
+  const std::vector<std::uint32_t> sorted =
+      sorted_rows(column, first_row_, first_row_ + num_rows());
+  std::vector<double> values(sorted.size());  // ascending
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    values[i] = static_cast<double>(column[sorted[i]]);  // exact
+  }
+  bin_sorted(f, sorted, values, max_bins);
 }
 
 void BinnedDataset::bin_column(std::size_t f, std::span<const double> column,
@@ -180,11 +211,17 @@ void BinnedDataset::bin_column(std::size_t f, std::span<const double> column,
   }
   std::vector<double> values(kept);  // ascending
   for (std::size_t i = 0; i < kept; ++i) values[i] = column[inside[i]];
+  bin_sorted(f, std::span(inside).first(kept), values, max_bins);
+}
 
+void BinnedDataset::bin_sorted(std::size_t f,
+                               std::span<const std::uint32_t> sorted,
+                               std::span<const double> values,
+                               std::size_t max_bins) {
   // −0.0 and 0.0 are one distinct value: whichever comes first adds the
   // same to a midpoint with its non-zero neighbour.
   std::vector<double> distinct;
-  distinct.reserve(kept);
+  distinct.reserve(values.size());
   for (const double value : values) {
     if (distinct.empty() || value != distinct.back()) {
       distinct.push_back(value);
@@ -194,11 +231,11 @@ void BinnedDataset::bin_column(std::size_t f, std::span<const double> column,
 
   const std::vector<double>& edges = binners_[f].edges();
   std::vector<std::uint8_t>& codes = codes_[f];
-  codes.assign(rows, 0);  // NaN rows stay in bin 0
+  codes.assign(num_rows(), 0);  // NaN rows stay in bin 0
   std::size_t code = 0;
-  for (std::size_t i = 0; i < kept; ++i) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
     while (code < edges.size() && edges[code] < values[i]) ++code;
-    codes[inside[i] - first_row_] = static_cast<std::uint8_t>(code);
+    codes[sorted[i] - first_row_] = static_cast<std::uint8_t>(code);
   }
 }
 

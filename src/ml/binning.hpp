@@ -78,9 +78,12 @@ class ColumnOrder {
 //
 // A column is binned from its non-NaN rows in ascending value order,
 // either a ColumnOrder's or its own, sorted by an LSD radix sort of
-// order-preserving 64-bit keys. One binning tail serves both: a branchless
-// pass keeps the sorted rows inside the dataset's range, their distinct
-// values give the same edges as FeatureBinner::fit, and one forward walk
+// order-preserving 64-bit keys. A column may also come as f32: sorted on
+// 32-bit keys, which order it as its exact f64 widening, and widened
+// before any arithmetic or comparison, it bins as that widening does. A
+// branchless pass keeps a ColumnOrder's rows inside the dataset's range;
+// from there one binning tail serves every column: the distinct values
+// give the same edges as FeatureBinner::fit, and one forward walk
 // assigns every row its code, the number of edges below its value —
 // exactly bin_of's lower_bound, with NaN in bin 0. Columns are binned in
 // parallel on the global thread pool, each task writing only its own
@@ -97,6 +100,10 @@ class BinnedDataset {
   // std::out_of_range on a bad range.
   static BinnedDataset unbinned(const Dataset& data, std::size_t begin,
                                 std::size_t end);
+  // The same for a training set of labels.size() rows and `features`
+  // columns held outside a Dataset.
+  static BinnedDataset unbinned(std::span<const std::uint8_t> labels,
+                                std::size_t features);
 
   // Bins feature f from `column`, the whole column of the dataset the
   // rows come from, sorting this dataset's rows of it. Touches only
@@ -108,6 +115,10 @@ class BinnedDataset {
   // skipped, so `sorted` must hold every non-NaN row inside it.
   void bin_column(std::size_t f, std::span<const double> column,
                   std::span<const std::uint32_t> sorted,
+                  std::size_t max_bins = kMaxBins);
+  // Bins feature f from an f32 `column`: the edges and codes of the
+  // first overload on the column widened to f64, bit for bit.
+  void bin_column(std::size_t f, std::span<const float> column,
                   std::size_t max_bins = kMaxBins);
 
   std::size_t num_rows() const { return labels_.size(); }
@@ -123,6 +134,12 @@ class BinnedDataset {
 
  private:
   BinnedDataset() = default;
+
+  // The tail every bin_column shares: bins feature f from `sorted`, its
+  // non-NaN rows inside the range in ascending value order, and
+  // `values`, theirs as f64.
+  void bin_sorted(std::size_t f, std::span<const std::uint32_t> sorted,
+                  std::span<const double> values, std::size_t max_bins);
 
   std::size_t first_row_ = 0;  // the source dataset's row of row 0
   std::vector<FeatureBinner> binners_;

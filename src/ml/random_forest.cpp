@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -48,24 +49,34 @@ ForestTraining::ForestTraining(const ForestOptions& options,
 ForestTraining::ForestTraining(const ForestOptions& options,
                                const Dataset& data, std::size_t begin,
                                std::size_t end, const ColumnOrder* order)
+    : ForestTraining(options, BinnedDataset::unbinned(data, begin, end)) {
+  if (order != nullptr &&
+      (order->num_features() != data.num_features() ||
+       begin < order->begin() || end > order->end())) {
+    throw std::invalid_argument(
+        "RandomForest::train: the column order does not hold the rows");
+  }
+  order_ = order;
+}
+
+ForestTraining::ForestTraining(const ForestOptions& options,
+                               std::span<const std::uint8_t> labels,
+                               std::size_t features)
+    : ForestTraining(options, BinnedDataset::unbinned(labels, features)) {}
+
+ForestTraining::ForestTraining(const ForestOptions& options,
+                               BinnedDataset binned)
     : options_(options),
-      order_(order),
-      binned_(BinnedDataset::unbinned(data, begin, end)),
+      binned_(std::move(binned)),
       tree_options_(options.num_trees),
       tree_draws_(options.num_trees),
       trees_(options.num_trees) {
   if (binned_.num_rows() == 0) {
     throw std::invalid_argument("RandomForest::train: empty dataset");
   }
-  if (data.num_features() > FlatNode::kMaxFeatures) {
+  if (binned_.num_features() > FlatNode::kMaxFeatures) {
     throw std::invalid_argument(
         "RandomForest::train: more features than a node can index");
-  }
-  if (order != nullptr &&
-      (order->num_features() != data.num_features() ||
-       begin < order->begin() || end > order->end())) {
-    throw std::invalid_argument(
-        "RandomForest::train: the column order does not hold the rows");
   }
   sample_size_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(options_.sample_fraction *
@@ -74,18 +85,29 @@ ForestTraining::ForestTraining(const ForestOptions& options,
               ? options_.mtry
               : std::max<std::size_t>(
                     1, static_cast<std::size_t>(std::sqrt(
-                           static_cast<double>(data.num_features()))));
+                           static_cast<double>(binned_.num_features()))));
 }
 
 void ForestTraining::bin(const Dataset& data, std::size_t unit) {
-  if (unit < binned_.num_features()) {
-    if (order_ != nullptr) {
-      binned_.bin_column(unit, data.column(unit), order_->rows(unit));
-    } else {
-      binned_.bin_column(unit, data.column(unit));
-    }
+  if (unit == binned_.num_features()) {
+    draw();
+  } else if (order_ != nullptr) {
+    binned_.bin_column(unit, data.column(unit), order_->rows(unit));
+  } else {
+    binned_.bin_column(unit, data.column(unit));
+  }
+}
+
+void ForestTraining::bin(std::span<const float> values, std::size_t unit) {
+  if (unit == binned_.num_features()) {
+    draw();
     return;
   }
+  const std::size_t rows = binned_.num_rows();
+  binned_.bin_column(unit, values.subspan(unit * rows, rows));
+}
+
+void ForestTraining::draw() {
   // Per-tree seeds and bootstrap samples come serially from the forest
   // RNG, in tree order, so every tree's inputs are the same whichever
   // thread grows it. The walk only skips over each tree's draws; grow(t)

@@ -107,6 +107,11 @@ class ForestTraining {
                  const ColumnOrder* order = nullptr);
   // Every row of data.
   ForestTraining(const ForestOptions& options, const Dataset& data);
+  // Trains on a training set held as f32 columns outside a Dataset, one
+  // row per label and `features` columns; stage 1 reads the columns from
+  // bin(values, unit). Throws as the first constructor does.
+  ForestTraining(const ForestOptions& options,
+                 std::span<const std::uint8_t> labels, std::size_t features);
 
   // Stage 1: unit f < num_features bins column f of the constructor's
   // rows of `data`, the dataset given to it; the last unit draws every
@@ -114,6 +119,10 @@ class ForestTraining {
   // RNG as it stands before each tree's bootstrap draws.
   std::size_t bin_units() const { return binned_.num_features() + 1; }
   void bin(const Dataset& data, std::size_t unit);
+  // The same for the f32 constructor: `values` holds its columns one
+  // after another, labels.size() values each. The forest is that of
+  // training on the columns widened to f64 in a Dataset, bit for bit.
+  void bin(std::span<const float> values, std::size_t unit);
 
   // Stage 2, once every bin unit has run: unit t draws tree t's bootstrap
   // counts from its kept RNG and grows the tree.
@@ -124,6 +133,12 @@ class ForestTraining {
   RandomForest assemble();
 
  private:
+  // Checks the shape and sizes the bootstrap.
+  ForestTraining(const ForestOptions& options, BinnedDataset binned);
+
+  // The last bin unit.
+  void draw();
+
   ForestOptions options_;
   std::size_t mtry_ = 0;
   std::size_t sample_size_ = 0;

@@ -903,6 +903,12 @@ core::FeatureHistory small_history(const core::RetrainScheduler& scheduler,
   return {2, kHistoryWarmup, window, scheduler, kHistoryPhase};
 }
 
+// Feature f of copied row i.
+float copied_value(const core::TrainingSet& copy, std::size_t f,
+                   std::size_t i) {
+  return copy.values[f * copy.rows() + i];
+}
+
 TEST(FeatureHistory, SizedStoreThatFillsUpThrows) {
   const core::RetrainScheduler scheduler(7, 100);
   const std::vector<double> values{1.0, -1.0};
@@ -936,11 +942,12 @@ TEST(FeatureHistory, SizedStoreThatFillsUpThrows) {
   unbounded.label(labels, 0, 3000);
   EXPECT_EQ(unbounded.labeled_until(), 3000u);
   const std::optional<core::TrainingSet> copy =
-      unbounded.training_set({"a", "b"}, 3000, 3);
+      unbounded.training_set(3000, 3);
   ASSERT_TRUE(copy.has_value());
-  EXPECT_EQ(copy->data.num_rows(), 3000 - kHistoryWarmup);
-  EXPECT_EQ(copy->data.value(0, 0), 1.0);
-  EXPECT_EQ(copy->data.value(copy->data.num_rows() - 1, 1), -1.0);
+  EXPECT_EQ(copy->rows(), 3000 - kHistoryWarmup);
+  EXPECT_EQ(copy->features(), 2u);
+  EXPECT_EQ(copied_value(*copy, 0, 0), 1.0f);
+  EXPECT_EQ(copied_value(*copy, 1, copy->rows() - 1), -1.0f);
   EXPECT_EQ(copy->scores, (std::vector<double>{2997.0, 2998.0, 2999.0}));
 }
 
@@ -961,23 +968,77 @@ TEST(FeatureHistory, TrainingRangeBelowTheStoredFloorThrows) {
   }
   // The retrain due at 405 reads rows [150, 405), all stored.
   const std::optional<core::TrainingSet> copy =
-      history.training_set({"a", "b"}, 405, 100);
+      history.training_set(405, 100);
   ASSERT_TRUE(copy.has_value());
-  EXPECT_EQ(copy->data.num_rows(), 255u);
+  EXPECT_EQ(copy->rows(), 255u);
   ASSERT_EQ(copy->scores.size(), 100u);
   EXPECT_EQ(copy->scores.front(), 305.0);
   EXPECT_EQ(copy->scores.back(), 404.0);
   // Once it has dropped the rows below the next retrain's floor (300), the
   // same range starts below the store.
   history.drop_before(scheduler.next_due(kHistoryPhase, 405));
-  EXPECT_THROW(history.training_set({"a", "b"}, 405, 100), std::logic_error);
+  EXPECT_THROW(history.training_set(405, 100), std::logic_error);
   const std::optional<core::TrainingSet> rest =
-      history.training_set({"a", "b"}, 505, 200);
+      history.training_set(505, 200);
   ASSERT_TRUE(rest.has_value());
-  EXPECT_EQ(rest->data.num_rows(), 105u);
+  EXPECT_EQ(rest->rows(), 105u);
   ASSERT_EQ(rest->scores.size(), 105u);
   EXPECT_EQ(rest->scores.front(), 300.0);
   EXPECT_EQ(rest->scores.back(), 404.0);
+}
+
+// Label chunks that arrive out of order leave unlabeled rows inside the
+// window: the copy holds exactly the labeled rows, in row order, copied
+// run by run, and the emitted scores of the newest min(rows, recent) of
+// them, across run boundaries.
+TEST(FeatureHistory, TrainingSetCopiesOnlyLabeledRowsInOrder) {
+  const core::RetrainScheduler scheduler(7, 100);
+  core::FeatureHistory history = small_history(scheduler, 0);
+  constexpr std::size_t kPoints = 400;
+  for (std::size_t row = 0; row < kPoints; ++row) {
+    const auto value = static_cast<double>(row);
+    history.append(row, std::vector<double>{value, -value}, value + 0.5);
+  }
+  // Chunks [200, 260), [100, 150) and [300, 320), in that order; rows
+  // [10, 100), [150, 200) and [260, 300) stay unlabeled though the
+  // watermark passes them. Row r is anomalous when r % 9 == 0.
+  const std::pair<std::size_t, std::size_t> chunks[] = {
+      {200, 260}, {100, 150}, {300, 320}};
+  std::vector<std::size_t> labeled;
+  for (const auto& [first, last] : chunks) {
+    std::vector<std::uint8_t> labels;
+    for (std::size_t row = first; row < last; ++row) {
+      labels.push_back(row % 9 == 0 ? 1 : 0);
+    }
+    history.label(labels, first, kPoints);
+  }
+  EXPECT_EQ(history.labeled_until(), 320u);
+  for (std::size_t row = 100; row < 320; ++row) {
+    if (row < 150 || (row >= 200 && row < 260) || row >= 300) {
+      labeled.push_back(row);
+    }
+  }
+  for (const std::size_t recent : {std::size_t{1}, std::size_t{30},
+                                   std::size_t{60}, std::size_t{500}}) {
+    const std::optional<core::TrainingSet> copy =
+        history.training_set(kPoints, recent);
+    ASSERT_TRUE(copy.has_value());
+    ASSERT_EQ(copy->rows(), labeled.size());
+    ASSERT_EQ(copy->features(), 2u);
+    ASSERT_EQ(copy->values.size(), 2 * labeled.size());
+    for (std::size_t i = 0; i < labeled.size(); ++i) {
+      const auto row = static_cast<float>(labeled[i]);
+      EXPECT_EQ(copied_value(*copy, 0, i), row) << i;
+      EXPECT_EQ(copied_value(*copy, 1, i), -row) << i;
+      EXPECT_EQ(copy->labels[i], labeled[i] % 9 == 0 ? 1 : 0) << i;
+    }
+    const std::size_t newest = std::min(labeled.size(), recent);
+    ASSERT_EQ(copy->scores.size(), newest) << recent;
+    for (std::size_t i = 0; i < newest; ++i) {
+      const std::size_t row = labeled[labeled.size() - newest + i];
+      EXPECT_EQ(copy->scores[i], static_cast<double>(row) + 0.5) << recent;
+    }
+  }
 }
 
 // The exactly-sized history store against the growing columns with the

@@ -768,6 +768,68 @@ TEST(ForestOracle, StagedTrainEqualsTrain) {
   util::set_global_threads(0);
 }
 
+// The engine's retrain, which trains from its f32 history: ForestTraining
+// built from labels and a feature count, its bin units reading f32
+// columns, run in stages spread over dispatches as in
+// StagedTrainEqualsTrain, gives RandomForest::train's forest on the
+// columns widened to f64 in a Dataset, bit for bit, at any thread count.
+// The columns are dirty_dataset's and the special ones, saturated to f32
+// as the history stores them.
+TEST(ForestOracle, StagedFloatTrainEqualsTrain) {
+  util::Rng rng(4343);
+  constexpr std::size_t kRows = 1500;
+  std::vector<std::vector<double>> columns =
+      dirty_dataset(rng, kRows, 30).columns();
+  for (std::vector<double>& column : special_columns(kRows)) {
+    columns.push_back(std::move(column));
+  }
+  const std::size_t features = columns.size();
+  constexpr double kFloatMax = std::numeric_limits<float>::max();
+  std::vector<float> block;  // column after column
+  for (std::vector<double>& column : columns) {
+    for (double& v : column) {
+      if (std::isfinite(v)) v = std::clamp(v, -kFloatMax, kFloatMax);
+      const auto stored = static_cast<float>(v);
+      block.push_back(stored);
+      v = static_cast<double>(stored);
+    }
+  }
+  std::vector<std::uint8_t> labels = random_labels(rng, columns);
+  const Dataset widened(std::vector<std::string>(features, "f"),
+                        std::move(columns), labels);
+  const Dataset other = dirty_dataset(rng, 300, 12);
+  ForestOptions options;
+  options.num_trees = 21;
+  options.seed = 77;
+  for (std::size_t threads : kThreadSweep) {
+    util::set_global_threads(threads);
+    RandomForest whole(options);
+    whole.train(widened);
+
+    ForestTraining staged(options, labels, features);
+    RandomForest unrelated;
+    const std::size_t bins = staged.bin_units();
+    util::parallel_for(bins / 2, [&](std::size_t u) {
+      staged.bin(block, bins - 1 - u);
+    });
+    unrelated.train(other);
+    util::parallel_for(bins - bins / 2, [&](std::size_t u) {
+      staged.bin(block, bins - bins / 2 - 1 - u);
+    });
+    const std::size_t trees = staged.tree_units();
+    for (std::size_t part = 0; part < 3; ++part) {
+      util::parallel_for(trees, [&](std::size_t k) {
+        const std::size_t t = (k * 8) % trees;
+        if (t % 3 == part) staged.grow(t);
+      });
+    }
+    EXPECT_EQ(forest_digest(staged.assemble(), widened.feature_names()),
+              forest_digest(whole, widened.feature_names()))
+        << "threads " << threads;
+  }
+  util::set_global_threads(0);
+}
+
 // Training and batch scoring read a row range of a dataset in place, and
 // training may bin it from a shared ColumnOrder; the forest and the
 // scores must be those of a copy of the range, bit for bit, at any

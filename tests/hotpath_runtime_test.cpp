@@ -25,7 +25,9 @@
 //     and the tick() that applies it), which takes the server's and the
 //     series' locks by design and is held to an allocation budget.
 // One training unit is held to a byte budget instead: ForestTraining's
-// bootstrap draw, whose bytes must not grow with the training rows.
+// bootstrap draw, whose bytes must not grow with the training rows. A
+// series' due point, which copies its training rows, is held to an
+// allocation budget that must not grow with the features.
 // StreamingExtractor::feed is not one: it returns a fresh vector by
 // contract, and feed_into is its allocation-free form.
 //
@@ -342,6 +344,85 @@ TEST(HotPath, FleetEngineFeedBetweenRetrains) {
             arima_configs(bank) * kMeasuredPoints / kPointsPerDay);
   EXPECT_EQ(engine.stats(series).retrains, retrains);
   EXPECT_EQ(classified, kMeasuredPoints);
+}
+
+// The standard bank, or without its 64 Holt-Winters configurations.
+std::vector<detectors::DetectorPtr> bank_of(bool holt_winters) {
+  std::vector<detectors::DetectorPtr> bank =
+      detectors::standard_configurations(kCtx);
+  if (!holt_winters) {
+    std::erase_if(bank, [](const detectors::DetectorPtr& detector) {
+      return detectors::family_of(detector->name()) == "holt_winters";
+    });
+  }
+  return bank;
+}
+
+// Allocations a paper_stream-like series makes, beyond a lockstep bank of
+// its configurations, on each of its first `installs` due points whose
+// retrain installed a forest: the copy of its training set and stage 0.
+std::vector<std::size_t> due_point_allocations(bool holt_winters,
+                                               std::size_t installs) {
+  core::FleetOptions options;
+  options.ctx = kCtx;
+  options.history_capacity = kCtx.points_per_week;
+  options.forest.num_trees = 8;
+  options.detector_factory = [holt_winters](const detectors::SeriesContext&) {
+    return bank_of(holt_winters);
+  };
+  core::FleetEngine engine(std::move(options));
+  engine.feed(engine.add_series("warm-instruments"), 1.0);
+  const core::SeriesHandle series = engine.add_series("pv");
+  detectors::StreamingExtractor bank(bank_of(holt_winters));
+  std::vector<double> features(bank.num_features());
+  const std::vector<double> stream = kpi_stream(5 * kCtx.points_per_week);
+  std::vector<std::size_t> out;
+  std::size_t last_due = 0;
+  std::size_t due_allocations = 0;
+  for (std::size_t fed = 0; out.size() < installs; ++fed) {
+    if (fed == stream.size()) {
+      ADD_FAILURE() << "only " << out.size() << " installs";
+      break;
+    }
+    const std::size_t before_bank = t_allocations;
+    bank.feed_into(stream[fed], features);
+    const std::size_t bank_allocations = t_allocations - before_bank;
+    const std::size_t retrains = engine.stats(series).retrains;
+    const std::size_t before_engine = t_allocations;
+    engine.feed(series, stream[fed]);
+    const std::size_t engine_allocations = t_allocations - before_engine;
+    if (engine.scheduler().due("pv", fed + 1)) {
+      last_due = fed + 1;
+      due_allocations = engine_allocations - bank_allocations;
+    }
+    if (engine.stats(series).retrains > retrains) {
+      EXPECT_EQ(last_due + core::kForestInstallDelay, fed + 1);
+      out.push_back(due_allocations);
+    }
+    const std::uint8_t label = fed % 211 == 0 ? 1 : 0;  // kpi_stream spikes
+    engine.ingest_labels(series, std::span(&label, 1), fed);
+  }
+  return out;
+}
+
+// A due point T copies its series' training rows as one f32 block and
+// runs stage 0 (the forest's shape, the week's cThld pick) in the call
+// that feeds it. Its allocations are a handful of buffers, the same for
+// any bank: the copy is one block, its labels and scores, never a vector
+// or a name per feature. Measured at 12 on a first install (no forest
+// has scored a row yet, so there is no cThld to pick) and 13 on later
+// ones, with either bank; a copy per column would add at least one
+// allocation per feature, 133 with the full bank.
+TEST(HotPath, FleetEngineDuePointAllocationBudget) {
+  constexpr std::size_t kBudget = 16;
+  // Instruments and other statics register on a first retrain.
+  (void)due_point_allocations(false, 1);
+  const std::vector<std::size_t> full = due_point_allocations(true, 3);
+  const std::vector<std::size_t> small = due_point_allocations(false, 3);
+  ASSERT_EQ(full.size(), 3u);
+  ASSERT_EQ(small.size(), 3u);
+  EXPECT_EQ(full, small);
+  for (const std::size_t count : full) EXPECT_LE(count, kBudget);
 }
 
 TEST(HotPath, RandomForestScoreAndClassify) {

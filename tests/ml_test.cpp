@@ -2,9 +2,14 @@
 // linear baselines, naive Bayes, mutual information, k-fold.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "ml/binning.hpp"
 #include "ml/dataset.hpp"
@@ -168,6 +173,95 @@ TEST(Binning, BinnedDatasetShape) {
   EXPECT_EQ(binned.num_rows(), 50u);
   EXPECT_EQ(binned.num_features(), 4u);
   EXPECT_EQ(binned.codes(0).size(), 50u);
+}
+
+// An f32 column bins as its f64 widening does: the same edges, bit for
+// bit, and the same codes. The columns cover −0.0/+0.0 ties, NaN, ±inf,
+// ±FLT_MAX, subnormals, more distinct values than bins, a constant and
+// an all-NaN column, binned at the full and at a small bin count.
+TEST(Binning, FloatColumnEqualsWidenedDoubleColumn) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kTiny = std::numeric_limits<float>::denorm_min();
+  constexpr float kMinNormal = std::numeric_limits<float>::min();
+  constexpr std::size_t kRows = 600;
+  std::vector<std::vector<float>> columns;
+  const auto make = [&](auto value_at) {
+    std::vector<float> column(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) column[r] = value_at(r);
+    columns.push_back(std::move(column));
+  };
+  const auto real = [](std::size_t r) { return static_cast<float>(r); };
+  make([](std::size_t r) { return r % 2 == 0 ? -0.0f : 0.0f; });
+  make([](std::size_t r) {
+    const float cycle[] = {-0.0f, 0.0f, 1.0f, -1.0f, -0.0f, kTiny};
+    return cycle[r % 6];
+  });
+  make([&](std::size_t r) { return r % 5 == 0 ? kNaN : real(r % 37); });
+  make([](std::size_t r) {
+    const float cycle[] = {-kInf, -kMax, -1.0f, 0.0f, kMax, kInf};
+    return cycle[r % 6];
+  });
+  make([](std::size_t r) { return r % 2 == 0 ? kMax : kMax / 2.0f; });
+  make([&](std::size_t r) {  // subnormals on both sides of 0
+    const float sign = r % 2 == 0 ? 1.0f : -1.0f;
+    return sign * kTiny * real(r % 50);
+  });
+  make([&](std::size_t r) {  // across the normal/subnormal boundary
+    return kMinNormal + kTiny * (real(r % 100) - 50.0f);
+  });
+  make([&](std::size_t r) { return real(r) * 0.25f - 100.0f; });  // > 255
+  make([&](std::size_t r) { return real((r * 7919) % 1000); });   // ties
+  make([](std::size_t) { return 4.0f; });                         // constant
+  make([](std::size_t) { return kNaN; });                         // all NaN
+  make([&](std::size_t r) { return r == 7 ? 1.5f : kNaN; });      // one value
+  util::Rng rng(77);
+  make([&](std::size_t r) {  // random, with every special planted
+    const float picks[] = {kNaN, kInf, -kInf, -0.0f, 0.0f, kMax, -kMax, kTiny};
+    return r % 13 == 0 ? picks[rng.uniform_int(8)]
+                       : static_cast<float>(rng.normal(0.0, 1e3));
+  });
+
+  const std::size_t features = columns.size();
+  std::vector<std::vector<double>> widened;
+  std::vector<float> block;  // column after column
+  for (const std::vector<float>& column : columns) {
+    std::vector<double> wide(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      wide[r] = static_cast<double>(column[r]);
+    }
+    widened.push_back(std::move(wide));
+    block.insert(block.end(), column.begin(), column.end());
+  }
+  std::vector<std::uint8_t> labels(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) labels[r] = r % 11 == 0 ? 1 : 0;
+  const Dataset data(std::vector<std::string>(features, "f"), widened,
+                     labels);
+  const auto bits = [](const std::vector<double>& edges) {
+    std::vector<std::uint64_t> out;
+    for (const double edge : edges) {
+      out.push_back(std::bit_cast<std::uint64_t>(edge));
+    }
+    return out;
+  };
+  for (const std::size_t max_bins : {kMaxBins, std::size_t{16}}) {
+    const BinnedDataset wide(data, max_bins);
+    BinnedDataset narrow = BinnedDataset::unbinned(labels, features);
+    ASSERT_EQ(narrow.num_rows(), kRows);
+    ASSERT_EQ(narrow.num_features(), features);
+    for (std::size_t f = 0; f < features; ++f) {
+      narrow.bin_column(f, std::span(block).subspan(f * kRows, kRows),
+                        max_bins);
+      EXPECT_EQ(bits(narrow.binner(f).edges()), bits(wide.binner(f).edges()))
+          << "column " << f << ", max_bins " << max_bins;
+      EXPECT_EQ(narrow.codes(f), wide.codes(f))
+          << "column " << f << ", max_bins " << max_bins;
+    }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      ASSERT_EQ(narrow.label(r), wide.label(r));
+    }
+  }
 }
 
 // ---- decision tree ----

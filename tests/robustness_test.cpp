@@ -113,7 +113,9 @@ TEST(DirtyData, ForestSurvivesContaminatedFeatureColumns) {
   std::vector<std::uint8_t> labels(n);
   std::vector<std::string> names;
   for (std::size_t f = 0; f < 10; ++f) {
-    names.push_back("f" + std::to_string(f));
+    // Appended, not "f" + std::to_string(f): GCC 12 at -O3 flags that
+    // operator+'s insert with a false -Wrestrict.
+    names.push_back(std::string("f").append(std::to_string(f)));
   }
   for (std::size_t i = 0; i < n; ++i) {
     const bool anomaly = rng.uniform() < 0.1;
